@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Relative entropy of entanglement by Frank-Wolfe over the separable set.
+"""Relative entropy of entanglement by fully corrective Frank-Wolfe.
 
-The solver returns an upper bound, the separable state achieving it, and a
-duality-gap estimate.  On pure states the value coincides with the reduced
+Each iteration adds one product state to the separable iterate and
+re-optimizes the weights of all of them.  The solver returns an upper bound,
+the separable state achieving it, and a duality-gap estimate.  On pure states the value coincides with the reduced
 entropy; on separable inputs it goes to zero; and it never exceeds the
 entanglement of formation.
 """

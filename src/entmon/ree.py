@@ -1,20 +1,18 @@
-"""Relative entropy of entanglement via Frank-Wolfe over the separable set.
+"""Relative entropy of entanglement via fully corrective Frank-Wolfe.
 
 E_r(rho) minimizes S(rho || sigma) over separable sigma.  The feasible set
-is the convex hull of product projectors |a><a| x |b><b|, so Frank-Wolfe
-applies directly: at each iterate the gradient of the objective is
-linearized and the best product projector for that linear function is found
-by an alternating largest-eigenvector iteration (a bilinear, nonconvex
-subproblem solved from several random starts; failures only loosen the
-upper bound).  Every step uses exact line search on a 1-D segment, so the
-objective never increases.  The returned value is an upper bound on E_r.
-
-The iterate is kept as an explicit weighted atom list, which enables
-pairwise steps (move mass from the worst active atom onto the new one)
-alongside classic mixing steps.  Plain mixing alone zigzags badly when the
-optimum sits on a low-rank face, as it does for pure inputs; pairwise
-steps restore fast convergence there while preserving feasibility by
-construction.
+is the convex hull of product projectors |a><a| x |b><b|, and the iterate
+is kept as an explicit weighted list of such atoms.  Each iteration
+linearizes the objective at the current sigma and finds the best product
+projector for that linear function by an alternating least-eigenvector
+iteration (a bilinear, nonconvex subproblem solved from several random
+starts; failures only loosen the upper bound).  The new atom joins the list
+at weight 0, and then the weights of all atoms are re-optimized together by
+bounded L-BFGS-B (Rehacek & Hradil, PRL 90, 127904 (2003); Zinchenko,
+Friedland & Gour, PRA 82, 052336 (2010)); atoms whose weight reaches zero
+are dropped.  A step is taken only if it lowers the objective.  The run
+stops when the Frank-Wolfe duality gap falls below its tolerance, confirmed
+by a harder product search.  The returned value is an upper bound on E_r.
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
 reported closest separable state is exactly certifiable there; larger
@@ -27,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize
 
 from .channels import LocalKrausChannel, _embed
 from .states import (
@@ -42,6 +40,7 @@ EIG_FLOOR = 1e-14
 INNER_ROUNDS = 12
 INNER_VAL_TOL = 1e-10
 MAX_TOTAL_DIM = 16
+WEIGHT_ITERS = 10  # L-BFGS-B iterations per weight re-optimization
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,15 @@ def _objective(rho_m: np.ndarray, tr_rln_r: float, sigma_m: np.ndarray) -> float
     return tr_rln_r - float(np.sum(w * np.log(mu)))
 
 
+def _log_kernel(mu: np.ndarray) -> np.ndarray:
+    """First divided differences of ln at the eigenvalues ``mu``."""
+    lm = np.log(mu)
+    den = mu[:, None] - mu[None, :]
+    num = lm[:, None] - lm[None, :]
+    near = np.abs(den) < 1e-12 * np.maximum(mu[:, None], mu[None, :])
+    return np.where(near, 1.0 / mu[:, None], num / np.where(near, 1.0, den))
+
+
 def _gradient(rho_m: np.ndarray, sigma_m: np.ndarray) -> np.ndarray:
     """Frechet derivative of sigma -> -Tr[rho ln sigma], in matrix form.
 
@@ -92,12 +100,7 @@ def _gradient(rho_m: np.ndarray, sigma_m: np.ndarray) -> np.ndarray:
     mu, u = np.linalg.eigh(sigma_m)
     mu = np.clip(mu, EIG_FLOOR, None)
     rho_t = u.conj().T @ rho_m @ u
-    lm = np.log(mu)
-    den = mu[:, None] - mu[None, :]
-    num = lm[:, None] - lm[None, :]
-    near = np.abs(den) < 1e-12 * np.maximum(mu[:, None], mu[None, :])
-    kernel = np.where(near, 1.0 / mu[:, None], num / np.where(near, 1.0, den))
-    g = -(u @ (rho_t * kernel) @ u.conj().T)
+    g = -(u @ (rho_t * _log_kernel(mu)) @ u.conj().T)
     return 0.5 * (g + g.conj().T)
 
 
@@ -141,6 +144,36 @@ def _min_product_expectation(
     return a[best], b[best], float(vals[best])
 
 
+def _assemble(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    s = (atoms.T * weights) @ atoms.conj()
+    return 0.5 * (s + s.conj().T)
+
+
+def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Approximate argmin over v >= 0 of -Tr[rho ln sum_k v_k pi_k] + sum_k v_k.
+
+    The problem has bounds only: along the scale t of v the derivative is
+    1 - 1/t, so sum v = 1 holds at the optimum without being imposed.  The
+    gradient is <a_k|G|a_k> + 1, with G the Frechet derivative of
+    -Tr[rho ln sigma].
+    """
+
+    def f_and_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
+        # One eigendecomposition of sigma serves both the value and the
+        # gradient, which is evaluated in its eigenbasis.
+        mu, u = np.linalg.eigh(_assemble(atoms, v))
+        mu = np.clip(mu, EIG_FLOOR, None)
+        rho_t = u.conj().T @ rho_m @ u
+        c = atoms @ u.conj()
+        f = float(np.sum(v)) - float(np.real(np.diagonal(rho_t)) @ np.log(mu))
+        grad = 1.0 - np.real(np.einsum("ki,ij,kj->k", c.conj(), rho_t * _log_kernel(mu), c))
+        return f, grad
+
+    res = minimize(f_and_grad, weights, jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * len(weights), options={"maxiter": WEIGHT_ITERS})
+    return res.x
+
+
 def ree_minimize(
     rho: DensityMatrix,
     max_iters: int = 2000,
@@ -152,7 +185,8 @@ def ree_minimize(
 
     Starts from the maximally mixed state (interior, full support) and
     stops when the Frank-Wolfe duality-gap estimate drops below
-    ``gap_tol`` or after ``max_iters`` iterations; non-convergence is
+    ``gap_tol`` (``converged`` is then True), when a step no longer lowers
+    the objective, or after ``max_iters`` iterations; non-convergence is
     reported through the ``converged`` flag, never as a failure.
     """
     if len(rho.dims.factors) != 2:
@@ -172,12 +206,8 @@ def ree_minimize(
     # the maximally mixed state, itself a mixture of product basis states.
     atoms = np.eye(n, dtype=complex)
     weights = np.full(n, 1.0 / n)
-
-    def assemble(at: np.ndarray, w: np.ndarray) -> np.ndarray:
-        s = (at.T * w) @ at.conj()
-        return 0.5 * (s + s.conj().T)
-
-    sigma = assemble(atoms, weights)
+    sigma = _assemble(atoms, weights)
+    value = _objective(rho_m, tr_rln_r, sigma)
     gap = math.inf
     iterations = 0
     converged = False
@@ -202,58 +232,22 @@ def ree_minimize(
                 converged = True
                 break
         prev_a = a
-        new_atom = np.kron(a, b)
-        pi = np.outer(new_atom, new_atom.conj())
-        f0 = _objective(rho_m, tr_rln_r, sigma)
 
-        # Pairwise step: shift mass from the active atom with the largest
-        # gradient expectation onto the new atom.
-        away_vals = np.real(np.einsum("ki,ij,kj->k", atoms.conj(), g, atoms))
-        away = int(np.argmax(away_vals))
-        direction = pi - np.outer(atoms[away], atoms[away].conj())
-        gamma_max = float(weights[away])
+        # Fully corrective step: add the new atom at weight 0, re-optimize
+        # all weights, drop the atoms that reach zero.
+        cand = np.vstack([atoms, np.kron(a, b)[None, :]])
+        v = _reoptimize_weights(rho_m, cand, np.append(weights, 0.0))
+        keep = v > 0.0
+        v = v[keep] / float(np.sum(v[keep]))
+        new_sigma = _assemble(cand[keep], v)
+        new_value = _objective(rho_m, tr_rln_r, new_sigma)
+        if new_value >= value:
+            break
+        atoms, weights, sigma, value = cand[keep], v, new_sigma, new_value
 
-        def phi_pair(gamma: float) -> float:
-            return _objective(rho_m, tr_rln_r, sigma + gamma * direction)
-
-        stepped = False
-        if gamma_max > 1e-15 and away_vals[away] > atom_val + 1e-15:
-            res = minimize_scalar(
-                phi_pair, bounds=(0.0, gamma_max), method="bounded", options={"xatol": 1e-12}
-            )
-            if res.fun < f0:
-                gamma = float(res.x)
-                weights[away] -= gamma
-                atoms = np.vstack([atoms, new_atom[None, :]])
-                weights = np.append(weights, gamma)
-                stepped = True
-
-        if not stepped:
-            # Classic mixing step toward the new atom.
-            def phi_mix(gamma: float) -> float:
-                return _objective(rho_m, tr_rln_r, (1.0 - gamma) * sigma + gamma * pi)
-
-            res = minimize_scalar(
-                phi_mix, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12}
-            )
-            if res.fun >= f0:
-                break
-            gamma = float(res.x)
-            weights = weights * (1.0 - gamma)
-            atoms = np.vstack([atoms, new_atom[None, :]])
-            weights = np.append(weights, gamma)
-
-        keep = weights > 1e-15
-        atoms = atoms[keep]
-        weights = weights[keep]
-        weights = weights / float(np.sum(weights))
-        sigma = assemble(atoms, weights)
-
-    closest = DensityMatrix(sigma, rho.dims)
-    value = max(0.0, _objective(rho_m, tr_rln_r, sigma))
     return ReeResult(
-        value=value,
-        closest_separable=closest,
+        value=max(0.0, value),
+        closest_separable=DensityMatrix(sigma, rho.dims),
         iterations=iterations,
         duality_gap_estimate=gap,
         converged=converged,

@@ -725,6 +725,11 @@ def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[Verification
     return reports
 
 
+def _ree_status(res) -> dict:
+    return {"iterations": res.iterations, "converged": res.converged,
+            "duality_gap_estimate": res.duality_gap_estimate}
+
+
 def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     reports = []
     dims = Dims(2, 2)
@@ -734,8 +739,7 @@ def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     res = ree_minimize(bell, rng=np.random.default_rng(seed))
     ok = abs(res.value - math.log(2.0)) <= 1e-2
     reports.append(_report("ree", "ree", None, res.value, math.log(2.0), 1e-2, ok, seed,
-                           {"rule": "|gap| <= tolerance", "case": "bell",
-                            "iterations": res.iterations}))
+                           {"rule": "|gap| <= tolerance", "case": "bell", **_ree_status(res)}))
     for t in range(n):
         seed = derived_seed(config.seed, check_idx, 1, t)
         rng = np.random.default_rng(seed)
@@ -745,7 +749,7 @@ def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
         reports.append(_report("ree", "ree", None, res.value, oracle, 1e-2,
                                abs(res.value - oracle) <= 1e-2, seed,
                                {"rule": "|gap| <= tolerance", "case": "pure-coincidence",
-                                "iterations": res.iterations}))
+                                **_ree_status(res)}))
     for t in range(n):
         seed = derived_seed(config.seed, check_idx, 2, t)
         rng = np.random.default_rng(seed)
@@ -754,7 +758,7 @@ def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
         reports.append(_report("ree", "ree", None, res.value, 0.0, 1e-4,
                                res.value <= 1e-4, seed,
                                {"rule": "|gap| <= tolerance", "case": "separable",
-                                "iterations": res.iterations}))
+                                **_ree_status(res)}))
     for t in range(n):
         seed = derived_seed(config.seed, check_idx, 3, t)
         rng = np.random.default_rng(seed)
@@ -764,7 +768,7 @@ def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
         reports.append(_report("ree", "ree", None, upper, res.value, 2e-2,
                                res.value <= upper + 2e-2, seed,
                                {"rule": "gap >= -tolerance", "case": "below-eof",
-                                "iterations": res.iterations}))
+                                **_ree_status(res)}))
     return reports
 
 

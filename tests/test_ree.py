@@ -7,7 +7,7 @@ import pytest
 
 from entmon.channels import LocalKrausChannel, random_channel, unitary_mixture_channel
 from entmon.measures import wootters_eof
-from entmon.ree import ree_data_processing_check, ree_minimize
+from entmon.ree import GAP_TOL, ree_data_processing_check, ree_minimize
 from entmon.sampling import haar_unitary, random_mixed, random_pure, random_separable
 from entmon.states import (
     DensityMatrix,
@@ -18,6 +18,7 @@ from entmon.states import (
     relative_entropy,
     von_neumann_entropy,
 )
+from entmon.verify import derived_seed
 
 
 class TestReeMinimize:
@@ -74,6 +75,27 @@ class TestReeMinimize:
         short = ree_minimize(rho, max_iters=40, rng=np.random.default_rng(9))
         long = ree_minimize(rho, max_iters=400, rng=np.random.default_rng(9))
         assert long.value <= short.value + 1e-10
+
+    @pytest.mark.parametrize("f", [0.6, 0.7, 0.8, 0.95])
+    def test_bell_diagonal_oracle(self, f):
+        # Vedral & Plenio: E_R = ln 2 - H2(F) for the largest Bell weight F >= 1/2.
+        rng = np.random.default_rng(int(100 * f))
+        bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
+        weights = np.concatenate([[f], (1.0 - f) * rng.dirichlet(np.ones(3))])
+        rho = DensityMatrix((bell.T * weights) @ bell + 0j, Dims(2, 2))
+        oracle = math.log(2) + f * math.log(f) + (1 - f) * math.log(1 - f)
+        res = ree_minimize(rho, rng=np.random.default_rng(30))
+        assert res.converged is True
+        assert res.value == pytest.approx(oracle, abs=1e-4)
+
+    @pytest.mark.parametrize("dims,t", [((2, 2), 0), ((2, 2), 1), ((2, 2), 2), ((2, 3), 0)])
+    def test_converges_at_default_max_iters(self, dims, t):
+        # Criterion-7-style mixed inputs: rank 2 + t % 3, solver seeded alike.
+        seed = derived_seed(7, 3, t)
+        rho = random_mixed(Dims(*dims), 2 + t % 3, np.random.default_rng(seed))
+        res = ree_minimize(rho, rng=np.random.default_rng(seed))
+        assert res.converged is True
+        assert res.duality_gap_estimate < GAP_TOL
 
     def test_dimension_cap(self):
         from entmon.states import DimensionMismatchError

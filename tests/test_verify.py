@@ -284,6 +284,16 @@ class TestSweep:
         for rep in run_sweep(cfg):
             assert recompute_verdict(rep) == rep.verdict
 
+    def test_ree_reports_carry_solver_status(self):
+        from entmon.ree import GAP_TOL
+
+        reports = run_sweep(SweepConfig(checks=("ree",), trials=1, seed=0))
+        assert len(reports) == 4
+        for rep in reports:
+            assert rep.metadata["converged"] is True
+            assert rep.metadata["duality_gap_estimate"] < GAP_TOL
+            assert rep.metadata["iterations"] >= 1
+
     def test_summary_and_csv(self, tmp_path):
         cfg = SweepConfig(checks=("concavity",), trials=4, seed=0)
         reports = run_sweep(cfg)
