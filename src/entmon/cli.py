@@ -2,8 +2,7 @@
 
     entmon measure STATE_FILE MEASURE_ID [--base nats|bits] [--json] [--seed N]
     entmon verify [--config FILE] [--seed N] [--trials N] [--dims dAxdB ...]
-                  [--measure ID ...] [--check ID ...] [--base nats|bits]
-                  [--out PATH] [--json]
+                  [--measure ID ...] [--check ID ...] [--out PATH] [--json]
 
 Exit codes: 0 success (verify: no failing verdicts), 1 verify found a
 failing verdict, 2 parse/config error, 3 dimension or measure mismatch.
@@ -92,7 +91,7 @@ def _load_config(args) -> SweepConfig:
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
         known = {"checks", "measures", "dims", "trials", "n_kraus", "seed",
-                 "output_path", "base", "tolerances"}
+                 "output_path", "tolerances"}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -109,8 +108,6 @@ def _load_config(args) -> SweepConfig:
         fields["trials"] = args.trials
     if args.seed is not None:
         fields["seed"] = args.seed
-    if args.base is not None:
-        fields["base"] = args.base
     if args.out is not None:
         fields["output_path"] = args.out
     fields.setdefault("checks", CHECK_IDS)
@@ -176,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--dims", action="append", metavar="dAxdB")
     v.add_argument("--measure", action="append", metavar="ID")
     v.add_argument("--check", action="append", metavar="ID", choices=CHECK_IDS)
-    v.add_argument("--base", choices=("nats", "bits"), default=None)
     v.add_argument("--out", metavar="PATH", help="JSON-lines report path")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)

@@ -14,7 +14,10 @@ have kinks at rank boundaries.
 The returned value is an upper bound on the true roof; restarts are
 independent chains with derived seeds and the merge is a deterministic
 minimum, so results are reproducible and nonincreasing in the number of
-restarts.
+restarts.  The chains advance in lockstep: one batched objective call per
+step, with accept/reject as masked array updates, and each chain takes its
+step normals from blocks drawn by its own generator.  When side A is a
+qubit the reduced spectra come in closed form instead of from ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ STEP_GROW = 1.3
 STEP_SHRINK = 0.92
 STALL_LIMIT = 50
 REL_IMPROVEMENT = 1e-9
+_BLOCK = 64  # step normals drawn per chain per refill
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,25 @@ def _qr_isometries(x: np.ndarray) -> np.ndarray:
     return q * phase.conj()[..., None, :]
 
 
+def _qubit_reduced_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of ``m m^dag`` for a (..., 2, dB) stack, clipped at 0.
+
+    The 2x2 reduced state [[a, b], [b*, d]] has eigenvalues
+    (a + d)/2 -+ hypot((a - d)/2, |b|); the hypot form of the discriminant
+    does not cancel.
+    """
+    sq = np.abs(m) ** 2
+    a = sq[..., 0, :].sum(axis=-1)
+    d = sq[..., 1, :].sum(axis=-1)
+    b = np.abs((m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1))
+    mid = 0.5 * (a + d)
+    rad = np.hypot(0.5 * (a - d), b)
+    mu = np.empty(mid.shape + (2,))
+    mu[..., 0] = mid - rad
+    mu[..., 1] = mid + rad
+    return np.maximum(mu, 0.0, out=mu)
+
+
 class _RoofObjective:
     """Batched average-measure evaluation over isometry parameter matrices."""
 
@@ -145,8 +168,11 @@ class _RoofObjective:
         """p_j * h(psi_j) per row of unnormalized member vectors ``phi``."""
         p = np.sum(np.abs(phi) ** 2, axis=-1)
         m = phi.reshape(*phi.shape[:-1], self.dA, self.dB)
-        red = m @ np.swapaxes(m, -2, -1).conj()
-        mu = np.clip(np.linalg.eigvalsh(red), 0.0, None)
+        if self.dA == 2:
+            mu = _qubit_reduced_spectrum(m)
+        else:
+            red = m @ np.swapaxes(m, -2, -1).conj()
+            mu = np.clip(np.linalg.eigvalsh(red), 0.0, None)
         live = p > WEIGHT_FLOOR
         denom = np.where(live, p, 1.0)
         mu_n = mu / denom[..., None]
@@ -274,9 +300,12 @@ def roof_minimize(
     lowest average found, with ties broken by the earliest restart.  Pure
     inputs short-circuit to the pure-state value.
 
-    The chains advance in lockstep with batched linear algebra, but each
-    draws from its own generator seeded by (base seed + restart index), so
-    the outcome is identical to running them sequentially.
+    The chains advance in lockstep with batched linear algebra and masked
+    accept/reject updates.  Each draws its step normals in blocks from its
+    own generator seeded by (base seed + restart index); a generator fills
+    a block in the same order as one draw per step, so the outcome is
+    identical to running the chains sequentially.  For a qubit side A the
+    2x2 reduced spectra are taken in closed form.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -310,30 +339,34 @@ def roof_minimize(
     stall = np.zeros(restarts, dtype=int)
     active = np.ones(restarts, dtype=bool)
     converged = np.zeros(restarts, dtype=bool)
+    # Step normals per chain, refilled a block at a time from its generator.
+    buf = np.empty((restarts, _BLOCK, 2) + shape)
+    cursor = np.full(restarts, _BLOCK)
 
     def run_phase(iters: int, rel_improvement: float) -> None:
         for _ in range(iters):
-            if not np.any(active):
-                break
             idx = np.nonzero(active)[0]
-            proposals = np.empty((idx.size,) + shape, dtype=np.complex128)
-            for k, j in enumerate(idx):
-                z = gens[j].standard_normal((2,) + shape)
-                proposals[k] = xs[j] + sigma[j] * (z[0] + 1j * z[1]) / np.sqrt(2.0)
+            if idx.size == 0:
+                break
+            for j in idx[cursor[idx] == _BLOCK]:
+                buf[j] = gens[j].standard_normal((_BLOCK, 2) + shape)
+                cursor[j] = 0
+            z = buf[idx, cursor[idx]]
+            cursor[idx] += 1
+            proposals = xs[idx] + sigma[idx, None, None] * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
             new_vals = objective(proposals)
-            for k, j in enumerate(idx):
-                if new_vals[k] < vals[j]:
-                    rel = (vals[j] - new_vals[k]) / max(abs(vals[j]), 1e-18)
-                    xs[j] = proposals[k]
-                    vals[j] = new_vals[k]
-                    sigma[j] = min(sigma[j] * STEP_GROW, 2.0)
-                    stall[j] = stall[j] + 1 if rel < rel_improvement else 0
-                else:
-                    sigma[j] = max(sigma[j] * STEP_SHRINK, 1e-12)
-                    stall[j] += 1
-                if stall[j] >= STALL_LIMIT:
-                    active[j] = False
-                    converged[j] = True
+            better = new_vals < vals[idx]
+            acc, rej = idx[better], idx[~better]
+            rel = (vals[acc] - new_vals[better]) / np.maximum(np.abs(vals[acc]), 1e-18)
+            xs[acc] = proposals[better]
+            vals[acc] = new_vals[better]
+            sigma[acc] = np.minimum(sigma[acc] * STEP_GROW, 2.0)
+            stall[acc] = np.where(rel < rel_improvement, stall[acc] + 1, 0)
+            sigma[rej] = np.maximum(sigma[rej] * STEP_SHRINK, 1e-12)
+            stall[rej] += 1
+            done = idx[stall[idx] >= STALL_LIMIT]
+            active[done] = False
+            converged[done] = True
 
     run_phase(EXPLORE_ITERS, REL_IMPROVEMENT)
 

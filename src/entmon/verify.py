@@ -187,20 +187,28 @@ def check_monotone(
     rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> VerificationReport:
-    """E(rho) >= sum_k p_k E(sigma_k) up to the measure-tier tolerance."""
+    """E(rho) >= sum_k p_k E(sigma_k) up to the measure-tier tolerance.
+
+    Optimizer-backed tiers copy the solver diagnostics of the input
+    (``lhs_diagnostics``) and of each outcome (``outcome_diagnostics``)
+    into the report metadata.
+    """
     tier = measure_tier(measure_id)
     tol = MONOTONE_TOL[tier]
     if rng is None:
         rng = np.random.default_rng(seed)
     cls = classify(channel)
-    lhs = evaluate_measure(measure_id, rho, rng=rng).value
+    lhs = evaluate_measure(measure_id, rho, rng=rng)
     ensemble = apply_channel(channel, rho)
-    rhs = sum(p * evaluate_measure(measure_id, s, rng=rng).value for p, s in ensemble.outcomes)
-    gap = lhs - rhs
-    return _report(
-        "monotone", measure_id, cls.tag, lhs, rhs, tol, gap >= -tol, seed,
-        {"rule": "gap >= -tolerance", "n_outcomes": len(ensemble.outcomes), "tier": tier},
-    )
+    outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in ensemble.outcomes]
+    rhs = sum(p * v.value for p, v in outs)
+    gap = lhs.value - rhs
+    metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier}
+    if tier != "closed":
+        metadata["lhs_diagnostics"] = lhs.diagnostics
+        metadata["outcome_diagnostics"] = [v.diagnostics for _, v in outs]
+    return _report("monotone", measure_id, cls.tag, lhs.value, rhs, tol, gap >= -tol, seed,
+                   metadata)
 
 
 def check_strict(
@@ -542,7 +550,6 @@ class SweepConfig:
     n_kraus: int = 4
     seed: int = 0
     output_path: str = "verify-report.jsonl"
-    base: str = "nats"
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -561,8 +568,6 @@ class SweepConfig:
             raise ValueError("trials must be nonnegative")
         if self.n_kraus < 1:
             raise ValueError("n_kraus must be at least 1")
-        if self.base not in ("nats", "bits"):
-            raise ValueError("base must be 'nats' or 'bits'")
         for key, val in self.tolerances.items():
             if key not in MONOTONE_TOL:
                 raise ValueError(f"unknown tolerance key {key!r}")

@@ -1,7 +1,11 @@
 """Local Kraus channels: application, classification, sampling."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon.channels import (
     ChannelValidationError,
@@ -16,7 +20,7 @@ from entmon.channels import (
     unitary_mixture_channel,
 )
 from entmon.sampling import haar_unitary, random_mixed, random_pure
-from entmon.states import DensityMatrix, Dims, bell_state, partial_trace
+from entmon.states import DensityMatrix, Dims, PureState, bell_state, partial_trace
 
 X_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -116,6 +120,30 @@ class TestApply:
         rho = random_mixed(Dims(2, 3), None, np.random.default_rng(6))
         with pytest.raises(DimensionMismatchError):
             apply_channel(LocalKrausChannel("B", (np.eye(2),)), rho)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.05, 1.0),
+           log_eps=st.floats(-7.0, -3.0))
+    def test_near_annihilating_kraus_outcome_is_a_state(self, seed, c, log_eps):
+        # sqrt(c)|w><w| nearly annihilates a state whose B support is w-perp
+        # plus noise eps: its outcome probability is ~eps^2, just above
+        # P_FLOOR, and the outcome must still be a valid density matrix.
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(2, rng)
+        w, perp = u[:, 0], u[:, 1:]
+        proj = np.outer(w, w.conj())
+        channel = LocalKrausChannel("B", (math.sqrt(c) * proj,
+                                          np.eye(2) - (1.0 - math.sqrt(1.0 - c)) * proj))
+        g = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi = (g @ perp.T).reshape(-1)
+        psi = psi / np.linalg.norm(psi) + 10.0 ** log_eps * z / np.linalg.norm(z)
+        rho = PureState(psi / np.linalg.norm(psi), Dims(2, 2)).density()
+        ens = apply_channel(channel, rho)
+        avg = sum(np.kron(np.eye(2), m) @ rho.matrix @ np.kron(np.eye(2), m).conj().T
+                  for m in channel.kraus)
+        np.testing.assert_allclose(ens.average_state().matrix, avg, atol=1e-12)
 
 
 class TestClassify:

@@ -112,6 +112,14 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 2
         cfg.write_text(json.dumps({"mystery_knob": 3}))
         assert main(["verify", "--config", str(cfg)]) == 2
+        cfg.write_text(json.dumps({"base": "bits"}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+
+    def test_base_flag_rejected(self, capsys):
+        # Sweep reports are always in nats; only `measure` converts units.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--base", "bits"])
+        assert exc.value.code == 2
 
     def test_json_summary(self, tmp_path, capsys):
         out = tmp_path / "rep.jsonl"

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon.measures import ENTROPY, NEGATIVITY_H, negativity, pure_measure, wootters_eof
-from entmon.roof import Decomposition, decomposition_from_isometry, default_n_terms, roof_minimize
+from entmon.roof import (
+    Decomposition,
+    _qubit_reduced_spectrum,
+    _RoofObjective,
+    decomposition_from_isometry,
+    default_n_terms,
+    roof_minimize,
+)
 from entmon.sampling import haar_unitary, random_mixed, random_pure, random_separable
 from entmon.states import DensityMatrix, Dims, PureState, bell_state
 
@@ -149,3 +158,31 @@ class TestRoofProperties:
         a = roof_minimize(ENTROPY, rho, 4, 6, np.random.default_rng(5))
         b = roof_minimize(ENTROPY, rho, 4, 6, np.random.default_rng(5))
         assert a.value == b.value
+
+
+class TestQubitReducedSpectrum:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dB=st.integers(2, 4))
+    def test_matches_eigvalsh(self, seed, dB):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((7, 2, dB)) + 1j * rng.standard_normal((7, 2, dB))
+        m /= np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+        ref = np.clip(np.linalg.eigvalsh(m @ np.swapaxes(m, -2, -1).conj()), 0.0, None)
+        np.testing.assert_allclose(_qubit_reduced_spectrum(m), ref, rtol=0, atol=1e-14)
+
+    def test_product_and_maximally_entangled_members(self):
+        rng = np.random.default_rng(0)
+        a, b = haar_unitary(2, rng)[:, 0], haar_unitary(3, rng)[:, 0]
+        np.testing.assert_allclose(_qubit_reduced_spectrum(np.outer(a, b)), [0.0, 1.0],
+                                   atol=1e-15)
+        bell = bell_state().amplitudes.reshape(2, 2)
+        np.testing.assert_allclose(_qubit_reduced_spectrum(bell), [0.5, 0.5], atol=1e-15)
+
+    def test_zero_row_is_a_dead_member(self):
+        rho = random_mixed(Dims(2, 2), 2, np.random.default_rng(1))
+        objective = _RoofObjective(ENTROPY, rho, 4)
+        phi = objective.members(np.eye(4, 2))
+        assert np.all(phi[2:] == 0)
+        vals = objective.member_values(phi)
+        np.testing.assert_array_equal(vals[2:], [0.0, 0.0])
+        assert np.all(vals[:2] > 0)

@@ -59,9 +59,26 @@ class TestCheckMonotone:
         rep = check_monotone("negativity-roof", rho, channel, rng=np.random.default_rng(0))
         assert rep.tolerance == 2e-3
         assert rep.verdict == "pass"
+        assert rep.metadata["lhs_diagnostics"]["restarts_used"] == 20
+        assert len(rep.metadata["outcome_diagnostics"]) == rep.metadata["n_outcomes"]
         rep = check_monotone("ree", rho, channel, rng=np.random.default_rng(1))
         assert rep.tolerance == 2e-2
         assert rep.verdict == "pass"
+        assert rep.metadata["lhs_diagnostics"]["converged"] is True
+        assert all(d["iterations"] >= 0 for d in rep.metadata["outcome_diagnostics"])
+
+    def test_solver_diagnostics_only_on_optimizer_tiers(self):
+        rng = np.random.default_rng(3)
+        psi = random_pure(Dims(3, 3), rng).density()
+        channel = random_channel(3, 3, rng)
+        rep = check_monotone("eof", psi, channel, rng=np.random.default_rng(0))
+        assert rep.verdict == "pass"
+        assert set(rep.metadata) == {"rule", "n_outcomes", "tier"}
+        rep = check_monotone("negativity-roof", psi, channel, rng=np.random.default_rng(0))
+        assert rep.verdict == "pass"
+        assert rep.metadata["lhs_diagnostics"] == {"restarts_used": 0, "converged": True}
+        assert len(rep.metadata["outcome_diagnostics"]) == rep.metadata["n_outcomes"]
+        assert all(d["converged"] for d in rep.metadata["outcome_diagnostics"])
 
 
 class TestCheckStrict:
@@ -268,8 +285,6 @@ class TestSweep:
             SweepConfig(tolerances={"closed": -1.0})
         with pytest.raises(ValueError):
             SweepConfig(tolerances={"bogus": 1.0})
-        with pytest.raises(ValueError):
-            SweepConfig(base="trits")
 
     def test_identical_configs_are_bit_identical(self, tmp_path):
         cfg = SweepConfig(checks=("monotone", "concavity"), trials=5, seed=3)
