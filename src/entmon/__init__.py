@@ -36,7 +36,6 @@ from .sampling import (
     random_product_pure,
     random_pure,
     random_separable,
-    rng_from_seed,
 )
 from .serialize import load_channel, load_state, save_channel, save_state
 from .states import (

@@ -5,6 +5,11 @@ system with sum_k M_k^dag M_k = I.  Applying it to a state produces the
 outcome ensemble (p_k, sigma_k) with p_k = Tr[(I x M_k) rho (I x M_k)^dag];
 such families map pure states to scalar multiples of pure states, which is
 the scenario all monotonicity checks run against.
+
+One kernel, ``_outcome_stack``, builds the outcomes of N states under K
+Kraus operators as a ``(N, K, n, n)`` stack in a few batched matrix
+products and validates the kept outcomes once, as one stack;
+``apply_channel`` is its N = 1 case.
 """
 
 from __future__ import annotations
@@ -14,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampling import haar_unitary
-from .states import DensityMatrix, DimensionMismatchError, PureState
+from .states import (
+    DensityMatrix,
+    DimensionMismatchError,
+    PureState,
+    _trusted_density,
+    validate_density_stack,
+)
 
 COMPLETENESS_TOL = 1e-8
 PROPORTIONALITY_TOL = 1e-8
@@ -108,6 +119,36 @@ def _embed(channel: LocalKrausChannel, m: np.ndarray, dims) -> np.ndarray:
     return (m @ eye.reshape(dA, dB, -1)).reshape(eye.shape)
 
 
+def _outcome_stack(
+    channel: LocalKrausChannel, mats: np.ndarray, dims
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome ensembles of the channel on a ``(N, n, n)`` stack of states.
+
+    Returns ``(probs, keep, states)``: ``probs`` is ``(N, K)``, each row
+    renormalized over the outcomes kept (``keep``, those with probability
+    at least ``P_FLOOR``) and 0 elsewhere; ``states`` holds the kept
+    outcome states, row by row in Kraus order, as one ``(M, n, n)`` stack
+    that has passed ``validate_density_stack``.
+    """
+    if len(dims.factors) != 2:
+        raise DimensionMismatchError("channels act on bipartite states")
+    ops = np.stack([_embed(channel, m, dims) for m in channel.kraus])
+    vals, vecs = np.linalg.eigh(mats)
+    root = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+    b = ops @ root[:, None]
+    x = b @ b.conj().swapaxes(-1, -2)
+    p = x.trace(axis1=-2, axis2=-1).real
+    keep = p >= P_FLOOR
+    kept_p = np.where(keep, p, 0.0)
+    total = np.zeros(len(mats))
+    for k in range(len(ops)):  # in Kraus order, as a running sum rounds
+        total += kept_p[:, k]
+    states = x[keep] / p[keep][:, None, None]
+    states = 0.5 * (states + states.conj().swapaxes(-1, -2))
+    validate_density_stack(states)
+    return kept_p / total[:, None], keep, states
+
+
 def apply_channel(channel: LocalKrausChannel, rho: DensityMatrix) -> OutcomeEnsemble:
     """Outcome ensemble of the channel on ``rho``.
 
@@ -119,22 +160,10 @@ def apply_channel(channel: LocalKrausChannel, rho: DensityMatrix) -> OutcomeEnse
     PSD by construction even when ``p_k`` is tiny and dividing by it would
     amplify the cancellation roundoff of ``(I x M_k) rho (I x M_k)^dag``.
     """
-    if len(rho.dims.factors) != 2:
-        raise DimensionMismatchError("channels act on bipartite states")
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    root = vecs * np.sqrt(np.maximum(vals, 0.0))
-    raw: list[tuple[float, np.ndarray]] = []
-    for m in channel.kraus:
-        b = _embed(channel, m, rho.dims) @ root
-        x = b @ b.conj().T
-        p = float(np.real(np.trace(x)))
-        if p >= P_FLOOR:
-            raw.append((p, x / p))
-    total = sum(p for p, _ in raw)
-    outcomes = tuple(
-        (p / total, DensityMatrix(0.5 * (x + x.conj().T), rho.dims)) for p, x in raw
-    )
-    return OutcomeEnsemble(outcomes)
+    probs, keep, states = _outcome_stack(channel, rho.matrix[None], rho.dims)
+    return OutcomeEnsemble(tuple(
+        (float(p), _trusted_density(s, rho.dims)) for p, s in zip(probs[keep], states)
+    ))
 
 
 def apply_channel_to_pure(

@@ -5,6 +5,13 @@ function of the reduced state's spectrum.  Mixed-state closed forms cover
 negativity, logarithmic negativity, and the two-qubit Wootters
 concurrence / entanglement of formation.
 
+Each closed form is computed by one kernel that works on a whole stack of
+states at once: ``(..., n, n)`` density matrices or ``(..., n)`` amplitude
+vectors, evaluated in a few batched LAPACK calls.  The kernels trust their
+inputs, which were validated when their states were built (the public
+dataclasses, or ``validate_density_stack`` once per stack).  The per-state
+public functions are the kernels on a single state.
+
 Values are in nats for entropic measures; logarithmic negativity alone uses
 log base 2.
 """
@@ -19,10 +26,11 @@ import numpy as np
 from .states import (
     DensityMatrix,
     DimensionMismatchError,
+    Dims,
     PureState,
-    partial_trace,
-    partial_transpose,
-    trace_norm,
+    _partial_transpose_array,
+    _trace_norm_stack,
+    validate_density_stack,
 )
 
 H_KINDS = ("entropy", "concurrence", "g-concurrence", "tangle", "negativity", "renyi", "tsallis")
@@ -77,6 +85,26 @@ def tsallis(q: float) -> HFunction:
     return HFunction("tsallis", q)
 
 
+# Measure values down to -ROUNDOFF_FLOOR are roundoff and read as 0; lower
+# ones raise ValueError.
+ROUNDOFF_FLOOR = 1e-12
+
+
+def _floored(values: np.ndarray) -> np.ndarray:
+    """``MeasureValue``'s roundoff floor on every entry of a stack."""
+    low = values < -ROUNDOFF_FLOOR
+    if low.any():
+        raise ValueError(f"measure value {np.ravel(values)[np.flatnonzero(low)[0]]} below the "
+                         "roundoff floor")
+    return np.where(values > 0.0, values, 0.0)
+
+
+def _elementwise(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` on every entry.  For the ``math`` functions, whose last bits
+    the vectorized numpy ones do not always match."""
+    return np.array([fn(x) for x in np.ravel(values).tolist()]).reshape(np.shape(values))
+
+
 @dataclass(frozen=True)
 class MeasureValue:
     """A measure evaluation; tiny negative roundoff is clipped to zero."""
@@ -87,7 +115,7 @@ class MeasureValue:
 
     def __post_init__(self):
         v = float(self.value)
-        if v < -1e-12:
+        if v < -ROUNDOFF_FLOOR:
             raise ValueError(f"measure value {v} below the roundoff floor")
         object.__setattr__(self, "value", max(0.0, v))
 
@@ -145,18 +173,51 @@ def h_eval(h: HFunction, rho_a: DensityMatrix) -> float:
     return float(h_of_spectrum(h, rho_a.eigenvalues()))
 
 
+def _bipartite(dims: Dims, what: str) -> tuple[int, int]:
+    if len(dims.factors) != 2:
+        raise DimensionMismatchError(f"{what} requires a bipartite state")
+    return dims.factors
+
+
+def pure_measure_stack(h: HFunction, amps: np.ndarray, dims: Dims) -> np.ndarray:
+    """``h`` on the A-side reduced states of a ``(..., n)`` stack of pure states.
+
+    Reduced states are ``Tr_B |psi><psi|``; they are validated once, as a
+    stack, and their spectra clipped at 0.
+    """
+    dA, dB = _bipartite(dims, "pure_measure")
+    lead = amps.shape[:-1]
+    proj = amps[..., :, None] * amps.conj()[..., None, :]
+    reduced = np.trace(proj.reshape(lead + (dA, dB, dA, dB)), axis1=-3, axis2=-1)
+    mu = np.clip(validate_density_stack(reduced), 0.0, None)
+    return _floored(h_of_spectrum(h, mu))
+
+
 def pure_measure(h: HFunction, psi: PureState) -> MeasureValue:
     """Measure of a bipartite pure state: ``h`` on the reduced state of A."""
-    if len(psi.dims.factors) != 2:
-        raise DimensionMismatchError("pure_measure requires a bipartite state")
-    rho_a = partial_trace(psi.density(), "A")
-    return MeasureValue(h_eval(h, rho_a), h.measure_id)
+    return MeasureValue(float(pure_measure_stack(h, psi.amplitudes, psi.dims)), h.measure_id)
+
+
+def pt_trace_norms(mats: np.ndarray, dims: Dims) -> np.ndarray:
+    """``||rho^{T_A}||_Tr`` for a ``(..., n, n)`` stack of bipartite states."""
+    dA, dB = _bipartite(dims, "partial transpose")
+    return _trace_norm_stack(_partial_transpose_array(mats, dA, dB, "A"))
+
+
+def negativity_of_norms(norms: np.ndarray) -> np.ndarray:
+    """Negativity ``(||rho^{T_A}||_Tr - 1) / 2`` from the trace norms."""
+    return _floored((norms - 1.0) / 2.0)
+
+
+def log_negativity_of_norms(norms: np.ndarray) -> np.ndarray:
+    """Logarithmic negativity ``log2 ||rho^{T_A}||_Tr`` from the trace norms."""
+    return _floored(_elementwise(math.log2, norms))
 
 
 def negativity(rho: DensityMatrix) -> MeasureValue:
     """(||rho^{T_A}||_Tr - 1) / 2.  Zero exactly on PPT states."""
-    val = (trace_norm(partial_transpose(rho, "A")) - 1.0) / 2.0
-    return MeasureValue(val, "negativity")
+    val = negativity_of_norms(pt_trace_norms(rho.matrix, rho.dims))
+    return MeasureValue(float(val), "negativity")
 
 
 def log_negativity(rho: DensityMatrix) -> MeasureValue:
@@ -165,8 +226,8 @@ def log_negativity(rho: DensityMatrix) -> MeasureValue:
     Equals log2(1 + 2N), hence 0 exactly on PPT states and always finite;
     this is the cited trace-norm form of the logarithmic negativity.
     """
-    val = math.log2(trace_norm(partial_transpose(rho, "A")))
-    return MeasureValue(val, "log-negativity")
+    val = log_negativity_of_norms(pt_trace_norms(rho.matrix, rho.dims))
+    return MeasureValue(float(val), "log-negativity")
 
 
 _SY_SY = np.kron(
@@ -174,8 +235,8 @@ _SY_SY = np.kron(
 )
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence via the spin-flip spectrum.
+def wootters_concurrence_stack(mats: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrences of a ``(..., 4, 4)`` stack of density matrices.
 
     C = max(0, s1 - s2 - s3 - s4) with s_i the decreasing square roots of
     the eigenvalues of rho (sy x sy) rho* (sy x sy).  These equal the
@@ -183,12 +244,22 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     numerically stable way to get them (the raw product matrix is
     non-normal and its tiny eigenvalues lose half the working precision).
     """
+    vals, vecs = np.linalg.eigh(mats)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    s = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
+    c = np.subtract.reduce(s, axis=-1)  # s1 - s2 - s3 - s4, left to right
+    return np.where(c > 0.0, c, 0.0)
+
+
+def _two_qubit(rho: DensityMatrix) -> np.ndarray:
     if rho.dims.factors != (2, 2):
         raise DimensionMismatchError("Wootters concurrence is defined for 2x2 systems")
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    s = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    return rho.matrix
+
+
+def wootters_concurrence(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence; see ``wootters_concurrence_stack``."""
+    return float(wootters_concurrence_stack(_two_qubit(rho)))
 
 
 def _binary_entropy(x: float) -> float:
@@ -197,10 +268,18 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
 
 
-def wootters_eof(rho: DensityMatrix) -> float:
-    """Two-qubit entanglement of formation in nats.
+def _eof_of_concurrence(c: float) -> float:
+    return _binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+
+
+def wootters_eof_stack(mats: np.ndarray) -> np.ndarray:
+    """Two-qubit entanglement of formation in nats, for a ``(..., 4, 4)`` stack.
 
     E_f = H2((1 + sqrt(1 - C^2)) / 2) with C the Wootters concurrence.
     """
-    c = wootters_concurrence(rho)
-    return _binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return _elementwise(_eof_of_concurrence, wootters_concurrence_stack(mats))
+
+
+def wootters_eof(rho: DensityMatrix) -> float:
+    """Two-qubit entanglement of formation in nats; see ``wootters_eof_stack``."""
+    return float(wootters_eof_stack(_two_qubit(rho)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import measures, ree, roof
 from .measures import HFunction, MeasureValue
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, Dims, PureState
 
 PURITY_TOL = 1e-10
 
@@ -81,14 +81,21 @@ def measure_tier(measure_id: str) -> str:
     return "closed"
 
 
+def _pure_vectors(mats: np.ndarray) -> np.ndarray | None:
+    """Leading eigenvectors of a ``(..., n, n)`` stack, or None if any member
+    is mixed beyond ``PURITY_TOL``."""
+    vals, vecs = np.linalg.eigh(mats)
+    if (1.0 - vals[..., -1] > PURITY_TOL).any():
+        return None
+    return vecs[..., :, -1]
+
+
 def as_pure(state: PureState | DensityMatrix) -> PureState | None:
     """The underlying pure state if there is one, else None."""
     if isinstance(state, PureState):
         return state
-    vals, vecs = np.linalg.eigh(state.matrix)
-    if 1.0 - float(vals[-1]) <= PURITY_TOL:
-        return PureState(vecs[:, -1], state.dims)
-    return None
+    vec = _pure_vectors(state.matrix)
+    return None if vec is None else PureState(vec, state.dims)
 
 
 def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
@@ -103,6 +110,55 @@ _H_BY_FAMILY = {
 }
 
 
+def _h_function(family: str, param: float | None) -> HFunction:
+    if family in ("renyi", "tsallis"):
+        return HFunction(family, param)
+    return _H_BY_FAMILY[family]
+
+
+def _uses_wootters(family: str, dims: Dims) -> bool:
+    return family in ("eof", "concurrence") and dims.factors == (2, 2)
+
+
+def _closed_id(family: str, param: float | None) -> str:
+    if family in ("negativity", "log-negativity"):
+        return family
+    return _h_function(family, param).measure_id
+
+
+def evaluate_closed_stack(measure_id: str, mats: np.ndarray, dims: Dims) -> np.ndarray:
+    """A closed-form measure on a ``(..., n, n)`` stack of density matrices.
+
+    The members must be valid states on ``dims``.  Values carry
+    ``MeasureValue``'s roundoff floor.  The reduced-state (h-function)
+    families need every member pure; a mixed one raises ``MeasureError``.
+    """
+    family, param = parse_measure_id(measure_id)
+    if family in OPTIMIZER_IDS:
+        raise MeasureError(f"{measure_id!r} has no closed form")
+    return _closed_values(measure_id, family, param, mats, dims)
+
+
+def _closed_values(measure_id, family, param, mats, dims) -> np.ndarray:
+    if family == "negativity":
+        return measures.negativity_of_norms(measures.pt_trace_norms(mats, dims))
+    if family == "log-negativity":
+        return measures.log_negativity_of_norms(measures.pt_trace_norms(mats, dims))
+    if _uses_wootters(family, dims):
+        if family == "eof":
+            return measures.wootters_eof_stack(mats)
+        return measures.wootters_concurrence_stack(mats)
+    vecs = _pure_vectors(mats)
+    if vecs is None:
+        if family in ("eof", "concurrence"):
+            raise MeasureError(
+                f"{measure_id!r} needs a two-qubit state or a pure state, "
+                f"got a mixed state on {dims.factors}"
+            )
+        raise MeasureError(f"{measure_id!r} is a pure-state measure; input is mixed")
+    return measures.pure_measure_stack(_h_function(family, param), vecs, dims)
+
+
 def evaluate_measure(
     measure_id: str,
     state: PureState | DensityMatrix,
@@ -113,11 +169,6 @@ def evaluate_measure(
 ) -> MeasureValue:
     """Evaluate a measure by its external id on a bipartite state."""
     family, param = parse_measure_id(measure_id)
-
-    if family == "negativity":
-        return measures.negativity(_as_density(state))
-    if family == "log-negativity":
-        return measures.log_negativity(_as_density(state))
 
     if family == "negativity-roof":
         result = roof.roof_minimize(
@@ -141,26 +192,14 @@ def evaluate_measure(
             },
         )
 
-    if family in ("eof", "concurrence"):
-        dm = _as_density(state)
-        if dm.dims.factors == (2, 2):
-            if family == "eof":
-                return MeasureValue(measures.wootters_eof(dm), "eof")
-            return MeasureValue(measures.wootters_concurrence(dm), "concurrence")
-        psi = as_pure(state)
-        if psi is None:
-            raise MeasureError(
-                f"{measure_id!r} needs a two-qubit state or a pure state, "
-                f"got a mixed state on {dm.dims.factors}"
-            )
-        return measures.pure_measure(_H_BY_FAMILY[family], psi)
-
-    # Pure-state h measures.
-    psi = as_pure(state)
-    if psi is None:
-        raise MeasureError(f"{measure_id!r} is a pure-state measure; input is mixed")
-    if family in ("renyi", "tsallis"):
-        h = HFunction(family, param)
+    by_reduced_state = family not in ("negativity", "log-negativity") and not _uses_wootters(
+        family, state.dims
+    )
+    if by_reduced_state and isinstance(state, PureState):
+        # A given state vector needs no eigendecomposition to find it.
+        value = measures.pure_measure_stack(_h_function(family, param), state.amplitudes,
+                                            state.dims)
     else:
-        h = _H_BY_FAMILY[family]
-    return measures.pure_measure(h, psi)
+        dm = _as_density(state)
+        value = _closed_values(measure_id, family, param, dm.matrix, dm.dims)
+    return MeasureValue(float(value), _closed_id(family, param))

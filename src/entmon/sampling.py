@@ -14,11 +14,6 @@ import numpy as np
 from .states import DensityMatrix, Dims, PureState
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Fresh deterministic generator for ``seed``."""
-    return np.random.default_rng(int(seed))
-
-
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 

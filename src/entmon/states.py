@@ -18,11 +18,14 @@ import numpy as np
 
 # Library-wide tolerances.  Double-precision eigensolvers on dimensions up
 # to ~64 comfortably reach these.
-TOL_NORM = 1e-10
 TOL_TRACE = 1e-10
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
-TOL_RECON = 1e-8
+# The trace of |psi><psi| is the squared norm, which deviates from 1 by about
+# twice as much as the norm does.  A quarter of the trace tolerance leaves
+# the other half for roundoff, so every accepted PureState has a valid
+# density().
+TOL_NORM = TOL_TRACE / 4
 
 _LABELS = "ABC"
 
@@ -129,15 +132,7 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"matrix of shape {mat.shape} does not match dims {self.dims.factors}"
             )
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T))) if n > 1 else 0.0
-        if herm_dev > TOL_HERM:
-            raise StateValidationError(f"hermiticity deviation {herm_dev} exceeds {TOL_HERM}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise StateValidationError(f"trace {tr} deviates from 1 beyond {TOL_TRACE}")
-        lo = float(np.linalg.eigvalsh(mat)[0]) if n > 1 else float(mat.real[0, 0])
-        if lo < -TOL_PSD:
-            raise StateValidationError(f"negative eigenvalue {lo} below -{TOL_PSD}")
+        validate_density_stack(mat)
         object.__setattr__(self, "matrix", mat)
 
     def eigenvalues(self) -> np.ndarray:
@@ -170,6 +165,49 @@ class SchmidtForm:
         for lam, u, v in zip(self.coefficients, self.left_vectors.T, self.right_vectors.T):
             out += lam * np.kron(u, v)
         return out
+
+
+def _first(values: np.ndarray, mask: np.ndarray):
+    return np.ravel(values)[np.flatnonzero(mask)[0]]
+
+
+def validate_density_stack(mats: np.ndarray) -> np.ndarray:
+    """Check every member of a ``(..., n, n)`` stack of density matrices.
+
+    Each member must be Hermitian within ``TOL_HERM``, have unit trace
+    within ``TOL_TRACE`` and no eigenvalue below ``-TOL_PSD``; the first
+    offending member raises ``StateValidationError``.  Returns the
+    ascending spectra ``(..., n)``, unclipped.
+    """
+    if mats.shape[-1] > 1:
+        dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
+        if dev.max() > TOL_HERM:
+            dev = dev.max(axis=(-2, -1))
+            raise StateValidationError(
+                f"hermiticity deviation {_first(dev, dev > TOL_HERM)} exceeds {TOL_HERM}"
+            )
+    tr = mats.trace(axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > TOL_TRACE:
+        raise StateValidationError(
+            f"trace {complex(_first(tr, off > TOL_TRACE))} deviates from 1 beyond {TOL_TRACE}"
+        )
+    vals = np.linalg.eigvalsh(mats)
+    lo = vals[..., 0]
+    if lo.min() < -TOL_PSD:
+        raise StateValidationError(
+            f"negative eigenvalue {_first(lo, lo < -TOL_PSD)} below -{TOL_PSD}"
+        )
+    return vals
+
+
+def _trusted_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
+    """A DensityMatrix around a member of a stack already validated by
+    ``validate_density_stack``, without checking it a second time."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "matrix", mat)
+    object.__setattr__(rho, "dims", dims)
+    return rho
 
 
 def clipped_eigvalsh(mat: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
@@ -217,14 +255,17 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
 
 
 def _partial_transpose_array(mat: np.ndarray, dA: int, dB: int, side: str) -> np.ndarray:
-    t = mat.reshape(dA, dB, dA, dB)
+    """Partial transpose of every member of a ``(..., n, n)`` stack."""
+    lead = mat.shape[:-2]
+    k = len(lead)
+    t = mat.reshape(lead + (dA, dB, dA, dB))
     if side == "A":
-        t = t.transpose(2, 1, 0, 3)
+        order = (k + 2, k + 1, k, k + 3)
     elif side == "B":
-        t = t.transpose(0, 3, 2, 1)
+        order = (k, k + 3, k + 2, k + 1)
     else:
         raise DimensionMismatchError(f"side must be 'A' or 'B', got {side!r}")
-    return t.reshape(dA * dB, dA * dB)
+    return t.transpose(tuple(range(k)) + order).reshape(lead + (dA * dB, dA * dB))
 
 
 def partial_transpose(
@@ -269,7 +310,12 @@ def trace_norm(m: np.ndarray) -> float:
         raise DimensionMismatchError("trace_norm expects a square matrix")
     if float(np.max(np.abs(m - m.conj().T))) > 1e-8:
         raise StateValidationError("trace_norm expects a Hermitian matrix")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return float(_trace_norm_stack(m))
+
+
+def _trace_norm_stack(m: np.ndarray) -> np.ndarray:
+    """Trace norms of a ``(..., n, n)`` stack of Hermitian matrices."""
+    return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -322,12 +368,6 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 # Standard reference states, used throughout tests and demos.
-
-def basis_state(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
-
 
 def max_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on a d x d system."""

@@ -25,6 +25,7 @@ from .channels import (
     TAG_GENERAL,
     TAG_LOCAL_UNITARY,
     TAG_UNITARY_MIXTURE,
+    _outcome_stack,
     apply_channel,
     apply_channel_to_pure,
     classify,
@@ -39,14 +40,16 @@ from .measures import (
     NEGATIVITY_H,
     TANGLE,
     h_eval,
+    log_negativity_of_norms,
     negativity,
-    log_negativity,
+    negativity_of_norms,
+    pt_trace_norms,
     pure_measure,
     renyi,
     tsallis,
     wootters_eof,
 )
-from .registry import evaluate_measure, measure_tier, parse_measure_id
+from .registry import evaluate_closed_stack, evaluate_measure, measure_tier, parse_measure_id
 from .ree import ree_data_processing_check, ree_minimize
 from .roof import roof_minimize
 from .sampling import (
@@ -64,6 +67,7 @@ from .states import (
     bell_state,
     partial_trace,
     partial_transpose,
+    validate_density_stack,
     von_neumann_entropy,
     werner_state,
 )
@@ -211,6 +215,15 @@ def check_monotone(
                    metadata)
 
 
+def _stack_values(measure_id, mats, dims, rng):
+    """A measure on a stack of valid states: one kernel call for a closed
+    form, one solver call per state otherwise."""
+    if measure_tier(measure_id) == "closed":
+        return evaluate_closed_stack(measure_id, mats, dims)
+    return np.array([evaluate_measure(measure_id, DensityMatrix(m, dims), rng=rng).value
+                     for m in mats])
+
+
 def check_strict(
     measure_id: str,
     state_sampler,
@@ -224,18 +237,22 @@ def check_strict(
     General channels must show a gap above ``STRICT_FLOOR`` on some state;
     (mixtures of) local unitaries must show no gap at all.  A sweep whose
     inputs carry no entanglement is uninformative and passes with a note.
+
+    All ``n_states`` states are drawn first; the input values, the
+    outcomes and the outcome values are then each one stack.
     """
     cls = classify(channel)
-    gaps = np.empty(n_states)
-    lhs_vals = np.empty(n_states)
-    rhs_vals = np.empty(n_states)
-    for i in range(n_states):
-        state = state_sampler(rng)
-        dm = state.density() if isinstance(state, PureState) else state
-        lhs = evaluate_measure(measure_id, dm, rng=rng).value
-        ensemble = apply_channel(channel, dm)
-        rhs = sum(p * evaluate_measure(measure_id, s, rng=rng).value for p, s in ensemble.outcomes)
-        lhs_vals[i], rhs_vals[i], gaps[i] = lhs, rhs, lhs - rhs
+    states = [state_sampler(rng) for _ in range(n_states)]
+    dims = states[0].dims
+    mats = np.stack([(s.density() if isinstance(s, PureState) else s).matrix for s in states])
+    lhs_vals = _stack_values(measure_id, mats, dims, rng)
+    probs, keep, outcomes = _outcome_stack(channel, mats, dims)
+    values = np.zeros(keep.shape)
+    values[keep] = _stack_values(measure_id, outcomes, dims, rng)
+    rhs_vals = np.zeros(n_states)
+    for k in range(keep.shape[1]):  # in outcome order, as a running sum rounds
+        rhs_vals += probs[:, k] * values[:, k]
+    gaps = lhs_vals - rhs_vals
     metadata = {
         "n_states": n_states,
         "max_gap": float(np.max(gaps)),
@@ -449,6 +466,10 @@ def check_negativity_decomposition(rho: DensityMatrix, seed: int = 0) -> Verific
     return _report("neg-decomposition", "negativity", None, a, n_val, 1e-10, ok, seed, metadata)
 
 
+# Triples per batch of the log-negativity scan; bounds the scan's memory.
+_LOGNEG_BLOCK = 256
+
+
 def check_logneg_nonconvexity(
     rng: np.random.Generator,
     trials: int = 10000,
@@ -459,30 +480,39 @@ def check_logneg_nonconvexity(
     Scans random (rho1, rho2, lambda) triples of two-qubit pure states for
     E_N(mix) exceeding the weighted average by more than 1e-6; the control
     confirms plain negativity stays convex on exactly the same triples.
+    Triples are drawn one at a time and evaluated in blocks: one trace-norm
+    stack gives both measures of mix, rho1 and rho2.
     """
     dims = Dims(2, 2)
     witness = None
     control_violations = 0
-    for t in range(trials):
-        lam = float(rng.uniform(0.05, 0.95))
-        psi1 = random_pure(dims, rng)
-        psi2 = random_product_pure(dims, rng)
-        r1, r2 = psi1.density(), psi2.density()
-        mix = DensityMatrix(lam * r1.matrix + (1.0 - lam) * r2.matrix, dims)
-        en_mix = log_negativity(mix).value
-        en_avg = lam * log_negativity(r1).value + (1.0 - lam) * log_negativity(r2).value
-        n_mix = negativity(mix).value
-        n_avg = lam * negativity(r1).value + (1.0 - lam) * negativity(r2).value
-        if n_mix > n_avg + 1e-6:
-            control_violations += 1
-        if witness is None and en_mix > en_avg + 1e-6:
+    for start in range(0, trials, _LOGNEG_BLOCK):
+        size = min(_LOGNEG_BLOCK, trials - start)
+        lam = np.empty(size)
+        amps = np.empty((size, 2, dims.total), dtype=complex)
+        for j in range(size):
+            lam[j] = rng.uniform(0.05, 0.95)
+            amps[j, 0] = random_pure(dims, rng).amplitudes
+            amps[j, 1] = random_product_pure(dims, rng).amplitudes
+        proj = amps[..., :, None] * amps.conj()[..., None, :]
+        w = lam[:, None, None]
+        mix = w * proj[:, 0] + (1.0 - w) * proj[:, 1]
+        validate_density_stack(mix)
+        norms = pt_trace_norms(np.concatenate([mix[:, None], proj], axis=1), dims)
+        n_vals, en_vals = negativity_of_norms(norms), log_negativity_of_norms(norms)
+        n_avg = lam * n_vals[:, 1] + (1.0 - lam) * n_vals[:, 2]
+        en_avg = lam * en_vals[:, 1] + (1.0 - lam) * en_vals[:, 2]
+        control_violations += int(np.count_nonzero(n_vals[:, 0] > n_avg + 1e-6))
+        hits = np.flatnonzero(en_vals[:, 0] > en_avg + 1e-6)
+        if witness is None and hits.size:
+            j = hits[0]
             witness = {
-                "trial": t,
-                "lambda": lam,
-                "en_mix": en_mix,
-                "en_avg": en_avg,
-                "psi1": [[float(z.real), float(z.imag)] for z in psi1.amplitudes],
-                "psi2": [[float(z.real), float(z.imag)] for z in psi2.amplitudes],
+                "trial": start + int(j),
+                "lambda": float(lam[j]),
+                "en_mix": float(en_vals[j, 0]),
+                "en_avg": float(en_avg[j]),
+                "psi1": [[float(z.real), float(z.imag)] for z in amps[j, 0]],
+                "psi2": [[float(z.real), float(z.imag)] for z in amps[j, 1]],
             }
     metadata = {
         "rule": "witness found and control clean",

@@ -15,6 +15,7 @@ from entmon.channels import (
     TAG_UNITARY_MIXTURE,
     apply_channel,
     apply_channel_to_pure,
+    _outcome_stack,
     classify,
     random_channel,
     unitary_mixture_channel,
@@ -144,6 +145,31 @@ class TestApply:
         avg = sum(np.kron(np.eye(2), m) @ rho.matrix @ np.kron(np.eye(2), m).conj().T
                   for m in channel.kraus)
         np.testing.assert_allclose(ens.average_state().matrix, avg, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_kraus=st.integers(1, 4),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), side=st.sampled_from("AB"))
+    def test_outcome_stack_matches_apply_channel(self, seed, n, n_kraus, dims, side):
+        rng = np.random.default_rng(seed)
+        dims = Dims(*dims)
+        states = [random_mixed(dims, 1 + i % dims.total, rng) for i in range(n)]
+        channel = random_channel(dims.factors[0 if side == "A" else 1], n_kraus, rng, side)
+        probs, keep, outs = _outcome_stack(channel, np.stack([s.matrix for s in states]), dims)
+        rows = np.cumsum(keep.sum(axis=1))
+        for i, rho in enumerate(states):
+            ens = apply_channel(channel, rho)
+            mine = outs[rows[i] - keep[i].sum():rows[i]]
+            assert ens.probabilities.tolist() == probs[i][keep[i]].tolist()
+            assert all(np.array_equal(a, s.matrix) for a, s in zip(mine, ens.states))
+
+    def test_dropped_outcomes_raise_no_warning(self):
+        # An annihilated outcome (p = 0) is dropped without dividing by p;
+        # pytest turns RuntimeWarnings into errors.
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), Dims(2, 2))
+        probs, keep, outs = _outcome_stack(projective_b(), rho.matrix[None], rho.dims)
+        assert keep.tolist() == [[True, False]]
+        assert probs.tolist() == [[1.0, 0.0]]
+        assert len(outs) == 1
 
 
 class TestClassify:

@@ -66,6 +66,16 @@ class TestMeasureCommand:
     def test_unknown_measure_is_mismatch(self, bell_file, capsys):
         assert main(["measure", bell_file, "sorcery"]) == 3
 
+    def test_vector_off_norm_beyond_trace_tolerance_is_parse_error(self, tmp_path, capsys):
+        # |psi| = 1 + 8e-11 puts Tr |psi><psi| 1.6e-10 from 1, beyond the
+        # density-matrix trace tolerance: refused at load, not a traceback.
+        amps = bell_state().amplitudes * (1.0 + 0.8e-10)
+        path = tmp_path / "bell-off.json"
+        path.write_text(json.dumps({"dims": [2, 2],
+                                    "vector": [[z.real, z.imag] for z in amps.tolist()]}))
+        assert main(["measure", str(path), "eof"]) == 2
+        assert "norm" in capsys.readouterr().err
+
     def test_wrong_dims_is_mismatch(self, tmp_path, capsys):
         from entmon.sampling import random_mixed
         from entmon.states import Dims

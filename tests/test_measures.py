@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon.measures import (
     CONCURRENCE,
@@ -15,12 +17,18 @@ from entmon.measures import (
     TANGLE,
     h_eval,
     log_negativity,
+    log_negativity_of_norms,
     negativity,
+    negativity_of_norms,
+    pt_trace_norms,
     pure_measure,
+    pure_measure_stack,
     renyi,
     tsallis,
     wootters_concurrence,
+    wootters_concurrence_stack,
     wootters_eof,
+    wootters_eof_stack,
 )
 from entmon.sampling import haar_unitary, random_mixed, random_pure
 from entmon.states import (
@@ -29,7 +37,9 @@ from entmon.states import (
     Dims,
     bell_state,
     max_entangled,
+    partial_transpose,
     product_pure,
+    trace_norm,
     werner_state,
 )
 
@@ -224,6 +234,68 @@ class TestWootters:
     def test_requires_two_qubits(self):
         with pytest.raises(DimensionMismatchError):
             wootters_concurrence(random_mixed(Dims(2, 3), None, np.random.default_rng(0)))
+
+
+def _random_stack(dims, n, rng):
+    """States of every rank, so clipped and degenerate spectra occur."""
+    total = dims.total
+    return [random_mixed(dims, 1 + i % total, rng) for i in range(n)]
+
+
+class TestStackKernels:
+    """Each stack kernel returns, member by member, exactly the per-state value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    def test_pt_trace_norm_bit_for_bit(self, seed, n, dims):
+        states = _random_stack(Dims(*dims), n, np.random.default_rng(seed))
+        stacked = pt_trace_norms(np.stack([s.matrix for s in states]), Dims(*dims))
+        assert stacked.tolist() == [trace_norm(partial_transpose(s, "A")) for s in states]
+        assert negativity_of_norms(stacked).tolist() == [negativity(s).value for s in states]
+        assert log_negativity_of_norms(stacked).tolist() == \
+            [log_negativity(s).value for s in states]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+    def test_wootters_bit_for_bit(self, seed, n):
+        states = _random_stack(Dims(2, 2), n, np.random.default_rng(seed))
+        mats = np.stack([s.matrix for s in states])
+        assert wootters_concurrence_stack(mats).tolist() == \
+            [wootters_concurrence(s) for s in states]
+        assert wootters_eof_stack(mats).tolist() == [wootters_eof(s) for s in states]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+           h=st.sampled_from(ALL_H))
+    def test_pure_measure_bit_for_bit(self, seed, n, dims, h):
+        rng = np.random.default_rng(seed)
+        states = [random_pure(Dims(*dims), rng) for _ in range(n)]
+        stacked = pure_measure_stack(h, np.stack([s.amplitudes for s in states]), Dims(*dims))
+        assert stacked.tolist() == [pure_measure(h, s).value for s in states]
+
+    def test_stack_leading_axes_are_free(self):
+        states = _random_stack(Dims(2, 3), 6, np.random.default_rng(3))
+        mats = np.stack([s.matrix for s in states])
+        flat = pt_trace_norms(mats, Dims(2, 3))
+        assert np.array_equal(pt_trace_norms(mats.reshape(2, 3, 6, 6), Dims(2, 3)),
+                              flat.reshape(2, 3))
+
+    def test_roundoff_floor_applies_to_every_member(self):
+        norms = np.array([1.5, 1.0 - 1e-13, 1.0])
+        assert negativity_of_norms(norms).tolist() == [0.25, 0.0, 0.0]
+        with pytest.raises(ValueError, match="roundoff floor"):
+            negativity_of_norms(np.array([1.5, 1.0 - 1e-6, 1.0]))
+        with pytest.raises(ValueError, match="roundoff floor"):
+            log_negativity_of_norms(np.array([2.0, 1.0 - 1e-6]))
+
+    def test_bipartite_required(self):
+        psi = random_pure(Dims(2, 2, 2), np.random.default_rng(0))
+        with pytest.raises(DimensionMismatchError):
+            pt_trace_norms(psi.density().matrix, psi.dims)
+        with pytest.raises(DimensionMismatchError):
+            pure_measure(ENTROPY, psi)
 
 
 class TestStrictConcavity:

@@ -8,6 +8,7 @@ import pytest
 from entmon.registry import (
     MeasureError,
     as_pure,
+    evaluate_closed_stack,
     evaluate_measure,
     measure_tier,
     parse_measure_id,
@@ -82,3 +83,35 @@ def test_optimizer_measures_carry_diagnostics():
     val = evaluate_measure("ree", bell, rng=np.random.default_rng(1))
     assert val.value == pytest.approx(math.log(2), abs=1e-2)
     assert "duality_gap_estimate" in val.diagnostics
+
+
+CLOSED_IDS = ("negativity", "log-negativity", "eof", "concurrence", "g-concurrence", "tangle",
+              "renyi:0.5", "tsallis:2")
+
+
+@pytest.mark.parametrize("measure_id", CLOSED_IDS)
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_closed_stack_matches_evaluate_measure(measure_id, dims):
+    rng = np.random.default_rng(9)
+    dims = Dims(*dims)
+    states = [random_pure(dims, rng).density() for _ in range(5)]
+    if measure_id in ("negativity", "log-negativity") or \
+            (dims.factors == (2, 2) and measure_id in ("eof", "concurrence")):
+        states += [random_mixed(dims, None, rng) for _ in range(5)]
+    stacked = evaluate_closed_stack(measure_id, np.stack([s.matrix for s in states]), dims)
+    assert stacked.tolist() == [evaluate_measure(measure_id, s).value for s in states]
+
+
+@pytest.mark.parametrize("measure_id", ["tangle", "renyi:0.5", "eof"])
+def test_closed_stack_rejects_any_mixed_member(measure_id):
+    rng = np.random.default_rng(10)
+    dims = Dims(2, 3)
+    mats = np.stack([random_pure(dims, rng).density().matrix for _ in range(4)]
+                    + [random_mixed(dims, 2, rng).matrix])
+    with pytest.raises(MeasureError):
+        evaluate_closed_stack(measure_id, mats, dims)
+
+
+def test_closed_stack_refuses_optimizer_measures():
+    with pytest.raises(MeasureError):
+        evaluate_closed_stack("ree", bell_state().density().matrix[None], Dims(2, 2))

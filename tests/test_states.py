@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from entmon.sampling import random_mixed, random_pure, random_separable
 from entmon.states import (
+    TOL_NORM,
+    TOL_TRACE,
     DensityMatrix,
     DimensionMismatchError,
     Dims,
@@ -22,6 +24,7 @@ from entmon.states import (
     relative_entropy,
     schmidt_decompose,
     trace_norm,
+    validate_density_stack,
     von_neumann_entropy,
     werner_state,
 )
@@ -60,6 +63,64 @@ class TestTypes:
         bad_herm[0, 1] = 0.3
         with pytest.raises(StateValidationError):
             DensityMatrix(bad_herm, Dims(2, 2))
+
+
+class TestNormTolerance:
+    def test_bell_state_beyond_tolerance_rejected(self):
+        # Norm off by 8e-11: the density's trace would be off by 1.6e-10,
+        # beyond TOL_TRACE, so the vector itself must be refused.
+        with pytest.raises(StateValidationError):
+            PureState(bell_state().amplitudes * (1.0 + 0.8e-10), Dims(2, 2))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_boundary(self, sign):
+        amps = bell_state().amplitudes
+        PureState(amps * (1.0 + sign * 0.99 * TOL_NORM), Dims(2, 2))
+        with pytest.raises(StateValidationError):
+            PureState(amps * (1.0 + sign * 1.01 * TOL_NORM), Dims(2, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, frac=st.floats(-0.99, 0.99),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+    def test_every_accepted_vector_has_a_valid_density(self, seed, frac, dims):
+        psi = random_pure(Dims(*dims), np.random.default_rng(seed))
+        state = PureState(psi.amplitudes * (1.0 + frac * TOL_NORM), psi.dims)
+        rho = state.density()
+        assert abs(np.trace(rho.matrix) - 1.0) <= TOL_TRACE
+
+
+class TestValidateDensityStack:
+    def _stack(self, n=6):
+        rng = np.random.default_rng(8)
+        return np.stack([random_mixed(Dims(2, 2), 1 + i % 4, rng).matrix for i in range(n)])
+
+    def test_returns_each_members_spectrum(self):
+        mats = self._stack()
+        vals = validate_density_stack(mats)
+        for m, v in zip(mats, vals):
+            assert np.array_equal(v, np.linalg.eigvalsh(m))
+
+    def test_one_non_psd_member_raises(self):
+        mats = self._stack()
+        mats[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(StateValidationError, match="negative eigenvalue -0.5"):
+            validate_density_stack(mats)
+
+    def test_one_bad_trace_member_raises(self):
+        mats = self._stack()
+        mats[4] = mats[4] * 2.0
+        with pytest.raises(StateValidationError, match="trace"):
+            validate_density_stack(mats)
+
+    def test_one_non_hermitian_member_raises(self):
+        mats = self._stack().reshape(2, 3, 4, 4)
+        mats[1, 2, 0, 1] += 0.3
+        with pytest.raises(StateValidationError, match="hermiticity deviation"):
+            validate_density_stack(mats)
+
+    def test_density_matrix_uses_the_same_rules(self):
+        with pytest.raises(StateValidationError, match="negative eigenvalue -0.5"):
+            DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), Dims(2, 2))
 
 
 class TestPartialTrace:

@@ -327,3 +327,162 @@ class TestSweep:
         first = json.loads(path.read_text().splitlines()[0])
         assert list(first) == ["check_id", "measure_id", "channel_class", "lhs", "rhs",
                                "gap", "tolerance", "verdict", "seed", "metadata"]
+
+
+# ---------------------------------------------------------------------------
+# Per-state references for the stacked checks.  These loops evaluate one
+# state at a time through the public per-state functions; the stacked
+# checks must return equal reports.
+
+
+def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0):
+    from entmon.channels import apply_channel, classify
+    from entmon.registry import evaluate_measure
+    from entmon.states import PureState
+    from entmon.verify import EQUALITY_TOL, STRICT_FLOOR, TAG_GENERAL, _report
+
+    cls = classify(channel)
+    gaps = np.empty(n_states)
+    lhs_vals = np.empty(n_states)
+    rhs_vals = np.empty(n_states)
+    for i in range(n_states):
+        state = state_sampler(rng)
+        dm = state.density() if isinstance(state, PureState) else state
+        lhs = evaluate_measure(measure_id, dm, rng=rng).value
+        ensemble = apply_channel(channel, dm)
+        rhs = sum(p * evaluate_measure(measure_id, s, rng=rng).value for p, s in ensemble.outcomes)
+        lhs_vals[i], rhs_vals[i], gaps[i] = lhs, rhs, lhs - rhs
+    metadata = {
+        "n_states": n_states,
+        "max_gap": float(np.max(gaps)),
+        "min_gap": float(np.min(gaps)),
+        "mean_gap": float(np.mean(gaps)),
+    }
+    if cls.tag == TAG_GENERAL:
+        if float(np.max(lhs_vals)) < 1e-12 and float(np.max(np.abs(gaps))) < 1e-12:
+            metadata["note"] = "unentangled inputs are uninformative"
+            metadata["rule"] = "all values zero"
+            return _report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
+                           STRICT_FLOOR, True, seed, metadata)
+        i = int(np.argmax(gaps))
+        metadata["rule"] = "max gap > tolerance"
+        return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
+                       STRICT_FLOOR, gaps[i] > STRICT_FLOOR, seed, metadata)
+    i = int(np.argmax(np.abs(gaps)))
+    metadata["rule"] = "max |gap| < tolerance"
+    return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
+                   EQUALITY_TOL, abs(gaps[i]) < EQUALITY_TOL, seed, metadata)
+
+
+def _reference_logneg(rng, trials, seed=0):
+    from entmon.measures import log_negativity, negativity
+    from entmon.sampling import random_product_pure
+    from entmon.verify import _report
+
+    dims = Dims(2, 2)
+    witness = None
+    control_violations = 0
+    for t in range(trials):
+        lam = float(rng.uniform(0.05, 0.95))
+        psi1 = random_pure(dims, rng)
+        psi2 = random_product_pure(dims, rng)
+        r1, r2 = psi1.density(), psi2.density()
+        mix = DensityMatrix(lam * r1.matrix + (1.0 - lam) * r2.matrix, dims)
+        en_mix = log_negativity(mix).value
+        en_avg = lam * log_negativity(r1).value + (1.0 - lam) * log_negativity(r2).value
+        n_mix = negativity(mix).value
+        n_avg = lam * negativity(r1).value + (1.0 - lam) * negativity(r2).value
+        if n_mix > n_avg + 1e-6:
+            control_violations += 1
+        if witness is None and en_mix > en_avg + 1e-6:
+            witness = {
+                "trial": t,
+                "lambda": lam,
+                "en_mix": en_mix,
+                "en_avg": en_avg,
+                "psi1": [[float(z.real), float(z.imag)] for z in psi1.amplitudes],
+                "psi2": [[float(z.real), float(z.imag)] for z in psi2.amplitudes],
+            }
+    metadata = {
+        "rule": "witness found and control clean",
+        "trials": trials,
+        "control_violations": control_violations,
+        "witness": witness,
+    }
+    if witness is None:
+        return _report("logneg-nonconvexity", "log-negativity", None, 0.0, 0.0,
+                       1e-6, False, seed, metadata)
+    return _report("logneg-nonconvexity", "log-negativity", None, witness["en_mix"],
+                   witness["en_avg"], 1e-6, control_violations == 0, seed, metadata)
+
+
+def _sampler(kind, dims):
+    from entmon.sampling import random_product_pure
+
+    if kind == "mixed":
+        return lambda r: random_mixed(dims, None, r)
+    if kind == "pure":
+        return lambda r: random_pure(dims, r).density()
+    return lambda r: random_product_pure(dims, r).density()
+
+
+def _channel(kind, d, rng):
+    from entmon.verify import _random_unitary_mixture
+
+    if kind == "general":
+        return random_channel(d, 3, rng)
+    return _random_unitary_mixture(d, 2, rng)
+
+
+# (measure, dims, sampler): eof and concurrence need pure states outside 2x2.
+STRICT_CASES = [
+    (m, d, s)
+    for m in ("negativity", "log-negativity", "eof", "concurrence")
+    for d in ((2, 2), (2, 3))
+    for s in ("mixed", "pure", "product")
+    if not (d != (2, 2) and m in ("eof", "concurrence") and s == "mixed")
+]
+
+
+class TestStackedChecksMatchPerStateLoops:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("channel_kind", ["general", "mixture"])
+    @pytest.mark.parametrize("measure_id,dims_pair,sampler_kind", STRICT_CASES)
+    def test_strict(self, measure_id, dims_pair, sampler_kind, channel_kind, seed):
+        dims = Dims(*dims_pair)
+        reports = []
+        for check in (check_strict, _reference_strict):
+            rng = np.random.default_rng(seed)
+            channel = _channel(channel_kind, dims_pair[1], rng)
+            reports.append(check(measure_id, _sampler(sampler_kind, dims), channel, 12, rng,
+                                 seed=seed))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("measure_id", ["tangle", "renyi:0.5", "g-concurrence"])
+    def test_strict_pure_only_measures(self, measure_id):
+        dims = Dims(2, 3)
+        reports = []
+        for check in (check_strict, _reference_strict):
+            rng = np.random.default_rng(5)
+            channel = random_channel(3, 2, rng)
+            reports.append(check(measure_id, _sampler("pure", dims), channel, 10, rng))
+        assert reports[0] == reports[1]
+
+    def test_strict_rejects_mixed_input_to_pure_only_measure(self):
+        from entmon.registry import MeasureError
+
+        rng = np.random.default_rng(6)
+        channel = random_channel(2, 2, rng)
+        with pytest.raises(MeasureError):
+            check_strict("tangle", _sampler("mixed", Dims(2, 2)), channel, 4, rng)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("trials", [1, 7, "block+37"])
+    def test_logneg(self, trials, seed):
+        from entmon.verify import _LOGNEG_BLOCK
+
+        if trials == "block+37":
+            trials = _LOGNEG_BLOCK + 37  # a partial last block
+        stacked = check_logneg_nonconvexity(np.random.default_rng(seed), trials, seed=seed)
+        loop = _reference_logneg(np.random.default_rng(seed), trials, seed=seed)
+        assert stacked == loop
