@@ -5,6 +5,12 @@ The roof of the reduced-entropy measure is the entanglement of formation;
 on two qubits the Wootters formula gives it exactly, so the optimizer can
 be graded.  The roof of the negativity h-function equals half the
 concurrence, a second free oracle.
+
+The entropy roof is found by Riemannian gradient descent on the
+decomposition isometries, and its ``converged`` flag says that the
+winning chain's gradient or relative-decrease test fired.  The negativity
+h-function has square-root kinks at product members, so its roof keeps a
+derivative-free random-step search.
 """
 
 import numpy as np
@@ -33,7 +39,7 @@ for t in range(5):
                         rng=np.random.default_rng(t))
     oracle = wootters_eof(rho)
     print(f"  rank {2 + t % 3}: roof = {res.value:.8f}   wootters = {oracle:.8f}   "
-          f"diff = {res.value - oracle:+.2e}")
+          f"diff = {res.value - oracle:+.2e}   converged = {res.converged}")
 
 print()
 print("=" * 64)

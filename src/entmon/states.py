@@ -53,7 +53,9 @@ class Dims:
     def __post_init__(self):
         if self.dB is None and self.dC is not None:
             raise DimensionMismatchError("dC given without dB")
-        for d in self.factors:
+        for d in (self.dA, self.dB, self.dC):
+            if d is None:
+                continue
             if not isinstance(d, (int, np.integer)) or d < 1:
                 raise DimensionMismatchError(f"dimensions must be positive integers, got {d!r}")
 

@@ -5,17 +5,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmon.measures import ENTROPY, NEGATIVITY_H, negativity, pure_measure, wootters_eof
+from entmon.measures import (
+    CONCURRENCE,
+    ENTROPY,
+    G_CONCURRENCE,
+    NEGATIVITY_H,
+    TANGLE,
+    negativity,
+    pure_measure,
+    renyi,
+    tsallis,
+    wootters_eof,
+)
 from entmon.roof import (
     Decomposition,
+    _inner,
     _qubit_reduced_spectrum,
     _RoofObjective,
+    _tangent,
     decomposition_from_isometry,
     default_n_terms,
+    is_kinked,
     roof_minimize,
 )
 from entmon.sampling import haar_unitary, random_mixed, random_pure, random_separable
-from entmon.states import DensityMatrix, Dims, PureState, bell_state
+from entmon.states import (
+    DensityMatrix,
+    Dims,
+    PureState,
+    bell_state,
+    partial_trace,
+    von_neumann_entropy,
+)
+from entmon.verify import derived_seed
 
 
 class TestDecompositionFromIsometry:
@@ -119,6 +141,75 @@ class TestRoofMinimize:
         assert default_n_terms(random_mixed(Dims(2, 2), 4, np.random.default_rng(0))) == 4
         assert default_n_terms(random_mixed(Dims(2, 3), 2, np.random.default_rng(1))) == 4
         assert default_n_terms(random_mixed(Dims(2, 3), 6, np.random.default_rng(2))) == 8
+
+
+class TestSmoothPath:
+    def test_converged_wherever_criterion_4_is_accurate(self):
+        # converged is the winner's stopping rule, so every input on which
+        # the value matches Wootters to 1e-8 must report it.
+        for t in range(100):
+            seed = derived_seed(99, t)
+            rho = random_mixed(Dims(2, 2), 1 + t % 4, np.random.default_rng(seed))
+            res = roof_minimize(ENTROPY, rho, n_terms=4, restarts=20,
+                                rng=np.random.default_rng(seed))
+            if abs(res.value - wootters_eof(rho)) < 1e-8:
+                assert res.converged, f"trial {t}: accurate value {res.value} not converged"
+
+    def test_leaves_the_random_search_plateau(self):
+        # The random-step search stopped at 0.12883 on this 2x3 rank-4 state.
+        rho = random_mixed(Dims(2, 3), 4, np.random.default_rng(7))
+        res = roof_minimize(ENTROPY, rho, rng=np.random.default_rng(7))
+        assert res.value <= 0.1265
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        eig_avg = sum(lam * pure_measure(ENTROPY, PureState(vec, rho.dims)).value
+                      for lam, vec in zip(vals, vecs.T) if lam > 1e-9)
+        coherent = max(von_neumann_entropy(partial_trace(rho, side))
+                       for side in ("A", "B")) - von_neumann_entropy(rho)
+        assert coherent - 1e-12 <= res.value <= eig_avg + 1e-12
+
+
+def test_kinked_kinds_are_those_not_differentiable_at_products():
+    kinked = [CONCURRENCE, NEGATIVITY_H, G_CONCURRENCE, renyi(0.5), renyi(0.3), tsallis(0.5)]
+    smooth = [ENTROPY, TANGLE, renyi(0.7), renyi(1.0), tsallis(0.7), tsallis(2.0)]
+    assert all(is_kinked(h) for h in kinked)
+    assert not any(is_kinked(h) for h in smooth)
+
+
+# Every h kind with an analytic gradient.  The order-1/2 ones are routed
+# to the derivative-free search but are differentiable away from products.
+GRADIENT_H = [ENTROPY, TANGLE, renyi(0.5), renyi(0.7), renyi(1.0), tsallis(2.0), tsallis(0.5)]
+
+
+class TestRoofGradient:
+    @pytest.mark.parametrize("h", GRADIENT_H, ids=lambda h: h.measure_id)
+    # 3x2 takes the eigvalsh path for the values, with a zero in every
+    # reduced spectrum.
+    @pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3), (3, 2)])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_central_difference(self, h, dA, dB, seed):
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(2, dA * dB + 1))
+        n = rank + int(rng.integers(0, 3))
+        objective = _RoofObjective(h, random_mixed(Dims(dA, dB), rank, rng), n)
+        q = haar_unitary(n, rng)[:, :rank]
+        z = _tangent(q, rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+        z /= np.sqrt(_inner(z, z))
+        # QR retraction is q + t z to first order; d/dt F = 2 Re Tr(E^dag z).
+        t = 1e-6
+        fd = (objective(q + t * z) - objective(q - t * z)) / (2 * t)
+        analytic = 2.0 * _inner(objective.gradient(q), z)
+        assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("h", GRADIENT_H, ids=lambda h: h.measure_id)
+    def test_product_members_are_clipped(self, h):
+        # The eigenmembers of this state are products (zero reduced
+        # eigenvalues); the gradient stays finite, without RuntimeWarning.
+        rho = DensityMatrix(np.diag([0.6, 0.0, 0.0, 0.4]), Dims(2, 2))  # |00>, |11>
+        objective = _RoofObjective(h, rho, 3)
+        grad = objective.gradient(np.eye(3, 2))
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad, 0.0, atol=1e-8)
 
 
 class TestRoofProperties:

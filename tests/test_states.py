@@ -44,6 +44,15 @@ class TestTypes:
         with pytest.raises(DimensionMismatchError):
             Dims(2, None, 3)
 
+    @pytest.mark.parametrize("args", [(2.5,), (2, "3"), (2, 3, 4.0)])
+    def test_dims_rejects_non_integers(self, args):
+        # The raw values are checked, not the int() of them in ``factors``.
+        with pytest.raises(DimensionMismatchError):
+            Dims(*args)
+
+    def test_dims_accepts_numpy_integers(self):
+        assert Dims(np.int64(2), 3).factors == (2, 3)
+
     def test_pure_state_requires_normalization(self):
         with pytest.raises(StateValidationError):
             PureState(np.array([1.0, 1.0, 0.0, 0.0]), Dims(2, 2))
