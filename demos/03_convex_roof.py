@@ -6,11 +6,11 @@ on two qubits the Wootters formula gives it exactly, so the optimizer can
 be graded.  The roof of the negativity h-function equals half the
 concurrence, a second free oracle.
 
-The entropy roof is found by Riemannian gradient descent on the
-decomposition isometries, and its ``converged`` flag says that the
-winning chain's gradient or relative-decrease test fired.  The negativity
-h-function has square-root kinks at product members, so its roof keeps a
-derivative-free random-step search.
+Both roofs are found by Riemannian gradient descent on the decomposition
+isometries.  The negativity h-function has square-root kinks at product
+members, so its descent runs on a smoothed h-function whose smoothing
+shrinks stage by stage.  For either, ``converged`` says that the winning
+chain's gradient or relative-decrease test fired (in the last stage).
 """
 
 import numpy as np
@@ -49,7 +49,8 @@ for t in range(3):
     rho = random_mixed(Dims(2, 2), 2, rng)
     res = roof_minimize(NEGATIVITY_H, rho, n_terms=4, restarts=20,
                         rng=np.random.default_rng(10 + t))
-    print(f"  roof = {res.value:.8f}   C/2 = {wootters_concurrence(rho) / 2:.8f}")
+    print(f"  roof = {res.value:.8f}   C/2 = {wootters_concurrence(rho) / 2:.8f}   "
+          f"converged = {res.converged}")
 
 print()
 print("=" * 64)

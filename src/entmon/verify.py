@@ -224,6 +224,10 @@ def _stack_values(measure_id, mats, dims, rng):
                      for m in mats])
 
 
+def _max_abs_gap(metadata: dict) -> float:
+    return max(abs(metadata["max_gap"]), abs(metadata["min_gap"]))
+
+
 def check_strict(
     measure_id: str,
     state_sampler,
@@ -270,10 +274,11 @@ def check_strict(
         metadata["rule"] = "max gap > tolerance"
         return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
                        STRICT_FLOOR, gaps[i] > STRICT_FLOOR, seed, metadata)
-    i = int(np.argmax(np.abs(gaps)))
+    # The verdict reads the extreme gaps; the reported pair is state 0's,
+    # which roundoff in the gaps cannot swap for another state's.
     metadata["rule"] = "max |gap| < tolerance"
-    return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
-                   EQUALITY_TOL, abs(gaps[i]) < EQUALITY_TOL, seed, metadata)
+    return _report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
+                   EQUALITY_TOL, _max_abs_gap(metadata) < EQUALITY_TOL, seed, metadata)
 
 
 def check_strict_concavity(
@@ -545,7 +550,7 @@ def recompute_verdict(report: VerificationReport) -> str:
     elif rule == "max gap > tolerance":
         ok = report.metadata["max_gap"] > tol
     elif rule == "max |gap| < tolerance":
-        ok = abs(gap) < tol
+        ok = _max_abs_gap(report.metadata) < tol
     elif rule == "|gap| < tolerance":
         ok = abs(gap) < tol
     elif rule == "|gap| <= tolerance":

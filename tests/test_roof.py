@@ -15,11 +15,15 @@ from entmon.measures import (
     pure_measure,
     renyi,
     tsallis,
+    wootters_concurrence,
     wootters_eof,
 )
+from entmon.registry import evaluate_measure
 from entmon.roof import (
+    VALUE_FLOOR,
     Decomposition,
     _inner,
+    _qr_isometries,
     _qubit_reduced_spectrum,
     _RoofObjective,
     _tangent,
@@ -36,6 +40,7 @@ from entmon.states import (
     bell_state,
     partial_trace,
     von_neumann_entropy,
+    werner_state,
 )
 from entmon.verify import derived_seed
 
@@ -167,6 +172,99 @@ class TestSmoothPath:
                        for side in ("A", "B")) - von_neumann_entropy(rho)
         assert coherent - 1e-12 <= res.value <= eig_avg + 1e-12
 
+    def test_chains_stop_once_one_reaches_the_value_floor(self, monkeypatch):
+        # On this separable input the winning chain stops at about 5e-13
+        # within ~100 steps, which ends the search; without the floor five
+        # other chains run to the 2000-step cap (some 17000 evaluated
+        # isometries).
+        evaluated = []
+        eval_isometry = _RoofObjective.eval_isometry
+
+        def counting(self, q, *args):
+            evaluated.append(int(np.prod(q.shape[:-2])))
+            return eval_isometry(self, q, *args)
+
+        monkeypatch.setattr(_RoofObjective, "eval_isometry", counting)
+        rho = random_separable(Dims(2, 2), 3, np.random.default_rng(200))
+        res = roof_minimize(TANGLE, rho, restarts=10, rng=np.random.default_rng(200))
+        assert res.value <= VALUE_FLOOR
+        assert res.converged
+        assert sum(evaluated) < 3000
+
+
+# Two-qubit roofs of the kinked kinds in closed form: the concurrence
+# (Wootters), the negativity h-function at C/2 (Lee et al., PRA 68, 062304
+# (2003)) and the G-concurrence, which equals C on two qubits (Gour, PRA
+# 71, 012318 (2005)).
+KINKED_ORACLES = [(CONCURRENCE, 1.0), (NEGATIVITY_H, 0.5), (G_CONCURRENCE, 1.0)]
+KINKED_IDS = [h.measure_id for h, _ in KINKED_ORACLES]
+
+
+class TestKinkedPath:
+    @pytest.mark.parametrize("h,scale", KINKED_ORACLES, ids=KINKED_IDS)
+    def test_matches_two_qubit_oracle(self, h, scale):
+        for t in range(6):
+            rho = random_mixed(Dims(2, 2), 2 + t % 3, np.random.default_rng(100 + t))
+            res = roof_minimize(h, rho, rng=np.random.default_rng(t))
+            assert res.value == pytest.approx(scale * wootters_concurrence(rho), abs=1e-8)
+
+    @pytest.mark.parametrize("h,scale", KINKED_ORACLES, ids=KINKED_IDS)
+    # C = 1e-2 just above the separability threshold, and C = 0 on it.
+    @pytest.mark.parametrize("p,c", [(0.34, 1e-2), (1.0 / 3.0, 0.0)])
+    def test_werner_states_at_the_threshold(self, h, scale, p, c):
+        rho = werner_state(p)
+        assert wootters_concurrence(rho) == pytest.approx(c, abs=1e-14)
+        res = roof_minimize(h, rho, rng=np.random.default_rng(0))
+        assert res.value == pytest.approx(scale * c, abs=1e-8)
+        assert res.converged
+
+    def test_converged_wherever_concurrence_is_accurate(self):
+        # As for the entropy: converged is the winner's stopping rule in
+        # the final smoothing stage.
+        for t in range(30):
+            seed = derived_seed(98, t)
+            rho = random_mixed(Dims(2, 2), 1 + t % 4, np.random.default_rng(seed))
+            res = roof_minimize(CONCURRENCE, rho, n_terms=4, restarts=20,
+                                rng=np.random.default_rng(seed))
+            if abs(res.value - wootters_concurrence(rho)) < 1e-8:
+                assert res.converged, f"trial {t}: accurate value {res.value} not converged"
+
+
+def _marginal_purities(rho: DensityMatrix) -> tuple[float, float]:
+    return tuple(float(np.real(np.trace(r @ r)))
+                 for r in (partial_trace(rho, "B").matrix, partial_trace(rho, "A").matrix))
+
+
+# 2x2 of rank 2-4 and 2x3 of rank 2-3: a 2x3 rank-4 call takes seconds.
+LOWER_BOUND_INPUTS = st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+
+
+class TestRoofLowerBounds:
+    # Any convex function equal to h on pure states bounds its roof from
+    # below, so every decomposition found must lie above it.
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims_rank=LOWER_BOUND_INPUTS)
+    def test_concurrence_above_mintert_buchleitner(self, seed, dims_rank):
+        # C(rho)^2 >= 2 Tr rho^2 - Tr rho_A^2 - Tr rho_B^2 (Mintert &
+        # Buchleitner, PRL 98, 140505 (2007)).
+        dB, rank = dims_rank
+        rho = random_mixed(Dims(2, dB), rank, np.random.default_rng(seed))
+        pa, pb = _marginal_purities(rho)
+        bound = np.sqrt(max(0.0, 2.0 * float(np.real(np.trace(rho.matrix @ rho.matrix)))
+                            - pa - pb))
+        res = roof_minimize(CONCURRENCE, rho, n_terms=rank, restarts=2,
+                            rng=np.random.default_rng(seed))
+        assert res.value >= bound - 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims_rank=LOWER_BOUND_INPUTS)
+    def test_negativity_roof_above_negativity(self, seed, dims_rank):
+        dB, rank = dims_rank
+        rho = random_mixed(Dims(2, dB), rank, np.random.default_rng(seed))
+        roof_value = evaluate_measure("negativity-roof", rho, rng=np.random.default_rng(seed),
+                                      roof_restarts=2, roof_n_terms=rank).value
+        assert roof_value >= negativity(rho).value - 1e-12
+
 
 def test_kinked_kinds_are_those_not_differentiable_at_products():
     kinked = [CONCURRENCE, NEGATIVITY_H, G_CONCURRENCE, renyi(0.5), renyi(0.3), tsallis(0.5)]
@@ -178,6 +276,8 @@ def test_kinked_kinds_are_those_not_differentiable_at_products():
 # Every h kind with an analytic gradient.  The order-1/2 ones are routed
 # to the derivative-free search but are differentiable away from products.
 GRADIENT_H = [ENTROPY, TANGLE, renyi(0.5), renyi(0.7), renyi(1.0), tsallis(2.0), tsallis(0.5)]
+# The kinked kinds' smoothed h_eps, which their descent follows.
+KINKED_H = [CONCURRENCE, NEGATIVITY_H, G_CONCURRENCE, renyi(0.5), renyi(0.2), tsallis(0.3)]
 
 
 class TestRoofGradient:
@@ -200,6 +300,36 @@ class TestRoofGradient:
         fd = (objective(q + t * z) - objective(q - t * z)) / (2 * t)
         analytic = 2.0 * _inner(objective.gradient(q), z)
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("h", KINKED_H, ids=lambda h: h.measure_id)
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3])
+    @pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3), (3, 2)])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_smoothed_matches_central_difference(self, h, eps, dA, dB, seed):
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(2, dA * dB + 1))
+        n = rank + int(rng.integers(0, 3))
+        objective = _RoofObjective(h, random_mixed(Dims(dA, dB), rank, rng), n)
+        q = haar_unitary(n, rng)[:, :rank]
+        z = _tangent(q, rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+        z /= np.sqrt(_inner(z, z))
+        t = 1e-6
+        fd = (objective.eval_isometry(_qr_isometries(q + t * z), eps)
+              - objective.eval_isometry(_qr_isometries(q - t * z), eps)) / (2 * t)
+        analytic = 2.0 * _inner(objective.gradient(q, eps), z)
+        assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("h", KINKED_H, ids=lambda h: h.measure_id)
+    def test_smoothed_value_is_below_h(self, h):
+        rho = random_mixed(Dims(3, 3), 4, np.random.default_rng(14))
+        objective = _RoofObjective(h, rho, 6)
+        q = haar_unitary(6, np.random.default_rng(15))[:, :4]
+        exact = objective.eval_isometry(q)
+        for eps in (1e-1, 1e-4, 1e-30):
+            assert 0.0 <= objective.eval_isometry(q, eps) <= exact + 1e-15
+        # The power kinds converge like eps^a, the root kinds like eps.
+        assert objective.eval_isometry(q, 1e-30) == pytest.approx(exact, abs=1e-5)
 
     @pytest.mark.parametrize("h", GRADIENT_H, ids=lambda h: h.measure_id)
     def test_product_members_are_clipped(self, h):

@@ -100,6 +100,40 @@ class TestCheckStrict:
         assert rep.verdict == "pass"
         assert abs(rep.gap) < 1e-9
 
+    def test_equality_report_ignores_roundoff_in_other_gaps(self, monkeypatch):
+        # Which gap of a unitary mixture is largest is decided by roundoff;
+        # the reported pair is state 0's, so a 1e-17 change elsewhere moves
+        # only the gap statistics.
+        from entmon import verify
+        from entmon.sampling import random_product_pure
+
+        stack_values = verify._stack_values
+
+        def run(bump):
+            calls = []
+
+            def bumped(measure_id, mats, dims, rng):
+                vals = stack_values(measure_id, mats, dims, rng)
+                if not calls:  # the first call gives the input values
+                    vals = vals.copy()
+                    vals[2] += bump
+                calls.append(measure_id)
+                return vals
+
+            monkeypatch.setattr(verify, "_stack_values", bumped)
+            rng = np.random.default_rng(3)
+            channel = unitary_mixture_channel(
+                [0.3, 0.7], [haar_unitary(2, rng), haar_unitary(2, rng)]
+            )
+            sampler = lambda r: random_product_pure(Dims(2, 2), r).density()
+            return check_strict("eof", sampler, channel, 5, rng)
+
+        base, bumped = run(0.0), run(1e-17)
+        assert bumped.metadata["max_gap"] == base.metadata["max_gap"] + 1e-17
+        fields = lambda rep: (rep.lhs, rep.rhs, rep.gap, rep.verdict)
+        assert fields(bumped) == fields(base)
+        assert recompute_verdict(bumped) == bumped.verdict == "pass"
+
     def test_product_sampler_is_uninformative(self):
         from entmon.sampling import random_product_pure
 
@@ -368,10 +402,9 @@ def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0)
         metadata["rule"] = "max gap > tolerance"
         return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
                        STRICT_FLOOR, gaps[i] > STRICT_FLOOR, seed, metadata)
-    i = int(np.argmax(np.abs(gaps)))
     metadata["rule"] = "max |gap| < tolerance"
-    return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
-                   EQUALITY_TOL, abs(gaps[i]) < EQUALITY_TOL, seed, metadata)
+    return _report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
+                   EQUALITY_TOL, float(np.max(np.abs(gaps))) < EQUALITY_TOL, seed, metadata)
 
 
 def _reference_logneg(rng, trials, seed=0):
