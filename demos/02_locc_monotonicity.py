@@ -19,7 +19,8 @@ from entmon import (
     haar_unitary,
     random_channel,
     random_mixed,
-    random_pure,
+    projector_stack,
+    random_pure_stack,
     unitary_mixture_channel,
 )
 from entmon.channels import LocalKrausChannel
@@ -63,7 +64,9 @@ print()
 print("=" * 64)
 print("Strictness sweeps: existence vs equality direction")
 print("=" * 64)
-sampler = lambda r: random_pure(Dims(2, 2), r).density()
+# A check_strict sampler returns n density matrices as one (n, N, N) array;
+# check_strict validates the whole stack once.
+sampler = lambda r, n: projector_stack(random_pure_stack(Dims(2, 2), n, r))
 general = random_channel(2, 2, rng)
 rep = check_strict("negativity", sampler, general, 100, rng)
 print(f"  general channel:  max gap over 100 pure states = "

@@ -33,8 +33,11 @@ from .roof import Decomposition, RoofResult, decomposition_from_isometry, roof_m
 from .sampling import (
     haar_unitary,
     random_mixed,
+    random_mixed_stack,
     random_product_pure,
+    random_product_pure_stack,
     random_pure,
+    random_pure_stack,
     random_separable,
 )
 from .serialize import load_channel, load_state, save_channel, save_state
@@ -48,6 +51,7 @@ from .states import (
     partial_trace,
     partial_transpose,
     product_pure,
+    projector_stack,
     relative_entropy,
     schmidt_decompose,
     trace_norm,

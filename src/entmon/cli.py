@@ -6,7 +6,8 @@
 
 Exit codes: 0 success (verify: no failing verdicts), 1 verify found a
 failing verdict, 2 parse/config error, 3 dimension or measure mismatch.
-Stdout carries only the requested payload; progress goes to stderr.
+Stdout carries only the requested payload; progress, including one line
+per verify check with its report count and wall seconds, goes to stderr.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
     _log(f"running checks {list(config.checks)} with seed {config.seed}, "
          f"trials {config.trials}")
-    reports = run_sweep(config)
+    reports = run_sweep(config, on_check=lambda check_id, batch, seconds: _log(
+        f"check {check_id}: {len(batch)} reports in {seconds:.3f} s"))
     jsonl_path = Path(config.output_path)
     csv_path = jsonl_path.with_suffix(".csv") if jsonl_path.suffix else \
         Path(str(jsonl_path) + ".csv")

@@ -30,6 +30,7 @@ from .states import (
     PureState,
     _partial_transpose_array,
     _trace_norm_stack,
+    projector_stack,
     validate_density_stack,
 )
 
@@ -187,8 +188,8 @@ def pure_measure_stack(h: HFunction, amps: np.ndarray, dims: Dims) -> np.ndarray
     """
     dA, dB = _bipartite(dims, "pure_measure")
     lead = amps.shape[:-1]
-    proj = amps[..., :, None] * amps.conj()[..., None, :]
-    reduced = np.trace(proj.reshape(lead + (dA, dB, dA, dB)), axis1=-3, axis2=-1)
+    proj = projector_stack(amps).reshape(lead + (dA, dB, dA, dB))
+    reduced = np.trace(proj, axis1=-3, axis2=-1)
     mu = np.clip(validate_density_stack(reduced), 0.0, None)
     return _floored(h_of_spectrum(h, mu))
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import LocalKrausChannel, _embed
 from .states import (
@@ -168,6 +167,10 @@ def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarra
         f = float(np.sum(v)) - float(np.real(np.diagonal(rho_t)) @ np.log(mu))
         grad = 1.0 - np.real(np.einsum("ki,ij,kj->k", c.conj(), rho_t * _log_kernel(mu), c))
         return f, grad
+
+    # Imported here: scipy.optimize dominates the import time and memory of
+    # the package, and only this solver uses it.
+    from scipy.optimize import minimize
 
     res = minimize(f_and_grad, weights, jac=True, method="L-BFGS-B",
                    bounds=[(0.0, None)] * len(weights), options={"maxiter": WEIGHT_ITERS})

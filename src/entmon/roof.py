@@ -16,7 +16,8 @@ G-concurrence, Renyi and Tsallis of order at most 1/2; see ``is_kinked``)
 are not differentiable at product members, so they descend on a smoothed
 h_eps (Nesterov, Math. Program. 103, 127 (2005)) through the decreasing
 sequence ``SMOOTHING``, each stage warm-started from the last.  Either
-way the winner is the chain of least exact (unsmoothed) average, and
+way the winner is the chain of least exact (unsmoothed) average, each
+chain counting the least it reached at the end of any stage, and
 ``converged`` means that its stopping rule (see ``GRAD_TOL``) fired in the
 final stage, or that its exact value is at most ``VALUE_FLOOR``.
 
@@ -416,10 +417,11 @@ def roof_minimize(
 
     Every kind runs lockstep Riemannian gradient descent: on h itself for
     smooth kinds, and through the smoothing stages ``SMOOTHING`` for kinked
-    kinds (``is_kinked``).  ``converged`` means that the winning chain's
-    stopping rule (gradient norm, relative decrease or value 0, stated at
-    ``GRAD_TOL``) fired in the final stage before ``DESCENT_ITERS`` steps,
-    or that its value is at most ``VALUE_FLOOR``.  Once some chain's exact
+    kinds (``is_kinked``), where each chain keeps the isometry of least
+    exact value over the stage ends.  ``converged`` means that the winning
+    chain's stopping rule (gradient norm, relative decrease or value 0,
+    stated at ``GRAD_TOL``) fired in the final stage before
+    ``DESCENT_ITERS`` steps, or that its value is at most ``VALUE_FLOOR``.  Once some chain's exact
     value is at most ``VALUE_FLOOR``, between stages or on stopping, the
     search ends.
     """
@@ -449,12 +451,19 @@ def roof_minimize(
         xs[j] = (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
     q = _qr_isometries(xs)
+    # Each chain keeps its least exact value over the stages, and the
+    # isometry that reached it: a later stage can end above an earlier one.
+    best_vals = np.full(restarts, np.inf)
+    best_q = q
     for eps in SMOOTHING if is_kinked(h) else (0.0,):
         q, vals, converged = _riemannian_descent(objective, q, eps)
         exact = objective.eval_isometry(q) if eps else vals
+        lower = exact < best_vals
+        best_vals = np.where(lower, exact, best_vals)
+        best_q = np.where(lower[:, None, None], q, best_q)
         if np.any(exact <= VALUE_FLOOR):
             break
-    winner = int(np.argmin(exact))  # argmin takes the earliest index on ties
-    best = decomposition_from_isometry(rho, q[winner])
-    return RoofResult(float(exact[winner]), best, restarts,
-                      bool(converged[winner] or exact[winner] <= VALUE_FLOOR))
+    winner = int(np.argmin(best_vals))  # argmin takes the earliest index on ties
+    best = decomposition_from_isometry(rho, best_q[winner])
+    return RoofResult(float(best_vals[winner]), best, restarts,
+                      bool(converged[winner] or best_vals[winner] <= VALUE_FLOOR))

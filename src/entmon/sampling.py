@@ -5,6 +5,12 @@ reproducible for a fixed seed.  Pure states are Haar distributed (normalized
 standard complex Gaussian vectors); mixed states follow the Ginibre-induced
 measure; separable states are Dirichlet-weighted mixtures of random product
 projectors.
+
+The stack forms draw n states with one generator call, as one array, and
+return exactly what n successive per-state calls return; the per-state
+samplers are their n = 1 case, wrapped in a validating constructor.  The
+stacks are valid by construction and are not validated here: a caller
+that takes them in checks the whole stack once (``validate_density_stack``).
 """
 
 from __future__ import annotations
@@ -26,32 +32,71 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Normalized complex rows from standard normal draws ``z`` of shape
+    ``(n, 2, N)``: row i is ``z[i, 0] + 1j z[i, 1]`` over its norm.
+
+    Each row takes its own ``np.linalg.norm``: batched norms (an axis
+    argument, einsum, a matrix product) differ from it in the last bit.
+    """
+    v = z[:, 0] + 1j * z[:, 1]
+    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
+
+
+def _product_rows(z: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    """Product amplitudes from standard normal draws ``z`` of shape
+    ``(n, 2 sum(factors))``: per factor d, d real parts then d imaginary
+    parts, factor A first, joined in Kronecker order."""
+    amps = None
+    start = 0
+    for d in factors:
+        v = _unit_rows(z[:, start:start + 2 * d].reshape(-1, 2, d))
+        start += 2 * d
+        amps = v if amps is None else (amps[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+    return amps
+
+
+def random_pure_stack(dims: Dims, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` Haar-random pure states as an ``(n, N)`` array of amplitudes."""
+    return _unit_rows(rng.standard_normal((n, 2, dims.total)))
+
+
 def random_pure(dims: Dims, rng: np.random.Generator) -> PureState:
     """Haar-random pure state on the composite space."""
-    v = _ginibre(dims.total, 1, rng)[:, 0]
-    return PureState(v / np.linalg.norm(v), dims)
+    return PureState(random_pure_stack(dims, 1, rng)[0], dims)
+
+
+def random_mixed_stack(
+    dims: Dims, rank: int | None, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` trace-normalized G G^dag, G an (N x rank) Ginibre matrix, as an
+    ``(n, N, N)`` array."""
+    total = dims.total
+    if rank is None:
+        rank = total
+    if not 1 <= rank <= total:
+        raise ValueError(f"rank must lie in [1, {total}], got {rank}")
+    z = rng.standard_normal((n, 2, total, rank))
+    g = z[:, 0] + 1j * z[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= m.trace(axis1=-2, axis2=-1).real[:, None, None]
+    return m
 
 
 def random_mixed(dims: Dims, rank: int | None, rng: np.random.Generator) -> DensityMatrix:
     """Trace-normalized G G^dag with G a (total x rank) Ginibre matrix."""
-    n = dims.total
-    if rank is None:
-        rank = n
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must lie in [1, {n}], got {rank}")
-    g = _ginibre(n, rank, rng)
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix(m, dims)
+    return DensityMatrix(random_mixed_stack(dims, rank, 1, rng)[0], dims)
+
+
+def random_product_pure_stack(dims: Dims, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` products of independent Haar-random factors as an ``(n, N)``
+    array of amplitudes."""
+    return _product_rows(rng.standard_normal((n, 2 * sum(dims.factors))), dims.factors)
 
 
 def random_product_pure(dims: Dims, rng: np.random.Generator) -> PureState:
     """Product of independent Haar-random factors."""
-    amps = np.ones(1, dtype=complex)
-    for d in dims.factors:
-        v = _ginibre(d, 1, rng)[:, 0]
-        amps = np.kron(amps, v / np.linalg.norm(v))
-    return PureState(amps, dims)
+    return PureState(random_product_pure_stack(dims, 1, rng)[0], dims)
 
 
 def random_separable(dims: Dims, n_terms: int, rng: np.random.Generator) -> DensityMatrix:
@@ -61,7 +106,6 @@ def random_separable(dims: Dims, n_terms: int, rng: np.random.Generator) -> Dens
     weights = rng.dirichlet(np.ones(n_terms))
     n = dims.total
     m = np.zeros((n, n), dtype=complex)
-    for w in weights:
-        amps = random_product_pure(dims, rng).amplitudes
+    for w, amps in zip(weights, random_product_pure_stack(dims, n_terms, rng)):
         m += w * np.outer(amps, amps.conj())
     return DensityMatrix(m, dims)

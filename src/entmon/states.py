@@ -70,7 +70,7 @@ class Dims:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.factors))
+        return math.prod(self.factors)
 
     @property
     def labels(self) -> str:
@@ -117,7 +117,12 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         """Projector |psi><psi| as a DensityMatrix."""
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+        return DensityMatrix(projector_stack(self.amplitudes), self.dims)
+
+
+def projector_stack(amps: np.ndarray) -> np.ndarray:
+    """|psi><psi| for every vector of a ``(..., n)`` stack of amplitudes."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
 
 
 @dataclass(frozen=True)

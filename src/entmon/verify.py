@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import time
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +54,13 @@ from .registry import evaluate_closed_stack, evaluate_measure, measure_tier, par
 from .ree import ree_data_processing_check, ree_minimize
 from .roof import roof_minimize
 from .sampling import (
+    _product_rows,
+    _unit_rows,
     haar_unitary,
     random_mixed,
-    random_product_pure,
+    random_mixed_stack,
     random_pure,
+    random_pure_stack,
     random_separable,
 )
 from .states import (
@@ -67,6 +71,7 @@ from .states import (
     bell_state,
     partial_trace,
     partial_transpose,
+    projector_stack,
     validate_density_stack,
     von_neumann_entropy,
     werner_state,
@@ -193,25 +198,35 @@ def check_monotone(
 ) -> VerificationReport:
     """E(rho) >= sum_k p_k E(sigma_k) up to the measure-tier tolerance.
 
-    Optimizer-backed tiers copy the solver diagnostics of the input
-    (``lhs_diagnostics``) and of each outcome (``outcome_diagnostics``)
-    into the report metadata.
+    A closed form evaluates the input and the outcomes as one stack.
+    Optimizer-backed tiers take one solver call per state and copy the
+    solver diagnostics of the input (``lhs_diagnostics``) and of each
+    outcome (``outcome_diagnostics``) into the report metadata.
     """
     tier = measure_tier(measure_id)
     tol = MONOTONE_TOL[tier]
-    if rng is None:
-        rng = np.random.default_rng(seed)
     cls = classify(channel)
-    lhs = evaluate_measure(measure_id, rho, rng=rng)
-    ensemble = apply_channel(channel, rho)
-    outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in ensemble.outcomes]
-    rhs = sum(p * v.value for p, v in outs)
-    gap = lhs.value - rhs
-    metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier}
-    if tier != "closed":
-        metadata["lhs_diagnostics"] = lhs.diagnostics
-        metadata["outcome_diagnostics"] = [v.diagnostics for _, v in outs]
-    return _report("monotone", measure_id, cls.tag, lhs.value, rhs, tol, gap >= -tol, seed,
+    if tier == "closed":
+        probs, keep, outcomes = _outcome_stack(channel, rho.matrix[None], rho.dims)
+        values = evaluate_closed_stack(
+            measure_id, np.concatenate([rho.matrix[None], outcomes]), rho.dims).tolist()
+        lhs = values[0]
+        rhs = 0.0
+        for p, v in zip(probs[keep].tolist(), values[1:]):  # in outcome order, as it rounds
+            rhs += p * v
+        metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outcomes), "tier": tier}
+    else:
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        lhs_value = evaluate_measure(measure_id, rho, rng=rng)
+        ensemble = apply_channel(channel, rho)
+        outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in ensemble.outcomes]
+        lhs = lhs_value.value
+        rhs = sum(p * v.value for p, v in outs)
+        metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier,
+                    "lhs_diagnostics": lhs_value.diagnostics,
+                    "outcome_diagnostics": [v.diagnostics for _, v in outs]}
+    return _report("monotone", measure_id, cls.tag, lhs, rhs, tol, lhs - rhs >= -tol, seed,
                    metadata)
 
 
@@ -228,6 +243,19 @@ def _max_abs_gap(metadata: dict) -> float:
     return max(abs(metadata["max_gap"]), abs(metadata["min_gap"]))
 
 
+def _input_dims(channel: LocalKrausChannel, mats: np.ndarray, n_states: int) -> Dims:
+    """Dims of a ``(n_states, N, N)`` input stack: the channel acts on a
+    factor of dimension ``channel.dim`` on its side, the rest is the other."""
+    d = channel.dim
+    if mats.ndim != 3 or mats.shape[0] != n_states or mats.shape[1] != mats.shape[2] \
+            or mats.shape[-1] % d:
+        raise DimensionMismatchError(
+            f"sampler returned shape {mats.shape}, expected ({n_states}, N, N) with N a "
+            f"multiple of the channel dimension {d}")
+    other = mats.shape[-1] // d
+    return Dims(other, d) if channel.side == "B" else Dims(d, other)
+
+
 def check_strict(
     measure_id: str,
     state_sampler,
@@ -242,13 +270,17 @@ def check_strict(
     (mixtures of) local unitaries must show no gap at all.  A sweep whose
     inputs carry no entanglement is uninformative and passes with a note.
 
-    All ``n_states`` states are drawn first; the input values, the
-    outcomes and the outcome values are then each one stack.
+    ``state_sampler(rng, n)`` returns the ``n`` input density matrices as
+    one ``(n, N, N)`` array, for example ``random_mixed_stack`` or
+    ``projector_stack`` of ``random_pure_stack``.  The stack is validated
+    once, here; its dims follow from the channel, which acts on the factor
+    of dimension ``channel.dim`` on ``channel.side``.  The input values,
+    the outcomes and the outcome values are then each one stack.
     """
     cls = classify(channel)
-    states = [state_sampler(rng) for _ in range(n_states)]
-    dims = states[0].dims
-    mats = np.stack([(s.density() if isinstance(s, PureState) else s).matrix for s in states])
+    mats = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
+    dims = _input_dims(channel, mats, n_states)
+    validate_density_stack(mats)
     lhs_vals = _stack_values(measure_id, mats, dims, rng)
     probs, keep, outcomes = _outcome_stack(channel, mats, dims)
     values = np.zeros(keep.shape)
@@ -485,8 +517,9 @@ def check_logneg_nonconvexity(
     Scans random (rho1, rho2, lambda) triples of two-qubit pure states for
     E_N(mix) exceeding the weighted average by more than 1e-6; the control
     confirms plain negativity stays convex on exactly the same triples.
-    Triples are drawn one at a time and evaluated in blocks: one trace-norm
-    stack gives both measures of mix, rho1 and rho2.
+    Each triple takes two generator calls (lambda, then the normals of
+    rho1 and rho2); triples are built and evaluated in blocks, and one
+    trace-norm stack gives both measures of mix, rho1 and rho2.
     """
     dims = Dims(2, 2)
     witness = None
@@ -494,12 +527,15 @@ def check_logneg_nonconvexity(
     for start in range(0, trials, _LOGNEG_BLOCK):
         size = min(_LOGNEG_BLOCK, trials - start)
         lam = np.empty(size)
-        amps = np.empty((size, 2, dims.total), dtype=complex)
+        # Per triple, the normals of random_pure and then of random_product_pure.
+        split = 2 * dims.total
+        z = np.empty((size, split + 2 * sum(dims.factors)))
         for j in range(size):
             lam[j] = rng.uniform(0.05, 0.95)
-            amps[j, 0] = random_pure(dims, rng).amplitudes
-            amps[j, 1] = random_product_pure(dims, rng).amplitudes
-        proj = amps[..., :, None] * amps.conj()[..., None, :]
+            z[j] = rng.standard_normal(z.shape[1])
+        amps = np.stack([_unit_rows(z[:, :split].reshape(size, 2, dims.total)),
+                         _product_rows(z[:, split:], dims.factors)], axis=1)
+        proj = projector_stack(amps)
         w = lam[:, None, None]
         mix = w * proj[:, 0] + (1.0 - w) * proj[:, 1]
         validate_density_stack(mix)
@@ -663,6 +699,14 @@ def _sweep_monotone(config: SweepConfig, check_idx: int) -> list[VerificationRep
     return reports
 
 
+def _stack_sampler(kind: str, dims: Dims):
+    """``check_strict`` sampler of Haar pure ('pure') or Ginibre full-rank
+    ('mixed') states."""
+    if kind == "mixed":
+        return lambda rng, n: random_mixed_stack(dims, None, n, rng)
+    return lambda rng, n: projector_stack(random_pure_stack(dims, n, rng))
+
+
 def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     reports = []
     kraus_options = tuple(range(2, max(2, config.n_kraus) + 1))
@@ -675,8 +719,8 @@ def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationRepor
             seed = derived_seed(config.seed, check_idx, 0, di, c)
             rng = np.random.default_rng(seed)
             channel = random_channel(dims_pair[1], _cycled(kraus_options, c), rng, side="B")
-            sampler = lambda r, d=dims: random_pure(d, r).density()
-            reports.append(check_strict("negativity", sampler, channel, 100, rng, seed=seed))
+            reports.append(check_strict("negativity", _stack_sampler("pure", dims), channel, 100,
+                                        rng, seed=seed))
     # Equality direction: unitary mixtures must preserve every measure.
     for di, dims_pair in enumerate(config.dims):
         dims = Dims(*dims_pair)
@@ -688,11 +732,8 @@ def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationRepor
                 kind = _measure_state_kind(measure_id, dims_pair)
                 if kind is None or measure_tier(measure_id) != "closed":
                     continue
-                if kind == "mixed":
-                    sampler = lambda r, d=dims: random_mixed(d, None, r)
-                else:
-                    sampler = lambda r, d=dims: random_pure(d, r).density()
-                rep = check_strict(measure_id, sampler, channel, 3, rng, seed=seed)
+                rep = check_strict(measure_id, _stack_sampler(kind, dims), channel, 3, rng,
+                                   seed=seed)
                 if rep.channel_class not in (TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE):
                     rep = _report(rep.check_id, rep.measure_id, rep.channel_class, rep.lhs,
                                   rep.rhs, rep.tolerance, False, seed,
@@ -895,17 +936,29 @@ _SWEEPS = {
 }
 
 
-def run_sweep(config: SweepConfig) -> list[VerificationReport]:
-    """Execute every configured check; deterministic for a fixed config."""
+def run_sweep(config: SweepConfig, on_check=None) -> list[VerificationReport]:
+    """Execute every configured check; deterministic for a fixed config.
+
+    ``on_check(check_id, reports, seconds)``, when given, is called after
+    each check with that check's reports and wall time.
+    """
     reports: list[VerificationReport] = []
     for check_id in config.checks:
         check_idx = CHECK_IDS.index(check_id)
-        reports.extend(_SWEEPS[check_id](config, check_idx))
+        start = time.perf_counter()
+        batch = _SWEEPS[check_id](config, check_idx)
+        if on_check is not None:
+            on_check(check_id, batch, time.perf_counter() - start)
+        reports.extend(batch)
     return reports
 
 
+_REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
+
+
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(asdict(report))
+    # A shallow field dict: the metadata is already plain JSON values.
+    return json.dumps({name: getattr(report, name) for name in _REPORT_FIELDS})
 
 
 def write_reports_jsonl(reports: list[VerificationReport], path: str | Path) -> None:

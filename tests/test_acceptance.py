@@ -25,12 +25,19 @@ from entmon.measures import (
 from entmon.registry import evaluate_measure
 from entmon.ree import ree_data_processing_check, ree_minimize
 from entmon.roof import roof_minimize
-from entmon.sampling import haar_unitary, random_mixed, random_pure, random_separable
+from entmon.sampling import (
+    haar_unitary,
+    random_mixed,
+    random_pure,
+    random_pure_stack,
+    random_separable,
+)
 from entmon.states import (
     DensityMatrix,
     Dims,
     bell_state,
     partial_trace,
+    projector_stack,
     von_neumann_entropy,
     werner_state,
 )
@@ -89,7 +96,7 @@ def test_criterion_02_strictness_existence_direction():
         rng = np.random.default_rng(seed)
         channel = random_channel(2, 2 + c % 3, rng, side="B")
         assert classify(channel).tag == TAG_GENERAL
-        sampler = lambda r: random_pure(Dims(2, 2), r).density()
+        sampler = lambda r, n: projector_stack(random_pure_stack(Dims(2, 2), n, r))
         rep = check_strict("negativity", sampler, channel, 100, rng, seed=seed)
         if rep.verdict != "pass" or rep.metadata["max_gap"] <= 1e-6:
             failures += 1

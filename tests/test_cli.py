@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,3 +147,23 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         json.loads(captured.out)  # a single JSON document, nothing else
         assert "running checks" in captured.err
+
+    def test_each_check_logs_its_time_to_stderr(self, tmp_path, capsys):
+        from entmon.verify import SweepConfig, report_to_json, run_sweep
+
+        out = tmp_path / "rep.jsonl"
+        checks = ["monogamy", "concavity", "neg-decomposition"]
+        argv = ["verify", "--trials", "2", "--seed", "3", "--out", str(out)]
+        for check in checks:
+            argv += ["--check", check]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        timed = [re.fullmatch(r"check (\S+): (\d+) reports in (\d+\.\d{3}) s", line)
+                 for line in lines]
+        timed = [m for m in timed if m]
+        assert [m.group(1) for m in timed] == checks
+        reports = run_sweep(SweepConfig(checks=tuple(checks), trials=2, seed=3))
+        assert sum(int(m.group(2)) for m in timed) == len(reports)
+        assert all(float(m.group(3)) >= 0.0 for m in timed)
+        # The timings go to stderr only; the report file is unchanged.
+        assert out.read_text() == "".join(report_to_json(r) + "\n" for r in reports)

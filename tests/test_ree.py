@@ -1,6 +1,10 @@
 """Relative entropy of entanglement solver and data-processing check."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +164,16 @@ class TestDataProcessing:
         channel = random_channel(2, 2, rng)
         rep = ree_data_processing_check(rho, sigma, channel)
         assert rep.skipped_reason is not None
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by the weight re-optimization alone.
+    import entmon
+
+    src = str(Path(entmon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, entmon; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

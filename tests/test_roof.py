@@ -218,6 +218,51 @@ class TestKinkedPath:
         assert res.value == pytest.approx(scale * c, abs=1e-8)
         assert res.converged
 
+    @staticmethod
+    def _record_stages(monkeypatch, regress_last=False):
+        """Exact values at the end of every stage; with ``regress_last`` the
+        last stage ends at the eigendecomposition instead."""
+        from entmon import roof
+
+        descent = roof._riemannian_descent
+        stage_values = []
+
+        def recorded(objective, q, eps=0.0):
+            q, vals, converged = descent(objective, q, eps)
+            if regress_last and eps == roof.SMOOTHING[-1]:
+                q = _qr_isometries(np.broadcast_to(np.eye(*q.shape[-2:]), q.shape).copy())
+            stage_values.append(objective.eval_isometry(q))
+            return q, vals, converged
+
+        monkeypatch.setattr(roof, "_riemannian_descent", recorded)
+        return stage_values
+
+    def test_keeps_a_stage_that_ends_below_the_last(self, monkeypatch):
+        # With the nonmonotone test a stage can end above the one before:
+        # on this input the best chain's last stage ends 1.5e-8 above its
+        # best earlier one.
+        stage_values = self._record_stages(monkeypatch)
+        rho = random_mixed(Dims(2, 3), 3, np.random.default_rng(1003))
+        res = roof_minimize(NEGATIVITY_H, rho, restarts=4, rng=np.random.default_rng(3))
+        assert res.value == np.min(stage_values)
+        assert res.value < stage_values[-1].min() - 1e-9
+        assert res.best.average_value(NEGATIVITY_H) == pytest.approx(res.value, abs=1e-12)
+
+    def test_returns_the_least_value_over_the_stages(self, monkeypatch):
+        # The last stage is made to end at the eigendecomposition, far above
+        # the earlier stages; each chain must keep its best stage.
+        from entmon.roof import SMOOTHING
+
+        stage_values = self._record_stages(monkeypatch, regress_last=True)
+        rho = random_mixed(Dims(2, 2), 3, np.random.default_rng(100))
+        res = roof_minimize(CONCURRENCE, rho, restarts=4, rng=np.random.default_rng(0))
+        assert len(stage_values) == len(SMOOTHING)
+        assert res.value < stage_values[-1].min()
+        assert res.value == np.min(stage_values)
+        assert res.value == pytest.approx(wootters_concurrence(rho), abs=1e-8)
+        assert res.best.average_value(CONCURRENCE) == pytest.approx(res.value, abs=1e-12)
+        np.testing.assert_allclose(res.best.reconstruct(), rho.matrix, atol=1e-12)
+
     def test_converged_wherever_concurrence_is_accurate(self):
         # As for the entropy: converged is the winner's stopping rule in
         # the final smoothing stage.

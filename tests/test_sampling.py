@@ -1,15 +1,21 @@
 """Samplers: distribution sanity, determinism, and invariant preservation."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon.sampling import (
     haar_unitary,
     random_mixed,
+    random_mixed_stack,
     random_product_pure,
+    random_product_pure_stack,
     random_pure,
+    random_pure_stack,
     random_separable,
 )
-from entmon.states import Dims, partial_transpose
+from entmon.states import Dims, partial_transpose, projector_stack
 
 
 def test_haar_unitary_is_unitary():
@@ -64,3 +70,85 @@ def test_product_pure_reduction_is_pure():
 
     red = partial_trace(psi.density(), "A")
     assert red.is_pure()
+
+
+# The stack samplers must return, bit for bit, what n successive per-state
+# draws on the same generator return, and leave it in the same state.  The
+# per-state draws are those of the public samplers and of the references
+# below, which draw and build one state at a time (per-state Ginibre
+# matrices, one norm per vector, np.kron for products).
+STACK_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 3)])
+STACK_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _reference_pure(dims, rng):
+    v = (rng.standard_normal((dims.total, 1)) + 1j * rng.standard_normal((dims.total, 1)))[:, 0]
+    return v / np.linalg.norm(v)
+
+
+def _reference_projector(dims, rng):
+    v = _reference_pure(dims, rng)
+    return np.outer(v, v.conj())
+
+
+def _reference_mixed(dims, rank, rng):
+    n = dims.total
+    rank = n if rank is None else rank
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m
+
+
+def _reference_product(dims, rng):
+    amps = np.ones(1, dtype=complex)
+    for d in dims.factors:
+        v = (rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1)))[:, 0]
+        amps = np.kron(amps, v / np.linalg.norm(v))
+    return amps
+
+
+def _same_stream(stack_draw, per_state_draws, seed, n):
+    r_stack = np.random.default_rng(seed)
+    stack = stack_draw(r_stack, n)
+    for draw in per_state_draws:
+        r_loop = np.random.default_rng(seed)
+        loop = np.stack([draw(r_loop) for _ in range(n)])
+        assert stack.shape == loop.shape
+        assert np.array_equal(stack, loop)
+        assert r_stack.bit_generator.state == r_loop.bit_generator.state
+
+
+class TestStackSamplersMatchPerStateDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=STACK_SEEDS, dims=STACK_DIMS, n=st.integers(1, 8))
+    def test_pure(self, seed, dims, n):
+        dims = Dims(*dims)
+        _same_stream(lambda r, k: random_pure_stack(dims, k, r),
+                     [lambda r: random_pure(dims, r).amplitudes,
+                      lambda r: _reference_pure(dims, r)], seed, n)
+        _same_stream(lambda r, k: projector_stack(random_pure_stack(dims, k, r)),
+                     [lambda r: random_pure(dims, r).density().matrix,
+                      lambda r: _reference_projector(dims, r)], seed, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=STACK_SEEDS, dims=STACK_DIMS, n=st.integers(1, 8), data=st.data())
+    def test_mixed(self, seed, dims, n, data):
+        dims = Dims(*dims)
+        rank = data.draw(st.sampled_from([None] + list(range(1, dims.total + 1))))
+        _same_stream(lambda r, k: random_mixed_stack(dims, rank, k, r),
+                     [lambda r: random_mixed(dims, rank, r).matrix,
+                      lambda r: _reference_mixed(dims, rank, r)], seed, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=STACK_SEEDS, dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+           n=st.integers(1, 8))
+    def test_product(self, seed, dims, n):
+        dims = Dims(*dims)
+        _same_stream(lambda r, k: random_product_pure_stack(dims, k, r),
+                     [lambda r: random_product_pure(dims, r).amplitudes,
+                      lambda r: _reference_product(dims, r)], seed, n)
+
+    def test_mixed_rank_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            random_mixed_stack(Dims(2, 2), 5, 3, np.random.default_rng(0))

@@ -8,8 +8,23 @@ import pytest
 
 from entmon.channels import random_channel, unitary_mixture_channel
 from entmon.measures import ENTROPY, NEGATIVITY_H, TANGLE, renyi
-from entmon.sampling import haar_unitary, random_mixed, random_pure, random_separable
-from entmon.states import DensityMatrix, Dims, bell_state, max_entangled, werner_state
+from entmon.sampling import (
+    haar_unitary,
+    random_mixed,
+    random_mixed_stack,
+    random_product_pure_stack,
+    random_pure,
+    random_pure_stack,
+    random_separable,
+)
+from entmon.states import (
+    DensityMatrix,
+    Dims,
+    bell_state,
+    max_entangled,
+    projector_stack,
+    werner_state,
+)
 from entmon.verify import (
     SweepConfig,
     check_logneg_nonconvexity,
@@ -85,7 +100,7 @@ class TestCheckStrict:
     def test_general_channel_on_entangled_pure_states(self):
         rng = np.random.default_rng(2)
         channel = random_channel(2, 2, rng)
-        sampler = lambda r: random_pure(Dims(2, 2), r).density()
+        sampler = _stack_sampler("pure", Dims(2, 2))
         rep = check_strict("negativity", sampler, channel, 50, rng)
         assert rep.verdict == "pass"
         assert rep.metadata["max_gap"] > 1e-6
@@ -95,7 +110,7 @@ class TestCheckStrict:
         channel = unitary_mixture_channel(
             [0.3, 0.7], [haar_unitary(2, rng), haar_unitary(2, rng)]
         )
-        sampler = lambda r: random_mixed(Dims(2, 2), None, r)
+        sampler = _stack_sampler("mixed", Dims(2, 2))
         rep = check_strict("negativity", sampler, channel, 20, rng)
         assert rep.verdict == "pass"
         assert abs(rep.gap) < 1e-9
@@ -105,7 +120,6 @@ class TestCheckStrict:
         # the reported pair is state 0's, so a 1e-17 change elsewhere moves
         # only the gap statistics.
         from entmon import verify
-        from entmon.sampling import random_product_pure
 
         stack_values = verify._stack_values
 
@@ -125,7 +139,7 @@ class TestCheckStrict:
             channel = unitary_mixture_channel(
                 [0.3, 0.7], [haar_unitary(2, rng), haar_unitary(2, rng)]
             )
-            sampler = lambda r: random_product_pure(Dims(2, 2), r).density()
+            sampler = _stack_sampler("product", Dims(2, 2))
             return check_strict("eof", sampler, channel, 5, rng)
 
         base, bumped = run(0.0), run(1e-17)
@@ -135,11 +149,9 @@ class TestCheckStrict:
         assert recompute_verdict(bumped) == bumped.verdict == "pass"
 
     def test_product_sampler_is_uninformative(self):
-        from entmon.sampling import random_product_pure
-
         rng = np.random.default_rng(4)
         channel = random_channel(2, 2, rng)
-        sampler = lambda r: random_product_pure(Dims(2, 2), r).density()
+        sampler = _stack_sampler("product", Dims(2, 2))
         rep = check_strict("negativity", sampler, channel, 20, rng)
         assert rep.verdict == "pass"
         assert "uninformative" in rep.metadata["note"]
@@ -362,6 +374,21 @@ class TestSweep:
         assert list(first) == ["check_id", "measure_id", "channel_class", "lhs", "rhs",
                                "gap", "tolerance", "verdict", "seed", "metadata"]
 
+    def test_report_json_equals_the_asdict_dump(self):
+        # report_to_json dumps a shallow field dict; the bytes must equal
+        # those of the deep-copying dataclasses.asdict.
+        from dataclasses import asdict
+
+        from entmon.verify import report_to_json
+
+        reports = run_sweep(SweepConfig(trials=2, seed=4))
+        reports.append(check_monotone("negativity-roof", werner_state(0.8),
+                                      random_channel(2, 2, np.random.default_rng(0))))
+        reports.append(check_negativity_decomposition(werner_state(0.2)))
+        assert {r.verdict for r in reports} == {"pass", "skipped"}
+        for rep in reports:
+            assert report_to_json(rep) == json.dumps(asdict(rep))
+
 
 # ---------------------------------------------------------------------------
 # Per-state references for the stacked checks.  These loops evaluate one
@@ -405,6 +432,22 @@ def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0)
     metadata["rule"] = "max |gap| < tolerance"
     return _report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
                    EQUALITY_TOL, float(np.max(np.abs(gaps))) < EQUALITY_TOL, seed, metadata)
+
+
+def _reference_monotone(measure_id, rho, channel, rng=None, seed=0):
+    from entmon.channels import apply_channel, classify
+    from entmon.registry import evaluate_measure, measure_tier
+    from entmon.verify import MONOTONE_TOL, _report
+
+    tier = measure_tier(measure_id)
+    tol = MONOTONE_TOL[tier]
+    lhs = evaluate_measure(measure_id, rho, rng=rng)
+    ensemble = apply_channel(channel, rho)
+    outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in ensemble.outcomes]
+    rhs = sum(p * v.value for p, v in outs)
+    metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier}
+    return _report("monotone", measure_id, classify(channel).tag, lhs.value, rhs, tol,
+                   lhs.value - rhs >= -tol, seed, metadata)
 
 
 def _reference_logneg(rng, trials, seed=0):
@@ -459,6 +502,15 @@ def _sampler(kind, dims):
     return lambda r: random_product_pure(dims, r).density()
 
 
+def _stack_sampler(kind, dims):
+    """``check_strict`` sampler drawing what n calls of ``_sampler`` draw."""
+    if kind == "mixed":
+        return lambda r, n: random_mixed_stack(dims, None, n, r)
+    if kind == "pure":
+        return lambda r, n: projector_stack(random_pure_stack(dims, n, r))
+    return lambda r, n: projector_stack(random_product_pure_stack(dims, n, r))
+
+
 def _channel(kind, d, rng):
     from entmon.verify import _random_unitary_mixture
 
@@ -477,6 +529,120 @@ STRICT_CASES = [
 ]
 
 
+CLOSED_MEASURES = ("negativity", "log-negativity", "eof", "concurrence", "g-concurrence",
+                   "tangle", "renyi:0.5", "renyi:1", "tsallis:2")
+
+
+def _monotone_inputs(measure_id, dims, rng):
+    """Input states of a closed measure on ``dims``: mixed ones where it has
+    a mixed-state form, pure ones always."""
+    states = [random_pure(dims, rng).density() for _ in range(2)]
+    if measure_id in ("negativity", "log-negativity") or (
+            measure_id in ("eof", "concurrence") and dims.factors == (2, 2)):
+        states += [random_mixed(dims, rank, rng) for rank in (2, None)]
+    return states
+
+
+def _probe_channel_and_state(eps, rng):
+    """A near-annihilating side-B family sqrt(c)|w><w| on a two-qubit pure
+    state whose B support is w-perp up to amplitude noise ``eps``."""
+    from entmon.channels import LocalKrausChannel
+    from entmon.states import PureState
+
+    u = haar_unitary(2, rng)
+    w, perp = u[:, 0], u[:, 1:]
+    c = float(rng.uniform(0.05, 1.0))
+    proj = np.outer(w, w.conj())
+    channel = LocalKrausChannel("B", (math.sqrt(c) * proj,
+                                      np.eye(2) - (1.0 - math.sqrt(1.0 - c)) * proj))
+    g = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+    psi = (g @ perp.T).reshape(-1)
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi = psi / np.linalg.norm(psi) + eps * z / np.linalg.norm(z)
+    return channel, PureState(psi / np.linalg.norm(psi), Dims(2, 2)).density()
+
+
+class TestStackedMonotoneMatchesPerOutcomeLoop:
+    @pytest.mark.parametrize("channel_kind", ["general", "mixture"])
+    @pytest.mark.parametrize("dims_pair", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("measure_id", CLOSED_MEASURES)
+    def test_closed_measures(self, measure_id, dims_pair, channel_kind):
+        dims = Dims(*dims_pair)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            channel = _channel(channel_kind, dims_pair[1], rng)
+            for rho in _monotone_inputs(measure_id, dims, rng):
+                assert check_monotone(measure_id, rho, channel, seed=seed) == \
+                    _reference_monotone(measure_id, rho, channel, seed=seed)
+
+    @pytest.mark.parametrize("measure_id", CLOSED_MEASURES)
+    def test_near_annihilating_probe(self, measure_id):
+        from entmon.registry import MeasureError
+
+        def outcome(check, rho, channel, seed):
+            try:
+                return check(measure_id, rho, channel, seed=seed)
+            except MeasureError as exc:  # a numerically mixed outcome, for h-only measures
+                return type(exc)
+
+        for t, eps in enumerate((1e-7, 1e-5, 1e-3)):
+            channel, rho = _probe_channel_and_state(eps, np.random.default_rng(40 + t))
+            rep = outcome(check_monotone, rho, channel, t)
+            assert rep == outcome(_reference_monotone, rho, channel, t)
+            if measure_id in ("negativity", "log-negativity", "eof", "concurrence"):
+                assert rep.verdict == "pass"
+
+    def test_side_a_channel(self):
+        rng = np.random.default_rng(9)
+        channel = random_channel(2, 3, rng, side="A")
+        rho = random_mixed(Dims(2, 3), None, rng)
+        for measure_id in ("negativity", "log-negativity"):
+            assert check_monotone(measure_id, rho, channel) == \
+                _reference_monotone(measure_id, rho, channel)
+
+
+class TestStrictInputStack:
+    def test_sampled_stack_is_validated(self):
+        from entmon.states import StateValidationError
+
+        rng = np.random.default_rng(11)
+        channel = random_channel(2, 2, rng)
+        pure = _stack_sampler("pure", Dims(2, 2))
+        bad_trace = lambda r, n: 1.01 * pure(r, n)
+        with pytest.raises(StateValidationError):
+            check_strict("negativity", bad_trace, channel, 4, rng)
+
+        def one_bad_member(r, n):
+            mats = pure(r, n)
+            mats[2] = np.diag([1.5, -0.5, 0.0, 0.0])
+            return mats
+
+        with pytest.raises(StateValidationError):
+            check_strict("negativity", one_bad_member, channel, 4, rng)
+
+    def test_sampler_shape_must_fit_the_channel(self):
+        from entmon.states import DimensionMismatchError
+
+        rng = np.random.default_rng(12)
+        channel = random_channel(3, 2, rng)
+        with pytest.raises(DimensionMismatchError):  # N = 4 is no multiple of 3
+            check_strict("negativity", _stack_sampler("pure", Dims(2, 2)), channel, 4, rng)
+        with pytest.raises(DimensionMismatchError):  # 3 states for n_states = 4
+            check_strict("negativity", lambda r, n: _stack_sampler("pure", Dims(2, 3))(r, 3),
+                         channel, 4, rng)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_dims_follow_the_channel_side(self, side):
+        dims = Dims(2, 3)
+        reports = []
+        for check, sampler in ((check_strict, _stack_sampler("mixed", dims)),
+                               (_reference_strict, _sampler("mixed", dims))):
+            rng = np.random.default_rng(13)
+            channel = random_channel(dims.factors["AB".index(side)], 2, rng, side=side)
+            reports.append(check("negativity", sampler, channel, 6, rng))
+        assert reports[0] == reports[1]
+
+
 class TestStackedChecksMatchPerStateLoops:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("channel_kind", ["general", "mixture"])
@@ -484,21 +650,22 @@ class TestStackedChecksMatchPerStateLoops:
     def test_strict(self, measure_id, dims_pair, sampler_kind, channel_kind, seed):
         dims = Dims(*dims_pair)
         reports = []
-        for check in (check_strict, _reference_strict):
+        for check, sampler in ((check_strict, _stack_sampler(sampler_kind, dims)),
+                               (_reference_strict, _sampler(sampler_kind, dims))):
             rng = np.random.default_rng(seed)
             channel = _channel(channel_kind, dims_pair[1], rng)
-            reports.append(check(measure_id, _sampler(sampler_kind, dims), channel, 12, rng,
-                                 seed=seed))
+            reports.append(check(measure_id, sampler, channel, 12, rng, seed=seed))
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("measure_id", ["tangle", "renyi:0.5", "g-concurrence"])
     def test_strict_pure_only_measures(self, measure_id):
         dims = Dims(2, 3)
         reports = []
-        for check in (check_strict, _reference_strict):
+        for check, sampler in ((check_strict, _stack_sampler("pure", dims)),
+                               (_reference_strict, _sampler("pure", dims))):
             rng = np.random.default_rng(5)
             channel = random_channel(3, 2, rng)
-            reports.append(check(measure_id, _sampler("pure", dims), channel, 10, rng))
+            reports.append(check(measure_id, sampler, channel, 10, rng))
         assert reports[0] == reports[1]
 
     def test_strict_rejects_mixed_input_to_pure_only_measure(self):
@@ -507,7 +674,7 @@ class TestStackedChecksMatchPerStateLoops:
         rng = np.random.default_rng(6)
         channel = random_channel(2, 2, rng)
         with pytest.raises(MeasureError):
-            check_strict("tangle", _sampler("mixed", Dims(2, 2)), channel, 4, rng)
+            check_strict("tangle", _stack_sampler("mixed", Dims(2, 2)), channel, 4, rng)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("trials", [1, 7, "block+37"])
