@@ -31,7 +31,8 @@ print("Bell state: E_r = ln 2, closest separable state is diagonal")
 print("=" * 64)
 res = ree_minimize(bell_state().density(), rng=np.random.default_rng(1))
 print(f"  value = {res.value:.6f}  (ln 2 = {math.log(2):.6f})")
-print(f"  iterations = {res.iterations}, duality gap = {res.duality_gap_estimate:.2e}")
+print(f"  iterations = {res.iterations}, atoms = {res.atoms}, "
+      f"duality gap = {res.duality_gap_estimate:.2e}")
 print("  closest separable state (real part):")
 print(np.round(res.closest_separable.matrix.real, 4))
 

@@ -30,6 +30,7 @@ from .states import (
 COMPLETENESS_TOL = 1e-8
 PROPORTIONALITY_TOL = 1e-8
 P_FLOOR = 1e-12
+EIG_REL_FLOOR = 1e-14  # input eigenvalues below this times the largest are roundoff
 
 TAG_LOCAL_UNITARY = "local-unitary"
 TAG_UNITARY_MIXTURE = "mixture-of-local-unitaries"
@@ -102,21 +103,22 @@ class ChannelClass:
     details: dict = field(default_factory=dict)
 
 
-def _embed(channel: LocalKrausChannel, m: np.ndarray, dims) -> np.ndarray:
-    """M x I or I x M as a full operator.
+def _embedded_kraus(channel: LocalKrausChannel, dims) -> np.ndarray:
+    """The Kraus operators as full operators M_k x I or I x M_k, ``(K, n, n)``.
 
-    Built by applying ``m`` to the reshaped identity: the entries equal
-    ``np.kron``'s, at a fraction of its cost on these small sizes.
+    Built by applying the stacked ``M_k`` to the reshaped identity: the
+    entries equal ``np.kron``'s, at a fraction of its cost on these sizes.
     """
     dA, dB = dims.factors
     eye = np.eye(dA * dB)
+    ms = np.stack(channel.kraus)
     if channel.side == "A":
         if channel.dim != dA:
             raise DimensionMismatchError("channel dimension does not match side A")
-        return (m @ eye.reshape(dA, -1)).reshape(eye.shape)
+        return (ms @ eye.reshape(dA, -1)).reshape(-1, *eye.shape)
     if channel.dim != dB:
         raise DimensionMismatchError("channel dimension does not match side B")
-    return (m @ eye.reshape(dA, dB, -1)).reshape(eye.shape)
+    return (ms[:, None] @ eye.reshape(dA, dB, -1)).reshape(-1, *eye.shape)
 
 
 def _outcome_stack(
@@ -132,9 +134,12 @@ def _outcome_stack(
     """
     if len(dims.factors) != 2:
         raise DimensionMismatchError("channels act on bipartite states")
-    ops = np.stack([_embed(channel, m, dims) for m in channel.kraus])
+    ops = _embedded_kraus(channel, dims)
     vals, vecs = np.linalg.eigh(mats)
-    root = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+    # Roundoff eigenvalues of a pure input (~1e-16, root columns ~1e-8) would
+    # leave an outcome of probability ~1e-11 visibly mixed once normalized.
+    vals = np.where(vals > EIG_REL_FLOOR * vals[:, -1:], vals, 0.0)
+    root = vecs * np.sqrt(vals)[:, None, :]
     b = ops @ root[:, None]
     x = b @ b.conj().swapaxes(-1, -2)
     p = x.trace(axis1=-2, axis2=-1).real
@@ -172,15 +177,12 @@ def apply_channel_to_pure(
     """Pure-state fast path: each outcome is (I x M_k)|psi> renormalized."""
     if len(psi.dims.factors) != 2:
         raise DimensionMismatchError("channels act on bipartite states")
-    raw: list[tuple[float, np.ndarray]] = []
-    for m in channel.kraus:
-        op = _embed(channel, m, psi.dims)
-        v = op @ psi.amplitudes
-        p = float(np.real(np.vdot(v, v)))
-        if p >= P_FLOOR:
-            raw.append((p, v / np.sqrt(p)))
-    total = sum(p for p, _ in raw)
-    return [(p / total, PureState(v, psi.dims)) for p, v in raw]
+    vs = _embedded_kraus(channel, psi.dims) @ psi.amplitudes
+    p = (vs.conj()[:, None, :] @ vs[:, :, None])[:, 0, 0].real  # rounds as np.vdot does
+    keep = p >= P_FLOOR
+    total = float(sum(p[keep]))  # in Kraus order, as a running sum rounds
+    return [(float(pk) / total, PureState(v / np.sqrt(pk), psi.dims))
+            for pk, v in zip(p[keep], vs[keep])]
 
 
 def _proportional(m1: np.ndarray, m2: np.ndarray, tol: float) -> bool:

@@ -3,14 +3,17 @@
 E_r(rho) minimizes S(rho || sigma) over separable sigma.  The feasible set
 is the convex hull of product projectors |a><a| x |b><b|, and the iterate
 is kept as an explicit weighted list of such atoms.  Each iteration
-linearizes the objective at the current sigma and finds the best product
-projector for that linear function by an alternating least-eigenvector
+linearizes the objective at the current sigma and searches product
+projectors for that linear function by an alternating least-eigenvector
 iteration (a bilinear, nonconvex subproblem solved from several random
-starts; failures only loosen the upper bound).  The new atom joins the list
-at weight 0, and then the weights of all atoms are re-optimized together by
-bounded L-BFGS-B (Rehacek & Hradil, PRL 90, 127904 (2003); Zinchenko,
-Friedland & Gour, PRA 82, 052336 (2010)); atoms whose weight reaches zero
-are dropped.  A step is taken only if it lowers the objective.  The run
+starts; failures only loosen the upper bound).  Every start ends in a local
+minimizer; each distinct one that lies below the linearization Tr[G sigma]
+joins the list at weight 0 (a multi-atom step), and then the weights of all
+atoms are re-optimized together by one bounded L-BFGS-B call (Rehacek &
+Hradil, PRL 90, 127904 (2003); Zinchenko, Friedland & Gour, PRA 82, 052336
+(2010)); atoms whose weight reaches zero are dropped, and a list longer
+than twice the Caratheodory bound n^2 is cut back to n^2 atoms with the
+same sigma.  A step is taken only if it lowers the objective.  The run
 stops when the Frank-Wolfe duality gap falls below its tolerance, confirmed
 by a harder product search.  The returned value is an upper bound on E_r.
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LocalKrausChannel, _embed
+from .channels import LocalKrausChannel, _embedded_kraus
 from .states import (
     DensityMatrix,
     DimensionMismatchError,
@@ -40,6 +43,7 @@ INNER_ROUNDS = 12
 INNER_VAL_TOL = 1e-10
 MAX_TOTAL_DIM = 16
 WEIGHT_ITERS = 10  # L-BFGS-B iterations per weight re-optimization
+DEDUPE_OVERLAP = 0.99  # |<p|q>|^2 at which a new atom repeats another
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,7 @@ class ReeResult:
     duality_gap_estimate: float
     converged: bool
     upper_bound_only: bool
+    atoms: int  # support size of the decomposition behind the iterate
 
 
 @dataclass(frozen=True)
@@ -110,12 +115,13 @@ def _min_product_expectation(
     restarts: int,
     rng: np.random.Generator,
     warm_start: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Approximate argmin over product vectors of <a b|G|a b>.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local minimizers over product vectors of <a b|G|a b>, one per start.
 
     Alternates the minimal-eigenvector update of each factor; all starts
     advance in one batched sweep.  A warm start (the previous atom's A
-    factor) rides along with the random starts when available.
+    factor) rides along with the random starts when available.  Returns
+    the A factors, the B factors and the values, one row per start.
     """
     g4 = g.reshape(dA, dB, dA, dB)
     z = rng.standard_normal((2, restarts, dA))
@@ -139,8 +145,57 @@ def _min_product_expectation(
             vals = new_vals
             break
         vals = new_vals
-    best = int(np.argmin(vals))
-    return a[best], b[best], float(vals[best])
+    return a, b, vals
+
+
+def _new_atoms(a: np.ndarray, b: np.ndarray, vals: np.ndarray, level: float) -> np.ndarray:
+    """Product vectors of the candidates whose value lies below ``level``.
+
+    Best first; a candidate whose overlap |<p|q>|^2 with one already taken
+    reaches ``DEDUPE_OVERLAP`` is dropped as a repeat of it.
+    """
+    cands = (a[:, :, None] * b[:, None, :]).reshape(len(vals), -1)
+    taken: list[int] = []
+    for r in np.argsort(vals):
+        if vals[r] >= level:
+            break
+        if all(abs(np.vdot(cands[q], cands[r])) ** 2 < DEDUPE_OVERLAP for q in taken):
+            taken.append(int(r))
+    return cands[taken]
+
+
+def _caratheodory(atoms: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The same sigma from at most n^2 of the atoms.
+
+    The projectors live in the n^2-dimensional real space of Hermitian
+    matrices, so beyond n^2 atoms the weights have null directions z with
+    sum_k z_k pi_k = 0.  Moving along each until a weight reaches zero
+    drops that atom and leaves sigma unchanged up to roundoff.
+    """
+    k, n = atoms.shape
+    # Real coordinates of each projector: its diagonal and the real and
+    # imaginary parts of its upper triangle, n^2 numbers in all.
+    iu = np.triu_indices(n, 1)
+    p = atoms[:, :, None] * atoms.conj()[:, None, :]
+    off = p[:, iu[0], iu[1]]
+    coords = np.hstack([np.diagonal(p, axis1=1, axis2=2).real, off.real, off.imag])
+    z = np.linalg.qr(coords, mode="complete")[0][:, n * n:]
+    v = weights.copy()
+    alive = np.ones(k, dtype=bool)
+    for i in range(z.shape[1]):
+        zi = np.where(alive, z[:, i], 0.0)
+        pos = zi > 0.0
+        if not np.any(pos):
+            continue
+        ratio = np.full(k, np.inf)
+        ratio[pos] = v[pos] / zi[pos]
+        j = int(np.argmin(ratio))
+        v = v - ratio[j] * zi
+        v[j] = 0.0
+        alive[j] = False
+        z[:, i + 1:] -= np.outer(zi, z[j, i + 1:] / zi[j])
+    v = np.clip(v[alive], 0.0, None)
+    return atoms[alive], v / float(np.sum(v))
 
 
 def _assemble(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -148,32 +203,36 @@ def _assemble(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
+def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and gradient of v -> -Tr[rho ln sum_k v_k pi_k] + sum_k v_k.
+
+    The gradient is <a_k|G|a_k> + 1, with G the Frechet derivative of
+    -Tr[rho ln sigma]; one eigendecomposition of sigma serves both, and
+    the gradient is evaluated in its eigenbasis.  ``eigh`` reads one
+    triangle of sigma, so sigma is not symmetrized.
+    """
+    mu, u = np.linalg.eigh((atoms.T * v) @ atoms.conj())
+    mu = np.clip(mu, EIG_FLOOR, None)
+    rho_t = u.conj().T @ rho_m @ u
+    c = atoms @ u.conj()
+    f = float(np.sum(v)) - float(np.real(np.diagonal(rho_t)) @ np.log(mu))
+    grad = 1.0 - ((c.conj() @ (rho_t * _log_kernel(mu))) * c).sum(1).real
+    return f, grad
+
+
 def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Approximate argmin over v >= 0 of -Tr[rho ln sum_k v_k pi_k] + sum_k v_k.
+    """Approximate argmin over v >= 0 of ``_weight_objective``.
 
     The problem has bounds only: along the scale t of v the derivative is
-    1 - 1/t, so sum v = 1 holds at the optimum without being imposed.  The
-    gradient is <a_k|G|a_k> + 1, with G the Frechet derivative of
-    -Tr[rho ln sigma].
+    1 - 1/t, so sum v = 1 holds at the optimum without being imposed.
     """
-
-    def f_and_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
-        # One eigendecomposition of sigma serves both the value and the
-        # gradient, which is evaluated in its eigenbasis.
-        mu, u = np.linalg.eigh(_assemble(atoms, v))
-        mu = np.clip(mu, EIG_FLOOR, None)
-        rho_t = u.conj().T @ rho_m @ u
-        c = atoms @ u.conj()
-        f = float(np.sum(v)) - float(np.real(np.diagonal(rho_t)) @ np.log(mu))
-        grad = 1.0 - np.real(np.einsum("ki,ij,kj->k", c.conj(), rho_t * _log_kernel(mu), c))
-        return f, grad
-
     # Imported here: scipy.optimize dominates the import time and memory of
     # the package, and only this solver uses it.
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
-    res = minimize(f_and_grad, weights, jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, None)] * len(weights), options={"maxiter": WEIGHT_ITERS})
+    res = minimize(_weight_objective, weights, args=(rho_m, atoms), jac=True,
+                   method="L-BFGS-B", bounds=Bounds(0.0, np.inf),
+                   options={"maxiter": WEIGHT_ITERS})
     return res.x
 
 
@@ -186,11 +245,17 @@ def ree_minimize(
 ) -> ReeResult:
     """Upper bound on the relative entropy of entanglement of ``rho``.
 
-    Starts from the maximally mixed state (interior, full support) and
-    stops when the Frank-Wolfe duality-gap estimate drops below
-    ``gap_tol`` (``converged`` is then True), when a step no longer lowers
-    the objective, or after ``max_iters`` iterations; non-convergence is
-    reported through the ``converged`` flag, never as a failure.
+    Starts from the maximally mixed state (interior, full support).  Each
+    iteration runs the product search from ``restarts`` random starts plus
+    a warm start; every distinct local minimizer that lies below the
+    linearization Tr[G sigma] joins the atom list at weight 0, and one
+    L-BFGS-B call re-optimizes all weights.  A list of more than 2 n^2
+    atoms (n = dA dB) is cut back to n^2 atoms with the same sigma, so
+    ``atoms`` in the result is at most 2 n^2.  Stops when the Frank-Wolfe
+    duality-gap estimate drops below ``gap_tol`` (``converged`` is then
+    True), when a step no longer lowers the objective, or after
+    ``max_iters`` iterations; non-convergence is reported through the
+    ``converged`` flag, never as a failure.
     """
     if len(rho.dims.factors) != 2:
         raise DimensionMismatchError("E_r is computed on bipartite states")
@@ -218,28 +283,30 @@ def ree_minimize(
     for t in range(max_iters):
         iterations = t + 1
         g = _gradient(rho_m, sigma)
+        level = float(np.real(np.trace(g @ sigma)))
         inner_rng = np.random.default_rng(base_seed + t)
-        a, b, atom_val = _min_product_expectation(g, dA, dB, restarts, inner_rng, prev_a)
-        gap = float(np.real(np.trace(g @ sigma))) - atom_val
+        a, b, vals = _min_product_expectation(g, dA, dB, restarts, inner_rng, prev_a)
+        gap = level - float(np.min(vals))
         if gap < gap_tol:
             # The gap rests on an approximate inner solve; confirm with a
             # harder search before declaring convergence.
-            a2, b2, val2 = _min_product_expectation(
+            a2, b2, vals2 = _min_product_expectation(
                 g, dA, dB, 8 * restarts,
                 np.random.default_rng(base_seed + t + 7_777_777), prev_a,
             )
-            if val2 < atom_val:
-                a, b, atom_val = a2, b2, val2
-                gap = float(np.real(np.trace(g @ sigma))) - atom_val
+            if np.min(vals2) < np.min(vals):
+                a, b, vals = a2, b2, vals2
+                gap = level - float(np.min(vals))
             if gap < gap_tol:
                 converged = True
                 break
-        prev_a = a
+        prev_a = a[int(np.argmin(vals))]
 
-        # Fully corrective step: add the new atom at weight 0, re-optimize
+        # Fully corrective step: add the new atoms at weight 0, re-optimize
         # all weights, drop the atoms that reach zero.
-        cand = np.vstack([atoms, np.kron(a, b)[None, :]])
-        v = _reoptimize_weights(rho_m, cand, np.append(weights, 0.0))
+        new = _new_atoms(a, b, vals, level)
+        cand = np.vstack([atoms, new])
+        v = _reoptimize_weights(rho_m, cand, np.append(weights, np.zeros(len(new))))
         keep = v > 0.0
         v = v[keep] / float(np.sum(v[keep]))
         new_sigma = _assemble(cand[keep], v)
@@ -247,6 +314,12 @@ def ree_minimize(
         if new_value >= value:
             break
         atoms, weights, sigma, value = cand[keep], v, new_sigma, new_value
+        if len(weights) > 2 * n * n:
+            # Weights that stay positive but not unique (a closest state
+            # with a continuum of decompositions) would let the list grow
+            # without bound; between n^2 and 2 n^2 atoms the re-optimization
+            # keeps the spare atoms it makes progress with.
+            atoms, weights = _caratheodory(atoms, weights)
 
     return ReeResult(
         value=max(0.0, value),
@@ -255,6 +328,7 @@ def ree_minimize(
         duality_gap_estimate=gap,
         converged=converged,
         upper_bound_only=n > 6,
+        atoms=len(weights),
     )
 
 
@@ -277,26 +351,20 @@ def ree_data_processing_check(
             skipped_reason="sigma is not full rank",
         )
     total = _rel_entropy_psd(rho.matrix, sigma.matrix)
-    terms = []
-    p_list, q_list = [], []
-    for m in channel.kraus:
-        op = _embed(channel, m, rho.dims)
-        x = op @ rho.matrix @ op.conj().T
-        y = op @ sigma.matrix @ op.conj().T
-        p_list.append(float(np.real(np.trace(x))))
-        q_list.append(float(np.real(np.trace(y))))
-        if p_list[-1] < 1e-15:
-            terms.append(0.0)  # zero operator contributes nothing
-        else:
-            terms.append(_rel_entropy_psd(x, y))
+    ops = _embedded_kraus(channel, rho.dims)
+    ops_dag = ops.conj().swapaxes(-1, -2)
+    xs = ops @ rho.matrix @ ops_dag
+    ys = ops @ sigma.matrix @ ops_dag
+    p = xs.trace(axis1=-2, axis2=-1).real
+    q = ys.trace(axis1=-2, axis2=-1).real
+    # A zero operator contributes nothing.
+    terms = [0.0 if pk < 1e-15 else _rel_entropy_psd(x, y) for pk, x, y in zip(p, xs, ys)]
     outcome = float(sum(terms))
     if math.isinf(outcome) or math.isinf(total):
         return DataProcessingReport(
-            outcome, total, math.nan, np.array(p_list), np.array(q_list), math.nan,
+            outcome, total, math.nan, p, q, math.nan,
             skipped_reason="support violation produced an infinite divergence",
         )
-    p = np.array(p_list)
-    q = np.array(q_list)
     return DataProcessingReport(
         outcome_divergence=outcome,
         total_divergence=total,

@@ -189,6 +189,7 @@ def evaluate_measure(
                 "duality_gap_estimate": result.duality_gap_estimate,
                 "converged": result.converged,
                 "upper_bound_only": result.upper_bound_only,
+                "atoms": result.atoms,
             },
         )
 

@@ -808,7 +808,7 @@ def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[Verification
 
 def _ree_status(res) -> dict:
     return {"iterations": res.iterations, "converged": res.converged,
-            "duality_gap_estimate": res.duality_gap_estimate}
+            "duality_gap_estimate": res.duality_gap_estimate, "atoms": res.atoms}
 
 
 def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:

@@ -15,11 +15,13 @@ from entmon.channels import (
     TAG_UNITARY_MIXTURE,
     apply_channel,
     apply_channel_to_pure,
+    _embedded_kraus,
     _outcome_stack,
     classify,
     random_channel,
     unitary_mixture_channel,
 )
+from entmon.registry import PURITY_TOL
 from entmon.sampling import haar_unitary, random_mixed, random_pure
 from entmon.states import DensityMatrix, Dims, PureState, bell_state, partial_trace
 
@@ -145,6 +147,20 @@ class TestApply:
         avg = sum(np.kron(np.eye(2), m) @ rho.matrix @ np.kron(np.eye(2), m).conj().T
                   for m in channel.kraus)
         np.testing.assert_allclose(ens.average_state().matrix, avg, atol=1e-12)
+        # A pure input has pure outcomes, within the purity tolerance of the
+        # pure-state measures, however small their probability.
+        for s in ens.states:
+            assert 1.0 - np.linalg.eigvalsh(s.matrix)[-1] <= PURITY_TOL
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 4),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), side=st.sampled_from("AB"))
+    def test_embedded_kraus_equals_kron(self, seed, n_kraus, dims, side):
+        d = dims[0 if side == "A" else 1]
+        channel = random_channel(d, n_kraus, np.random.default_rng(seed), side)
+        eye = np.eye(dims[1] if side == "A" else dims[0])
+        kron = [np.kron(m, eye) if side == "A" else np.kron(eye, m) for m in channel.kraus]
+        assert np.array_equal(_embedded_kraus(channel, Dims(*dims)), np.stack(kron))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_kraus=st.integers(1, 4),

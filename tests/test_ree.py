@@ -8,10 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon.channels import LocalKrausChannel, random_channel, unitary_mixture_channel
 from entmon.measures import wootters_eof
-from entmon.ree import GAP_TOL, ree_data_processing_check, ree_minimize
+from entmon.ree import (
+    GAP_TOL,
+    _assemble,
+    _caratheodory,
+    _weight_objective,
+    ree_data_processing_check,
+    ree_minimize,
+)
 from entmon.sampling import haar_unitary, random_mixed, random_pure, random_separable
 from entmon.states import (
     DensityMatrix,
@@ -101,6 +110,15 @@ class TestReeMinimize:
         assert res.converged is True
         assert res.duality_gap_estimate < GAP_TOL
 
+    def test_full_rank_3x3_takes_fewer_iterations(self):
+        # One product atom per iteration took 381 iterations on this input.
+        rho = random_mixed(Dims(3, 3), None, np.random.default_rng(3))
+        res = ree_minimize(rho)
+        assert res.converged is True
+        assert res.duality_gap_estimate < GAP_TOL
+        assert res.iterations < 381
+        assert 1 <= res.atoms <= 2 * 9 * 9
+
     def test_dimension_cap(self):
         from entmon.states import DimensionMismatchError
 
@@ -115,6 +133,49 @@ class TestReeMinimize:
         res = ree_minimize(random_mixed(Dims(2, 3), 2, np.random.default_rng(12)),
                            max_iters=50, rng=np.random.default_rng(0))
         assert not res.upper_bound_only
+
+
+def _random_atoms(dims, k, rng):
+    dA, dB = dims
+    a = rng.standard_normal((k, dA)) + 1j * rng.standard_normal((k, dA))
+    b = rng.standard_normal((k, dB)) + 1j * rng.standard_normal((k, dB))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    return (a[:, :, None] * b[:, None, :]).reshape(k, -1)
+
+
+class TestWeightStep:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
+           zeros=st.integers(1, 4))
+    def test_gradient_matches_central_differences(self, dims, seed, zeros):
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None, rng).matrix
+        atoms = _random_atoms(dims, 2 * n + zeros, rng)
+        v = rng.uniform(0.5, 1.5, len(atoms))
+        v[rng.choice(len(atoms), zeros, replace=False)] = 0.0  # new atoms enter at 0
+        _, grad = _weight_objective(v, rho, atoms)
+        h = 1e-6
+        fd = np.array([
+            (_weight_objective(v + h * e, rho, atoms)[0]
+             - _weight_objective(v - h * e, rho, atoms)[0]) / (2 * h)
+            for e in np.eye(len(v))
+        ])
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
+           extra=st.integers(1, 40))
+    def test_caratheodory_keeps_sigma_with_at_most_n_squared_atoms(self, dims, seed, extra):
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        atoms = _random_atoms(dims, n * n + extra, rng)
+        weights = rng.dirichlet(np.ones(len(atoms)))
+        kept, w = _caratheodory(atoms, weights)
+        assert len(kept) <= n * n
+        assert np.all(w >= 0.0) and math.isclose(float(np.sum(w)), 1.0, abs_tol=1e-12)
+        np.testing.assert_allclose(_assemble(kept, w), _assemble(atoms, weights), atol=1e-13)
 
 
 class TestDataProcessing:

@@ -1,0 +1,99 @@
+"""Alternating parent/change pairs of the perfbench workloads, as one JSON file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
+        --pairs ree-solve:801:10 --pairs sweep-closed:821:6 --pairs roof-oracle:841:6
+
+Each ``--pairs WORKLOAD:FIRST_SEED:N`` runs ``perfbench/run.py --workload
+WORKLOAD --seed S --seconds T`` in both source trees, with T the
+``run_seconds`` of the change tree's BENCHMARK.json, for the N seeds
+FIRST_SEED, FIRST_SEED + 1, ...; the parent runs first on even pair indices
+and second on odd ones.  Every run is single-threaded (perfbench pins
+OPENBLAS_NUM_THREADS=1 before numpy loads).  The file records every run's
+end-to-end metrics and machine, and per metric each side's median and
+quartiles and how many pairs the change won (ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
+    lines = done.stdout.strip().splitlines()
+    run = json.loads(lines[-1])
+    # perfbench prints the machine (CPU model, BLAS, library versions) on
+    # its own summary line.
+    run["machine"] = next(json.loads(line.split(" ", 1)[1]) for line in lines
+                          if line.startswith("machine "))
+    return run
+
+
+def _quartiles(xs: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def _summary(parent: list[dict], change: list[dict], declared: list[dict]) -> dict:
+    out = {}
+    for m in declared:
+        name, lower = m["name"], m["better"] == "lower"
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                     "parent": _quartiles(p), "change": _quartiles(c),
+                     "change_wins": wins, "pairs": len(p)}
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", action="append", required=True,
+                        metavar="WORKLOAD:FIRST_SEED:N")
+    args = parser.parse_args()
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    declared, seconds = bench["end_to_end"], float(bench["run_seconds"])
+    result = {
+        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
+        "env": {"OPENBLAS_NUM_THREADS": "1"},
+        "platform": platform.platform(),
+        "workloads": {},
+    }
+    for spec in args.pairs:
+        workload, first, n = spec.split(":")
+        if int(n) < 2:
+            parser.error("quartiles need at least 2 pairs per workload")
+        runs = {"parent": [], "change": []}
+        seeds = [int(first) + i for i in range(int(n))]
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                tree = args.parent if side == "parent" else args.change
+                runs[side].append(_run(tree, workload, seed, seconds))
+                print(f"{workload} seed {seed} {side}: wall_s "
+                      f"{runs[side][-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+        result["workloads"][workload] = {
+            "seeds": seeds, "parent_first": [i % 2 == 0 for i in range(len(seeds))],
+            "summary": _summary(runs["parent"], runs["change"], declared), "runs": runs,
+        }
+        args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
