@@ -9,7 +9,9 @@ the scenario all monotonicity checks run against.
 One kernel, ``_outcome_stack``, builds the outcomes of N states under K
 Kraus operators as a ``(N, K, n, n)`` stack in a few batched matrix
 products and validates the kept outcomes once, as one stack;
-``apply_channel`` is its N = 1 case.
+``apply_channel`` is its N = 1 case.  Each state may carry its own Kraus
+family (``_padded_kraus``), so outcomes of many (state, channel) trials
+are one call.
 """
 
 from __future__ import annotations
@@ -103,38 +105,56 @@ class ChannelClass:
     details: dict = field(default_factory=dict)
 
 
-def _embedded_kraus(channel: LocalKrausChannel, dims) -> np.ndarray:
-    """The Kraus operators as full operators M_k x I or I x M_k, ``(K, n, n)``.
+def _embedded_kraus(kraus: np.ndarray, side: str, dims) -> np.ndarray:
+    """Kraus operators ``(..., K, d, d)`` acting on ``side`` as full operators
+    M_k x I or I x M_k, ``(..., K, n, n)``.
 
-    Built by applying the stacked ``M_k`` to the reshaped identity: the
+    Each ``M_k`` is copied into the diagonal blocks of a zero array: the
     entries equal ``np.kron``'s, at a fraction of its cost on these sizes.
     """
     dA, dB = dims.factors
-    eye = np.eye(dA * dB)
-    ms = np.stack(channel.kraus)
-    if channel.side == "A":
-        if channel.dim != dA:
-            raise DimensionMismatchError("channel dimension does not match side A")
-        return (ms @ eye.reshape(dA, -1)).reshape(-1, *eye.shape)
-    if channel.dim != dB:
-        raise DimensionMismatchError("channel dimension does not match side B")
-    return (ms[:, None] @ eye.reshape(dA, dB, -1)).reshape(-1, *eye.shape)
+    if kraus.shape[-1] != (dA if side == "A" else dB):
+        raise DimensionMismatchError(f"channel dimension does not match side {side}")
+    lead = kraus.shape[:-2]
+    out = np.zeros(lead + (dA, dB, dA, dB), np.complex128)
+    if side == "A":
+        for j in range(dB):
+            out[..., :, j, :, j] = kraus
+    else:
+        for i in range(dA):
+            out[..., i, :, i, :] = kraus
+    return out.reshape(*lead, dA * dB, dA * dB)
+
+
+def _padded_kraus(channels) -> np.ndarray:
+    """The Kraus families of channels of one dimension as one ``(N, K, d, d)``
+    stack, zero-padded to the largest family: a zero operator's outcome has
+    probability 0 and ``_outcome_stack`` drops it."""
+    d = channels[0].dim
+    out = np.zeros((len(channels), max(len(c.kraus) for c in channels), d, d), np.complex128)
+    for i, channel in enumerate(channels):
+        for k, m in enumerate(channel.kraus):
+            out[i, k] = m
+    return out
 
 
 def _outcome_stack(
-    channel: LocalKrausChannel, mats: np.ndarray, dims
+    kraus: np.ndarray, side: str, mats: np.ndarray, dims
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome ensembles of the channel on a ``(N, n, n)`` stack of states.
+    """Outcome ensembles of Kraus families on a ``(N, n, n)`` stack of states.
 
-    Returns ``(probs, keep, states)``: ``probs`` is ``(N, K)``, each row
-    renormalized over the outcomes kept (``keep``, those with probability
-    at least ``P_FLOOR``) and 0 elsewhere; ``states`` holds the kept
-    outcome states, row by row in Kraus order, as one ``(M, n, n)`` stack
-    that has passed ``validate_density_stack``.
+    ``kraus`` is one family ``(K, d, d)`` for every state or one per state,
+    ``(N, K, d, d)``, acting on ``side``.  Returns ``(probs, keep,
+    states)``: ``probs`` is ``(N, K)``, each row renormalized over the
+    outcomes kept (``keep``, those with probability at least ``P_FLOOR``)
+    and 0 elsewhere; ``states`` holds the kept outcome states, row by row
+    in Kraus order, as one ``(M, n, n)`` stack that has passed
+    ``validate_density_stack``.  Each state's outcomes are the same bits
+    whatever else is in the stack.
     """
     if len(dims.factors) != 2:
         raise DimensionMismatchError("channels act on bipartite states")
-    ops = _embedded_kraus(channel, dims)
+    ops = _embedded_kraus(kraus, side, dims)
     vals, vecs = np.linalg.eigh(mats)
     # Roundoff eigenvalues of a pure input (~1e-16, root columns ~1e-8) would
     # leave an outcome of probability ~1e-11 visibly mixed once normalized.
@@ -145,9 +165,7 @@ def _outcome_stack(
     p = x.trace(axis1=-2, axis2=-1).real
     keep = p >= P_FLOOR
     kept_p = np.where(keep, p, 0.0)
-    total = np.zeros(len(mats))
-    for k in range(len(ops)):  # in Kraus order, as a running sum rounds
-        total += kept_p[:, k]
+    total = kept_p.cumsum(axis=1)[:, -1]  # in Kraus order, as a running sum rounds
     states = x[keep] / p[keep][:, None, None]
     states = 0.5 * (states + states.conj().swapaxes(-1, -2))
     validate_density_stack(states)
@@ -165,7 +183,8 @@ def apply_channel(channel: LocalKrausChannel, rho: DensityMatrix) -> OutcomeEnse
     PSD by construction even when ``p_k`` is tiny and dividing by it would
     amplify the cancellation roundoff of ``(I x M_k) rho (I x M_k)^dag``.
     """
-    probs, keep, states = _outcome_stack(channel, rho.matrix[None], rho.dims)
+    probs, keep, states = _outcome_stack(np.stack(channel.kraus), channel.side,
+                                         rho.matrix[None], rho.dims)
     return OutcomeEnsemble(tuple(
         (float(p), _trusted_density(s, rho.dims)) for p, s in zip(probs[keep], states)
     ))
@@ -177,7 +196,7 @@ def apply_channel_to_pure(
     """Pure-state fast path: each outcome is (I x M_k)|psi> renormalized."""
     if len(psi.dims.factors) != 2:
         raise DimensionMismatchError("channels act on bipartite states")
-    vs = _embedded_kraus(channel, psi.dims) @ psi.amplitudes
+    vs = _embedded_kraus(np.stack(channel.kraus), channel.side, psi.dims) @ psi.amplitudes
     p = (vs.conj()[:, None, :] @ vs[:, :, None])[:, 0, 0].real  # rounds as np.vdot does
     keep = p >= P_FLOOR
     total = float(sum(p[keep]))  # in Kraus order, as a running sum rounds

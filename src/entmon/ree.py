@@ -351,7 +351,7 @@ def ree_data_processing_check(
             skipped_reason="sigma is not full rank",
         )
     total = _rel_entropy_psd(rho.matrix, sigma.matrix)
-    ops = _embedded_kraus(channel, rho.dims)
+    ops = _embedded_kraus(np.stack(channel.kraus), channel.side, rho.dims)
     ops_dag = ops.conj().swapaxes(-1, -2)
     xs = ops @ rho.matrix @ ops_dag
     ys = ops @ sigma.matrix @ ops_dag

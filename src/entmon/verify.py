@@ -27,6 +27,7 @@ from .channels import (
     TAG_LOCAL_UNITARY,
     TAG_UNITARY_MIXTURE,
     _outcome_stack,
+    _padded_kraus,
     apply_channel,
     apply_channel_to_pure,
     classify,
@@ -68,6 +69,7 @@ from .states import (
     DimensionMismatchError,
     Dims,
     PureState,
+    _trusted_density,
     bell_state,
     partial_trace,
     partial_transpose,
@@ -198,36 +200,50 @@ def check_monotone(
 ) -> VerificationReport:
     """E(rho) >= sum_k p_k E(sigma_k) up to the measure-tier tolerance.
 
-    A closed form evaluates the input and the outcomes as one stack.
+    This is the one-trial case of ``_monotone_reports``, the kernel that
+    the ``monotone`` sweep runs on the trials of a (dims, measure) in
+    batches: a closed form evaluates the input and the outcomes as one
+    stack.
     Optimizer-backed tiers take one solver call per state and copy the
     solver diagnostics of the input (``lhs_diagnostics``) and of each
     outcome (``outcome_diagnostics``) into the report metadata.
     """
+    tol = MONOTONE_TOL[measure_tier(measure_id)]
+    return _monotone_reports(measure_id, rho.matrix[None], [channel], rho.dims, tol, [seed],
+                             [rng])[0]
+
+
+def _monotone_reports(measure_id, mats, channels, dims, tol, seeds, rngs):
+    """``check_monotone`` reports of trials ``(mats[i], channels[i])`` with
+    tolerance ``tol``.
+
+    ``mats`` are valid states on ``dims`` and the channels act on one side.
+    A closed form takes one outcome stack and one measure call for all
+    trials; an optimizer tier evaluates trial by trial with the trial's
+    generator ``rngs[i]`` (one seeded by ``seeds[i]`` when None).
+    """
     tier = measure_tier(measure_id)
-    tol = MONOTONE_TOL[tier]
-    cls = classify(channel)
     if tier == "closed":
-        probs, keep, outcomes = _outcome_stack(channel, rho.matrix[None], rho.dims)
-        values = evaluate_closed_stack(
-            measure_id, np.concatenate([rho.matrix[None], outcomes]), rho.dims).tolist()
-        lhs = values[0]
-        rhs = 0.0
-        for p, v in zip(probs[keep].tolist(), values[1:]):  # in outcome order, as it rounds
-            rhs += p * v
-        metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outcomes), "tier": tier}
+        lhs, rhs, n_outcomes = _gap_stack(measure_id, mats, _padded_kraus(channels),
+                                          channels[0].side, dims)
+        metadata = [{"rule": "gap >= -tolerance", "n_outcomes": n, "tier": tier}
+                    for n in n_outcomes]
     else:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        lhs_value = evaluate_measure(measure_id, rho, rng=rng)
-        ensemble = apply_channel(channel, rho)
-        outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in ensemble.outcomes]
-        lhs = lhs_value.value
-        rhs = sum(p * v.value for p, v in outs)
-        metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier,
-                    "lhs_diagnostics": lhs_value.diagnostics,
-                    "outcome_diagnostics": [v.diagnostics for _, v in outs]}
-    return _report("monotone", measure_id, cls.tag, lhs, rhs, tol, lhs - rhs >= -tol, seed,
-                   metadata)
+        lhs, rhs, metadata = [], [], []
+        for mat, channel, rng, seed in zip(mats, channels, rngs, seeds):
+            rng = np.random.default_rng(seed) if rng is None else rng
+            rho = _trusted_density(mat, dims)
+            lhs_value = evaluate_measure(measure_id, rho, rng=rng)
+            outs = [(p, evaluate_measure(measure_id, s, rng=rng))
+                    for p, s in apply_channel(channel, rho).outcomes]
+            lhs.append(lhs_value.value)
+            rhs.append(sum(p * v.value for p, v in outs))
+            metadata.append({"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier,
+                             "lhs_diagnostics": lhs_value.diagnostics,
+                             "outcome_diagnostics": [v.diagnostics for _, v in outs]})
+    return [_report("monotone", measure_id, classify(channel).tag, a, b, tol, a - b >= -tol, seed,
+                    md)
+            for channel, a, b, seed, md in zip(channels, lhs, rhs, seeds, metadata)]
 
 
 def _stack_values(measure_id, mats, dims, rng):
@@ -237,6 +253,30 @@ def _stack_values(measure_id, mats, dims, rng):
         return evaluate_closed_stack(measure_id, mats, dims)
     return np.array([evaluate_measure(measure_id, DensityMatrix(m, dims), rng=rng).value
                      for m in mats])
+
+
+def _gap_stack(measure_id, mats, kraus, side, dims, rng=None):
+    """Per state i, the measure of ``mats[i]`` and its average over the
+    outcomes of the Kraus family ``kraus[i]``, as lists ``(lhs, rhs,
+    n_outcomes)``.
+
+    ``mats`` is a ``(N, n, n)`` stack of valid states on ``dims`` and
+    ``kraus`` the ``(N, K, d, d)`` zero-padded families acting on ``side``.
+    The outcomes are one ``_outcome_stack`` call and the measure is one
+    ``_stack_values`` call on the inputs followed by their kept outcomes.
+    A state's values do not depend on the rest of the stack.
+    """
+    probs, keep, outcomes = _outcome_stack(kraus, side, mats, dims)
+    vals = _stack_values(measure_id, np.concatenate([mats, outcomes]), dims, rng)
+    n_outcomes = [sum(row) for row in keep.tolist()]
+    terms = iter((probs[keep] * vals[len(mats):]).tolist())
+    rhs = []
+    for count in n_outcomes:
+        total = 0.0
+        for _ in range(count):  # in outcome order, as a running sum rounds
+            total += next(terms)
+        rhs.append(total)
+    return vals[:len(mats)].tolist(), rhs, n_outcomes
 
 
 def _max_abs_gap(metadata: dict) -> float:
@@ -274,42 +314,70 @@ def check_strict(
     one ``(n, N, N)`` array, for example ``random_mixed_stack`` or
     ``projector_stack`` of ``random_pure_stack``.  The stack is validated
     once, here; its dims follow from the channel, which acts on the factor
-    of dimension ``channel.dim`` on ``channel.side``.  The input values,
-    the outcomes and the outcome values are then each one stack.
+    of dimension ``channel.dim`` on ``channel.side``.  The rest is the
+    one-report case of ``_strict_reports``, the kernel that the ``strict``
+    sweep runs on the reports of a dims in batches: the input values, the
+    outcomes and the outcome values are each one stack.
     """
-    cls = classify(channel)
     mats = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
     dims = _input_dims(channel, mats, n_states)
     validate_density_stack(mats)
-    lhs_vals = _stack_values(measure_id, mats, dims, rng)
-    probs, keep, outcomes = _outcome_stack(channel, mats, dims)
-    values = np.zeros(keep.shape)
-    values[keep] = _stack_values(measure_id, outcomes, dims, rng)
-    rhs_vals = np.zeros(n_states)
-    for k in range(keep.shape[1]):  # in outcome order, as a running sum rounds
-        rhs_vals += probs[:, k] * values[:, k]
+    return _strict_reports([(measure_id, mats, channel, seed, False)], dims, rng)[0]
+
+
+def _strict_reports(items, dims, rng=None):
+    """``check_strict`` reports of ``items``, tuples ``(measure_id, mats,
+    channel, seed, mixture)``: ``mats`` a ``(n, N, N)`` stack of valid
+    states on ``dims``, every channel acting on one side.
+
+    The items of one measure are one ``_gap_stack`` call.  An item built
+    as a unitary mixture (``mixture``) that ``classify`` calls general
+    fails with a note.
+    """
+    by_measure = {}
+    for i, item in enumerate(items):
+        by_measure.setdefault(item[0], []).append(i)
+    values = [None] * len(items)
+    for measure_id, group in by_measure.items():
+        mats = [items[i][1] for i in group]
+        channels = [items[i][2] for i in group]
+        lhs, rhs, _ = _gap_stack(measure_id, np.concatenate(mats),
+                                 np.repeat(_padded_kraus(channels), [len(m) for m in mats], axis=0),
+                                 channels[0].side, dims, rng)
+        stop = 0
+        for i, m in zip(group, mats):
+            start, stop = stop, stop + len(m)
+            values[i] = (np.array(lhs[start:stop]), np.array(rhs[start:stop]))
+    return [_strict_report(measure_id, classify(channel).tag, lhs, rhs, seed, mixture)
+            for (measure_id, _, channel, seed, mixture), (lhs, rhs) in zip(items, values)]
+
+
+def _strict_report(measure_id, tag, lhs_vals, rhs_vals, seed, mixture):
     gaps = lhs_vals - rhs_vals
     metadata = {
-        "n_states": n_states,
+        "n_states": len(gaps),
         "max_gap": float(np.max(gaps)),
         "min_gap": float(np.min(gaps)),
         "mean_gap": float(np.mean(gaps)),
     }
-    if cls.tag == TAG_GENERAL:
+    if tag == TAG_GENERAL:
         if float(np.max(lhs_vals)) < 1e-12 and float(np.max(np.abs(gaps))) < 1e-12:
             metadata["note"] = "unentangled inputs are uninformative"
             metadata["rule"] = "all values zero"
-            i = 0
-            return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
-                           STRICT_FLOOR, True, seed, metadata)
-        i = int(np.argmax(gaps))
-        metadata["rule"] = "max gap > tolerance"
-        return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
-                       STRICT_FLOOR, gaps[i] > STRICT_FLOOR, seed, metadata)
+            i, ok = 0, True
+        else:
+            i = int(np.argmax(gaps))
+            metadata["rule"] = "max gap > tolerance"
+            ok = gaps[i] > STRICT_FLOOR
+        if mixture:
+            metadata["note"] = "misclassified unitary mixture"
+            ok = False
+        return _report("strict", measure_id, tag, lhs_vals[i], rhs_vals[i],
+                       STRICT_FLOOR, ok, seed, metadata)
     # The verdict reads the extreme gaps; the reported pair is state 0's,
     # which roundoff in the gaps cannot swap for another state's.
     metadata["rule"] = "max |gap| < tolerance"
-    return _report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
+    return _report("strict", measure_id, tag, lhs_vals[0], rhs_vals[0],
                    EQUALITY_TOL, _max_abs_gap(metadata) < EQUALITY_TOL, seed, metadata)
 
 
@@ -671,32 +739,10 @@ def _random_unitary_mixture(d: int, n_unitaries: int, rng: np.random.Generator, 
     return unitary_mixture_channel(weights, unitaries, side)
 
 
-def _sweep_monotone(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    reports = []
-    kraus_options = tuple(range(2, max(2, config.n_kraus) + 1))
-    for di, dims_pair in enumerate(config.dims):
-        dims = Dims(*dims_pair)
-        for mi, measure_id in enumerate(config.measures):
-            kind = _measure_state_kind(measure_id, dims_pair)
-            if kind is None:
-                continue
-            tier = measure_tier(measure_id)
-            for t in range(config.trials):
-                seed = derived_seed(config.seed, check_idx, di, mi, t)
-                rng = np.random.default_rng(seed)
-                if kind == "mixed":
-                    rho = random_mixed(dims, None, rng)
-                else:
-                    rho = random_pure(dims, rng).density()
-                channel = random_channel(dims_pair[1], _cycled(kraus_options, t), rng, side="B")
-                rep = check_monotone(measure_id, rho, channel, rng=rng, seed=seed)
-                if config.tolerances:
-                    tol = config.monotone_tol(tier)
-                    ok = rep.gap >= -tol
-                    rep = _report(rep.check_id, rep.measure_id, rep.channel_class, rep.lhs,
-                                  rep.rhs, tol, ok, seed, rep.metadata)
-                reports.append(rep)
-    return reports
+def _n_kraus(config: SweepConfig, t: int) -> int:
+    """Kraus count of trial ``t``'s general channel: 2, 3, ...,
+    max(2, ``n_kraus``), cycled."""
+    return _cycled(range(2, max(2, config.n_kraus) + 1), t)
 
 
 def _stack_sampler(kind: str, dims: Dims):
@@ -707,39 +753,88 @@ def _stack_sampler(kind: str, dims: Dims):
     return lambda rng, n: projector_stack(random_pure_stack(dims, n, rng))
 
 
-def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
+# Input states per kernel call of the monotone and strict sweeps; bounds
+# their memory.
+_BATCH_STATES = 128
+
+
+def _sweep_monotone(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
+    """Per (dims, measure), each batch of trials draws every trial's state
+    and channel from the trial's own generator; then one
+    ``_monotone_reports`` call judges the batch."""
     reports = []
-    kraus_options = tuple(range(2, max(2, config.n_kraus) + 1))
+    for di, dims_pair in enumerate(config.dims):
+        dims = Dims(*dims_pair)
+        for mi, measure_id in enumerate(config.measures):
+            kind = _measure_state_kind(measure_id, dims_pair)
+            if kind is None:
+                continue
+            sample = _stack_sampler(kind, dims)
+            tol = config.monotone_tol(measure_tier(measure_id))
+            for start in range(0, config.trials, _BATCH_STATES):
+                trials = range(start, min(start + _BATCH_STATES, config.trials))
+                seeds = [derived_seed(config.seed, check_idx, di, mi, t) for t in trials]
+                rngs = [np.random.default_rng(seed) for seed in seeds]
+                mats, channels = [], []
+                for t, rng in zip(trials, rngs):
+                    mats.append(sample(rng, 1)[0])
+                    channels.append(random_channel(dims_pair[1], _n_kraus(config, t), rng,
+                                                   side="B"))
+                mats = np.stack(mats)
+                validate_density_stack(mats)
+                reports += _monotone_reports(measure_id, mats, channels, dims, tol, seeds, rngs)
+    return reports
+
+
+def _strict_items(config: SweepConfig, check_idx: int, di: int):
+    """The ``strict`` reports of ``config.dims[di]`` as ``_strict_reports``
+    items, existence direction first, each drawn from its report's own
+    generator."""
+    dims_pair = config.dims[di]
+    dims = Dims(*dims_pair)
     # Existence direction: general channels must strictly decrease
     # negativity somewhere among Haar-random pure states.
-    n_channels = max(1, config.trials // 4)
-    for di, dims_pair in enumerate(config.dims):
-        dims = Dims(*dims_pair)
-        for c in range(n_channels):
-            seed = derived_seed(config.seed, check_idx, 0, di, c)
-            rng = np.random.default_rng(seed)
-            channel = random_channel(dims_pair[1], _cycled(kraus_options, c), rng, side="B")
-            reports.append(check_strict("negativity", _stack_sampler("pure", dims), channel, 100,
-                                        rng, seed=seed))
+    for c in range(max(1, config.trials // 4)):
+        seed = derived_seed(config.seed, check_idx, 0, di, c)
+        rng = np.random.default_rng(seed)
+        channel = random_channel(dims_pair[1], _n_kraus(config, c), rng, side="B")
+        yield "negativity", _stack_sampler("pure", dims)(rng, 100), channel, seed, False
     # Equality direction: unitary mixtures must preserve every measure.
+    for t in range(config.trials):
+        seed = derived_seed(config.seed, check_idx, 1, di, t)
+        rng = np.random.default_rng(seed)
+        channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
+        for measure_id in config.measures:
+            kind = _measure_state_kind(measure_id, dims_pair)
+            if kind is None or measure_tier(measure_id) != "closed":
+                continue
+            yield measure_id, _stack_sampler(kind, dims)(rng, 3), channel, seed, True
+
+
+def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
+    """The reports of one dims, both directions, go to ``_strict_reports``
+    in batches of up to ``_BATCH_STATES`` input states."""
+    existence, equality = [], []
     for di, dims_pair in enumerate(config.dims):
-        dims = Dims(*dims_pair)
-        for t in range(config.trials):
-            seed = derived_seed(config.seed, check_idx, 1, di, t)
-            rng = np.random.default_rng(seed)
-            channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
-            for measure_id in config.measures:
-                kind = _measure_state_kind(measure_id, dims_pair)
-                if kind is None or measure_tier(measure_id) != "closed":
-                    continue
-                rep = check_strict(measure_id, _stack_sampler(kind, dims), channel, 3, rng,
-                                   seed=seed)
-                if rep.channel_class not in (TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE):
-                    rep = _report(rep.check_id, rep.measure_id, rep.channel_class, rep.lhs,
-                                  rep.rhs, rep.tolerance, False, seed,
-                                  {**rep.metadata, "note": "misclassified unitary mixture"})
-                reports.append(rep)
-    return reports
+        for batch in _batched(_strict_items(config, check_idx, di)):
+            validate_density_stack(np.concatenate([item[1] for item in batch]))
+            for item, rep in zip(batch, _strict_reports(batch, Dims(*dims_pair))):
+                (equality if item[4] else existence).append(rep)
+    return existence + equality
+
+
+def _batched(items):
+    """``_strict_reports`` items in consecutive lists of at most
+    ``_BATCH_STATES`` input states, or of one larger item."""
+    batch, n_states = [], 0
+    for item in items:
+        if batch and n_states + len(item[1]) > _BATCH_STATES:
+            yield batch
+            batch, n_states = [], 0
+        batch.append(item)
+        n_states += len(item[1])
+    if batch:
+        yield batch
 
 
 def _sweep_concavity(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
@@ -771,7 +866,6 @@ def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[Verificati
             seed=derived_seed(config.seed, check_idx, 0),
         )
     ]
-    kraus_options = tuple(range(2, max(2, config.n_kraus) + 1))
     h_cycle = (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE)
     for t in range(config.trials):
         seed = derived_seed(config.seed, check_idx, 1, t)
@@ -782,7 +876,7 @@ def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[Verificati
         if t % 3 == 2:
             channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
         else:
-            channel = random_channel(dims_pair[1], _cycled(kraus_options, t), rng, side="B")
+            channel = random_channel(dims_pair[1], _n_kraus(config, t), rng, side="B")
         reports.append(check_reduced_state_condition(_cycled(h_cycle, t), psi, channel, seed=seed))
     return reports
 
@@ -855,7 +949,6 @@ def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
 
 def _sweep_ree_dpi(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     reports = []
-    kraus_options = tuple(range(2, max(2, config.n_kraus) + 1))
     for t in range(config.trials):
         seed = derived_seed(config.seed, check_idx, t)
         rng = np.random.default_rng(seed)
@@ -866,7 +959,7 @@ def _sweep_ree_dpi(config: SweepConfig, check_idx: int) -> list[VerificationRepo
         if t % 4 == 3:
             channel = _random_unitary_mixture(dims_pair[1], 1 + t % 2, rng)
         else:
-            channel = random_channel(dims_pair[1], _cycled(kraus_options, t), rng, side="B")
+            channel = random_channel(dims_pair[1], _n_kraus(config, t), rng, side="B")
         rep = ree_data_processing_check(rho, sigma, channel)
         if rep.skipped_reason is not None:
             reports.append(_skipped("ree-dpi", "ree", classify(channel).tag, EQUALITY_TOL,

@@ -17,6 +17,7 @@ from entmon.channels import (
     apply_channel_to_pure,
     _embedded_kraus,
     _outcome_stack,
+    _padded_kraus,
     classify,
     random_channel,
     unitary_mixture_channel,
@@ -45,6 +46,27 @@ class TestConstruction:
     def test_bad_side_rejected(self):
         with pytest.raises(ChannelValidationError):
             LocalKrausChannel("C", (np.eye(2),))
+
+
+def _near_annihilating(dims, side, eps, rng):
+    """A family sqrt(c)|w><w|, sqrt(1 - c)|w><w| + w-perp projector on
+    ``side``, and a pure state whose support there is w-perp up to
+    amplitude noise ``eps``."""
+    d = dims.factors[0 if side == "A" else 1]
+    other = dims.total // d
+    u = haar_unitary(d, rng)
+    w, perp = u[:, 0], u[:, 1:]
+    c = float(rng.uniform(0.05, 1.0))
+    proj = np.outer(w, w.conj())
+    channel = LocalKrausChannel(side, (math.sqrt(c) * proj,
+                                       np.eye(d) - (1.0 - math.sqrt(1.0 - c)) * proj))
+    g = rng.standard_normal((other, d - 1)) + 1j * rng.standard_normal((other, d - 1))
+    psi = g @ perp.T  # (other, d): rows over the other factor
+    psi = (psi if side == "B" else psi.T).reshape(-1)
+    z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
+    psi = psi / np.linalg.norm(psi) + eps * z / np.linalg.norm(z)
+    psi = psi / np.linalg.norm(psi)
+    return channel, np.outer(psi, psi.conj())
 
 
 class TestApply:
@@ -160,7 +182,8 @@ class TestApply:
         channel = random_channel(d, n_kraus, np.random.default_rng(seed), side)
         eye = np.eye(dims[1] if side == "A" else dims[0])
         kron = [np.kron(m, eye) if side == "A" else np.kron(eye, m) for m in channel.kraus]
-        assert np.array_equal(_embedded_kraus(channel, Dims(*dims)), np.stack(kron))
+        assert np.array_equal(_embedded_kraus(np.stack(channel.kraus), side, Dims(*dims)),
+                              np.stack(kron))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_kraus=st.integers(1, 4),
@@ -170,7 +193,8 @@ class TestApply:
         dims = Dims(*dims)
         states = [random_mixed(dims, 1 + i % dims.total, rng) for i in range(n)]
         channel = random_channel(dims.factors[0 if side == "A" else 1], n_kraus, rng, side)
-        probs, keep, outs = _outcome_stack(channel, np.stack([s.matrix for s in states]), dims)
+        probs, keep, outs = _outcome_stack(np.stack(channel.kraus), side,
+                                           np.stack([s.matrix for s in states]), dims)
         rows = np.cumsum(keep.sum(axis=1))
         for i, rho in enumerate(states):
             ens = apply_channel(channel, rho)
@@ -178,11 +202,45 @@ class TestApply:
             assert ens.probabilities.tolist() == probs[i][keep[i]].tolist()
             assert all(np.array_equal(a, s.matrix) for a, s in zip(mine, ens.states))
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), side=st.sampled_from("AB"))
+    def test_padded_kraus_stack_matches_one_call_per_channel(self, seed, n, dims, side):
+        # Every state gets its own channel, of 1-4 operators; the first is
+        # near-annihilating on its state (outcomes of p ~ 1e-20 to 1e-6,
+        # some dropped).  Padding to the largest family adds zero operators,
+        # whose outcomes (p = 0) are dropped, and changes no bit elsewhere.
+        rng = np.random.default_rng(seed)
+        dims = Dims(*dims)
+        d = dims.factors[0 if side == "A" else 1]
+        states, channels = [], []
+        for i in range(n):
+            if i == 0:
+                channel, rho = _near_annihilating(dims, side, 10.0 ** rng.uniform(-10, -3), rng)
+            else:
+                channel = random_channel(d, int(rng.integers(1, 5)), rng, side)
+                rho = random_mixed(dims, 1 + i % dims.total, rng).matrix
+            states.append(rho)
+            channels.append(channel)
+        kraus = _padded_kraus(channels)
+        probs, keep, outs = _outcome_stack(kraus, side, np.stack(states), dims)
+        assert kraus.shape[1] == max(len(c.kraus) for c in channels)
+        start = 0
+        for i, (channel, rho) in enumerate(zip(channels, states)):
+            p1, k1, o1 = _outcome_stack(np.stack(channel.kraus), side, rho[None], dims)
+            k = len(channel.kraus)
+            assert keep[i, :k].tolist() == k1[0].tolist() and not keep[i, k:].any()
+            assert probs[i, :k].tobytes() == p1[0].tobytes() and not probs[i, k:].any()
+            assert outs[start:start + len(o1)].tobytes() == o1.tobytes()
+            start += len(o1)
+        assert start == len(outs)
+
     def test_dropped_outcomes_raise_no_warning(self):
         # An annihilated outcome (p = 0) is dropped without dividing by p;
         # pytest turns RuntimeWarnings into errors.
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), Dims(2, 2))
-        probs, keep, outs = _outcome_stack(projective_b(), rho.matrix[None], rho.dims)
+        probs, keep, outs = _outcome_stack(np.stack(projective_b().kraus), "B", rho.matrix[None],
+                                           rho.dims)
         assert keep.tolist() == [[True, False]]
         assert probs.tolist() == [[1.0, 0.0]]
         assert len(outs) == 1

@@ -442,13 +442,85 @@ def _reference_monotone(measure_id, rho, channel, rng=None, seed=0):
 
     tier = measure_tier(measure_id)
     tol = MONOTONE_TOL[tier]
+    if rng is None and tier != "closed":
+        rng = np.random.default_rng(seed)
     lhs = evaluate_measure(measure_id, rho, rng=rng)
     ensemble = apply_channel(channel, rho)
     outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in ensemble.outcomes]
     rhs = sum(p * v.value for p, v in outs)
     metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier}
+    if tier != "closed":
+        metadata["lhs_diagnostics"] = lhs.diagnostics
+        metadata["outcome_diagnostics"] = [v.diagnostics for _, v in outs]
     return _report("monotone", measure_id, classify(channel).tag, lhs.value, rhs, tol,
                    lhs.value - rhs >= -tol, seed, metadata)
+
+
+def _reference_n_kraus(config, t):
+    options = tuple(range(2, max(2, config.n_kraus) + 1))
+    return options[t % len(options)]
+
+
+def _reference_sweep_monotone(config):
+    """The ``monotone`` sweep as one ``_reference_monotone`` per trial."""
+    from entmon.registry import measure_tier
+    from entmon.verify import CHECK_IDS, _measure_state_kind, _report, derived_seed
+
+    check_idx = CHECK_IDS.index("monotone")
+    reports = []
+    for di, dims_pair in enumerate(config.dims):
+        dims = Dims(*dims_pair)
+        for mi, measure_id in enumerate(config.measures):
+            kind = _measure_state_kind(measure_id, dims_pair)
+            if kind is None:
+                continue
+            for t in range(config.trials):
+                seed = derived_seed(config.seed, check_idx, di, mi, t)
+                rng = np.random.default_rng(seed)
+                rho = _sampler(kind, dims)(rng)
+                channel = random_channel(dims_pair[1], _reference_n_kraus(config, t), rng)
+                rep = _reference_monotone(measure_id, rho, channel, rng=rng, seed=seed)
+                if config.tolerances:
+                    tol = config.monotone_tol(measure_tier(measure_id))
+                    rep = _report(rep.check_id, rep.measure_id, rep.channel_class, rep.lhs,
+                                  rep.rhs, tol, rep.gap >= -tol, seed, rep.metadata)
+                reports.append(rep)
+    return reports
+
+
+def _reference_sweep_strict(config):
+    """The ``strict`` sweep as one ``_reference_strict`` per report."""
+    from entmon.channels import TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE
+    from entmon.registry import measure_tier
+    from entmon.verify import (CHECK_IDS, _measure_state_kind, _random_unitary_mixture,
+                               _report, derived_seed)
+
+    check_idx = CHECK_IDS.index("strict")
+    reports = []
+    for di, dims_pair in enumerate(config.dims):
+        for c in range(max(1, config.trials // 4)):
+            seed = derived_seed(config.seed, check_idx, 0, di, c)
+            rng = np.random.default_rng(seed)
+            channel = random_channel(dims_pair[1], _reference_n_kraus(config, c), rng)
+            reports.append(_reference_strict("negativity", _sampler("pure", Dims(*dims_pair)),
+                                             channel, 100, rng, seed=seed))
+    for di, dims_pair in enumerate(config.dims):
+        for t in range(config.trials):
+            seed = derived_seed(config.seed, check_idx, 1, di, t)
+            rng = np.random.default_rng(seed)
+            channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
+            for measure_id in config.measures:
+                kind = _measure_state_kind(measure_id, dims_pair)
+                if kind is None or measure_tier(measure_id) != "closed":
+                    continue
+                rep = _reference_strict(measure_id, _sampler(kind, Dims(*dims_pair)), channel,
+                                        3, rng, seed=seed)
+                if rep.channel_class not in (TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE):
+                    rep = _report(rep.check_id, rep.measure_id, rep.channel_class, rep.lhs,
+                                  rep.rhs, rep.tolerance, False, seed,
+                                  {**rep.metadata, "note": "misclassified unitary mixture"})
+                reports.append(rep)
+    return reports
 
 
 def _reference_logneg(rng, trials, seed=0):
@@ -593,6 +665,42 @@ class TestStackedMonotoneMatchesPerOutcomeLoop:
         for measure_id in ("negativity", "log-negativity"):
             assert check_monotone(measure_id, rho, channel) == \
                 _reference_monotone(measure_id, rho, channel)
+
+
+# (seed, trials, n_kraus, tolerances): every seed meets every trial count,
+# and n_kraus 1-5 and both tolerance settings each appear.
+BATCHED_SWEEP_CASES = [
+    (seed, trials, 1 + (3 * seed + i) % 5, {"closed": 1e-3} if (seed + i) % 2 else {})
+    for seed in range(3)
+    for i, trials in enumerate((0, 1, 7))
+]
+
+
+class TestBatchedSweepsMatchPerTrialReferences:
+    @pytest.mark.parametrize("seed,trials,n_kraus,tolerances", BATCHED_SWEEP_CASES)
+    def test_closed_sweeps(self, seed, trials, n_kraus, tolerances, monkeypatch):
+        from entmon import verify
+        from entmon.verify import _sweep_monotone, _sweep_strict
+
+        if seed == 1:  # many kernel calls per (dims, measure) and per dims
+            monkeypatch.setattr(verify, "_BATCH_STATES", 4)
+        config = SweepConfig(dims=((2, 2), (2, 3), (3, 3)), trials=trials, n_kraus=n_kraus,
+                             seed=seed, tolerances=tolerances)
+        for sweep, reference, check_idx in ((_sweep_monotone, _reference_sweep_monotone, 0),
+                                            (_sweep_strict, _reference_sweep_strict, 1)):
+            batched, loop = sweep(config, check_idx), reference(config)
+            assert len(batched) == len(loop)
+            for a, b in zip(batched, loop):
+                assert a == b
+
+    def test_optimizer_tier_keeps_its_per_trial_path(self):
+        from entmon.verify import _sweep_monotone
+
+        config = SweepConfig(measures=("negativity-roof",), dims=((2, 2),), trials=1, seed=5,
+                             tolerances={"roof": 5e-3})
+        batched = _sweep_monotone(config, 0)
+        assert batched == _reference_sweep_monotone(config)
+        assert all(rep.tolerance == 5e-3 for rep in batched)
 
 
 class TestStrictInputStack:
