@@ -13,6 +13,7 @@ per verify check with its report count and wall seconds, goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,8 +26,6 @@ from .serialize import StateFormatError, load_state
 from .states import DimensionMismatchError, StateValidationError
 from .verify import (
     CHECK_IDS,
-    DEFAULT_DIMS,
-    DEFAULT_MEASURES,
     SweepConfig,
     run_sweep,
     summarize,
@@ -86,35 +85,28 @@ def _parse_dims(raw: str) -> tuple[int, int]:
 
 
 def _load_config(args) -> SweepConfig:
-    fields = {}
+    settings = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        known = {"checks", "measures", "dims", "trials", "n_kraus", "seed",
-                 "output_path", "tolerances"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in dataclasses.fields(SweepConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        fields.update(raw)
-        if "dims" in fields:
-            fields["dims"] = tuple(tuple(d) for d in fields["dims"])
+        settings.update(raw)
     if args.check:
-        fields["checks"] = tuple(args.check)
+        settings["checks"] = tuple(args.check)
     if args.measure:
-        fields["measures"] = tuple(args.measure)
+        settings["measures"] = tuple(args.measure)
     if args.dims:
-        fields["dims"] = tuple(_parse_dims(d) for d in args.dims)
+        settings["dims"] = tuple(_parse_dims(d) for d in args.dims)
     if args.trials is not None:
-        fields["trials"] = args.trials
+        settings["trials"] = args.trials
     if args.seed is not None:
-        fields["seed"] = args.seed
+        settings["seed"] = args.seed
     if args.out is not None:
-        fields["output_path"] = args.out
-    fields.setdefault("checks", CHECK_IDS)
-    fields.setdefault("measures", DEFAULT_MEASURES)
-    fields.setdefault("dims", DEFAULT_DIMS)
-    return SweepConfig(**fields)
+        settings["output_path"] = args.out
+    return SweepConfig(**settings)
 
 
 def cmd_verify(args) -> int:

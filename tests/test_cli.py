@@ -121,6 +121,8 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 2
         cfg.write_text(json.dumps({"tolerances": {"closed": -1}}))
         assert main(["verify", "--config", str(cfg)]) == 2
+        cfg.write_text(json.dumps({"tolerances": {"closed": 1e-3}}))
+        assert main(["verify", "--config", str(cfg)]) == 2
         cfg.write_text(json.dumps({"mystery_knob": 3}))
         assert main(["verify", "--config", str(cfg)]) == 2
         cfg.write_text(json.dumps({"base": "bits"}))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,10 +328,6 @@ class TestSweep:
             SweepConfig(measures=("nope",))
         with pytest.raises(ValueError):
             SweepConfig(trials=-1)
-        with pytest.raises(ValueError):
-            SweepConfig(tolerances={"closed": -1.0})
-        with pytest.raises(ValueError):
-            SweepConfig(tolerances={"bogus": 1.0})
 
     def test_identical_configs_are_bit_identical(self, tmp_path):
         cfg = SweepConfig(checks=("monotone", "concavity"), trials=5, seed=3)
@@ -340,10 +337,17 @@ class TestSweep:
         write_reports_jsonl(b, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_reports_verdicts_recomputable(self):
-        cfg = SweepConfig(trials=3, seed=1)
-        for rep in run_sweep(cfg):
-            assert recompute_verdict(rep) == rep.verdict
+    def test_reports_verdicts_recomputable(self, tmp_path):
+        from entmon.verify import VerificationReport
+
+        reports = run_sweep(SweepConfig(trials=3, seed=1))
+        path = tmp_path / "r.jsonl"
+        write_reports_jsonl(reports, path)
+        read_back = [VerificationReport(**json.loads(line))
+                     for line in path.read_text().splitlines()]
+        assert read_back == reports
+        for rep, back in zip(reports, read_back):
+            assert recompute_verdict(rep) == recompute_verdict(back) == rep.verdict
 
     def test_ree_reports_carry_solver_status(self):
         from entmon.ree import GAP_TOL
@@ -375,6 +379,11 @@ class TestSweep:
         assert list(first) == ["check_id", "measure_id", "channel_class", "lhs", "rhs",
                                "gap", "tolerance", "verdict", "seed", "metadata"]
 
+    def test_unknown_rule_rejected(self):
+        rep = check_monotone("negativity", bell_state().density(), _projective_channel(2))
+        with pytest.raises(ValueError, match="unknown decision rule"):
+            recompute_verdict(replace(rep, metadata={**rep.metadata, "rule": "gap is small"}))
+
     def test_report_json_equals_the_asdict_dump(self):
         # report_to_json dumps a shallow field dict; the bytes must equal
         # those of the deep-copying dataclasses.asdict.
@@ -391,10 +400,64 @@ class TestSweep:
             assert report_to_json(rep) == json.dumps(asdict(rep))
 
 
+class TestDecisionRules:
+    def test_misclassified_mixture_fails_on_recompute(self):
+        from entmon.verify import _strict_reports
+
+        rng = np.random.default_rng(0)
+        mats = _stack_sampler("pure", Dims(2, 2))(rng, 4)
+        item = ("negativity", mats, random_channel(2, 3, rng), 0, True)
+        rep, = _strict_reports([item], Dims(2, 2))
+        assert rep.metadata["note"] == "misclassified unitary mixture"
+        assert rep.verdict == recompute_verdict(rep) == "fail"
+
+    def test_strict_sweep_classifies_each_channel_once(self, monkeypatch):
+        from entmon import verify
+
+        calls = []
+        classify = verify.classify
+        monkeypatch.setattr(verify, "classify", lambda ch: calls.append(ch) or classify(ch))
+        monkeypatch.setattr(verify, "_BATCH_STATES", 4)  # a channel's items straddle batches
+        config = SweepConfig(trials=10, seed=0)
+        reports = verify._sweep_strict(config, verify.CHECK_IDS.index("strict"))
+        assert len(reports) == 84
+        assert len(calls) == len(config.dims) * (config.trials // 4 + config.trials)
+
+    def test_ree_dpi_equality_case_needs_equal_probabilities(self, monkeypatch):
+        from entmon import verify
+        from entmon.ree import DataProcessingReport
+
+        def moved_probabilities(rho, sigma, channel):
+            p, q = np.array([0.5, 0.5]), np.array([0.501, 0.499])
+            return DataProcessingReport(0.25, 0.25, 0.0, p, q, 1e-3)
+
+        monkeypatch.setattr(verify, "ree_data_processing_check", moved_probabilities)
+        rep, = verify._sweep_ree_dpi(SweepConfig(trials=1), verify.CHECK_IDS.index("ree-dpi"))
+        assert rep.gap == 0.0
+        assert rep.metadata["equality_case"] is True
+        assert rep.metadata["max_prob_deviation"] == 1e-3
+        assert rep.verdict == recompute_verdict(rep) == "fail"
+
+    def test_ree_dpi_rule_names_the_equality_case(self):
+        reports = run_sweep(SweepConfig(checks=("ree-dpi",), trials=8, seed=0))
+        assert {r.metadata["equality_case"] for r in reports} == {False, True}
+        for rep in reports:
+            assert rep.verdict == "pass"
+            assert rep.metadata["rule"] == ("gap >= -tolerance and probabilities unchanged"
+                                            if rep.metadata["equality_case"]
+                                            else "gap >= -tolerance")
+
+
 # ---------------------------------------------------------------------------
 # Per-state references for the stacked checks.  These loops evaluate one
 # state at a time through the public per-state functions; the stacked
-# checks must return equal reports.
+# checks must return equal reports.  Each reference keeps its own verdict
+# decision and checks it against the one ``RULES`` gives its report.
+
+
+def _judged(report, ok):
+    assert report.verdict == ("pass" if ok else "fail")
+    return report
 
 
 def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0):
@@ -424,15 +487,16 @@ def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0)
         if float(np.max(lhs_vals)) < 1e-12 and float(np.max(np.abs(gaps))) < 1e-12:
             metadata["note"] = "unentangled inputs are uninformative"
             metadata["rule"] = "all values zero"
-            return _report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
-                           STRICT_FLOOR, True, seed, metadata)
+            return _judged(_report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
+                                   STRICT_FLOOR, seed, metadata), True)
         i = int(np.argmax(gaps))
         metadata["rule"] = "max gap > tolerance"
-        return _report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
-                       STRICT_FLOOR, gaps[i] > STRICT_FLOOR, seed, metadata)
+        return _judged(_report("strict", measure_id, cls.tag, lhs_vals[i], rhs_vals[i],
+                               STRICT_FLOOR, seed, metadata), gaps[i] > STRICT_FLOOR)
     metadata["rule"] = "max |gap| < tolerance"
-    return _report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
-                   EQUALITY_TOL, float(np.max(np.abs(gaps))) < EQUALITY_TOL, seed, metadata)
+    return _judged(_report("strict", measure_id, cls.tag, lhs_vals[0], rhs_vals[0],
+                           EQUALITY_TOL, seed, metadata),
+                   float(np.max(np.abs(gaps))) < EQUALITY_TOL)
 
 
 def _reference_monotone(measure_id, rho, channel, rng=None, seed=0):
@@ -452,8 +516,8 @@ def _reference_monotone(measure_id, rho, channel, rng=None, seed=0):
     if tier != "closed":
         metadata["lhs_diagnostics"] = lhs.diagnostics
         metadata["outcome_diagnostics"] = [v.diagnostics for _, v in outs]
-    return _report("monotone", measure_id, classify(channel).tag, lhs.value, rhs, tol,
-                   lhs.value - rhs >= -tol, seed, metadata)
+    return _judged(_report("monotone", measure_id, classify(channel).tag, lhs.value, rhs, tol,
+                           seed, metadata), lhs.value - rhs >= -tol)
 
 
 def _reference_n_kraus(config, t):
@@ -463,8 +527,7 @@ def _reference_n_kraus(config, t):
 
 def _reference_sweep_monotone(config):
     """The ``monotone`` sweep as one ``_reference_monotone`` per trial."""
-    from entmon.registry import measure_tier
-    from entmon.verify import CHECK_IDS, _measure_state_kind, _report, derived_seed
+    from entmon.verify import CHECK_IDS, _measure_state_kind, derived_seed
 
     check_idx = CHECK_IDS.index("monotone")
     reports = []
@@ -479,12 +542,7 @@ def _reference_sweep_monotone(config):
                 rng = np.random.default_rng(seed)
                 rho = _sampler(kind, dims)(rng)
                 channel = random_channel(dims_pair[1], _reference_n_kraus(config, t), rng)
-                rep = _reference_monotone(measure_id, rho, channel, rng=rng, seed=seed)
-                if config.tolerances:
-                    tol = config.monotone_tol(measure_tier(measure_id))
-                    rep = _report(rep.check_id, rep.measure_id, rep.channel_class, rep.lhs,
-                                  rep.rhs, tol, rep.gap >= -tol, seed, rep.metadata)
-                reports.append(rep)
+                reports.append(_reference_monotone(measure_id, rho, channel, rng=rng, seed=seed))
     return reports
 
 
@@ -516,9 +574,10 @@ def _reference_sweep_strict(config):
                 rep = _reference_strict(measure_id, _sampler(kind, Dims(*dims_pair)), channel,
                                         3, rng, seed=seed)
                 if rep.channel_class not in (TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE):
-                    rep = _report(rep.check_id, rep.measure_id, rep.channel_class, rep.lhs,
-                                  rep.rhs, rep.tolerance, False, seed,
-                                  {**rep.metadata, "note": "misclassified unitary mixture"})
+                    rep = _judged(_report(rep.check_id, rep.measure_id, rep.channel_class,
+                                          rep.lhs, rep.rhs, rep.tolerance, seed,
+                                          {**rep.metadata, "note": "misclassified unitary mixture",
+                                           "rule": "always fails"}), False)
                 reports.append(rep)
     return reports
 
@@ -559,10 +618,10 @@ def _reference_logneg(rng, trials, seed=0):
         "witness": witness,
     }
     if witness is None:
-        return _report("logneg-nonconvexity", "log-negativity", None, 0.0, 0.0,
-                       1e-6, False, seed, metadata)
-    return _report("logneg-nonconvexity", "log-negativity", None, witness["en_mix"],
-                   witness["en_avg"], 1e-6, control_violations == 0, seed, metadata)
+        return _judged(_report("logneg-nonconvexity", "log-negativity", None, 0.0, 0.0,
+                               1e-6, seed, metadata), False)
+    return _judged(_report("logneg-nonconvexity", "log-negativity", None, witness["en_mix"],
+                           witness["en_avg"], 1e-6, seed, metadata), control_violations == 0)
 
 
 def _sampler(kind, dims):
@@ -667,25 +726,25 @@ class TestStackedMonotoneMatchesPerOutcomeLoop:
                 _reference_monotone(measure_id, rho, channel)
 
 
-# (seed, trials, n_kraus, tolerances): every seed meets every trial count,
-# and n_kraus 1-5 and both tolerance settings each appear.
+# (seed, trials, n_kraus): every seed meets every trial count, and n_kraus
+# 1-5 each appear.
 BATCHED_SWEEP_CASES = [
-    (seed, trials, 1 + (3 * seed + i) % 5, {"closed": 1e-3} if (seed + i) % 2 else {})
+    (seed, trials, 1 + (3 * seed + i) % 5)
     for seed in range(3)
     for i, trials in enumerate((0, 1, 7))
 ]
 
 
 class TestBatchedSweepsMatchPerTrialReferences:
-    @pytest.mark.parametrize("seed,trials,n_kraus,tolerances", BATCHED_SWEEP_CASES)
-    def test_closed_sweeps(self, seed, trials, n_kraus, tolerances, monkeypatch):
+    @pytest.mark.parametrize("seed,trials,n_kraus", BATCHED_SWEEP_CASES)
+    def test_closed_sweeps(self, seed, trials, n_kraus, monkeypatch):
         from entmon import verify
         from entmon.verify import _sweep_monotone, _sweep_strict
 
         if seed == 1:  # many kernel calls per (dims, measure) and per dims
             monkeypatch.setattr(verify, "_BATCH_STATES", 4)
         config = SweepConfig(dims=((2, 2), (2, 3), (3, 3)), trials=trials, n_kraus=n_kraus,
-                             seed=seed, tolerances=tolerances)
+                             seed=seed)
         for sweep, reference, check_idx in ((_sweep_monotone, _reference_sweep_monotone, 0),
                                             (_sweep_strict, _reference_sweep_strict, 1)):
             batched, loop = sweep(config, check_idx), reference(config)
@@ -696,11 +755,9 @@ class TestBatchedSweepsMatchPerTrialReferences:
     def test_optimizer_tier_keeps_its_per_trial_path(self):
         from entmon.verify import _sweep_monotone
 
-        config = SweepConfig(measures=("negativity-roof",), dims=((2, 2),), trials=1, seed=5,
-                             tolerances={"roof": 5e-3})
+        config = SweepConfig(measures=("negativity-roof",), dims=((2, 2),), trials=1, seed=5)
         batched = _sweep_monotone(config, 0)
         assert batched == _reference_sweep_monotone(config)
-        assert all(rep.tolerance == 5e-3 for rep in batched)
 
 
 class TestStrictInputStack:
