@@ -5,7 +5,8 @@
                   [--measure ID ...] [--check ID ...] [--out PATH] [--json]
 
 Exit codes: 0 success (verify: no failing verdicts), 1 verify found a
-failing verdict, 2 parse/config error, 3 dimension or measure mismatch.
+failing verdict, 2 parse/config error or unusable --out path, 3 dimension
+or measure mismatch.
 Stdout carries only the requested payload; progress, including one line
 per verify check with its report count and wall seconds, goes to stderr.
 """
@@ -115,13 +116,17 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         _log(f"config error: {exc}")
         return EXIT_PARSE
+    jsonl_path = Path(config.output_path)
+    csv_path = jsonl_path.with_suffix(".csv") if jsonl_path.suffix else \
+        Path(str(jsonl_path) + ".csv")
+    for path in (jsonl_path, csv_path):
+        if path.is_dir() or not path.parent.is_dir():
+            _log(f"output error: {path} is a directory or lies in a missing one")
+            return EXIT_PARSE
     _log(f"running checks {list(config.checks)} with seed {config.seed}, "
          f"trials {config.trials}")
     reports = run_sweep(config, on_check=lambda check_id, batch, seconds: _log(
         f"check {check_id}: {len(batch)} reports in {seconds:.3f} s"))
-    jsonl_path = Path(config.output_path)
-    csv_path = jsonl_path.with_suffix(".csv") if jsonl_path.suffix else \
-        Path(str(jsonl_path) + ".csv")
     write_reports_jsonl(reports, jsonl_path)
     write_summary_csv(reports, csv_path)
     _log(f"wrote {len(reports)} reports to {jsonl_path} and summary to {csv_path}")

@@ -9,13 +9,15 @@ iteration (a bilinear, nonconvex subproblem solved from several random
 starts; failures only loosen the upper bound).  Every start ends in a local
 minimizer; each distinct one that lies below the linearization Tr[G sigma]
 joins the list at weight 0 (a multi-atom step), and then the weights of all
-atoms are re-optimized together by one bounded L-BFGS-B call (Rehacek &
-Hradil, PRL 90, 127904 (2003); Zinchenko, Friedland & Gour, PRA 82, 052336
-(2010)); atoms whose weight reaches zero are dropped, and a list longer
-than twice the Caratheodory bound n^2 is cut back to n^2 atoms with the
-same sigma.  A step is taken only if it lowers the objective.  The run
-stops when the Frank-Wolfe duality gap falls below its tolerance, confirmed
-by a harder product search.  The returned value is an upper bound on E_r.
+atoms are re-optimized together by Newton steps on the exact Hessian, each
+minimizing its quadratic model over nonnegative weights by Lawson-Hanson
+active sets (Rehacek & Hradil, PRL 90, 127904 (2003); Zinchenko, Friedland
+& Gour, PRA 82, 052336 (2010)); atoms whose weight reaches zero are dropped,
+and a list longer than twice the Caratheodory bound n^2 is cut back to n^2
+atoms with the same sigma.  A step is taken only if it lowers the objective.
+The run stops when the Frank-Wolfe duality gap falls below its tolerance,
+confirmed by a harder product search, after one last step with the
+candidates of both searches.  The returned value is an upper bound on E_r.
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
 reported closest separable state is exactly certifiable there; larger
@@ -34,7 +36,7 @@ from .states import (
     DensityMatrix,
     DimensionMismatchError,
     _rel_entropy_psd,
-    clipped_eigvalsh,
+    von_neumann_entropy,
 )
 
 GAP_TOL = 1e-4
@@ -42,7 +44,12 @@ EIG_FLOOR = 1e-14
 INNER_ROUNDS = 12
 INNER_VAL_TOL = 1e-10
 MAX_TOTAL_DIM = 16
-WEIGHT_ITERS = 10  # L-BFGS-B iterations per weight re-optimization
+WEIGHT_STEPS = 2  # Newton steps per weight re-optimization
+ARMIJO = 1e-4  # sufficient-decrease fraction of a weight step
+HALVINGS = 20  # weight-step halvings tried before a re-optimization ends
+FLOOR_RATIO = 0.1  # lowest eigenvalue of sigma a weight step keeps, relative to its start
+KKT_TOL = 1e-9  # projected-gradient norm that ends a weight re-optimization
+FINAL_STEPS = 20  # Newton steps of the last weight re-optimization of a converged run
 DEDUPE_OVERLAP = 0.99  # |<p|q>|^2 at which a new atom repeats another
 
 
@@ -72,19 +79,6 @@ class DataProcessingReport:
     skipped_reason: str | None = None
 
 
-def _tr_rho_ln_rho(rho_m: np.ndarray) -> float:
-    nu = clipped_eigvalsh(rho_m)
-    pos = nu[nu > 1e-15]
-    return float(np.sum(pos * np.log(pos)))
-
-
-def _objective(rho_m: np.ndarray, tr_rln_r: float, sigma_m: np.ndarray) -> float:
-    mu, u = np.linalg.eigh(sigma_m)
-    mu = np.clip(mu, 1e-17, None)
-    w = np.clip(np.real(np.einsum("ji,jk,ki->i", u.conj(), rho_m, u)), 0.0, None)
-    return tr_rln_r - float(np.sum(w * np.log(mu)))
-
-
 def _log_kernel(mu: np.ndarray) -> np.ndarray:
     """First divided differences of ln at the eigenvalues ``mu``."""
     lm = np.log(mu)
@@ -92,6 +86,19 @@ def _log_kernel(mu: np.ndarray) -> np.ndarray:
     num = lm[:, None] - lm[None, :]
     near = np.abs(den) < 1e-12 * np.maximum(mu[:, None], mu[None, :])
     return np.where(near, 1.0 / mu[:, None], num / np.where(near, 1.0, den))
+
+
+def _log_kernel2(mu: np.ndarray, l1: np.ndarray) -> np.ndarray:
+    """Second divided differences of ln at the ascending ``mu``, from its
+    ``_log_kernel`` ``l1``: each triple is divided across its outer two, and
+    where those meet to 1e-4, -1/(2 m^2) at the mean m is exact to ~1e-8."""
+    idx = np.indices((len(mu),) * 3)
+    lo, hi = idx.min(0), idx.max(0)
+    mid = idx.sum(0) - lo - hi
+    span = mu[hi] - mu[lo]
+    near = span < 1e-4 * mu[hi]
+    return np.where(near, -4.5 / (mu[lo] + mu[mid] + mu[hi]) ** 2,
+                    (l1[hi, mid] - l1[mid, lo]) / np.where(near, 1.0, span))
 
 
 def _gradient(rho_m: np.ndarray, sigma_m: np.ndarray) -> np.ndarray:
@@ -203,37 +210,95 @@ def _assemble(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and gradient of v -> -Tr[rho ln sum_k v_k pi_k] + sum_k v_k.
+def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray,
+                      hessian: bool = False, floor: float = EIG_FLOOR) -> tuple:
+    """Value and gradient of v -> -Tr[rho ln sum_k v_k pi_k] + sum_k v_k, and
+    with ``hessian`` its Hessian; the value is +inf once an eigenvalue of
+    sigma is at most ``floor``.
 
     The gradient is <a_k|G|a_k> + 1, with G the Frechet derivative of
-    -Tr[rho ln sigma]; one eigendecomposition of sigma serves both, and
-    the gradient is evaluated in its eigenbasis.  ``eigh`` reads one
-    triangle of sigma, so sigma is not symmetrized.
+    -Tr[rho ln sigma], and the Hessian -Tr[rho D^2 ln(sigma)[pi_k, pi_l]];
+    one eigendecomposition of sigma serves all three, in its eigenbasis
+    (``eigh`` reads one triangle, so sigma is not symmetrized).
     """
     mu, u = np.linalg.eigh((atoms.T * v) @ atoms.conj())
+    f = math.inf if mu[0] <= floor else float(np.sum(v))
     mu = np.clip(mu, EIG_FLOOR, None)
     rho_t = u.conj().T @ rho_m @ u
+    f -= float(np.real(np.diagonal(rho_t)) @ np.log(mu))
     c = atoms @ u.conj()
-    f = float(np.sum(v)) - float(np.real(np.diagonal(rho_t)) @ np.log(mu))
-    grad = 1.0 - ((c.conj() @ (rho_t * _log_kernel(mu))) * c).sum(1).real
-    return f, grad
+    l1 = _log_kernel(mu)
+    grad = 1.0 - ((c.conj() @ (rho_t * l1)) * c).sum(1).real
+    if not hessian:
+        return f, grad
+    # H_kl = -2 Re sum_ijm rho_t[m, i] ln[mu_i, mu_j, mu_m] c_ki c*_kj c_lj c*_lm
+    k, n = c.shape
+    m = c @ (_log_kernel2(mu, l1) * rho_t.T[:, None, :]).reshape(n, n * n)
+    p = (c.conj()[:, :, None] * m.reshape(k, n, n)).reshape(k, -1)
+    q = (c[:, :, None] * c.conj()[:, None, :]).reshape(k, -1)
+    h = p.conj().view(float) @ q.view(float).T
+    return f, grad, -(h + h.T)
 
 
-def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Approximate argmin over v >= 0 of ``_weight_objective``.
+def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray,
+                        steps: int = WEIGHT_STEPS) -> np.ndarray:
+    """Approximate argmin over v >= 0 of ``_weight_objective``, from ``weights``.
 
-    The problem has bounds only: along the scale t of v the derivative is
-    1 - 1/t, so sum v = 1 holds at the optimum without being imposed.
+    Bounds only: along the scale t of v the derivative is 1 - 1/t, so sum
+    v = 1 holds at the optimum.  Each of up to ``steps`` Newton steps goes
+    towards the minimizer over v >= 0 of the quadratic model with
+    Hessian H + s diag(1 + diag H), where s = p / (1 + p) for the projected
+    gradient norm p tames a singular H and far starts.  The step is halved
+    until it passes the Armijo test and keeps sigma's lowest eigenvalue above
+    FLOOR_RATIO of its start, a barrier ln alone enforces too weakly.
     """
-    # Imported here: scipy.optimize dominates the import time and memory of
-    # the package, and only this solver uses it.
-    from scipy.optimize import Bounds, minimize
+    v = weights
+    f, g, h = _weight_objective(v, rho_m, atoms, hessian=True)
+    for _ in range(steps):
+        pg = float(np.linalg.norm(v - np.maximum(v - g, 0.0)))
+        if pg <= KKT_TOL:
+            break
+        a = h + pg / (1 + pg) * np.diag(1 + np.diag(h))
+        d = _nonnegative_qp(a, a @ v - g, v) - v
+        floor = max(EIG_FLOOR, FLOOR_RATIO * np.linalg.eigvalsh((atoms.T * v) @ atoms.conj())[0])
+        slope = ARMIJO * float(g @ d)
+        for alpha in 0.5 ** np.arange(HALVINGS):
+            w = v + alpha * d
+            if _weight_objective(w, rho_m, atoms, floor=floor)[0] <= f + alpha * slope:
+                break
+        else:
+            return v
+        v = w
+        f, g, h = _weight_objective(v, rho_m, atoms, hessian=True)
+    return v
 
-    res = minimize(_weight_objective, weights, args=(rho_m, atoms), jac=True,
-                   method="L-BFGS-B", bounds=Bounds(0.0, np.inf),
-                   options={"maxiter": WEIGHT_ITERS})
-    return res.x
+
+def _nonnegative_qp(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """argmin over x >= 0 of x.a.x / 2 - b.x, for positive definite ``a``.
+
+    Lawson-Hanson active sets, started from the feasible ``x``: solve on the
+    free set; step back to the first weight the solve sends below 0 and fix
+    it at 0, or else free the fixed weight whose gradient is most negative.
+    """
+    free = x > 0.0
+    for _ in range(3 * len(b)):
+        z = np.zeros_like(x)
+        z[free] = np.linalg.solve(a[np.ix_(free, free)], b[free])
+        if np.all(z[free] > 0.0):
+            x = z
+            r = np.where(free, -np.inf, b - a @ x)
+            j = int(np.argmax(r))
+            if r[j] <= 1e-14 * (1.0 + np.abs(b).max()):
+                break
+            free[j] = True
+        else:
+            neg = np.flatnonzero(free & (z <= 0.0))
+            ratio = x[neg] / (x[neg] - z[neg])
+            x = x + ratio.min() * (z - x)
+            x[neg[np.argmin(ratio)]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+    return x
 
 
 def ree_minimize(
@@ -248,14 +313,15 @@ def ree_minimize(
     Starts from the maximally mixed state (interior, full support).  Each
     iteration runs the product search from ``restarts`` random starts plus
     a warm start; every distinct local minimizer that lies below the
-    linearization Tr[G sigma] joins the atom list at weight 0, and one
-    L-BFGS-B call re-optimizes all weights.  A list of more than 2 n^2
-    atoms (n = dA dB) is cut back to n^2 atoms with the same sigma, so
-    ``atoms`` in the result is at most 2 n^2.  Stops when the Frank-Wolfe
-    duality-gap estimate drops below ``gap_tol`` (``converged`` is then
-    True), when a step no longer lowers the objective, or after
-    ``max_iters`` iterations; non-convergence is reported through the
-    ``converged`` flag, never as a failure.
+    linearization Tr[G sigma] joins the atom list at weight 0, and
+    WEIGHT_STEPS Newton steps re-optimize all weights.  A list of
+    more than 2 n^2 atoms (n = dA dB) is cut back to n^2 atoms with the same
+    sigma, so ``atoms`` in the result is at most 2 n^2.  Stops when the
+    Frank-Wolfe duality-gap estimate drops below ``gap_tol`` (``converged``
+    is then True, and that iteration's step still runs, to FINAL_STEPS, so
+    the gap is that of the state before it), when a step no longer lowers
+    the objective, or after ``max_iters`` iterations; non-convergence is
+    reported through the ``converged`` flag, never as a failure.
     """
     if len(rho.dims.factors) != 2:
         raise DimensionMismatchError("E_r is computed on bipartite states")
@@ -268,20 +334,21 @@ def ree_minimize(
     base_seed = int(rng.integers(2**62))
 
     rho_m = rho.matrix
-    tr_rln_r = _tr_rho_ln_rho(rho_m)
+    # S(rho || sigma) at weights summing to 1 is the weight objective less this.
+    offset = -1.0 - von_neumann_entropy(rho)
 
     # Atom list: rows are product vectors, weights sum to 1.  The start is
     # the maximally mixed state, itself a mixture of product basis states.
     atoms = np.eye(n, dtype=complex)
     weights = np.full(n, 1.0 / n)
-    sigma = _assemble(atoms, weights)
-    value = _objective(rho_m, tr_rln_r, sigma)
+    value = offset + _weight_objective(weights, rho_m, atoms)[0]
     gap = math.inf
     iterations = 0
     converged = False
     prev_a: np.ndarray | None = None
     for t in range(max_iters):
         iterations = t + 1
+        sigma = _assemble(atoms, weights)
         g = _gradient(rho_m, sigma)
         level = float(np.real(np.trace(g @ sigma)))
         inner_rng = np.random.default_rng(base_seed + t)
@@ -294,36 +361,36 @@ def ree_minimize(
                 g, dA, dB, 8 * restarts,
                 np.random.default_rng(base_seed + t + 7_777_777), prev_a,
             )
-            if np.min(vals2) < np.min(vals):
-                a, b, vals = a2, b2, vals2
-                gap = level - float(np.min(vals))
-            if gap < gap_tol:
-                converged = True
-                break
+            a, b, vals = np.vstack([a, a2]), np.vstack([b, b2]), np.concatenate([vals, vals2])
+            gap = level - float(np.min(vals))
+            # A confirmed gap still takes this step with the candidates found.
+            converged = gap < gap_tol
         prev_a = a[int(np.argmin(vals))]
 
         # Fully corrective step: add the new atoms at weight 0, re-optimize
         # all weights, drop the atoms that reach zero.
         new = _new_atoms(a, b, vals, level)
         cand = np.vstack([atoms, new])
-        v = _reoptimize_weights(rho_m, cand, np.append(weights, np.zeros(len(new))))
+        v = _reoptimize_weights(rho_m, cand, np.append(weights, np.zeros(len(new))),
+                                FINAL_STEPS if converged else WEIGHT_STEPS)
         keep = v > 0.0
         v = v[keep] / float(np.sum(v[keep]))
-        new_sigma = _assemble(cand[keep], v)
-        new_value = _objective(rho_m, tr_rln_r, new_sigma)
+        new_value = offset + _weight_objective(v, rho_m, cand[keep])[0]
         if new_value >= value:
             break
-        atoms, weights, sigma, value = cand[keep], v, new_sigma, new_value
+        atoms, weights, value = cand[keep], v, new_value
         if len(weights) > 2 * n * n:
             # Weights that stay positive but not unique (a closest state
             # with a continuum of decompositions) would let the list grow
             # without bound; between n^2 and 2 n^2 atoms the re-optimization
             # keeps the spare atoms it makes progress with.
             atoms, weights = _caratheodory(atoms, weights)
+        if converged:
+            break
 
     return ReeResult(
         value=max(0.0, value),
-        closest_separable=DensityMatrix(sigma, rho.dims),
+        closest_separable=DensityMatrix(_assemble(atoms, weights), rho.dims),
         iterations=iterations,
         duality_gap_estimate=gap,
         converged=converged,

@@ -193,9 +193,12 @@ def test_criterion_06_reduced_state_condition():
 
 
 def test_criterion_07_relative_entropy_of_entanglement():
+    # Every call must also converge: a solver that stalls (a step that no
+    # longer lowers the objective) can still meet the value gates.
     dims = Dims(2, 2)
     res = ree_minimize(bell_state().density(), rng=np.random.default_rng(derived_seed(7, 0)))
     assert abs(res.value - math.log(2)) <= 1e-2
+    assert res.converged
     for t in range(20):
         seed = derived_seed(7, 1, t)
         rng = np.random.default_rng(seed)
@@ -203,18 +206,21 @@ def test_criterion_07_relative_entropy_of_entanglement():
         oracle = von_neumann_entropy(partial_trace(psi.density(), "A"))
         res = ree_minimize(psi.density(), rng=np.random.default_rng(seed))
         assert abs(res.value - oracle) <= 1e-2, t
+        assert res.converged, t
     for t in range(5):
         seed = derived_seed(7, 2, t)
         rng = np.random.default_rng(seed)
         sep = random_separable(dims, 4 + t % 3, rng)
         res = ree_minimize(sep, rng=np.random.default_rng(seed))
         assert res.value <= 1e-4, t
+        assert res.converged, t
     for t in range(20):
         seed = derived_seed(7, 3, t)
         rng = np.random.default_rng(seed)
         rho = random_mixed(dims, 2 + t % 3, rng)
         res = ree_minimize(rho, rng=np.random.default_rng(seed))
         assert res.value <= wootters_eof(rho) + 2e-2, t
+        assert res.converged, t
     _announce(7, "REE: Bell=ln2 +/- 1e-2, 20 pure coincidences at 1e-2, "
                  "5 separable <= 1e-4, 20 mixed <= eof + 2e-2")
 

@@ -128,6 +128,19 @@ class TestVerifyCommand:
         cfg.write_text(json.dumps({"base": "bits"}))
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    def test_output_paths_checked_before_the_sweep(self, tmp_path, capsys):
+        # A directory, or a path in a missing directory, is a usage error
+        # (exit 2), reported before any check runs.
+        for out in (tmp_path, tmp_path / "missing" / "rep.jsonl"):
+            assert main(["verify", "--check", "concavity", "--trials", "2",
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "output error" in err and "check concavity" not in err
+        (tmp_path / "rep.csv").mkdir()
+        assert main(["verify", "--check", "concavity", "--trials", "2",
+                     "--out", str(tmp_path / "rep.jsonl")]) == 2
+        assert not (tmp_path / "rep.jsonl").exists()
+
     def test_base_flag_rejected(self, capsys):
         # Sweep reports are always in nats; only `measure` converts units.
         with pytest.raises(SystemExit) as exc:

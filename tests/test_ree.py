@@ -17,6 +17,8 @@ from entmon.ree import (
     GAP_TOL,
     _assemble,
     _caratheodory,
+    _nonnegative_qp,
+    _reoptimize_weights,
     _weight_objective,
     ree_data_processing_check,
     ree_minimize,
@@ -166,6 +168,74 @@ class TestWeightStep:
 
     @settings(max_examples=40, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
+           zeros=st.integers(1, 4))
+    def test_hessian_matches_central_differences(self, dims, seed, zeros):
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None, rng).matrix
+        atoms = _random_atoms(dims, 2 * n + zeros, rng)
+        v = rng.uniform(0.5, 1.5, len(atoms))
+        v[rng.choice(len(atoms), zeros, replace=False)] = 0.0
+        _, _, hess = _weight_objective(v, rho, atoms, hessian=True)
+        h = 1e-6
+        fd = np.array([
+            (_weight_objective(v + h * e, rho, atoms)[1]
+             - _weight_objective(v - h * e, rho, atoms)[1]) / (2 * h)
+            for e in np.eye(len(v))
+        ])
+        np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(hess)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
+           zeros=st.integers(1, 4), rank=st.integers(1, 3))
+    def test_step_keeps_weights_nonnegative_and_never_raises_the_objective(
+            self, dims, seed, zeros, rank):
+        # As in the solver: the previous atoms carry normalized weights and
+        # the new ones enter at 0; rho may be rank-deficient.
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None if rank == 3 else rank, rng).matrix
+        atoms = _random_atoms(dims, n + 2 + zeros, rng)
+        v0 = np.append(rng.dirichlet(np.ones(n + 2)), np.zeros(zeros))
+        v = _reoptimize_weights(rho, atoms, v0)
+        assert np.all(v >= 0.0)
+        assert _weight_objective(v, rho, atoms)[0] <= _weight_objective(v0, rho, atoms)[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]), seed=st.integers(0, 2**32 - 1),
+           zeros=st.integers(1, 4))
+    def test_step_run_to_the_end_meets_kkt(self, dims, seed, zeros):
+        # KKT of min over v >= 0: gradient >= 0, and = 0 where v > 0; the
+        # projected gradient v - max(v - g, 0) measures both.  Random atoms
+        # start far from the optimum, where Newton on ln at most doubles a
+        # small eigenvalue of sigma per step, so the run gets many steps.
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None, rng).matrix
+        atoms = _random_atoms(dims, n + zeros, rng)
+        v0 = np.append(rng.dirichlet(np.ones(n)), np.zeros(zeros))
+        v = _reoptimize_weights(rho, atoms, v0, steps=100)
+        _, g = _weight_objective(v, rho, atoms)
+        assert np.linalg.norm(v - np.maximum(v - g, 0.0)) <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40))
+    def test_nonnegative_qp_meets_kkt(self, seed, k):
+        # The Newton step's subproblem, from a feasible start with zeros.
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((k, k))
+        a = m @ m.T + 1e-3 * np.eye(k)
+        b = rng.standard_normal(k)
+        x0 = rng.uniform(0.0, 1.0, k) * (rng.uniform(size=k) < 0.7)
+        x0[0] = 1.0
+        x = _nonnegative_qp(a, b, x0)
+        grad = a @ x - b
+        assert np.all(x >= 0.0)
+        np.testing.assert_allclose(grad[x > 0.0], 0.0, atol=1e-8 * (1.0 + np.abs(b).max()))
+        assert np.all(grad[x == 0.0] >= -1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
            extra=st.integers(1, 40))
     def test_caratheodory_keeps_sigma_with_at_most_n_squared_atoms(self, dims, seed, extra):
         rng = np.random.default_rng(seed)
@@ -228,13 +298,17 @@ class TestDataProcessing:
 
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by the weight re-optimization alone.
+    # No scipy module is loaded, by the import or by a solve.
     import entmon
 
     src = str(Path(entmon.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    code = "import sys, entmon; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, numpy as np, entmon\n"
+            "from entmon.sampling import random_mixed\n"
+            "from entmon.states import Dims\n"
+            "entmon.ree.ree_minimize(random_mixed(Dims(2, 2), 3, np.random.default_rng(0)))\n"
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
