@@ -40,6 +40,7 @@ from .states import (
 )
 
 GAP_TOL = 1e-4
+RESTARTS = 8  # random starts of the product search per iteration
 EIG_FLOOR = 1e-14
 INNER_ROUNDS = 12
 INNER_VAL_TOL = 1e-10
@@ -304,20 +305,18 @@ def _nonnegative_qp(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def ree_minimize(
     rho: DensityMatrix,
     max_iters: int = 2000,
-    restarts: int = 8,
     rng: np.random.Generator | None = None,
-    gap_tol: float = GAP_TOL,
 ) -> ReeResult:
     """Upper bound on the relative entropy of entanglement of ``rho``.
 
     Starts from the maximally mixed state (interior, full support).  Each
-    iteration runs the product search from ``restarts`` random starts plus
+    iteration runs the product search from ``RESTARTS`` random starts plus
     a warm start; every distinct local minimizer that lies below the
     linearization Tr[G sigma] joins the atom list at weight 0, and
     WEIGHT_STEPS Newton steps re-optimize all weights.  A list of
     more than 2 n^2 atoms (n = dA dB) is cut back to n^2 atoms with the same
     sigma, so ``atoms`` in the result is at most 2 n^2.  Stops when the
-    Frank-Wolfe duality-gap estimate drops below ``gap_tol`` (``converged``
+    Frank-Wolfe duality-gap estimate drops below ``GAP_TOL`` (``converged``
     is then True, and that iteration's step still runs, to FINAL_STEPS, so
     the gap is that of the state before it), when a step no longer lowers
     the objective, or after ``max_iters`` iterations; non-convergence is
@@ -352,19 +351,19 @@ def ree_minimize(
         g = _gradient(rho_m, sigma)
         level = float(np.real(np.trace(g @ sigma)))
         inner_rng = np.random.default_rng(base_seed + t)
-        a, b, vals = _min_product_expectation(g, dA, dB, restarts, inner_rng, prev_a)
+        a, b, vals = _min_product_expectation(g, dA, dB, RESTARTS, inner_rng, prev_a)
         gap = level - float(np.min(vals))
-        if gap < gap_tol:
+        if gap < GAP_TOL:
             # The gap rests on an approximate inner solve; confirm with a
             # harder search before declaring convergence.
             a2, b2, vals2 = _min_product_expectation(
-                g, dA, dB, 8 * restarts,
+                g, dA, dB, 8 * RESTARTS,
                 np.random.default_rng(base_seed + t + 7_777_777), prev_a,
             )
             a, b, vals = np.vstack([a, a2]), np.vstack([b, b2]), np.concatenate([vals, vals2])
             gap = level - float(np.min(vals))
             # A confirmed gap still takes this step with the candidates found.
-            converged = gap < gap_tol
+            converged = gap < GAP_TOL
         prev_a = a[int(np.argmin(vals))]
 
         # Fully corrective step: add the new atoms at weight 0, re-optimize

@@ -120,6 +120,16 @@ def _uses_wootters(family: str, dims: Dims) -> bool:
     return family in ("eof", "concurrence") and dims.factors == (2, 2)
 
 
+def measure_state_kind(measure_id: str, dims: Dims) -> str | None:
+    """'mixed' or 'pure': the states a measure evaluates on ``dims``; None if none."""
+    family, _ = parse_measure_id(measure_id)
+    if family == "ree":
+        return "mixed" if dims.total <= ree.MAX_TOTAL_DIM else None
+    if family in ("negativity", "log-negativity", "negativity-roof") or _uses_wootters(family, dims):
+        return "mixed"
+    return "pure"  # the reduced-state (h-function) families
+
+
 def _closed_id(family: str, param: float | None) -> str:
     if family in ("negativity", "log-negativity"):
         return family
@@ -165,7 +175,6 @@ def evaluate_measure(
     rng: np.random.Generator | None = None,
     roof_restarts: int = 20,
     roof_n_terms: int | None = None,
-    ree_max_iters: int = 2000,
 ) -> MeasureValue:
     """Evaluate a measure by its external id on a bipartite state."""
     family, param = parse_measure_id(measure_id)
@@ -180,7 +189,7 @@ def evaluate_measure(
             {"restarts_used": result.restarts_used, "converged": result.converged},
         )
     if family == "ree":
-        result = ree.ree_minimize(_as_density(state), max_iters=ree_max_iters, rng=rng)
+        result = ree.ree_minimize(_as_density(state), rng=rng)
         return MeasureValue(
             result.value,
             "ree",
@@ -193,10 +202,7 @@ def evaluate_measure(
             },
         )
 
-    by_reduced_state = family not in ("negativity", "log-negativity") and not _uses_wootters(
-        family, state.dims
-    )
-    if by_reduced_state and isinstance(state, PureState):
+    if isinstance(state, PureState) and measure_state_kind(measure_id, state.dims) == "pure":
         # A given state vector needs no eigendecomposition to find it.
         value = measures.pure_measure_stack(_h_function(family, param), state.amplitudes,
                                             state.dims)

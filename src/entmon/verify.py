@@ -5,18 +5,31 @@ comparison and emits a ``VerificationReport``.  ``run_sweep`` executes a
 configured batch of checks over seeded random instances; identical configs
 produce byte-identical reports.
 
+Every sweep goes from trials to reports through one path.  ``_trials``
+gives each trial its seed and a generator of its own.  The closed-form
+trials of ``monotone`` and ``strict`` stream through ``_batch_reports``,
+which validates each batch of at most ``_BATCH_STATES`` input states once
+and judges it with one kernel, ``_closed_gaps``: per measure, one
+``_outcome_stack`` call and one ``evaluate_closed_stack`` call.  The
+other checks, and the optimizer tiers of ``monotone``, judge one trial at
+a time.
+
 Every verdict comes from one table: ``RULES`` maps the rule name that
 each report stores in ``metadata["rule"]`` to a predicate over the
-report's gap, its stored tolerance and its metadata.  ``_report`` decides
-a verdict by that lookup and ``recompute_verdict`` repeats it, so the
+report's gap, its stored tolerance and its metadata; a ``reason`` in the
+metadata makes the verdict ``skipped`` instead.  ``_report`` decides a
+verdict by that lookup and ``recompute_verdict`` repeats it, so the
 verdict is recomputable from the report contents alone.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -53,7 +66,8 @@ from .measures import (
     tsallis,
     wootters_eof,
 )
-from .registry import evaluate_closed_stack, evaluate_measure, measure_tier, parse_measure_id
+from .registry import (MeasureError, evaluate_closed_stack, evaluate_measure, measure_state_kind,
+                       measure_tier, parse_measure_id)
 from .ree import ree_data_processing_check, ree_minimize
 from .roof import roof_minimize
 from .sampling import (
@@ -71,7 +85,6 @@ from .states import (
     DimensionMismatchError,
     Dims,
     PureState,
-    _trusted_density,
     bell_state,
     partial_trace,
     partial_transpose,
@@ -184,6 +197,8 @@ RULES = {
 
 
 def _verdict(gap: float, tolerance: float, metadata: dict) -> str:
+    if "reason" in metadata:
+        return "skipped"
     rule = metadata.get("rule")
     if rule not in RULES:
         raise ValueError(f"unknown decision rule {rule!r}")
@@ -206,23 +221,6 @@ def _report(check_id, measure_id, channel_class, lhs, rhs, tolerance, seed, meta
     )
 
 
-def _skipped(check_id, measure_id, channel_class, tolerance, seed, reason, metadata=None):
-    md = _plain(dict(metadata or {}))
-    md["reason"] = reason
-    return VerificationReport(
-        check_id=check_id,
-        measure_id=measure_id,
-        channel_class=channel_class,
-        lhs=0.0,
-        rhs=0.0,
-        gap=0.0,
-        tolerance=float(tolerance),
-        verdict="skipped",
-        seed=int(seed),
-        metadata=md,
-    )
-
-
 def derived_seed(master: int, *parts: int) -> int:
     """Stable 63-bit seed derived from a master seed and index parts."""
     ss = np.random.SeedSequence([int(master)] + [int(p) for p in parts])
@@ -238,80 +236,77 @@ def check_monotone(
 ) -> VerificationReport:
     """E(rho) >= sum_k p_k E(sigma_k) up to the measure-tier tolerance.
 
-    This is the one-trial case of ``_monotone_reports``, the kernel that
-    the ``monotone`` sweep runs on the trials of a (dims, measure) in
-    batches: a closed form evaluates the input and the outcomes as one
-    stack.
-    Optimizer-backed tiers take one solver call per state and copy the
-    solver diagnostics of the input (``lhs_diagnostics``) and of each
-    outcome (``outcome_diagnostics``) into the report metadata.
-    """
-    return _monotone_reports(measure_id, rho.matrix[None], [channel], rho.dims, [seed], [rng])[0]
-
-
-def _monotone_reports(measure_id, mats, channels, dims, seeds, rngs):
-    """``check_monotone`` reports of trials ``(mats[i], channels[i])``.
-
-    ``mats`` are valid states on ``dims`` and the channels act on one side.
-    A closed form takes one outcome stack and one measure call for all
-    trials; an optimizer tier evaluates trial by trial with the trial's
-    generator ``rngs[i]`` (one seeded by ``seeds[i]`` when None).
+    A closed form is the one-trial case of ``_monotone_reports``, which
+    the ``monotone`` sweep runs on its trials in batches.  Optimizer-backed
+    tiers take one solver call per state with ``rng`` (one seeded by
+    ``seed`` when None) and copy the solver diagnostics of the input
+    (``lhs_diagnostics``) and of each outcome (``outcome_diagnostics``)
+    into the report metadata.
     """
     tier = measure_tier(measure_id)
     if tier == "closed":
-        lhs, rhs, n_outcomes = _gap_stack(measure_id, mats, _padded_kraus(channels),
-                                          channels[0].side, dims)
-        metadata = [{"rule": "gap >= -tolerance", "n_outcomes": n, "tier": tier}
-                    for n in n_outcomes]
-    else:
-        lhs, rhs, metadata = [], [], []
-        for mat, channel, rng, seed in zip(mats, channels, rngs, seeds):
-            rng = np.random.default_rng(seed) if rng is None else rng
-            rho = _trusted_density(mat, dims)
-            lhs_value = evaluate_measure(measure_id, rho, rng=rng)
-            outs = [(p, evaluate_measure(measure_id, s, rng=rng))
-                    for p, s in apply_channel(channel, rho).outcomes]
-            lhs.append(lhs_value.value)
-            rhs.append(sum(p * v.value for p, v in outs))
-            metadata.append({"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier,
-                             "lhs_diagnostics": lhs_value.diagnostics,
-                             "outcome_diagnostics": [v.diagnostics for _, v in outs]})
-    return [_report("monotone", measure_id, classify(channel).tag, a, b, MONOTONE_TOL[tier], seed,
-                    md)
-            for channel, a, b, seed, md in zip(channels, lhs, rhs, seeds, metadata)]
+        return _monotone_reports([(measure_id, rho.matrix[None], channel, seed)], rho.dims)[0]
+    rng = np.random.default_rng(seed) if rng is None else rng
+    lhs = evaluate_measure(measure_id, rho, rng=rng)
+    outs = [(p, evaluate_measure(measure_id, s, rng=rng))
+            for p, s in apply_channel(channel, rho).outcomes]
+    return _report("monotone", measure_id, classify(channel).tag, lhs.value,
+                   sum(p * v.value for p, v in outs), MONOTONE_TOL[tier], seed,
+                   {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier,
+                    "lhs_diagnostics": lhs.diagnostics,
+                    "outcome_diagnostics": [v.diagnostics for _, v in outs]})
 
 
-def _stack_values(measure_id, mats, dims, rng):
-    """A measure on a stack of valid states: one kernel call for a closed
-    form, one solver call per state otherwise."""
-    if measure_tier(measure_id) == "closed":
-        return evaluate_closed_stack(measure_id, mats, dims)
-    return np.array([evaluate_measure(measure_id, DensityMatrix(m, dims), rng=rng).value
-                     for m in mats])
+def _monotone_reports(items, dims):
+    """``check_monotone`` reports of closed-form trials ``(measure_id,
+    mats, channel, seed, ...)``, each ``mats`` one state on ``dims``."""
+    return [_report("monotone", item[0], tag, lhs[0], rhs[0], MONOTONE_TOL["closed"], item[3],
+                    {"rule": "gap >= -tolerance", "n_outcomes": n_outcomes[0], "tier": "closed"})
+            for item, (tag, lhs, rhs, n_outcomes) in zip(items, _closed_gaps(items, dims))]
 
 
-def _gap_stack(measure_id, mats, kraus, side, dims, rng=None):
-    """Per state i, the measure of ``mats[i]`` and its average over the
-    outcomes of the Kraus family ``kraus[i]``, as lists ``(lhs, rhs,
-    n_outcomes)``.
+def _closed_gaps(items, dims, tags=None):
+    """Per item ``(measure_id, mats, channel, ...)``, the channel's tag and,
+    per state of ``mats``, the measure of the state and its average over
+    the channel's outcomes, as ``(tag, lhs, rhs, n_outcomes)``.
 
-    ``mats`` is a ``(N, n, n)`` stack of valid states on ``dims`` and
-    ``kraus`` the ``(N, K, d, d)`` zero-padded families acting on ``side``.
-    The outcomes are one ``_outcome_stack`` call and the measure is one
-    ``_stack_values`` call on the inputs followed by their kept outcomes.
-    A state's values do not depend on the rest of the stack.
+    ``mats`` is a ``(n, N, N)`` stack of valid states on ``dims``, every
+    channel acts on one side and every measure is a closed form.  The
+    items of one measure are one ``_outcome_stack`` call and one
+    ``evaluate_closed_stack`` call on their inputs followed by the kept
+    outcomes; a state's values do not depend on the rest of the stack.
+    Each distinct channel is classified once: ``tags`` maps
+    ``id(channel)`` to ``(channel, tag)`` (holding the channel keeps its id
+    unique) and may be shared by calls.
     """
-    probs, keep, outcomes = _outcome_stack(kraus, side, mats, dims)
-    vals = _stack_values(measure_id, np.concatenate([mats, outcomes]), dims, rng)
-    n_outcomes = [sum(row) for row in keep.tolist()]
-    terms = iter((probs[keep] * vals[len(mats):]).tolist())
-    rhs = []
-    for count in n_outcomes:
-        total = 0.0
-        for _ in range(count):  # in outcome order, as a running sum rounds
-            total += next(terms)
-        rhs.append(total)
-    return vals[:len(mats)].tolist(), rhs, n_outcomes
+    tags = {} if tags is None else tags
+    by_measure = {}
+    for i, item in enumerate(items):
+        by_measure.setdefault(item[0], []).append(i)
+    gaps = [None] * len(items)
+    for measure_id, group in by_measure.items():
+        counts = [len(items[i][1]) for i in group]
+        channels = [items[i][2] for i in group]
+        mats = np.concatenate([items[i][1] for i in group])
+        kraus = _padded_kraus(channels)
+        if len(kraus) < len(mats):  # items of several states: one family per state
+            kraus = np.repeat(kraus, counts, axis=0)
+        probs, keep, outcomes = _outcome_stack(kraus, channels[0].side, mats, dims)
+        vals = evaluate_closed_stack(measure_id, np.concatenate([mats, outcomes]), dims)
+        n_outcomes = [sum(row) for row in keep.tolist()]
+        terms = iter((probs[keep] * vals[len(mats):]).tolist())
+        # Left folds over each state's outcome terms: in outcome order, as
+        # a running sum rounds.
+        rhs = [functools.reduce(operator.add, itertools.islice(terms, n), 0.0)
+               for n in n_outcomes]
+        stop = 0
+        for i, count in zip(group, counts):
+            start, stop = stop, stop + count
+            gaps[i] = vals[start:stop], rhs[start:stop], n_outcomes[start:stop]
+    for item in items:
+        if id(item[2]) not in tags:
+            tags[id(item[2])] = item[2], classify(item[2]).tag
+    return [(tags[id(item[2])][1], *gap) for item, gap in zip(items, gaps)]
 
 
 def _input_dims(channel: LocalKrausChannel, mats: np.ndarray, n_states: int) -> Dims:
@@ -335,62 +330,42 @@ def check_strict(
     rng: np.random.Generator,
     seed: int = 0,
 ) -> VerificationReport:
-    """Strictness sweep over sampled states.
+    """Strictness sweep over sampled states, for a closed-form measure.
 
     General channels must show a gap above ``STRICT_FLOOR`` on some state;
     (mixtures of) local unitaries must show no gap at all.  A sweep whose
     inputs carry no entanglement is uninformative and passes with a note.
+    An optimizer-backed measure raises ``MeasureError`` before the sampler
+    runs.
 
     ``state_sampler(rng, n)`` returns the ``n`` input density matrices as
     one ``(n, N, N)`` array, for example ``random_mixed_stack`` or
     ``projector_stack`` of ``random_pure_stack``.  The stack is validated
     once, here; its dims follow from the channel, which acts on the factor
     of dimension ``channel.dim`` on ``channel.side``.  The rest is the
-    one-report case of ``_strict_reports``, the kernel that the ``strict``
-    sweep runs on the reports of a dims in batches: the input values, the
-    outcomes and the outcome values are each one stack.
+    one-report case of ``_strict_reports``, which the ``strict`` sweep runs
+    on its reports in batches.
     """
+    if measure_tier(measure_id) != "closed":
+        raise MeasureError(f"check_strict takes closed-form measures, not {measure_id!r}")
     mats = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
     dims = _input_dims(channel, mats, n_states)
     validate_density_stack(mats)
-    return _strict_reports([(measure_id, mats, channel, seed, False)], dims, rng)[0]
+    return _strict_reports([(measure_id, mats, channel, seed, False)], dims)[0]
 
 
-def _strict_reports(items, dims, rng=None, tags=None):
+def _strict_reports(items, dims, tags=None):
     """``check_strict`` reports of ``items``, tuples ``(measure_id, mats,
-    channel, seed, mixture)``: ``mats`` a ``(n, N, N)`` stack of valid
-    states on ``dims``, every channel acting on one side.
-
-    The items of one measure are one ``_gap_stack`` call.  Each distinct
-    channel is classified once: ``tags`` maps ``id(channel)`` to
-    ``(channel, tag)`` (holding the channel keeps its id unique) and may be
-    shared by calls.  An item built as a unitary mixture (``mixture``) that
-    ``classify`` calls general fails with a note.
-    """
-    by_measure = {}
-    for i, item in enumerate(items):
-        by_measure.setdefault(item[0], []).append(i)
-    values = [None] * len(items)
-    for measure_id, group in by_measure.items():
-        mats = [items[i][1] for i in group]
-        channels = [items[i][2] for i in group]
-        lhs, rhs, _ = _gap_stack(measure_id, np.concatenate(mats),
-                                 np.repeat(_padded_kraus(channels), [len(m) for m in mats], axis=0),
-                                 channels[0].side, dims, rng)
-        stop = 0
-        for i, m in zip(group, mats):
-            start, stop = stop, stop + len(m)
-            values[i] = (np.array(lhs[start:stop]), np.array(rhs[start:stop]))
-    tags = {} if tags is None else tags
-    for _, _, channel, _, _ in items:
-        if id(channel) not in tags:
-            tags[id(channel)] = channel, classify(channel).tag
-    return [_strict_report(measure_id, tags[id(channel)][1], lhs, rhs, seed, mixture)
-            for (measure_id, _, channel, seed, mixture), (lhs, rhs) in zip(items, values)]
+    channel, seed, mixture)`` as ``_closed_gaps`` takes them, with its
+    ``tags``.  An item built as a unitary mixture (``mixture``) that
+    ``classify`` calls general fails with a note."""
+    return [_strict_report(measure_id, tag, lhs, rhs, seed, mixture)
+            for (measure_id, _, _, seed, mixture), (tag, lhs, rhs, _)
+            in zip(items, _closed_gaps(items, dims, tags))]
 
 
 def _strict_report(measure_id, tag, lhs_vals, rhs_vals, seed, mixture):
-    gaps = lhs_vals - rhs_vals
+    gaps = lhs_vals - np.array(rhs_vals)
     metadata = {
         "n_states": len(gaps),
         "max_gap": float(np.max(gaps)),
@@ -443,8 +418,9 @@ def check_strict_concavity(
             lo = min(float(rho1.eigenvalues()[0]), float(rho2.eigenvalues()[0]))
             if lo <= 1e-9:
                 # (det)^(1/d) is strictly concave only on the definite cone.
-                return _skipped("concavity", h.measure_id, None, CONCAVITY_STRICT_TOL, seed,
-                                "g-concurrence strictness needs full-rank inputs", metadata)
+                metadata["reason"] = "g-concurrence strictness needs full-rank inputs"
+                return _report("concavity", h.measure_id, None, 0.0, 0.0, CONCAVITY_STRICT_TOL,
+                               seed, metadata)
         tol, branch, rule = CONCAVITY_STRICT_TOL, "strict", "gap > tolerance"
     else:
         tol, branch, rule = CONCAVITY_STRICT_TOL, "near-equal", "gap >= -tolerance"
@@ -486,8 +462,8 @@ def check_reduced_state_condition(
     elif max_dev < REDUCED_DEV_EQUAL:
         tol, branch, rule = REDUCED_DEV_EQUAL, "equal", "|gap| < tolerance"
     else:
-        return _skipped("reduced-state", h.measure_id, tag, EQUALITY_TOL, seed,
-                        "reduced-state deviation falls between the decision thresholds", metadata)
+        metadata["reason"] = "reduced-state deviation falls between the decision thresholds"
+        return _report("reduced-state", h.measure_id, tag, 0.0, 0.0, EQUALITY_TOL, seed, metadata)
     metadata.update(branch=branch, rule=rule)
     return _report("reduced-state", h.measure_id, tag, lhs, rhs, tol, seed, metadata)
 
@@ -569,8 +545,8 @@ def check_negativity_decomposition(rho: DensityMatrix, seed: int = 0) -> Verific
     """
     n_val = negativity(rho).value
     if n_val <= 1e-9:
-        return _skipped("neg-decomposition", "negativity", None, 1e-10, seed,
-                        "input is PPT; the decomposition is trivial")
+        return _report("neg-decomposition", "negativity", None, 0.0, 0.0, 1e-10, seed,
+                       {"reason": "input is PPT; the decomposition is trivial"})
     pt = partial_transpose(rho, "A")
     vals, vecs = np.linalg.eigh(pt)
     pos = np.clip(vals, 0.0, None)
@@ -658,9 +634,7 @@ def check_logneg_nonconvexity(
 
 def recompute_verdict(report: VerificationReport) -> str:
     """Re-derive the verdict from the report contents (no hidden state):
-    the ``RULES`` lookup that decided it."""
-    if report.verdict == "skipped":
-        return "skipped"
+    the ``_verdict`` lookup that decided it."""
     return _verdict(report.gap, report.tolerance, report.metadata)
 
 
@@ -694,18 +668,6 @@ class SweepConfig:
             raise ValueError("trials must be nonnegative")
         if self.n_kraus < 1:
             raise ValueError("n_kraus must be at least 1")
-
-
-def _measure_state_kind(measure_id: str, dims: tuple[int, int]) -> str | None:
-    """'mixed' or 'pure' sampling for a measure on these dims, None if unsupported."""
-    family, _ = parse_measure_id(measure_id)
-    if family in ("negativity", "log-negativity", "negativity-roof"):
-        return "mixed"
-    if family == "ree":
-        return "mixed" if dims[0] * dims[1] <= 16 else None
-    if family in ("eof", "concurrence"):
-        return "mixed" if tuple(dims) == (2, 2) else "pure"
-    return "pure"  # h-only measures
 
 
 def _cycled(options, index):
@@ -742,35 +704,59 @@ def _stack_sampler(kind: str, dims: Dims):
     return lambda rng, n: projector_stack(random_pure_stack(dims, n, rng))
 
 
+def _trials(config: SweepConfig, n: int, check_idx: int, *parts: int):
+    """Trials ``t < n`` of a check as ``(t, seed, rng)``: the seed derived
+    from ``config.seed``, ``check_idx``, ``parts`` and ``t``, and a
+    generator seeded with it."""
+    for t in range(n):
+        seed = derived_seed(config.seed, check_idx, *parts, t)
+        yield t, seed, np.random.default_rng(seed)
+
+
 # Input states per kernel call of the monotone and strict sweeps; bounds
 # their memory.
 _BATCH_STATES = 128
 
 
+def _batch_reports(items, judge, *args):
+    """``(item, report)`` pairs of a stream of items, tuples whose second
+    member is an ``(n, N, N)`` stack of input states.  ``judge(batch,
+    *args)`` returns the reports of consecutive lists of items of at most
+    ``_BATCH_STATES`` input states (or of one larger item); each list is
+    drawn only when the one before is judged, and validated once."""
+    batch, n_states = [], 0
+    for item in itertools.chain(items, [None]):
+        if batch and (item is None or n_states + len(item[1]) > _BATCH_STATES):
+            validate_density_stack(np.concatenate([it[1] for it in batch]))
+            yield from zip(batch, judge(batch, *args))
+            batch, n_states = [], 0
+        if item is not None:
+            batch.append(item)
+            n_states += len(item[1])
+
+
 def _sweep_monotone(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    """Per (dims, measure), each batch of trials draws every trial's state
-    and channel from the trial's own generator; then one
-    ``_monotone_reports`` call judges the batch."""
+    """Per (dims, measure), each trial draws its state and channel from its
+    own generator.  A closed form judges the trials in batches; an
+    optimizer tier takes one ``check_monotone`` call per trial, which goes
+    on with the trial's generator."""
     reports = []
     for di, dims_pair in enumerate(config.dims):
         dims = Dims(*dims_pair)
         for mi, measure_id in enumerate(config.measures):
-            kind = _measure_state_kind(measure_id, dims_pair)
+            kind = measure_state_kind(measure_id, dims)
             if kind is None:
                 continue
             sample = _stack_sampler(kind, dims)
-            for start in range(0, config.trials, _BATCH_STATES):
-                trials = range(start, min(start + _BATCH_STATES, config.trials))
-                seeds = [derived_seed(config.seed, check_idx, di, mi, t) for t in trials]
-                rngs = [np.random.default_rng(seed) for seed in seeds]
-                mats, channels = [], []
-                for t, rng in zip(trials, rngs):
-                    mats.append(sample(rng, 1)[0])
-                    channels.append(random_channel(dims_pair[1], _n_kraus(config, t), rng,
-                                                   side="B"))
-                mats = np.stack(mats)
-                validate_density_stack(mats)
-                reports += _monotone_reports(measure_id, mats, channels, dims, seeds, rngs)
+            items = ((measure_id, sample(rng, 1),
+                      random_channel(dims_pair[1], _n_kraus(config, t), rng, side="B"), seed, rng)
+                     for t, seed, rng in _trials(config, config.trials, check_idx, di, mi))
+            if measure_tier(measure_id) == "closed":
+                reports += [rep for _, rep in _batch_reports(items, _monotone_reports, dims)]
+            else:
+                reports += [check_monotone(measure_id, DensityMatrix(mats[0], dims), channel,
+                                           rng, seed)
+                            for _, mats, channel, seed, rng in items]
     return reports
 
 
@@ -782,18 +768,14 @@ def _strict_items(config: SweepConfig, check_idx: int, di: int):
     dims = Dims(*dims_pair)
     # Existence direction: general channels must strictly decrease
     # negativity somewhere among Haar-random pure states.
-    for c in range(max(1, config.trials // 4)):
-        seed = derived_seed(config.seed, check_idx, 0, di, c)
-        rng = np.random.default_rng(seed)
+    for c, seed, rng in _trials(config, max(1, config.trials // 4), check_idx, 0, di):
         channel = random_channel(dims_pair[1], _n_kraus(config, c), rng, side="B")
         yield "negativity", _stack_sampler("pure", dims)(rng, 100), channel, seed, False
     # Equality direction: unitary mixtures must preserve every measure.
-    for t in range(config.trials):
-        seed = derived_seed(config.seed, check_idx, 1, di, t)
-        rng = np.random.default_rng(seed)
+    for t, seed, rng in _trials(config, config.trials, check_idx, 1, di):
         channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
         for measure_id in config.measures:
-            kind = _measure_state_kind(measure_id, dims_pair)
+            kind = measure_state_kind(measure_id, dims)
             if kind is None or measure_tier(measure_id) != "closed":
                 continue
             yield measure_id, _stack_sampler(kind, dims)(rng, 3), channel, seed, True
@@ -801,37 +783,19 @@ def _strict_items(config: SweepConfig, check_idx: int, di: int):
 
 def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     """The reports of one dims, both directions, go to ``_strict_reports``
-    in batches of up to ``_BATCH_STATES`` input states."""
+    in batches that share one ``tags`` cache."""
     existence, equality = [], []
     for di, dims_pair in enumerate(config.dims):
-        tags = {}
-        for batch in _batched(_strict_items(config, check_idx, di)):
-            validate_density_stack(np.concatenate([item[1] for item in batch]))
-            for item, rep in zip(batch, _strict_reports(batch, Dims(*dims_pair), tags=tags)):
-                (equality if item[4] else existence).append(rep)
+        for item, rep in _batch_reports(_strict_items(config, check_idx, di), _strict_reports,
+                                        Dims(*dims_pair), {}):
+            (equality if item[4] else existence).append(rep)
     return existence + equality
-
-
-def _batched(items):
-    """``_strict_reports`` items in consecutive lists of at most
-    ``_BATCH_STATES`` input states, or of one larger item."""
-    batch, n_states = [], 0
-    for item in items:
-        if batch and n_states + len(item[1]) > _BATCH_STATES:
-            yield batch
-            batch, n_states = [], 0
-        batch.append(item)
-        n_states += len(item[1])
-    if batch:
-        yield batch
 
 
 def _sweep_concavity(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     reports = []
     for hi, h in enumerate(DEFAULT_H_SET):
-        for t in range(config.trials):
-            seed = derived_seed(config.seed, check_idx, hi, t)
-            rng = np.random.default_rng(seed)
+        for t, seed, rng in _trials(config, config.trials, check_idx, hi):
             d = 2 if t % 2 == 0 else 3
             dims = Dims(d)
             rank = d if h.kind == "g-concurrence" else (1 + t % d if t % 5 else d)
@@ -856,9 +820,7 @@ def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[Verificati
         )
     ]
     h_cycle = (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE)
-    for t in range(config.trials):
-        seed = derived_seed(config.seed, check_idx, 1, t)
-        rng = np.random.default_rng(seed)
+    for t, seed, rng in _trials(config, config.trials, check_idx, 1):
         dims_pair = _cycled(config.dims, t)
         dims = Dims(*dims_pair)
         psi = random_pure(dims, rng)
@@ -869,12 +831,8 @@ def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[Verificati
 
 def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     reports = []
-    n = max(1, config.trials // 25)
-    dims = Dims(2, 2)
-    for t in range(n):
-        seed = derived_seed(config.seed, check_idx, t)
-        rng = np.random.default_rng(seed)
-        rho = random_mixed(dims, 2 + t % 3, rng)
+    for t, seed, rng in _trials(config, max(1, config.trials // 25), check_idx):
+        rho = random_mixed(Dims(2, 2), 2 + t % 3, rng)
         oracle = wootters_eof(rho)
         result = roof_minimize(ENTROPY, rho, 4, 20, rng)
         reports.append(_report(
@@ -885,54 +843,44 @@ def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[Verification
     return reports
 
 
-def _ree_status(res) -> dict:
-    return {"iterations": res.iterations, "converged": res.converged,
-            "duality_gap_estimate": res.duality_gap_estimate, "atoms": res.atoms}
+def _ree_input(case: str, rng: np.random.Generator, t: int):
+    """Trial ``t``'s two-qubit input of a ``ree`` case and its reference value."""
+    if case == "bell":
+        return bell_state().density(), math.log(2.0)
+    if case == "pure-coincidence":
+        rho = random_pure(Dims(2, 2), rng).density()
+        return rho, von_neumann_entropy(partial_trace(rho, "A"))
+    if case == "separable":
+        return random_separable(Dims(2, 2), 4 + t % 3, rng), 0.0
+    rho = random_mixed(Dims(2, 2), 2 + t % 3, rng)
+    return rho, wootters_eof(rho)
 
 
 def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    reports = []
-    dims = Dims(2, 2)
+    """Cases ``(case, trials, seed parts, tolerance)``: the REE must meet
+    the ``_ree_input`` reference value or, for ``below-eof``, stay under
+    it (the EoF bounds the REE from above)."""
     n = max(1, config.trials // 100)
-    seed = derived_seed(config.seed, check_idx, 0)
-    bell = bell_state().density()
-    res = ree_minimize(bell, rng=np.random.default_rng(seed))
-    reports.append(_report("ree", "ree", None, res.value, math.log(2.0), 1e-2, seed,
-                           {"rule": "|gap| <= tolerance", "case": "bell", **_ree_status(res)}))
-    for t in range(n):
-        seed = derived_seed(config.seed, check_idx, 1, t)
-        rng = np.random.default_rng(seed)
-        psi = random_pure(dims, rng)
-        oracle = von_neumann_entropy(partial_trace(psi.density(), "A"))
-        res = ree_minimize(psi.density(), rng=rng)
-        reports.append(_report("ree", "ree", None, res.value, oracle, 1e-2, seed,
-                               {"rule": "|gap| <= tolerance", "case": "pure-coincidence",
-                                **_ree_status(res)}))
-    for t in range(n):
-        seed = derived_seed(config.seed, check_idx, 2, t)
-        rng = np.random.default_rng(seed)
-        sep = random_separable(dims, 4 + t % 3, rng)
-        res = ree_minimize(sep, rng=rng)
-        reports.append(_report("ree", "ree", None, res.value, 0.0, 1e-4, seed,
-                               {"rule": "|gap| <= tolerance", "case": "separable",
-                                **_ree_status(res)}))
-    for t in range(n):
-        seed = derived_seed(config.seed, check_idx, 3, t)
-        rng = np.random.default_rng(seed)
-        rho = random_mixed(dims, 2 + t % 3, rng)
-        upper = wootters_eof(rho)
-        res = ree_minimize(rho, rng=rng)
-        reports.append(_report("ree", "ree", None, upper, res.value, 2e-2, seed,
-                               {"rule": "gap >= -tolerance", "case": "below-eof",
-                                **_ree_status(res)}))
+    cases = (("bell", 1, (), 1e-2), ("pure-coincidence", n, (1,), 1e-2),
+             ("separable", n, (2,), 1e-4), ("below-eof", n, (3,), 2e-2))
+    reports = []
+    for case, count, parts, tol in cases:
+        for t, seed, rng in _trials(config, count, check_idx, *parts):
+            rho, reference = _ree_input(case, rng, t)
+            res = ree_minimize(rho, rng=rng)
+            lhs, rhs, rule = (reference, res.value, "gap >= -tolerance") if case == "below-eof" \
+                else (res.value, reference, "|gap| <= tolerance")
+            reports.append(_report("ree", "ree", None, lhs, rhs, tol, seed,
+                                   {"rule": rule, "case": case, "iterations": res.iterations,
+                                    "converged": res.converged,
+                                    "duality_gap_estimate": res.duality_gap_estimate,
+                                    "atoms": res.atoms}))
     return reports
 
 
 def _sweep_ree_dpi(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     reports = []
-    for t in range(config.trials):
-        seed = derived_seed(config.seed, check_idx, t)
-        rng = np.random.default_rng(seed)
+    for t, seed, rng in _trials(config, config.trials, check_idx):
         dims_pair = _cycled(config.dims, t)
         dims = Dims(*dims_pair)
         rho = random_mixed(dims, None, rng)
@@ -940,19 +888,17 @@ def _sweep_ree_dpi(config: SweepConfig, check_idx: int) -> list[VerificationRepo
         channel = _trial_channel(config, t, dims_pair[1], rng, 4, 2)
         rep = ree_data_processing_check(rho, sigma, channel)
         if rep.skipped_reason is not None:
-            reports.append(_skipped("ree-dpi", "ree", classify(channel).tag, EQUALITY_TOL,
-                                    seed, rep.skipped_reason))
-            continue
-        # Equal divergences need the outcome probabilities of rho and sigma
-        # to agree as well.
-        equality = bool(rep.gap < EQUALITY_TOL)
-        reports.append(_report(
-            "ree-dpi", "ree", classify(channel).tag,
-            rep.total_divergence, rep.outcome_divergence, EQUALITY_TOL, seed,
-            {"rule": "gap >= -tolerance and probabilities unchanged" if equality
-             else "gap >= -tolerance",
-             "max_prob_deviation": rep.max_prob_deviation, "equality_case": equality},
-        ))
+            lhs, rhs, metadata = 0.0, 0.0, {"reason": rep.skipped_reason}
+        else:
+            # Equal divergences need the outcome probabilities of rho and
+            # sigma to agree as well.
+            equality = bool(rep.gap < EQUALITY_TOL)
+            lhs, rhs = rep.total_divergence, rep.outcome_divergence
+            metadata = {"rule": "gap >= -tolerance and probabilities unchanged" if equality
+                        else "gap >= -tolerance",
+                        "max_prob_deviation": rep.max_prob_deviation, "equality_case": equality}
+        reports.append(_report("ree-dpi", "ree", classify(channel).tag, lhs, rhs, EQUALITY_TOL,
+                               seed, metadata))
     return reports
 
 
@@ -968,25 +914,21 @@ def _sample_npt_two_qubit(rng: np.random.Generator) -> DensityMatrix:
 def _sweep_neg_decomposition(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     seed = derived_seed(config.seed, check_idx, 0)
     reports = [check_negativity_decomposition(werner_state(0.9), seed=seed)]
-    for t in range(max(1, config.trials // 2)):
-        seed = derived_seed(config.seed, check_idx, 1, t)
-        rng = np.random.default_rng(seed)
+    for _, seed, rng in _trials(config, max(1, config.trials // 2), check_idx, 1):
         reports.append(check_negativity_decomposition(_sample_npt_two_qubit(rng), seed=seed))
     return reports
 
 
 def _sweep_logneg(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    seed = derived_seed(config.seed, check_idx, 0)
     trials = min(10000, max(1, config.trials * 50))
-    return [check_logneg_nonconvexity(np.random.default_rng(seed), trials=trials, seed=seed)]
+    return [check_logneg_nonconvexity(rng, trials=trials, seed=seed)
+            for _, seed, rng in _trials(config, 1, check_idx)]
 
 
 def _sweep_monogamy(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     seed = derived_seed(config.seed, check_idx, 0)
     reports = [check_monogamy_product(bell_state(), bell_state(), ENTROPY, seed=seed)]
-    for t in range(max(1, config.trials // 50)):
-        seed = derived_seed(config.seed, check_idx, 1, t)
-        rng = np.random.default_rng(seed)
+    for t, seed, rng in _trials(config, max(1, config.trials // 50), check_idx, 1):
         phi = random_pure(Dims(2, 2), rng)
         eta = random_pure(Dims(2, 2), rng)
         reports.append(check_monogamy_product(phi, eta, _cycled((ENTROPY, NEGATIVITY_H), t),

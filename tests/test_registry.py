@@ -10,12 +10,13 @@ from entmon.registry import (
     as_pure,
     evaluate_closed_stack,
     evaluate_measure,
+    measure_state_kind,
     measure_tier,
     parse_measure_id,
     unit_of,
 )
 from entmon.sampling import random_mixed, random_pure
-from entmon.states import Dims, bell_state, max_entangled, werner_state
+from entmon.states import DimensionMismatchError, Dims, bell_state, max_entangled, werner_state
 
 
 def test_parse_ids():
@@ -116,3 +117,32 @@ def test_closed_stack_rejects_any_mixed_member(measure_id):
 def test_closed_stack_refuses_optimizer_measures():
     with pytest.raises(MeasureError):
         evaluate_closed_stack("ree", bell_state().density().matrix[None], Dims(2, 2))
+
+
+# Closed forms on small and large dims; the optimizers on 2x2 and, for
+# ree, beyond its dimension cap.
+STATE_KIND_CASES = [
+    (m, d)
+    for m in ("negativity", "log-negativity", "eof", "concurrence", "g-concurrence", "tangle",
+              "renyi:0.5", "tsallis:2")
+    for d in ((2, 2), (2, 3), (4, 5))
+] + [("negativity-roof", (2, 2)), ("ree", (2, 2)), ("ree", (4, 5))]
+
+
+@pytest.mark.parametrize("measure_id,dims_pair", STATE_KIND_CASES)
+def test_state_kind_matches_what_the_measure_evaluates(measure_id, dims_pair):
+    dims = Dims(*dims_pair)
+    rng = np.random.default_rng(17)
+    mixed = random_mixed(dims, None, rng)
+    pure = random_pure(dims, rng).density()
+    kind = measure_state_kind(measure_id, dims)
+    if kind is None:
+        with pytest.raises((MeasureError, DimensionMismatchError)):
+            evaluate_measure(measure_id, mixed, rng=rng)
+        return
+    state = mixed if kind == "mixed" else pure
+    value = evaluate_measure(measure_id, state, rng=rng, roof_restarts=2).value
+    assert math.isfinite(value) and value >= 0.0
+    if kind == "pure":
+        with pytest.raises(MeasureError):
+            evaluate_measure(measure_id, mixed, rng=rng)

@@ -122,20 +122,20 @@ class TestCheckStrict:
         # only the gap statistics.
         from entmon import verify
 
-        stack_values = verify._stack_values
+        evaluate_closed_stack = verify.evaluate_closed_stack
 
         def run(bump):
             calls = []
 
-            def bumped(measure_id, mats, dims, rng):
-                vals = stack_values(measure_id, mats, dims, rng)
+            def bumped(measure_id, mats, dims):
+                vals = evaluate_closed_stack(measure_id, mats, dims)
                 if not calls:  # the first call gives the input values
                     vals = vals.copy()
                     vals[2] += bump
                 calls.append(measure_id)
                 return vals
 
-            monkeypatch.setattr(verify, "_stack_values", bumped)
+            monkeypatch.setattr(verify, "evaluate_closed_stack", bumped)
             rng = np.random.default_rng(3)
             channel = unitary_mixture_channel(
                 [0.3, 0.7], [haar_unitary(2, rng), haar_unitary(2, rng)]
@@ -148,6 +148,17 @@ class TestCheckStrict:
         fields = lambda rep: (rep.lhs, rep.rhs, rep.gap, rep.verdict)
         assert fields(bumped) == fields(base)
         assert recompute_verdict(bumped) == bumped.verdict == "pass"
+
+    @pytest.mark.parametrize("measure_id", ["ree", "negativity-roof"])
+    def test_optimizer_measures_are_refused_before_sampling(self, measure_id):
+        from entmon.registry import MeasureError
+
+        def sampler(rng, n):
+            raise AssertionError("the sampler ran")
+
+        channel = random_channel(2, 2, np.random.default_rng(5))
+        with pytest.raises(MeasureError, match="closed-form"):
+            check_strict(measure_id, sampler, channel, 4, np.random.default_rng(6))
 
     def test_product_sampler_is_uninformative(self):
         rng = np.random.default_rng(4)
@@ -527,14 +538,15 @@ def _reference_n_kraus(config, t):
 
 def _reference_sweep_monotone(config):
     """The ``monotone`` sweep as one ``_reference_monotone`` per trial."""
-    from entmon.verify import CHECK_IDS, _measure_state_kind, derived_seed
+    from entmon.registry import measure_state_kind
+    from entmon.verify import CHECK_IDS, derived_seed
 
     check_idx = CHECK_IDS.index("monotone")
     reports = []
     for di, dims_pair in enumerate(config.dims):
         dims = Dims(*dims_pair)
         for mi, measure_id in enumerate(config.measures):
-            kind = _measure_state_kind(measure_id, dims_pair)
+            kind = measure_state_kind(measure_id, dims)
             if kind is None:
                 continue
             for t in range(config.trials):
@@ -549,9 +561,8 @@ def _reference_sweep_monotone(config):
 def _reference_sweep_strict(config):
     """The ``strict`` sweep as one ``_reference_strict`` per report."""
     from entmon.channels import TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE
-    from entmon.registry import measure_tier
-    from entmon.verify import (CHECK_IDS, _measure_state_kind, _random_unitary_mixture,
-                               _report, derived_seed)
+    from entmon.registry import measure_state_kind, measure_tier
+    from entmon.verify import CHECK_IDS, _random_unitary_mixture, _report, derived_seed
 
     check_idx = CHECK_IDS.index("strict")
     reports = []
@@ -568,7 +579,7 @@ def _reference_sweep_strict(config):
             rng = np.random.default_rng(seed)
             channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
             for measure_id in config.measures:
-                kind = _measure_state_kind(measure_id, dims_pair)
+                kind = measure_state_kind(measure_id, Dims(*dims_pair))
                 if kind is None or measure_tier(measure_id) != "closed":
                     continue
                 rep = _reference_strict(measure_id, _sampler(kind, Dims(*dims_pair)), channel,
