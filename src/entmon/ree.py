@@ -26,6 +26,7 @@ systems are flagged as upper-bound-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,13 +90,21 @@ def _log_kernel(mu: np.ndarray) -> np.ndarray:
     return np.where(near, 1.0 / mu[:, None], num / np.where(near, 1.0, den))
 
 
+@functools.cache
+def _triples(n: int) -> np.ndarray:
+    """The lowest, middle and highest index of each triple in range(n)^3."""
+    idx = np.indices((n,) * 3)
+    lo, hi = idx.min(0), idx.max(0)
+    out = np.stack([lo, idx.sum(0) - lo - hi, hi])
+    out.flags.writeable = False
+    return out
+
+
 def _log_kernel2(mu: np.ndarray, l1: np.ndarray) -> np.ndarray:
     """Second divided differences of ln at the ascending ``mu``, from its
     ``_log_kernel`` ``l1``: each triple is divided across its outer two, and
     where those meet to 1e-4, -1/(2 m^2) at the mean m is exact to ~1e-8."""
-    idx = np.indices((len(mu),) * 3)
-    lo, hi = idx.min(0), idx.max(0)
-    mid = idx.sum(0) - lo - hi
+    lo, mid, hi = _triples(len(mu))
     span = mu[hi] - mu[lo]
     near = span < 1e-4 * mu[hi]
     return np.where(near, -4.5 / (mu[lo] + mu[mid] + mu[hi]) ** 2,
@@ -254,8 +263,8 @@ def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarra
     FLOOR_RATIO of its start, a barrier ln alone enforces too weakly.
     """
     v = weights
-    f, g, h = _weight_objective(v, rho_m, atoms, hessian=True)
     for _ in range(steps):
+        f, g, h = _weight_objective(v, rho_m, atoms, hessian=True)
         pg = float(np.linalg.norm(v - np.maximum(v - g, 0.0)))
         if pg <= KKT_TOL:
             break
@@ -270,7 +279,6 @@ def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarra
         else:
             return v
         v = w
-        f, g, h = _weight_objective(v, rho_m, atoms, hessian=True)
     return v
 
 
@@ -281,15 +289,17 @@ def _nonnegative_qp(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     free set; step back to the first weight the solve sends below 0 and fix
     it at 0, or else free the fixed weight whose gradient is most negative.
     """
+    entry = 1e-14 * (1.0 + np.abs(b).max())
     free = x > 0.0
     for _ in range(3 * len(b)):
+        zf = np.linalg.solve(a[free][:, free], b[free])
         z = np.zeros_like(x)
-        z[free] = np.linalg.solve(a[np.ix_(free, free)], b[free])
-        if np.all(z[free] > 0.0):
+        z[free] = zf
+        if np.all(zf > 0.0):
             x = z
             r = np.where(free, -np.inf, b - a @ x)
             j = int(np.argmax(r))
-            if r[j] <= 1e-14 * (1.0 + np.abs(b).max()):
+            if r[j] <= entry:
                 break
             free[j] = True
         else:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmon import ree
 from entmon.channels import LocalKrausChannel, random_channel, unitary_mixture_channel
 from entmon.measures import wootters_eof
 from entmon.ree import (
@@ -217,6 +218,28 @@ class TestWeightStep:
         v = _reoptimize_weights(rho, atoms, v0, steps=100)
         _, g = _weight_objective(v, rho, atoms)
         assert np.linalg.norm(v - np.maximum(v - g, 0.0)) <= 1e-6
+
+    @pytest.mark.parametrize("dims,steps", [((2, 2), 1), ((2, 3), 2), ((3, 3), 5)])
+    def test_one_hessian_per_step_taken_and_none_after_the_last(self, monkeypatch, dims, steps):
+        # Random atoms start far from the optimum, so every step is taken.
+        rng = np.random.default_rng(50 + steps)
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None, rng).matrix
+        atoms = _random_atoms(dims, n + 2, rng)
+        v0 = np.append(rng.dirichlet(np.ones(n)), np.zeros(2))
+        points = []
+
+        def counted(v, *args, hessian=False, **kwargs):
+            if hessian:
+                points.append(v.copy())
+            return _weight_objective(v, *args, hessian=hessian, **kwargs)
+
+        monkeypatch.setattr(ree, "_weight_objective", counted)
+        v = _reoptimize_weights(rho, atoms, v0, steps=steps)
+        iterates = points + [v]
+        assert len(points) == steps
+        np.testing.assert_array_equal(points[0], v0)
+        assert all(not np.array_equal(p, q) for p, q in zip(iterates, iterates[1:]))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40))
