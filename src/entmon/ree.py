@@ -8,16 +8,18 @@ projectors for that linear function by an alternating least-eigenvector
 iteration (a bilinear, nonconvex subproblem solved from several random
 starts; failures only loosen the upper bound).  Every start ends in a local
 minimizer; each distinct one that lies below the linearization Tr[G sigma]
-joins the list at weight 0 (a multi-atom step), and then the weights of all
-atoms are re-optimized together by Newton steps on the exact Hessian, each
-minimizing its quadratic model over nonnegative weights by Lawson-Hanson
-active sets (Rehacek & Hradil, PRL 90, 127904 (2003); Zinchenko, Friedland
-& Gour, PRA 82, 052336 (2010)); atoms whose weight reaches zero are dropped,
-and a list longer than twice the Caratheodory bound n^2 is cut back to n^2
-atoms with the same sigma.  A step is taken only if it lowers the objective.
-The run stops when the Frank-Wolfe duality gap falls below its tolerance,
-confirmed by a harder product search, after one last step with the
-candidates of both searches.  The returned value is an upper bound on E_r.
+joins the list at weight 0 (a multi-atom step), and one Newton step on the
+exact Hessian corrects all weights: it minimizes its quadratic model over
+v >= 0 by Lawson-Hanson active sets (Rehacek & Hradil, PRL 90, 127904
+(2003); Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)).  As in blended
+conditional gradients (Braun, Pokutta, Tu & Wright, ICML 2019) the step is
+inexact, since the next search reopens the atom set; the first and the
+last iteration run it to KKT.  Atoms at weight zero are dropped, and a list
+longer than twice the Caratheodory bound n^2 is cut back to n^2 atoms with
+the same sigma.  A step is taken only if it lowers the objective.  The run
+stops when the Frank-Wolfe duality gap falls below its tolerance, confirmed
+by a harder product search, after one last step with the candidates of
+both searches.  The returned value is an upper bound on E_r.
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
 reported closest separable state is exactly certifiable there; larger
@@ -46,7 +48,6 @@ EIG_FLOOR = 1e-14
 INNER_ROUNDS = 12
 INNER_VAL_TOL = 1e-10
 MAX_TOTAL_DIM = 16
-WEIGHT_STEPS = 2  # Newton steps per weight re-optimization
 ARMIJO = 1e-4  # sufficient-decrease fraction of a weight step
 HALVINGS = 20  # weight-step halvings tried before a re-optimization ends
 FLOOR_RATIO = 0.1  # lowest eigenvalue of sigma a weight step keeps, relative to its start
@@ -92,12 +93,8 @@ def _log_kernel(mu: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _triples(n: int) -> np.ndarray:
-    """The lowest, middle and highest index of each triple in range(n)^3."""
-    idx = np.indices((n,) * 3)
-    lo, hi = idx.min(0), idx.max(0)
-    out = np.stack([lo, idx.sum(0) - lo - hi, hi])
-    out.flags.writeable = False
-    return out
+    """Each index triple in range(n)^3, sorted: lowest, middle, highest."""
+    return np.sort(np.indices((n,) * 3), axis=0)
 
 
 def _log_kernel2(mu: np.ndarray, l1: np.ndarray) -> np.ndarray:
@@ -251,7 +248,7 @@ def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray,
 
 
 def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray,
-                        steps: int = WEIGHT_STEPS) -> np.ndarray:
+                        steps: int = 1) -> np.ndarray:
     """Approximate argmin over v >= 0 of ``_weight_objective``, from ``weights``.
 
     Bounds only: along the scale t of v the derivative is 1 - 1/t, so sum
@@ -292,9 +289,8 @@ def _nonnegative_qp(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     entry = 1e-14 * (1.0 + np.abs(b).max())
     free = x > 0.0
     for _ in range(3 * len(b)):
-        zf = np.linalg.solve(a[free][:, free], b[free])
         z = np.zeros_like(x)
-        z[free] = zf
+        z[free] = zf = np.linalg.solve(a[free][:, free], b[free])
         if np.all(zf > 0.0):
             x = z
             r = np.where(free, -np.inf, b - a @ x)
@@ -320,17 +316,18 @@ def ree_minimize(
     """Upper bound on the relative entropy of entanglement of ``rho``.
 
     Starts from the maximally mixed state (interior, full support).  Each
-    iteration runs the product search from ``RESTARTS`` random starts plus
-    a warm start; every distinct local minimizer that lies below the
-    linearization Tr[G sigma] joins the atom list at weight 0, and
-    WEIGHT_STEPS Newton steps re-optimize all weights.  A list of
-    more than 2 n^2 atoms (n = dA dB) is cut back to n^2 atoms with the same
-    sigma, so ``atoms`` in the result is at most 2 n^2.  Stops when the
-    Frank-Wolfe duality-gap estimate drops below ``GAP_TOL`` (``converged``
-    is then True, and that iteration's step still runs, to FINAL_STEPS, so
-    the gap is that of the state before it), when a step no longer lowers
-    the objective, or after ``max_iters`` iterations; non-convergence is
-    reported through the ``converged`` flag, never as a failure.
+    iteration runs the product search from ``RESTARTS`` random starts plus a
+    warm start; every distinct local minimizer that lies below the
+    linearization Tr[G sigma] joins the atom list at weight 0, and one
+    Newton step (up to FINAL_STEPS in the first iteration) corrects all
+    weights.  A list of more than 2 n^2 atoms (n = dA dB) is cut back to n^2
+    atoms with the same sigma, so ``atoms`` in the result is at most 2 n^2.
+    Stops when the Frank-Wolfe duality-gap estimate drops below ``GAP_TOL``
+    (``converged`` is then True, and that iteration's step still runs, to
+    FINAL_STEPS, so the gap is that of the state before it), when a step no
+    longer lowers the objective, or after ``max_iters`` iterations;
+    non-convergence is reported through the ``converged`` flag, never as a
+    failure.
     """
     if len(rho.dims.factors) != 2:
         raise DimensionMismatchError("E_r is computed on bipartite states")
@@ -367,9 +364,7 @@ def ree_minimize(
             # The gap rests on an approximate inner solve; confirm with a
             # harder search before declaring convergence.
             a2, b2, vals2 = _min_product_expectation(
-                g, dA, dB, 8 * RESTARTS,
-                np.random.default_rng(base_seed + t + 7_777_777), prev_a,
-            )
+                g, dA, dB, 8 * RESTARTS, np.random.default_rng(base_seed + t + 7_777_777), prev_a)
             a, b, vals = np.vstack([a, a2]), np.vstack([b, b2]), np.concatenate([vals, vals2])
             gap = level - float(np.min(vals))
             # A confirmed gap still takes this step with the candidates found.
@@ -381,7 +376,7 @@ def ree_minimize(
         new = _new_atoms(a, b, vals, level)
         cand = np.vstack([atoms, new])
         v = _reoptimize_weights(rho_m, cand, np.append(weights, np.zeros(len(new))),
-                                FINAL_STEPS if converged else WEIGHT_STEPS)
+                                FINAL_STEPS if converged or t == 0 else 1)
         keep = v > 0.0
         v = v[keep] / float(np.sum(v[keep]))
         new_value = offset + _weight_objective(v, rho_m, cand[keep])[0]

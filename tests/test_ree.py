@@ -49,6 +49,14 @@ class TestReeMinimize:
         assert res.value == pytest.approx(math.log(2), abs=1e-2)
         assert res.value >= math.log(2) - 1e-6  # upper bound
 
+    def test_bell_converges_in_two_iterations(self):
+        # The first weight re-optimization runs from I/n to KKT, as one
+        # Newton step from that far start would leave it unconverged.
+        res = ree_minimize(bell_state().density(), rng=np.random.default_rng(1))
+        assert res.converged is True
+        assert res.iterations <= 2
+        assert abs(res.value - math.log(2)) <= 1e-9
+
     def test_pure_state_coincidence(self):
         rng = np.random.default_rng(2)
         for t in range(3):
