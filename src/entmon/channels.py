@@ -25,6 +25,7 @@ from .states import (
     DensityMatrix,
     DimensionMismatchError,
     PureState,
+    _check_spectra,
     _trusted_density,
     validate_density_stack,
 )
@@ -150,12 +151,13 @@ def _outcome_stack(
     and 0 elsewhere; ``states`` holds the kept outcome states, row by row
     in Kraus order, as one ``(M, n, n)`` stack that has passed
     ``validate_density_stack``.  Each state's outcomes are the same bits
-    whatever else is in the stack.
+    whatever else is in the stack.  The input spectra are checked for PSD.
     """
     if len(dims.factors) != 2:
         raise DimensionMismatchError("channels act on bipartite states")
     ops = _embedded_kraus(kraus, side, dims)
     vals, vecs = np.linalg.eigh(mats)
+    _check_spectra(vals)
     # Roundoff eigenvalues of a pure input (~1e-16, root columns ~1e-8) would
     # leave an outcome of probability ~1e-11 visibly mixed once normalized.
     vals = np.where(vals > EIG_REL_FLOOR * vals[:, -1:], vals, 0.0)

@@ -186,6 +186,11 @@ def validate_density_stack(mats: np.ndarray) -> np.ndarray:
     offending member raises ``StateValidationError``.  Returns the
     ascending spectra ``(..., n)``, unclipped.
     """
+    _check_hermitian_unit_trace(mats)
+    return _check_spectra(np.linalg.eigvalsh(mats))
+
+
+def _check_hermitian_unit_trace(mats: np.ndarray) -> None:
     if mats.shape[-1] > 1:
         dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
         if dev.max() > TOL_HERM:
@@ -199,7 +204,10 @@ def validate_density_stack(mats: np.ndarray) -> np.ndarray:
         raise StateValidationError(
             f"trace {complex(_first(tr, off > TOL_TRACE))} deviates from 1 beyond {TOL_TRACE}"
         )
-    vals = np.linalg.eigvalsh(mats)
+
+
+def _check_spectra(vals: np.ndarray) -> np.ndarray:
+    """Ascending spectra ``vals`` that pass the PSD check."""
     lo = vals[..., 0]
     if lo.min() < -TOL_PSD:
         raise StateValidationError(

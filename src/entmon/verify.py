@@ -85,6 +85,7 @@ from .states import (
     DimensionMismatchError,
     Dims,
     PureState,
+    _check_hermitian_unit_trace,
     bell_state,
     partial_trace,
     partial_transpose,
@@ -350,7 +351,7 @@ def check_strict(
         raise MeasureError(f"check_strict takes closed-form measures, not {measure_id!r}")
     mats = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
     dims = _input_dims(channel, mats, n_states)
-    validate_density_stack(mats)
+    _check_hermitian_unit_trace(mats)  # _outcome_stack checks the spectra
     return _strict_reports([(measure_id, mats, channel, seed, False)], dims)[0]
 
 
@@ -723,11 +724,12 @@ def _batch_reports(items, judge, *args):
     member is an ``(n, N, N)`` stack of input states.  ``judge(batch,
     *args)`` returns the reports of consecutive lists of items of at most
     ``_BATCH_STATES`` input states (or of one larger item); each list is
-    drawn only when the one before is judged, and validated once."""
+    drawn when the one before is judged, and validated once (PSD in
+    ``_outcome_stack``)."""
     batch, n_states = [], 0
     for item in itertools.chain(items, [None]):
         if batch and (item is None or n_states + len(item[1]) > _BATCH_STATES):
-            validate_density_stack(np.concatenate([it[1] for it in batch]))
+            _check_hermitian_unit_trace(np.concatenate([it[1] for it in batch]))
             yield from zip(batch, judge(batch, *args))
             batch, n_states = [], 0
         if item is not None:

@@ -790,6 +790,20 @@ class TestStrictInputStack:
         with pytest.raises(StateValidationError):
             check_strict("negativity", one_bad_member, channel, 4, rng)
 
+    @pytest.mark.parametrize("fault", ["hermiticity", "trace", "negative eigenvalue"])
+    def test_batch_driver_keeps_every_input_check(self, fault):
+        from entmon.states import StateValidationError
+        from entmon.verify import _batch_reports, _strict_reports
+
+        rng = np.random.default_rng(14)
+        mats = _stack_sampler("pure", Dims(2, 2))(rng, 4)
+        mats[2] = {"hermiticity": np.diag([0.5, 0.5, 0.0, 0.0]) + 1e-3 * np.eye(4, k=1),
+                   "trace": np.diag([0.6, 0.5, 0.0, 0.0]),
+                   "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0])}[fault]
+        items = [("negativity", mats, random_channel(2, 2, rng), 0, False)]
+        with pytest.raises(StateValidationError, match=fault):
+            list(_batch_reports(items, _strict_reports, Dims(2, 2), {}))
+
     def test_sampler_shape_must_fit_the_channel(self):
         from entmon.states import DimensionMismatchError
 
