@@ -9,17 +9,16 @@ iteration (a bilinear, nonconvex subproblem solved from several random
 starts; failures only loosen the upper bound).  Every start ends in a local
 minimizer; each distinct one that lies below the linearization Tr[G sigma]
 joins the list at weight 0 (a multi-atom step), and one Newton step on the
-exact Hessian corrects all weights: it minimizes its quadratic model over
+exact Hessian corrects all weights, minimizing its quadratic model over
 v >= 0 by Lawson-Hanson active sets (Rehacek & Hradil, PRL 90, 127904
-(2003); Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)).  As in blended
-conditional gradients (Braun, Pokutta, Tu & Wright, ICML 2019) the step is
-inexact, since the next search reopens the atom set; the first and the
-last iteration run it to KKT.  Atoms at weight zero are dropped, and a list
-longer than twice the Caratheodory bound n^2 is cut back to n^2 atoms with
-the same sigma.  A step is taken only if it lowers the objective.  The run
-stops when the Frank-Wolfe duality gap falls below its tolerance, confirmed
-by a harder product search, after one last step with the candidates of
-both searches.  The returned value is an upper bound on E_r.
+(2003); Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)); the step is
+inexact, as in blended conditional gradients (Braun, Pokutta, Tu & Wright,
+ICML 2019).  Atoms whose weight reaches zero are dropped, and a list longer
+than twice the Caratheodory bound n^2 is cut back to n^2 atoms with the same
+sigma.  A step is taken only if it lowers the objective.  The run stops when
+the Frank-Wolfe duality gap falls below its tolerance, confirmed by a harder
+product search, after one last step with the candidates of both searches,
+run to KKT like the first.  The returned value is an upper bound on E_r.
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
 reported closest separable state is exactly certifiable there; larger
@@ -52,7 +51,7 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of a weight step
 HALVINGS = 20  # weight-step halvings tried before a re-optimization ends
 FLOOR_RATIO = 0.1  # lowest eigenvalue of sigma a weight step keeps, relative to its start
 KKT_TOL = 1e-9  # projected-gradient norm that ends a weight re-optimization
-FINAL_STEPS = 20  # Newton steps of the last weight re-optimization of a converged run
+FINAL_STEPS = 20  # Newton steps of the first iteration and of a converged run's last
 DEDUPE_OVERLAP = 0.99  # |<p|q>|^2 at which a new atom repeats another
 
 
@@ -319,15 +318,14 @@ def ree_minimize(
     iteration runs the product search from ``RESTARTS`` random starts plus a
     warm start; every distinct local minimizer that lies below the
     linearization Tr[G sigma] joins the atom list at weight 0, and one
-    Newton step (up to FINAL_STEPS in the first iteration) corrects all
-    weights.  A list of more than 2 n^2 atoms (n = dA dB) is cut back to n^2
-    atoms with the same sigma, so ``atoms`` in the result is at most 2 n^2.
-    Stops when the Frank-Wolfe duality-gap estimate drops below ``GAP_TOL``
-    (``converged`` is then True, and that iteration's step still runs, to
-    FINAL_STEPS, so the gap is that of the state before it), when a step no
-    longer lowers the objective, or after ``max_iters`` iterations;
-    non-convergence is reported through the ``converged`` flag, never as a
-    failure.
+    Newton step corrects all weights (FINAL_STEPS in the first).  A list of
+    more than 2 n^2 atoms (n = dA dB) is cut back to n^2 atoms with the same
+    sigma, so ``atoms`` in the result is at most 2 n^2.  Stops when the
+    Frank-Wolfe duality-gap estimate drops below ``GAP_TOL`` (``converged``
+    is then True, and that iteration's step still runs, to FINAL_STEPS, so
+    the gap is that of the state before it), when a step no longer lowers
+    the objective, or after ``max_iters`` iterations; non-convergence is
+    reported through the ``converged`` flag, never as a failure.
     """
     if len(rho.dims.factors) != 2:
         raise DimensionMismatchError("E_r is computed on bipartite states")
@@ -364,7 +362,9 @@ def ree_minimize(
             # The gap rests on an approximate inner solve; confirm with a
             # harder search before declaring convergence.
             a2, b2, vals2 = _min_product_expectation(
-                g, dA, dB, 8 * RESTARTS, np.random.default_rng(base_seed + t + 7_777_777), prev_a)
+                g, dA, dB, 8 * RESTARTS,
+                np.random.default_rng(base_seed + t + 7_777_777), prev_a,
+            )
             a, b, vals = np.vstack([a, a2]), np.vstack([b, b2]), np.concatenate([vals, vals2])
             gap = level - float(np.min(vals))
             # A confirmed gap still takes this step with the candidates found.

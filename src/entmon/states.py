@@ -207,7 +207,6 @@ def _check_hermitian_unit_trace(mats: np.ndarray) -> None:
 
 
 def _check_spectra(vals: np.ndarray) -> np.ndarray:
-    """Ascending spectra ``vals`` that pass the PSD check."""
     lo = vals[..., 0]
     if lo.min() < -TOL_PSD:
         raise StateValidationError(

@@ -724,8 +724,7 @@ def _batch_reports(items, judge, *args):
     member is an ``(n, N, N)`` stack of input states.  ``judge(batch,
     *args)`` returns the reports of consecutive lists of items of at most
     ``_BATCH_STATES`` input states (or of one larger item); each list is
-    drawn when the one before is judged, and validated once (PSD in
-    ``_outcome_stack``)."""
+    drawn when the one before is judged, and validated once (PSD by ``judge``)."""
     batch, n_states = [], 0
     for item in itertools.chain(items, [None]):
         if batch and (item is None or n_states + len(item[1]) > _BATCH_STATES):

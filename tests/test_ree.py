@@ -130,6 +130,24 @@ class TestReeMinimize:
         assert res.iterations < 381
         assert 1 <= res.atoms <= 2 * 9 * 9
 
+    @settings(max_examples=10, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_between_coherent_and_mutual_information(self, dims, rank, seed):
+        # E_r >= S(X) - S(AB) for either marginal X, and E_r <= S(rho ||
+        # rho_A x rho_B), a separable candidate; on 2x2 and 2x3 the
+        # returned state is separable exactly when it is PPT.
+        d = Dims(*dims)
+        rho = random_mixed(d, 1 + (rank - 1) % d.total, np.random.default_rng(seed))
+        res = ree_minimize(rho, rng=np.random.default_rng(seed))
+        rho_a, rho_b = partial_trace(rho, "A"), partial_trace(rho, "B")
+        coherent = max(von_neumann_entropy(rho_a), von_neumann_entropy(rho_b)) \
+            - von_neumann_entropy(rho)
+        mutual = relative_entropy(rho, DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix), d))
+        assert res.converged is True
+        assert max(0.0, coherent) - 1e-9 <= res.value <= mutual + GAP_TOL
+        assert np.linalg.eigvalsh(partial_transpose(res.closest_separable, "A"))[0] >= -1e-9
+
     def test_dimension_cap(self):
         from entmon.states import DimensionMismatchError
 
