@@ -10,9 +10,11 @@ gives each trial its seed and a generator of its own.  The closed-form
 trials of ``monotone`` and ``strict`` stream through ``_batch_reports``,
 which validates each batch of at most ``_BATCH_STATES`` input states once
 and judges it with one kernel, ``_closed_gaps``: per measure, one
-``_outcome_stack`` call and one ``evaluate_closed_stack`` call.  The
-other checks, and the optimizer tiers of ``monotone``, judge one trial at
-a time.
+``_outcome_stack`` call and one ``evaluate_closed_stack`` call.
+``_concavity_reports`` judges all ``concavity`` trials with one
+``eigvalsh`` per (h, dimension).  The other checks, and the optimizer
+tiers of ``monotone``, judge one trial at a time; ``reduced-state`` takes
+one stack of each input and its outcomes.
 
 Every verdict comes from one table: ``RULES`` maps the rule name that
 each report stores in ``metadata["rule"]`` to a predicate over the
@@ -57,6 +59,7 @@ from .measures import (
     NEGATIVITY_H,
     TANGLE,
     h_eval,
+    h_of_spectrum,
     log_negativity_of_norms,
     negativity,
     negativity_of_norms,
@@ -400,33 +403,54 @@ def check_strict_concavity(
     lam: float,
     seed: int = 0,
 ) -> VerificationReport:
-    """h(lam rho1 + (1-lam) rho2) strictly exceeds the mixture of values."""
+    """h(lam rho1 + (1-lam) rho2) strictly exceeds the mixture of values:
+    the one-item case of ``_concavity_reports``."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie strictly between 0 and 1")
     if rho1.dims.factors != rho2.dims.factors:
         raise DimensionMismatchError("states must share dims")
-    mix = DensityMatrix(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, rho1.dims)
-    lhs = h_eval(h, mix)
-    rhs = lam * h_eval(h, rho1) + (1.0 - lam) * h_eval(h, rho2)
-    dist = float(np.linalg.norm(rho1.matrix - rho2.matrix))
-    metadata = {"distance": dist, "lambda": float(lam)}
-    if h.kind == "tangle":
-        metadata["tangle_identity_dev"] = abs(lhs - rhs - 2.0 * lam * (1.0 - lam) * dist * dist)
-    if dist <= 1e-12:
-        tol, branch, rule = CONCAVITY_EQUAL_TOL, "equal-states", "|gap| <= tolerance"
-    elif dist > CONCAVITY_DISTANCE:
-        if h.kind == "g-concurrence":
-            lo = min(float(rho1.eigenvalues()[0]), float(rho2.eigenvalues()[0]))
-            if lo <= 1e-9:
+    return _concavity_reports([(h, rho1.matrix, rho2.matrix, lam, seed)])[0]
+
+
+def _concavity_reports(items):
+    """``check_strict_concavity`` reports of items ``(h, rho1, rho2, lam,
+    seed)``, the states as matrices, in item order.  Per (h, dimension),
+    the stack of every rho1, rho2 and mixture is validated once, and its
+    one ``eigvalsh`` gives the spectra of every h value."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault((item[0], len(item[1])), []).append(i)
+    reports = [None] * len(items)
+    for (h, _), group in groups.items():
+        pairs = np.array([items[i][1:3] for i in group])
+        w = np.array([items[i][3] for i in group])[:, None, None]
+        mix = w * pairs[:, 0] + (1.0 - w) * pairs[:, 1]
+        mu = np.clip(validate_density_stack(np.concatenate([pairs, mix[:, None]], axis=1)),
+                     0.0, None)
+        for i, (v1, v2, lhs), lows in zip(group, h_of_spectrum(h, mu).tolist(),
+                                          mu[:, :2, 0].tolist()):
+            _, rho1, rho2, lam, seed = items[i]
+            rhs = lam * v1 + (1.0 - lam) * v2
+            dist = float(np.linalg.norm(rho1 - rho2))
+            metadata = {"distance": dist, "lambda": float(lam)}
+            if h.kind == "tangle":
+                metadata["tangle_identity_dev"] = abs(lhs - rhs
+                                                      - 2.0 * lam * (1.0 - lam) * dist * dist)
+            if dist <= 1e-12:
+                tol, branch, rule = CONCAVITY_EQUAL_TOL, "equal-states", "|gap| <= tolerance"
+            elif dist <= CONCAVITY_DISTANCE:
+                tol, branch, rule = CONCAVITY_STRICT_TOL, "near-equal", "gap >= -tolerance"
+            elif h.kind == "g-concurrence" and min(lows) <= 1e-9:
                 # (det)^(1/d) is strictly concave only on the definite cone.
                 metadata["reason"] = "g-concurrence strictness needs full-rank inputs"
-                return _report("concavity", h.measure_id, None, 0.0, 0.0, CONCAVITY_STRICT_TOL,
-                               seed, metadata)
-        tol, branch, rule = CONCAVITY_STRICT_TOL, "strict", "gap > tolerance"
-    else:
-        tol, branch, rule = CONCAVITY_STRICT_TOL, "near-equal", "gap >= -tolerance"
-    metadata.update(branch=branch, rule=rule)
-    return _report("concavity", h.measure_id, None, lhs, rhs, tol, seed, metadata)
+                reports[i] = _report("concavity", h.measure_id, None, 0.0, 0.0,
+                                     CONCAVITY_STRICT_TOL, seed, metadata)
+                continue
+            else:
+                tol, branch, rule = CONCAVITY_STRICT_TOL, "strict", "gap > tolerance"
+            metadata.update(branch=branch, rule=rule)
+            reports[i] = _report("concavity", h.measure_id, None, lhs, rhs, tol, seed, metadata)
+    return reports
 
 
 def check_reduced_state_condition(
@@ -445,15 +469,16 @@ def check_reduced_state_condition(
         raise DimensionMismatchError("reduced-state condition needs a bipartite pure state")
     if channel.side != "B":
         raise ValueError("reduced-state condition is formulated for side-B channels")
-    rho_a = partial_trace(psi.density(), "A")
-    lhs = h_eval(h, rho_a)
+    # One amplitude stack of the input and its outcomes: the projectors and
+    # A marginals are validated once each; the marginals' spectra give h.
     outcomes = apply_channel_to_pure(channel, psi)
-    rhs = 0.0
-    max_dev = 0.0
-    for p, out in outcomes:
-        out_a = partial_trace(out.density(), "A")
-        rhs += p * h_eval(h, out_a)
-        max_dev = max(max_dev, float(np.linalg.norm(out_a.matrix - rho_a.matrix)))
+    dA, dB = psi.dims.factors
+    proj = projector_stack(np.stack([psi.amplitudes] + [out.amplitudes for _, out in outcomes]))
+    validate_density_stack(proj)
+    marginals = np.trace(proj.reshape(-1, dA, dB, dA, dB), axis1=-3, axis2=-1)
+    lhs, *values = h_of_spectrum(h, np.clip(validate_density_stack(marginals), 0.0, None)).tolist()
+    rhs = functools.reduce(operator.add, (p * v for (p, _), v in zip(outcomes, values)), 0.0)
+    max_dev = max([0.0] + [float(np.linalg.norm(out_a - marginals[0])) for out_a in marginals[1:]])
     metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(outcomes)}
     if lhs < 1e-12:
         metadata["note"] = "unentangled input"
@@ -708,9 +733,9 @@ def _stack_sampler(kind: str, dims: Dims):
 def _trials(config: SweepConfig, n: int, check_idx: int, *parts: int):
     """Trials ``t < n`` of a check as ``(t, seed, rng)``: the seed derived
     from ``config.seed``, ``check_idx``, ``parts`` and ``t``, and a
-    generator seeded with it."""
-    for t in range(n):
-        seed = derived_seed(config.seed, check_idx, *parts, t)
+    generator seeded with it.  All n seeds come before the first draw."""
+    seeds = [derived_seed(config.seed, check_idx, *parts, t) for t in range(n)]
+    for t, seed in enumerate(seeds):
         yield t, seed, np.random.default_rng(seed)
 
 
@@ -794,18 +819,17 @@ def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationRepor
 
 
 def _sweep_concavity(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    reports = []
+    items = []
     for hi, h in enumerate(DEFAULT_H_SET):
         for t, seed, rng in _trials(config, config.trials, check_idx, hi):
             d = 2 if t % 2 == 0 else 3
             dims = Dims(d)
             rank = d if h.kind == "g-concurrence" else (1 + t % d if t % 5 else d)
-            rho1 = random_mixed(dims, rank, rng)
-            rho2 = random_mixed(dims, rank, rng)
-            while float(np.linalg.norm(rho1.matrix - rho2.matrix)) <= CONCAVITY_DISTANCE:
-                rho2 = random_mixed(dims, rank, rng)
-            reports.append(check_strict_concavity(h, rho1, rho2, 0.5, seed=seed))
-    return reports
+            rho1, rho2 = random_mixed_stack(dims, rank, 2, rng)
+            while float(np.linalg.norm(rho1 - rho2)) <= CONCAVITY_DISTANCE:
+                rho2 = random_mixed_stack(dims, rank, 1, rng)[0]
+            items.append((h, rho1, rho2, 0.5, seed))
+    return _concavity_reports(items)
 
 
 def _projective_channel(d: int) -> LocalKrausChannel:
@@ -814,12 +838,8 @@ def _projective_channel(d: int) -> LocalKrausChannel:
 
 
 def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    reports = [
-        check_reduced_state_condition(
-            ENTROPY, bell_state(), _projective_channel(2),
-            seed=derived_seed(config.seed, check_idx, 0),
-        )
-    ]
+    reports = [check_reduced_state_condition(ENTROPY, bell_state(), _projective_channel(2),
+                                             seed=derived_seed(config.seed, check_idx, 0))]
     h_cycle = (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE)
     for t, seed, rng in _trials(config, config.trials, check_idx, 1):
         dims_pair = _cycled(config.dims, t)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon.channels import random_channel, unitary_mixture_channel
 from entmon.measures import ENTROPY, NEGATIVITY_H, TANGLE, renyi
@@ -203,6 +205,31 @@ class TestConcavity:
         rho = random_mixed(Dims(2), None, np.random.default_rng(8))
         with pytest.raises(ValueError):
             check_strict_concavity(ENTROPY, rho, rho, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([2, 3]), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           pair=st.sampled_from(["equal", "just past", "random"]),
+           past=st.floats(1e-9, 1e-2), lam=st.floats(0.01, 0.99))
+    def test_no_failure_at_measure_zero_corners(self, d, rank, seed, pair, past, lam):
+        # Rank-deficient pairs (rank < d), pairs a relative ``past`` beyond
+        # CONCAVITY_DISTANCE and equal pairs, for every h of the sweep.
+        from entmon.verify import (CONCAVITY_DISTANCE, CONCAVITY_EQUAL_TOL, DEFAULT_H_SET,
+                                   _concavity_reports)
+
+        rho1, sigma = random_mixed_stack(Dims(d), min(rank, d), 2, np.random.default_rng(seed))
+        if pair == "equal":
+            rho2 = rho1.copy()
+        elif pair == "just past":
+            step = sigma - rho1
+            rho2 = rho1 + CONCAVITY_DISTANCE * (1.0 + past) / np.linalg.norm(step) * step
+        else:
+            rho2 = sigma
+        reports = _concavity_reports([(h, rho1, rho2, lam, 0) for h in DEFAULT_H_SET])
+        assert [r.verdict for r in reports if r.verdict == "fail"] == []
+        if pair == "equal":
+            assert all(abs(r.gap) <= CONCAVITY_EQUAL_TOL for r in reports)
+        if pair == "just past":
+            assert all(r.metadata["distance"] > CONCAVITY_DISTANCE for r in reports)
 
 
 class TestReducedState:
@@ -870,3 +897,273 @@ class TestStackedChecksMatchPerStateLoops:
         stacked = check_logneg_nonconvexity(np.random.default_rng(seed), trials, seed=seed)
         loop = _reference_logneg(np.random.default_rng(seed), trials, seed=seed)
         assert stacked == loop
+
+
+# ---------------------------------------------------------------------------
+# Per-state references for the concavity and reduced-state kernels: the
+# checks as they were before their stack kernels, one validated state and
+# one ``h_eval`` at a time.
+
+
+def _reference_concavity(h, rho1, rho2, lam, seed=0):
+    from entmon.measures import h_eval
+    from entmon.verify import (CONCAVITY_DISTANCE, CONCAVITY_EQUAL_TOL, CONCAVITY_STRICT_TOL,
+                               _report)
+
+    mix = DensityMatrix(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, rho1.dims)
+    lhs = h_eval(h, mix)
+    rhs = lam * h_eval(h, rho1) + (1.0 - lam) * h_eval(h, rho2)
+    dist = float(np.linalg.norm(rho1.matrix - rho2.matrix))
+    metadata = {"distance": dist, "lambda": float(lam)}
+    if h.kind == "tangle":
+        metadata["tangle_identity_dev"] = abs(lhs - rhs - 2.0 * lam * (1.0 - lam) * dist * dist)
+    if dist <= 1e-12:
+        tol, branch, rule = CONCAVITY_EQUAL_TOL, "equal-states", "|gap| <= tolerance"
+        ok = abs(lhs - rhs) <= tol
+    elif dist > CONCAVITY_DISTANCE:
+        if h.kind == "g-concurrence":
+            lo = min(float(rho1.eigenvalues()[0]), float(rho2.eigenvalues()[0]))
+            if lo <= 1e-9:
+                metadata["reason"] = "g-concurrence strictness needs full-rank inputs"
+                rep = _report("concavity", h.measure_id, None, 0.0, 0.0, CONCAVITY_STRICT_TOL,
+                              seed, metadata)
+                assert rep.verdict == "skipped"
+                return rep
+        tol, branch, rule = CONCAVITY_STRICT_TOL, "strict", "gap > tolerance"
+        ok = lhs - rhs > tol
+    else:
+        tol, branch, rule = CONCAVITY_STRICT_TOL, "near-equal", "gap >= -tolerance"
+        ok = lhs - rhs >= -tol
+    metadata.update(branch=branch, rule=rule)
+    return _judged(_report("concavity", h.measure_id, None, lhs, rhs, tol, seed, metadata), ok)
+
+
+def _reference_sweep_concavity(config):
+    """The ``concavity`` sweep as one ``_reference_concavity`` per trial."""
+    from entmon.verify import CHECK_IDS, CONCAVITY_DISTANCE, DEFAULT_H_SET, derived_seed
+
+    check_idx = CHECK_IDS.index("concavity")
+    reports = []
+    for hi, h in enumerate(DEFAULT_H_SET):
+        for t in range(config.trials):
+            seed = derived_seed(config.seed, check_idx, hi, t)
+            rng = np.random.default_rng(seed)
+            d = 2 if t % 2 == 0 else 3
+            dims = Dims(d)
+            rank = d if h.kind == "g-concurrence" else (1 + t % d if t % 5 else d)
+            rho1 = random_mixed(dims, rank, rng)
+            rho2 = random_mixed(dims, rank, rng)
+            while float(np.linalg.norm(rho1.matrix - rho2.matrix)) <= CONCAVITY_DISTANCE:
+                rho2 = random_mixed(dims, rank, rng)
+            reports.append(_reference_concavity(h, rho1, rho2, 0.5, seed=seed))
+    return reports
+
+
+def _reference_reduced_state(h, psi, channel, seed=0):
+    from entmon.channels import apply_channel_to_pure, classify
+    from entmon.measures import h_eval
+    from entmon.states import partial_trace
+    from entmon.verify import EQUALITY_TOL, REDUCED_DEV_EQUAL, REDUCED_DEV_STRICT, _report
+
+    rho_a = partial_trace(psi.density(), "A")
+    lhs = h_eval(h, rho_a)
+    outcomes = apply_channel_to_pure(channel, psi)
+    rhs = 0.0
+    max_dev = 0.0
+    for p, out in outcomes:
+        out_a = partial_trace(out.density(), "A")
+        rhs += p * h_eval(h, out_a)
+        max_dev = max(max_dev, float(np.linalg.norm(out_a.matrix - rho_a.matrix)))
+    metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(outcomes)}
+    if lhs < 1e-12:
+        metadata["note"] = "unentangled input"
+    tag = classify(channel).tag
+    if max_dev > REDUCED_DEV_STRICT:
+        tol, branch, rule = EQUALITY_TOL, "strict", "gap > tolerance"
+        ok = lhs - rhs > tol
+    elif max_dev < REDUCED_DEV_EQUAL:
+        tol, branch, rule = REDUCED_DEV_EQUAL, "equal", "|gap| < tolerance"
+        ok = abs(lhs - rhs) < tol
+    else:
+        metadata["reason"] = "reduced-state deviation falls between the decision thresholds"
+        rep = _report("reduced-state", h.measure_id, tag, 0.0, 0.0, EQUALITY_TOL, seed, metadata)
+        assert rep.verdict == "skipped"
+        return rep
+    metadata.update(branch=branch, rule=rule)
+    return _judged(_report("reduced-state", h.measure_id, tag, lhs, rhs, tol, seed, metadata), ok)
+
+
+def _reference_sweep_reduced_state(config):
+    """The ``reduced-state`` sweep as one ``_reference_reduced_state`` per trial."""
+    from entmon.measures import CONCURRENCE
+    from entmon.verify import CHECK_IDS, _trial_channel, derived_seed
+
+    check_idx = CHECK_IDS.index("reduced-state")
+    reports = [_reference_reduced_state(ENTROPY, bell_state(), _projective_channel(2),
+                                        seed=derived_seed(config.seed, check_idx, 0))]
+    h_cycle = (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE)
+    for t in range(config.trials):
+        seed = derived_seed(config.seed, check_idx, 1, t)
+        rng = np.random.default_rng(seed)
+        dims_pair = config.dims[t % len(config.dims)]
+        psi = random_pure(Dims(*dims_pair), rng)
+        channel = _trial_channel(config, t, dims_pair[1], rng, 3, 3)
+        reports.append(_reference_reduced_state(h_cycle[t % 4], psi, channel, seed=seed))
+    return reports
+
+
+def _json_lines(reports):
+    from entmon.verify import report_to_json
+
+    return [report_to_json(r) for r in reports]
+
+
+def _concavity_branch_items(rng):
+    """``_concavity_reports`` items of every branch, for every h of the
+    default set, each at its own lambda: in dimensions 2 and 3, a state of
+    every rank paired with itself, with a state 1e-4 away (near-equal) and,
+    in both orders, with a full-rank state (strict), so g-concurrence meets
+    a rank-deficient first and second state."""
+    from entmon.verify import DEFAULT_H_SET
+
+    items = []
+    for d in (2, 3):
+        for rank in range(1, d + 1):
+            rho = random_mixed_stack(Dims(d), rank, 1, rng)[0]
+            sigma = random_mixed_stack(Dims(d), None, 1, rng)[0]
+            near = rho + 1e-4 / np.linalg.norm(sigma - rho) * (sigma - rho)
+            for rho1, rho2 in ((rho, rho), (rho, near), (rho, sigma), (sigma, rho)):
+                for h in DEFAULT_H_SET:
+                    items.append((h, rho1, rho2, float(rng.uniform(0.05, 0.95)), len(items)))
+    return items
+
+
+def _reduced_state_branch_inputs(rng):
+    """``(h, psi, channel)`` inputs of every reduced-state branch: strict
+    (Bell state under a projective measurement, random channels), equal (a
+    unitary mixture), a product input (note), an outcome of probability 0
+    that ``P_FLOOR`` drops, and a deviation between the two thresholds
+    (skipped)."""
+    from entmon.channels import LocalKrausChannel
+    from entmon.measures import CONCURRENCE
+    from entmon.sampling import random_product_pure
+    from entmon.states import PureState
+
+    eps = 1e-7
+    nudged = LocalKrausChannel("B", (np.diag(np.sqrt([0.5 + eps, 0.5 - eps])),
+                                     np.diag(np.sqrt([0.5 - eps, 0.5 + eps]))))
+    bell_23 = PureState(np.array([1, 0, 0, 0, 1, 0]) / math.sqrt(2), Dims(2, 3))
+    dropping = LocalKrausChannel("B", (np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0])))
+    inputs = [(ENTROPY, bell_state(), _projective_channel(2)),
+              (NEGATIVITY_H, bell_state(), nudged),
+              (TANGLE, bell_23, dropping),
+              (CONCURRENCE, bell_23, random_channel(3, 3, rng))]
+    for h in (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE):
+        for dims_pair in ((2, 2), (2, 3)):
+            dims = Dims(*dims_pair)
+            psi = random_pure(dims, rng)
+            inputs.append((h, psi, random_channel(dims_pair[1], 2, rng)))
+            inputs.append((h, psi, unitary_mixture_channel(
+                [0.3, 0.7], [haar_unitary(dims_pair[1], rng) for _ in range(2)])))
+            inputs.append((h, random_product_pure(dims, rng), random_channel(dims_pair[1], 3, rng)))
+    return inputs
+
+
+# (seed, trials): every seed meets every trial count.
+KERNEL_SWEEP_CASES = [(seed, trials) for seed in range(4) for trials in (0, 1, 7, 24)]
+
+
+class TestConcavityAndReducedStateMatchPerStateReferences:
+    @pytest.mark.parametrize("seed,trials", KERNEL_SWEEP_CASES)
+    def test_sweeps(self, seed, trials):
+        from entmon.verify import _sweep_concavity, _sweep_reduced_state
+
+        config = SweepConfig(dims=((2, 2), (2, 3), (3, 3)), trials=trials, n_kraus=2 + seed,
+                             seed=seed)
+        assert _json_lines(_sweep_concavity(config, 2)) == \
+            _json_lines(_reference_sweep_concavity(config))
+        assert _json_lines(_sweep_reduced_state(config, 3)) == \
+            _json_lines(_reference_sweep_reduced_state(config))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_concavity_branches(self, seed):
+        from entmon.verify import _concavity_reports
+
+        items = _concavity_branch_items(np.random.default_rng(seed))
+        reference = [_reference_concavity(h, DensityMatrix(r1, Dims(len(r1))),
+                                          DensityMatrix(r2, Dims(len(r2))), lam, s)
+                     for h, r1, r2, lam, s in items]
+        assert _json_lines(_concavity_reports(items)) == _json_lines(reference)
+        one_item = [check_strict_concavity(h, DensityMatrix(r1, Dims(len(r1))),
+                                           DensityMatrix(r2, Dims(len(r2))), lam, s)
+                    for h, r1, r2, lam, s in items]
+        assert _json_lines(one_item) == _json_lines(reference)
+        branches = {r.metadata.get("branch", r.metadata.get("reason")) for r in reference}
+        assert branches == {"equal-states", "near-equal", "strict",
+                            "g-concurrence strictness needs full-rank inputs"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reduced_state_branches(self, seed):
+        inputs = _reduced_state_branch_inputs(np.random.default_rng(seed))
+        reports = [check_reduced_state_condition(h, psi, channel, seed=i)
+                   for i, (h, psi, channel) in enumerate(inputs)]
+        reference = [_reference_reduced_state(h, psi, channel, seed=i)
+                     for i, (h, psi, channel) in enumerate(inputs)]
+        assert _json_lines(reports) == _json_lines(reference)
+        branches = {r.metadata.get("branch", r.metadata.get("reason")) for r in reference}
+        assert branches == {"strict", "equal",
+                            "reduced-state deviation falls between the decision thresholds"}
+        assert reference[2].metadata["n_outcomes"] == 1  # the zero-probability outcome
+        assert any(r.metadata.get("note") == "unentangled input" for r in reference)
+
+
+_FAULTS = {"hermiticity": np.diag([0.5, 0.5]) + 1e-3 * np.eye(2, k=1),
+           "trace": np.diag([0.6, 0.5]),
+           "negative eigenvalue": np.diag([1.5, -0.5])}
+
+
+class TestConcavityAndReducedStateKeepEveryInputCheck:
+    @pytest.mark.parametrize("member", [1, 2])
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    def test_concavity_kernel(self, fault, member):
+        from entmon.states import StateValidationError
+        from entmon.verify import DEFAULT_H_SET, _concavity_reports
+
+        rng = np.random.default_rng(15)
+        items = [(h, *random_mixed_stack(Dims(2), None, 2, rng), 0.5, s)
+                 for s, h in enumerate(DEFAULT_H_SET)]
+        items[3] = items[3][:member] + (_FAULTS[fault],) + items[3][member + 1:]
+        with pytest.raises(StateValidationError, match=fault) as per_state:
+            DensityMatrix(_FAULTS[fault], Dims(2))  # as the sampler validated each state
+        with pytest.raises(StateValidationError) as stacked:
+            _concavity_reports(items)
+        assert str(stacked.value) == str(per_state.value)
+
+    @pytest.mark.parametrize("member", ["input", "outcome"])
+    def test_reduced_state_norm_faults(self, member, monkeypatch):
+        from entmon import channels, verify
+        from entmon.states import StateValidationError
+
+        def off_norm(psi):  # bypasses the PureState norm check
+            object.__setattr__(psi, "amplitudes", 1.001 * psi.amplitudes)
+
+        rng = np.random.default_rng(16)
+        psi = random_pure(Dims(2, 3), rng)
+        channel = random_channel(3, 3, rng)
+        if member == "input":
+            off_norm(psi)
+        else:
+            exact = channels.apply_channel_to_pure
+
+            def one_off_outcome(ch, state):
+                outcomes = exact(ch, state)
+                off_norm(outcomes[1][1])
+                return outcomes
+
+            monkeypatch.setattr(channels, "apply_channel_to_pure", one_off_outcome)
+            monkeypatch.setattr(verify, "apply_channel_to_pure", one_off_outcome)
+        with pytest.raises(StateValidationError, match="trace") as per_state:
+            _reference_reduced_state(ENTROPY, psi, channel)
+        with pytest.raises(StateValidationError) as stacked:
+            check_reduced_state_condition(ENTROPY, psi, channel)
+        assert str(stacked.value) == str(per_state.value)

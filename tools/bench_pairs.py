@@ -9,8 +9,10 @@ WORKLOAD --seed S --seconds T`` in both source trees, with T the
 FIRST_SEED, FIRST_SEED + 1, ...; the parent runs first on even pair indices
 and second on odd ones.  Every run is single-threaded (perfbench pins
 OPENBLAS_NUM_THREADS=1 before numpy loads).  The file records every run's
-end-to-end metrics and machine, and per metric each side's median and
-quartiles and how many pairs the change won (ties count for neither side).
+end-to-end metrics, round and operation counts and machine, each side's
+median round count (``peak_rss_mb`` grows with the rounds a run fits into
+its seconds), and per metric each side's median and quartiles and how many
+pairs the change won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -36,7 +39,14 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     # its own summary line.
     run["machine"] = next(json.loads(line.split(" ", 1)[1]) for line in lines
                           if line.startswith("machine "))
+    # ... and the counts on "workload W seed S: N round(s), I items, O operations, ...".
+    counts = next(m for m in map(_COUNTS.match, lines) if m)
+    run["rounds"], run["operations"] = int(counts["rounds"]), int(counts["operations"])
     return run
+
+
+_COUNTS = re.compile(r"workload \S+ seed -?\d+: (?P<rounds>\d+) round\(s\), \d+ items, "
+                     r"(?P<operations>\d+) operations")
 
 
 def _quartiles(xs: list[float]) -> dict:
@@ -86,9 +96,12 @@ def main() -> int:
                 tree = args.parent if side == "parent" else args.change
                 runs[side].append(_run(tree, workload, seed, seconds))
                 print(f"{workload} seed {seed} {side}: wall_s "
-                      f"{runs[side][-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+                      f"{runs[side][-1]['metrics']['wall_s']['value']:.3f}, "
+                      f"{runs[side][-1]['rounds']} rounds", file=sys.stderr)
         result["workloads"][workload] = {
             "seeds": seeds, "parent_first": [i % 2 == 0 for i in range(len(seeds))],
+            "median_rounds": {side: statistics.median(r["rounds"] for r in rs)
+                              for side, rs in runs.items()},
             "summary": _summary(runs["parent"], runs["change"], declared), "runs": runs,
         }
         args.out.write_text(json.dumps(result, indent=1) + "\n")
