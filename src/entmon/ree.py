@@ -19,6 +19,8 @@ sigma.  A step is taken only if it lowers the objective.  The run stops when
 the Frank-Wolfe duality gap falls below its tolerance, confirmed by a harder
 product search, after one last step with the candidates of both searches,
 run to KKT like the first.  The returned value is an upper bound on E_r.
+Only ``_weight_objective`` diagonalizes sigma and clips it at EIG_FLOOR: one
+eigh serves the value, gradient, G, Hessian and eigenvalue floor.
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
 reported closest separable state is exactly certifiable there; larger
@@ -105,20 +107,6 @@ def _log_kernel2(mu: np.ndarray, l1: np.ndarray) -> np.ndarray:
     near = span < 1e-4 * mu[hi]
     return np.where(near, -4.5 / (mu[lo] + mu[mid] + mu[hi]) ** 2,
                     (l1[hi, mid] - l1[mid, lo]) / np.where(near, 1.0, span))
-
-
-def _gradient(rho_m: np.ndarray, sigma_m: np.ndarray) -> np.ndarray:
-    """Frechet derivative of sigma -> -Tr[rho ln sigma], in matrix form.
-
-    Evaluated in the eigenbasis of sigma with the divided-difference kernel
-    (ln mu_i - ln mu_j)/(mu_i - mu_j) and diagonal 1/mu_i; eigenvalues are
-    clipped at EIG_FLOOR for stability.
-    """
-    mu, u = np.linalg.eigh(sigma_m)
-    mu = np.clip(mu, EIG_FLOOR, None)
-    rho_t = u.conj().T @ rho_m @ u
-    g = -(u @ (rho_t * _log_kernel(mu)) @ u.conj().T)
-    return 0.5 * (g + g.conj().T)
 
 
 def _min_product_expectation(
@@ -218,32 +206,36 @@ def _assemble(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray,
                       hessian: bool = False, floor: float = EIG_FLOOR) -> tuple:
-    """Value and gradient of v -> -Tr[rho ln sum_k v_k pi_k] + sum_k v_k, and
-    with ``hessian`` its Hessian; the value is +inf once an eigenvalue of
-    sigma is at most ``floor``.
+    """Value, gradient and G of v -> -Tr[rho ln sum_k v_k pi_k] + sum_k v_k,
+    and with ``hessian`` its Hessian and sigma's lowest eigenvalue, unclipped;
+    the value is +inf once that eigenvalue is at most ``floor``.
 
-    The gradient is <a_k|G|a_k> + 1, with G the Frechet derivative of
-    -Tr[rho ln sigma], and the Hessian -Tr[rho D^2 ln(sigma)[pi_k, pi_l]];
-    one eigendecomposition of sigma serves all three, in its eigenbasis
-    (``eigh`` reads one triangle, so sigma is not symmetrized).
+    G is the Hermitized Frechet derivative of -Tr[rho ln sigma], the gradient
+    <a_k|G|a_k> + 1 and the Hessian -Tr[rho D^2 ln(sigma)[pi_k, pi_l]].  One
+    eigendecomposition of sigma serves all five, in its eigenbasis with the
+    eigenvalues clipped at EIG_FLOOR (``eigh`` reads one triangle, so sigma
+    is not symmetrized).
     """
     mu, u = np.linalg.eigh((atoms.T * v) @ atoms.conj())
-    f = math.inf if mu[0] <= floor else float(np.sum(v))
+    lowest = float(mu[0])
+    f = math.inf if lowest <= floor else float(np.sum(v))
     mu = np.clip(mu, EIG_FLOOR, None)
     rho_t = u.conj().T @ rho_m @ u
     f -= float(np.real(np.diagonal(rho_t)) @ np.log(mu))
-    c = atoms @ u.conj()
     l1 = _log_kernel(mu)
-    grad = 1.0 - ((c.conj() @ (rho_t * l1)) * c).sum(1).real
+    g = -(u @ (rho_t * l1) @ u.conj().T)
+    g = 0.5 * (g + g.conj().T)
+    grad = 1.0 + ((atoms.conj() @ g) * atoms).sum(1).real
     if not hessian:
-        return f, grad
+        return f, grad, g
+    c = atoms @ u.conj()
     # H_kl = -2 Re sum_ijm rho_t[m, i] ln[mu_i, mu_j, mu_m] c_ki c*_kj c_lj c*_lm
     k, n = c.shape
     m = c @ (_log_kernel2(mu, l1) * rho_t.T[:, None, :]).reshape(n, n * n)
     p = (c.conj()[:, :, None] * m.reshape(k, n, n)).reshape(k, -1)
     q = (c[:, :, None] * c.conj()[:, None, :]).reshape(k, -1)
     h = p.conj().view(float) @ q.view(float).T
-    return f, grad, -(h + h.T)
+    return f, grad, g, -(h + h.T), lowest
 
 
 def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray,
@@ -260,13 +252,13 @@ def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarra
     """
     v = weights
     for _ in range(steps):
-        f, g, h = _weight_objective(v, rho_m, atoms, hessian=True)
+        f, g, _, h, lowest = _weight_objective(v, rho_m, atoms, hessian=True)
         pg = float(np.linalg.norm(v - np.maximum(v - g, 0.0)))
         if pg <= KKT_TOL:
             break
         a = h + pg / (1 + pg) * np.diag(1 + np.diag(h))
         d = _nonnegative_qp(a, a @ v - g, v) - v
-        floor = max(EIG_FLOOR, FLOOR_RATIO * np.linalg.eigvalsh((atoms.T * v) @ atoms.conj())[0])
+        floor = max(EIG_FLOOR, FLOOR_RATIO * lowest)
         slope = ARMIJO * float(g @ d)
         for alpha in 0.5 ** np.arange(HALVINGS):
             w = v + alpha * d
@@ -338,23 +330,21 @@ def ree_minimize(
     base_seed = int(rng.integers(2**62))
 
     rho_m = rho.matrix
-    # S(rho || sigma) at weights summing to 1 is the weight objective less this.
+    # S(rho || sigma) at weights summing to 1 is the weight objective plus this.
     offset = -1.0 - von_neumann_entropy(rho)
 
     # Atom list: rows are product vectors, weights sum to 1.  The start is
     # the maximally mixed state, itself a mixture of product basis states.
     atoms = np.eye(n, dtype=complex)
     weights = np.full(n, 1.0 / n)
-    value = offset + _weight_objective(weights, rho_m, atoms)[0]
+    f, grad, g = _weight_objective(weights, rho_m, atoms)
     gap = math.inf
     iterations = 0
     converged = False
     prev_a: np.ndarray | None = None
     for t in range(max_iters):
         iterations = t + 1
-        sigma = _assemble(atoms, weights)
-        g = _gradient(rho_m, sigma)
-        level = float(np.real(np.trace(g @ sigma)))
+        level = float(weights @ grad) - 1.0  # Tr[G sigma], as the weights sum to 1
         inner_rng = np.random.default_rng(base_seed + t)
         a, b, vals = _min_product_expectation(g, dA, dB, RESTARTS, inner_rng, prev_a)
         gap = level - float(np.min(vals))
@@ -379,21 +369,22 @@ def ree_minimize(
                                 FINAL_STEPS if converged or t == 0 else 1)
         keep = v > 0.0
         v = v[keep] / float(np.sum(v[keep]))
-        new_value = offset + _weight_objective(v, rho_m, cand[keep])[0]
-        if new_value >= value:
+        new_f, new_grad, new_g = _weight_objective(v, rho_m, cand[keep])
+        if new_f >= f:
             break
-        atoms, weights, value = cand[keep], v, new_value
+        atoms, weights, f, grad, g = cand[keep], v, new_f, new_grad, new_g
         if len(weights) > 2 * n * n:
             # Weights that stay positive but not unique (a closest state
             # with a continuum of decompositions) would let the list grow
             # without bound; between n^2 and 2 n^2 atoms the re-optimization
             # keeps the spare atoms it makes progress with.
             atoms, weights = _caratheodory(atoms, weights)
+            _, grad, g = _weight_objective(weights, rho_m, atoms)
         if converged:
             break
 
     return ReeResult(
-        value=max(0.0, value),
+        value=max(0.0, offset + f),
         closest_separable=DensityMatrix(_assemble(atoms, weights), rho.dims),
         iterations=iterations,
         duality_gap_estimate=gap,

@@ -90,14 +90,6 @@ def _pure_vectors(mats: np.ndarray) -> np.ndarray | None:
     return vecs[..., :, -1]
 
 
-def as_pure(state: PureState | DensityMatrix) -> PureState | None:
-    """The underlying pure state if there is one, else None."""
-    if isinstance(state, PureState):
-        return state
-    vec = _pure_vectors(state.matrix)
-    return None if vec is None else PureState(vec, state.dims)
-
-
 def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
     return state.density() if isinstance(state, PureState) else state
 
@@ -173,16 +165,12 @@ def evaluate_measure(
     measure_id: str,
     state: PureState | DensityMatrix,
     rng: np.random.Generator | None = None,
-    roof_restarts: int = 20,
-    roof_n_terms: int | None = None,
 ) -> MeasureValue:
     """Evaluate a measure by its external id on a bipartite state."""
     family, param = parse_measure_id(measure_id)
 
     if family == "negativity-roof":
-        result = roof.roof_minimize(
-            measures.NEGATIVITY_H, _as_density(state), roof_n_terms, roof_restarts, rng
-        )
+        result = roof.roof_minimize(measures.NEGATIVITY_H, _as_density(state), rng=rng)
         return MeasureValue(
             result.value,
             "negativity-roof",

@@ -273,9 +273,8 @@ def _spectral_gradient(h: HFunction, mu: np.ndarray, eps: float = 0.0) -> np.nda
 class _RoofObjective:
     """Batched average-measure evaluation over isometry parameter matrices."""
 
-    def __init__(self, h: HFunction, rho: DensityMatrix, n_terms: int):
+    def __init__(self, h: HFunction, rho: DensityMatrix):
         self.h = h
-        self.n_terms = n_terms
         self.dA, self.dB = rho.dims.factors
         lam, evecs = _eig_ensemble(rho)
         self._weighted = evecs * np.sqrt(lam)  # d x r
@@ -327,10 +326,6 @@ class _RoofObjective:
         g = np.where(live[..., None], _spectral_gradient(self.h, mu, eps), 0.0)
         gm = (u * g[..., None, :]) @ (np.swapaxes(u, -2, -1).conj() @ m)
         return gm.reshape(phi.shape) @ self._weighted.conj()
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """x is (..., n_terms, rank); returns the average measure per matrix."""
-        return self.eval_isometry(_qr_isometries(x))
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -442,7 +437,7 @@ def roof_minimize(
         best = Decomposition(np.array([1.0]), (psi,))
         return RoofResult(pure_measure(h, psi).value, best, 0, True)
 
-    objective = _RoofObjective(h, rho, n_terms)
+    objective = _RoofObjective(h, rho)
     base_seed = int(rng.integers(2**62))
     shape = (n_terms, r)
     xs = np.empty((restarts,) + shape, dtype=np.complex128)

@@ -21,6 +21,7 @@ import numpy as np
 TOL_TRACE = 1e-10
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
+TOL_SUPPORT = 1e-12  # kernel directions of a relative entropy's arguments
 # The trace of |psi><psi| is the squared norm, which deviates from 1 by about
 # twice as much as the norm does.  A quarter of the trace tolerance leaves
 # the other half for roundoff, so every accepted PureState has a valid
@@ -343,22 +344,22 @@ def entropy_of_spectrum(mu: np.ndarray) -> float:
     return max(0.0, float(-np.sum(pos * np.log(pos))))
 
 
-def _rel_entropy_psd(x: np.ndarray, y: np.ndarray, support_tol: float = 1e-12) -> float:
+def _rel_entropy_psd(x: np.ndarray, y: np.ndarray) -> float:
     """Tr[X(ln X - ln Y)] for PSD matrices, inf when supp X exceeds supp Y.
 
     Works on unnormalized operators; both log terms are evaluated in the
-    respective eigenbases with eigenvalues below ``support_tol`` treated as
-    kernel directions.
+    respective eigenbases with eigenvalues at most ``TOL_SUPPORT`` treated
+    as kernel directions.
     """
     xv = clipped_eigvalsh(x, tol=1e-7 * max(1.0, float(np.abs(np.trace(x)))))
-    pos = xv[xv > support_tol]
+    pos = xv[xv > TOL_SUPPORT]
     tr_x_ln_x = float(np.sum(pos * np.log(pos)))
 
     yv, yu = np.linalg.eigh(y)
     yv = np.clip(yv, 0.0, None)
     weights = np.real(np.einsum("ij,jk,ki->i", yu.conj().T, x, yu))
     weights = np.clip(weights, 0.0, None)
-    kernel = yv <= support_tol
+    kernel = yv <= TOL_SUPPORT
     if float(np.sum(weights[kernel])) > 1e-10:
         return math.inf
     supp = ~kernel

@@ -130,6 +130,29 @@ class TestReeMinimize:
         assert res.iterations < 381
         assert 1 <= res.atoms <= 2 * 9 * 9
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_sigma_is_diagonalized_only_in_the_weight_objective(self, monkeypatch, dims):
+        # Every n x n eigendecomposition of a run comes from
+        # _weight_objective, except the entropy offset (the spectrum of rho)
+        # and the validation of the returned closest separable state.
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None, np.random.default_rng(3))
+        callers = []
+
+        def recording(decompose):
+            def recorded(a, *args, **kwargs):
+                if np.shape(a) == (n, n):
+                    callers.append(sys._getframe(1).f_code.co_name)
+                return decompose(a, *args, **kwargs)
+            return recorded
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        res = ree_minimize(rho, rng=np.random.default_rng(0))
+        others = sorted(c for c in callers if c != "_weight_objective")
+        assert others == ["clipped_eigvalsh", "validate_density_stack"]
+        assert callers.count("_weight_objective") >= 2 * res.iterations
+
     @settings(max_examples=10, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1))
@@ -184,7 +207,7 @@ class TestWeightStep:
         atoms = _random_atoms(dims, 2 * n + zeros, rng)
         v = rng.uniform(0.5, 1.5, len(atoms))
         v[rng.choice(len(atoms), zeros, replace=False)] = 0.0  # new atoms enter at 0
-        _, grad = _weight_objective(v, rho, atoms)
+        _, grad, _ = _weight_objective(v, rho, atoms)
         h = 1e-6
         fd = np.array([
             (_weight_objective(v + h * e, rho, atoms)[0]
@@ -203,7 +226,7 @@ class TestWeightStep:
         atoms = _random_atoms(dims, 2 * n + zeros, rng)
         v = rng.uniform(0.5, 1.5, len(atoms))
         v[rng.choice(len(atoms), zeros, replace=False)] = 0.0
-        _, _, hess = _weight_objective(v, rho, atoms, hessian=True)
+        _, _, _, hess, _ = _weight_objective(v, rho, atoms, hessian=True)
         h = 1e-6
         fd = np.array([
             (_weight_objective(v + h * e, rho, atoms)[1]
@@ -211,6 +234,36 @@ class TestWeightStep:
             for e in np.eye(len(v))
         ])
         np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(hess)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
+           zeros=st.integers(1, 4))
+    def test_g_is_the_frechet_derivative_at_sigma(self, dims, seed, zeros):
+        # G is the derivative of sigma -> -Tr[rho ln sigma] along Hermitian
+        # directions, and at weights summing to 1 the gradient gives the
+        # linearization level Tr[G sigma] as v . grad - 1.
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None, rng).matrix
+        atoms = _random_atoms(dims, 2 * n + zeros, rng)
+        v = rng.uniform(0.5, 1.5, len(atoms))
+        v[rng.choice(len(atoms), zeros, replace=False)] = 0.0
+        v /= np.sum(v)
+        _, grad, g = _weight_objective(v, rho, atoms)
+        sigma = _assemble(atoms, v)
+        np.testing.assert_array_equal(g, g.conj().T)
+
+        def objective(s):
+            mu, u = np.linalg.eigh(s)
+            return -float(np.real(np.trace(rho @ (u * np.log(mu)) @ u.conj().T)))
+
+        h = 1e-6 * np.linalg.eigvalsh(sigma)[0]
+        for _ in range(3):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            d = (z + z.conj().T) / np.linalg.norm(z + z.conj().T)
+            fd = (objective(sigma + h * d) - objective(sigma - h * d)) / (2 * h)
+            assert float(np.real(np.trace(g @ d))) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        assert abs(float(v @ grad) - 1.0 - float(np.real(np.trace(g @ sigma)))) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
@@ -242,7 +295,7 @@ class TestWeightStep:
         atoms = _random_atoms(dims, n + zeros, rng)
         v0 = np.append(rng.dirichlet(np.ones(n)), np.zeros(zeros))
         v = _reoptimize_weights(rho, atoms, v0, steps=100)
-        _, g = _weight_objective(v, rho, atoms)
+        _, g, _ = _weight_objective(v, rho, atoms)
         assert np.linalg.norm(v - np.maximum(v - g, 0.0)) <= 1e-6
 
     @pytest.mark.parametrize("dims,steps", [((2, 2), 1), ((2, 3), 2), ((3, 3), 5)])

@@ -7,7 +7,6 @@ import pytest
 
 from entmon.registry import (
     MeasureError,
-    as_pure,
     evaluate_closed_stack,
     evaluate_measure,
     measure_state_kind,
@@ -59,14 +58,6 @@ def test_pure_only_measures():
         evaluate_measure("tangle", random_mixed(Dims(2, 2), None, np.random.default_rng(2)))
 
 
-def test_as_pure_extraction():
-    dm = bell_state().density()
-    psi = as_pure(dm)
-    assert psi is not None
-    assert abs(abs(np.vdot(psi.amplitudes, bell_state().amplitudes)) - 1.0) < 1e-10
-    assert as_pure(random_mixed(Dims(2, 2), 2, np.random.default_rng(3))) is None
-
-
 def test_bell_values_by_id():
     bell = bell_state()
     assert evaluate_measure("negativity", bell).value == pytest.approx(0.5, abs=1e-10)
@@ -77,8 +68,7 @@ def test_bell_values_by_id():
 
 def test_optimizer_measures_carry_diagnostics():
     rho = werner_state(0.8)
-    val = evaluate_measure("negativity-roof", rho, rng=np.random.default_rng(0),
-                           roof_restarts=6)
+    val = evaluate_measure("negativity-roof", rho, rng=np.random.default_rng(0))
     assert "restarts_used" in val.diagnostics
     bell = bell_state().density()
     val = evaluate_measure("ree", bell, rng=np.random.default_rng(1))
@@ -141,7 +131,7 @@ def test_state_kind_matches_what_the_measure_evaluates(measure_id, dims_pair):
             evaluate_measure(measure_id, mixed, rng=rng)
         return
     state = mixed if kind == "mixed" else pure
-    value = evaluate_measure(measure_id, state, rng=rng, roof_restarts=2).value
+    value = evaluate_measure(measure_id, state, rng=rng).value
     assert math.isfinite(value) and value >= 0.0
     if kind == "pure":
         with pytest.raises(MeasureError):

@@ -18,7 +18,6 @@ from entmon.measures import (
     wootters_concurrence,
     wootters_eof,
 )
-from entmon.registry import evaluate_measure
 from entmon.roof import (
     VALUE_FLOOR,
     Decomposition,
@@ -326,8 +325,8 @@ class TestRoofLowerBounds:
     def test_negativity_roof_above_negativity(self, seed, dims_rank):
         dB, rank = dims_rank
         rho = random_mixed(Dims(2, dB), rank, np.random.default_rng(seed))
-        roof_value = evaluate_measure("negativity-roof", rho, rng=np.random.default_rng(seed),
-                                      roof_restarts=2, roof_n_terms=rank).value
+        roof_value = roof_minimize(NEGATIVITY_H, rho, n_terms=rank, restarts=2,
+                                   rng=np.random.default_rng(seed)).value
         assert roof_value >= negativity(rho).value - 1e-12
 
 
@@ -356,13 +355,14 @@ class TestRoofGradient:
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(2, dA * dB + 1))
         n = rank + int(rng.integers(0, 3))
-        objective = _RoofObjective(h, random_mixed(Dims(dA, dB), rank, rng), n)
+        objective = _RoofObjective(h, random_mixed(Dims(dA, dB), rank, rng))
         q = haar_unitary(n, rng)[:, :rank]
         z = _tangent(q, rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
         z /= np.sqrt(_inner(z, z))
         # QR retraction is q + t z to first order; d/dt F = 2 Re Tr(E^dag z).
         t = 1e-6
-        fd = (objective(q + t * z) - objective(q - t * z)) / (2 * t)
+        fd = (objective.eval_isometry(_qr_isometries(q + t * z))
+              - objective.eval_isometry(_qr_isometries(q - t * z))) / (2 * t)
         analytic = 2.0 * _inner(objective.gradient(q), z)
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -375,7 +375,7 @@ class TestRoofGradient:
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(2, dA * dB + 1))
         n = rank + int(rng.integers(0, 3))
-        objective = _RoofObjective(h, random_mixed(Dims(dA, dB), rank, rng), n)
+        objective = _RoofObjective(h, random_mixed(Dims(dA, dB), rank, rng))
         q = haar_unitary(n, rng)[:, :rank]
         z = _tangent(q, rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
         z /= np.sqrt(_inner(z, z))
@@ -388,7 +388,7 @@ class TestRoofGradient:
     @pytest.mark.parametrize("h", KINKED_H, ids=lambda h: h.measure_id)
     def test_smoothed_value_is_below_h(self, h):
         rho = random_mixed(Dims(3, 3), 4, np.random.default_rng(14))
-        objective = _RoofObjective(h, rho, 6)
+        objective = _RoofObjective(h, rho)
         q = haar_unitary(6, np.random.default_rng(15))[:, :4]
         exact = objective.eval_isometry(q)
         for eps in (1e-1, 1e-4, 1e-30):
@@ -401,7 +401,7 @@ class TestRoofGradient:
         # The eigenmembers of this state are products (zero reduced
         # eigenvalues); the gradient stays finite, without RuntimeWarning.
         rho = DensityMatrix(np.diag([0.6, 0.0, 0.0, 0.4]), Dims(2, 2))  # |00>, |11>
-        objective = _RoofObjective(h, rho, 3)
+        objective = _RoofObjective(h, rho)
         grad = objective.gradient(np.eye(3, 2))
         assert np.all(np.isfinite(grad))
         np.testing.assert_allclose(grad, 0.0, atol=1e-8)
@@ -466,7 +466,7 @@ class TestQubitReducedSpectrum:
 
     def test_zero_row_is_a_dead_member(self):
         rho = random_mixed(Dims(2, 2), 2, np.random.default_rng(1))
-        objective = _RoofObjective(ENTROPY, rho, 4)
+        objective = _RoofObjective(ENTROPY, rho)
         phi = objective.members(np.eye(4, 2))
         assert np.all(phi[2:] == 0)
         vals = objective.member_values(phi)

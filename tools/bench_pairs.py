@@ -9,10 +9,12 @@ WORKLOAD --seed S --seconds T`` in both source trees, with T the
 FIRST_SEED, FIRST_SEED + 1, ...; the parent runs first on even pair indices
 and second on odd ones.  Every run is single-threaded (perfbench pins
 OPENBLAS_NUM_THREADS=1 before numpy loads).  The file records every run's
-end-to-end metrics, round and operation counts and machine, each side's
-median round count (``peak_rss_mb`` grows with the rounds a run fits into
-its seconds), and per metric each side's median and quartiles and how many
-pairs the change won (ties count for neither side).
+end-to-end metrics, round and operation counts, first-round behaviour
+digest and machine, each side's median round count (``peak_rss_mb`` grows
+with the rounds a run fits into its seconds), how many pairs have equal
+first-round digests on both sides (a workload the change leaves unchanged
+has all of them equal), and per metric each side's median and quartiles and
+how many pairs the change won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -42,11 +44,14 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     # ... and the counts on "workload W seed S: N round(s), I items, O operations, ...".
     counts = next(m for m in map(_COUNTS.match, lines) if m)
     run["rounds"], run["operations"] = int(counts["rounds"]), int(counts["operations"])
+    # ... and the digests on "digest run D first-round F".
+    run["first_round_digest"] = next(m for m in map(_DIGESTS.match, lines) if m)["first"]
     return run
 
 
 _COUNTS = re.compile(r"workload \S+ seed -?\d+: (?P<rounds>\d+) round\(s\), \d+ items, "
                      r"(?P<operations>\d+) operations")
+_DIGESTS = re.compile(r"digest run [0-9a-f]+ first-round (?P<first>[0-9a-f]+)$")
 
 
 def _quartiles(xs: list[float]) -> dict:
@@ -102,6 +107,9 @@ def main() -> int:
             "seeds": seeds, "parent_first": [i % 2 == 0 for i in range(len(seeds))],
             "median_rounds": {side: statistics.median(r["rounds"] for r in rs)
                               for side, rs in runs.items()},
+            "equal_first_round_digests": sum(
+                p["first_round_digest"] == c["first_round_digest"]
+                for p, c in zip(runs["parent"], runs["change"])),
             "summary": _summary(runs["parent"], runs["change"], declared), "runs": runs,
         }
         args.out.write_text(json.dumps(result, indent=1) + "\n")
