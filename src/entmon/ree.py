@@ -19,8 +19,8 @@ sigma.  A step is taken only if it lowers the objective.  The run stops when
 the Frank-Wolfe duality gap falls below its tolerance, confirmed by a harder
 product search, after one last step with the candidates of both searches,
 run to KKT like the first.  The returned value is an upper bound on E_r.
-Only ``_weight_objective`` diagonalizes sigma and clips it at EIG_FLOOR: one
-eigh serves the value, gradient, G, Hessian and eigenvalue floor.
+Only ``_weight_objective`` diagonalizes sigma, with the solver's one EIG_FLOOR
+clip: one eigh serves the value, gradient, G, Hessian and eigenvalue floor.
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
 reported closest separable state is exactly certifiable there; larger
