@@ -6,9 +6,11 @@ outcome ensemble (p_k, sigma_k) with p_k = Tr[(I x M_k) rho (I x M_k)^dag];
 such families map pure states to scalar multiples of pure states, which is
 the scenario all monotonicity checks run against.
 
-One kernel, ``_outcome_stack``, builds the outcomes of N states under K
-Kraus operators as a ``(N, K, n, n)`` stack in a few batched matrix
-products and validates the kept outcomes once, as one stack;
+One Gram kernel, ``_gram_outcomes``, builds the outcomes of N states
+under K Kraus operators as a ``(N, K, n, n)`` stack in a few batched
+matrix products; it serves ``apply_channel``, the closed sweeps, the REE
+data-processing check and the monogamy contractions.  ``_outcome_stack``
+normalizes its outcomes and validates the kept ones once, as one stack;
 ``apply_channel`` is its N = 1 case.  Each state may carry its own Kraus
 family (``_padded_kraus``), so outcomes of many (state, channel) trials
 are one call.
@@ -139,19 +141,16 @@ def _padded_kraus(channels) -> np.ndarray:
     return out
 
 
-def _outcome_stack(
-    kraus: np.ndarray, side: str, mats: np.ndarray, dims
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome ensembles of Kraus families on a ``(N, n, n)`` stack of states.
+def _gram_outcomes(kraus: np.ndarray, side: str, mats: np.ndarray, dims) -> np.ndarray:
+    """All K unnormalized outcomes ``(I x M_k) rho (I x M_k)^dag`` of every
+    state of a ``(N, n, n)`` stack, as a ``(N, K, n, n)`` stack.
 
     ``kraus`` is one family ``(K, d, d)`` for every state or one per state,
-    ``(N, K, d, d)``, acting on ``side``.  Returns ``(probs, keep,
-    states)``: ``probs`` is ``(N, K)``, each row renormalized over the
-    outcomes kept (``keep``, those with probability at least ``P_FLOOR``)
-    and 0 elsewhere; ``states`` holds the kept outcome states, row by row
-    in Kraus order, as one ``(M, n, n)`` stack that has passed
-    ``validate_density_stack``.  Each state's outcomes are the same bits
-    whatever else is in the stack.  The input spectra are checked for PSD.
+    ``(N, K, d, d)``, acting on ``side``.  Each outcome is the Gram matrix
+    ``B B^dag`` with ``B = (I x M_k) F`` for a square-root factor
+    ``F F^dag = rho``, so it is PSD by construction even when its trace p_k
+    is tiny and dividing by p_k would amplify the cancellation roundoff of
+    the sandwich.  The input spectra are checked for PSD.
     """
     if len(dims.factors) != 2:
         raise DimensionMismatchError("channels act on bipartite states")
@@ -163,7 +162,23 @@ def _outcome_stack(
     vals = np.where(vals > EIG_REL_FLOOR * vals[:, -1:], vals, 0.0)
     root = vecs * np.sqrt(vals)[:, None, :]
     b = ops @ root[:, None]
-    x = b @ b.conj().swapaxes(-1, -2)
+    return b @ b.conj().swapaxes(-1, -2)
+
+
+def _outcome_stack(
+    kraus: np.ndarray, side: str, mats: np.ndarray, dims
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome ensembles of Kraus families on a ``(N, n, n)`` stack of states.
+
+    ``kraus`` as ``_gram_outcomes`` takes it.  Returns ``(probs, keep,
+    states)``: ``probs`` is ``(N, K)``, each row renormalized over the
+    outcomes kept (``keep``, those with probability at least ``P_FLOOR``)
+    and 0 elsewhere; ``states`` holds the kept outcome states, row by row
+    in Kraus order, as one ``(M, n, n)`` stack that has passed
+    ``validate_density_stack``.  Each state's outcomes are the same bits
+    whatever else is in the stack.
+    """
+    x = _gram_outcomes(kraus, side, mats, dims)
     p = x.trace(axis1=-2, axis2=-1).real
     keep = p >= P_FLOOR
     kept_p = np.where(keep, p, 0.0)
@@ -178,12 +193,8 @@ def apply_channel(channel: LocalKrausChannel, rho: DensityMatrix) -> OutcomeEnse
     """Outcome ensemble of the channel on ``rho``.
 
     Outcomes with probability below ``P_FLOOR`` are dropped and the rest
-    renormalized; the bias is far below every verification tolerance.
-
-    Each unnormalized outcome is the Gram matrix ``B B^dag`` with
-    ``B = (I x M_k) F`` for a square-root factor ``F F^dag = rho``, so it is
-    PSD by construction even when ``p_k`` is tiny and dividing by it would
-    amplify the cancellation roundoff of ``(I x M_k) rho (I x M_k)^dag``.
+    renormalized; the bias is far below every verification tolerance.  Each
+    outcome state is PSD by construction (``_gram_outcomes``).
     """
     probs, keep, states = _outcome_stack(np.stack(channel.kraus), channel.side,
                                          rho.matrix[None], rho.dims)

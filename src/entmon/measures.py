@@ -142,7 +142,7 @@ def h_of_spectrum(h: HFunction, mu: np.ndarray) -> np.ndarray:
     mu = np.where(mu < SPECTRUM_FLOOR, 0.0, mu)
     total = np.sum(mu, axis=-1, keepdims=True)
     mu = mu / np.where(total > 0.0, total, 1.0)
-    if h.kind == "entropy":
+    if h.kind == "entropy" or (h.kind == "renyi" and h.param == 1.0):
         safe = np.where(mu > 0.0, mu, 1.0)
         return -np.sum(mu * np.log(safe), axis=-1)
     if h.kind == "concurrence":
@@ -159,9 +159,6 @@ def h_of_spectrum(h: HFunction, mu: np.ndarray) -> np.ndarray:
         return np.clip((s * s - 1.0) / 2.0, 0.0, None)
     if h.kind == "renyi":
         a = float(h.param)
-        if a == 1.0:
-            safe = np.where(mu > 0.0, mu, 1.0)
-            return -np.sum(mu * np.log(safe), axis=-1)
         return np.log(np.sum(np.power(mu, a), axis=-1)) / (1.0 - a)
     if h.kind == "tsallis":
         q = float(h.param)

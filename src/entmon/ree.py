@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LocalKrausChannel, _embedded_kraus
+from .channels import LocalKrausChannel, _gram_outcomes
 from .states import (
     DensityMatrix,
     DimensionMismatchError,
@@ -399,10 +399,12 @@ def ree_data_processing_check(
 ) -> DataProcessingReport:
     """Compare sum_i S(p_i rho_i || q_i sigma_i) with S(rho || sigma).
 
-    The same channel is applied to both states and the outcome terms stay
-    index-aligned (no probability floor), so the probability vectors p and
-    q are directly comparable.  Support violations produce a skipped report
-    with the infinity carried in the total, not an exception.
+    The same channel is applied to both states by one ``_gram_outcomes``
+    call on the stack [rho, sigma].  All K outcomes are kept, with no
+    probability floor, so the terms and the probability vectors p and q
+    stay index-aligned and directly comparable; a zero operator's outcomes
+    are zero matrices, whose term is 0.  Support violations produce a
+    skipped report with the infinity carried in the total, not an exception.
     """
     if rho.dims.factors != sigma.dims.factors:
         raise DimensionMismatchError("states must share dims")
@@ -413,15 +415,10 @@ def ree_data_processing_check(
             skipped_reason="sigma is not full rank",
         )
     total = _rel_entropy_psd(rho.matrix, sigma.matrix)
-    ops = _embedded_kraus(np.stack(channel.kraus), channel.side, rho.dims)
-    ops_dag = ops.conj().swapaxes(-1, -2)
-    xs = ops @ rho.matrix @ ops_dag
-    ys = ops @ sigma.matrix @ ops_dag
-    p = xs.trace(axis1=-2, axis2=-1).real
-    q = ys.trace(axis1=-2, axis2=-1).real
-    # A zero operator contributes nothing.
-    terms = [0.0 if pk < 1e-15 else _rel_entropy_psd(x, y) for pk, x, y in zip(p, xs, ys)]
-    outcome = float(sum(terms))
+    outs = _gram_outcomes(np.stack(channel.kraus), channel.side,
+                          np.stack([rho.matrix, sigma.matrix]), rho.dims)
+    p, q = outs.trace(axis1=-2, axis2=-1).real
+    outcome = float(sum(_rel_entropy_psd(x, y) for x, y in zip(*outs)))
     if math.isinf(outcome) or math.isinf(total):
         return DataProcessingReport(
             outcome, total, math.nan, p, q, math.nan,

@@ -11,9 +11,17 @@ dimensions.  The h-only measures (g-concurrence, tangle, renyi, tsallis)
 are defined on pure states; a density matrix is accepted when it is pure
 to within roundoff.  ``negativity-roof`` and ``ree`` call the respective
 optimizers and carry solver metadata in the diagnostics.
+
+One table, ``FAMILIES``, maps each family (the id before any
+``:<parameter>``) to its tolerance tier, its unit class and the kind of
+the h-function of its pure-state form; every question about a family
+(``unit_of``, ``measure_tier``, which states it takes, which id a value
+reports) is answered from it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,22 +31,24 @@ from .states import DensityMatrix, Dims, PureState
 
 PURITY_TOL = 1e-10
 
-CLOSED_FORM_IDS = ("eof", "concurrence", "g-concurrence", "tangle", "negativity", "log-negativity")
-OPTIMIZER_IDS = ("negativity-roof", "ree")
 
-# Unit class per measure: "nats" values convert to bits on request,
-# "log2" values are already in bits, "dimensionless" values never convert.
-UNITS = {
-    "eof": "nats",
-    "ree": "nats",
-    "renyi": "nats",
-    "log-negativity": "log2",
-    "concurrence": "dimensionless",
-    "g-concurrence": "dimensionless",
-    "tangle": "dimensionless",
-    "negativity": "dimensionless",
-    "negativity-roof": "dimensionless",
-    "tsallis": "dimensionless",
+class Family(NamedTuple):
+    tier: str  # tolerance class: "closed", "roof" or "ree"
+    unit: str  # "nats" (converts to bits on request), "log2" (bits) or "dimensionless"
+    h: str | None  # h-function kind of the pure-state form; None if not one
+
+
+FAMILIES = {
+    "eof": Family("closed", "nats", "entropy"),
+    "concurrence": Family("closed", "dimensionless", "concurrence"),
+    "g-concurrence": Family("closed", "dimensionless", "g-concurrence"),
+    "tangle": Family("closed", "dimensionless", "tangle"),
+    "renyi": Family("closed", "nats", "renyi"),
+    "tsallis": Family("closed", "dimensionless", "tsallis"),
+    "negativity": Family("closed", "dimensionless", None),
+    "log-negativity": Family("closed", "log2", None),
+    "negativity-roof": Family("roof", "dimensionless", "negativity"),
+    "ree": Family("ree", "nats", None),
 }
 
 
@@ -48,37 +58,29 @@ class MeasureError(ValueError):
 
 def parse_measure_id(measure_id: str) -> tuple[str, float | None]:
     """Split an id like ``renyi:0.5`` into (family, parameter)."""
-    if ":" in measure_id:
-        family, _, raw = measure_id.partition(":")
-        if family not in ("renyi", "tsallis"):
-            raise MeasureError(f"unknown measure id {measure_id!r}")
-        try:
-            param = float(raw)
-        except ValueError as exc:
-            raise MeasureError(f"bad parameter in measure id {measure_id!r}") from exc
-        try:
-            HFunction(family, param)
-        except ValueError as exc:
-            raise MeasureError(str(exc)) from exc
-        return family, param
-    if measure_id in CLOSED_FORM_IDS or measure_id in OPTIMIZER_IDS:
-        return measure_id, None
-    raise MeasureError(f"unknown measure id {measure_id!r}")
+    family, colon, raw = measure_id.partition(":")
+    if family not in FAMILIES or bool(colon) != (family in ("renyi", "tsallis")):
+        raise MeasureError(f"unknown measure id {measure_id!r}")
+    if not colon:
+        return family, None
+    try:
+        param = float(raw)
+    except ValueError as exc:
+        raise MeasureError(f"bad parameter in measure id {measure_id!r}") from exc
+    try:
+        HFunction(family, param)
+    except ValueError as exc:
+        raise MeasureError(str(exc)) from exc
+    return family, param
 
 
 def unit_of(measure_id: str) -> str:
-    family, _ = parse_measure_id(measure_id)
-    return UNITS[family]
+    return FAMILIES[parse_measure_id(measure_id)[0]].unit
 
 
 def measure_tier(measure_id: str) -> str:
     """Tolerance class: 'closed', 'roof', or 'ree'."""
-    family, _ = parse_measure_id(measure_id)
-    if family == "negativity-roof":
-        return "roof"
-    if family == "ree":
-        return "ree"
-    return "closed"
+    return FAMILIES[parse_measure_id(measure_id)[0]].tier
 
 
 def _pure_vectors(mats: np.ndarray) -> np.ndarray | None:
@@ -94,18 +96,9 @@ def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
     return state.density() if isinstance(state, PureState) else state
 
 
-_H_BY_FAMILY = {
-    "eof": measures.ENTROPY,
-    "concurrence": measures.CONCURRENCE,
-    "g-concurrence": measures.G_CONCURRENCE,
-    "tangle": measures.TANGLE,
-}
-
-
-def _h_function(family: str, param: float | None) -> HFunction:
-    if family in ("renyi", "tsallis"):
-        return HFunction(family, param)
-    return _H_BY_FAMILY[family]
+def _h_function(family: str, param: float | None) -> HFunction | None:
+    kind = FAMILIES[family].h
+    return None if kind is None else HFunction(kind, param)
 
 
 def _uses_wootters(family: str, dims: Dims) -> bool:
@@ -117,15 +110,10 @@ def measure_state_kind(measure_id: str, dims: Dims) -> str | None:
     family, _ = parse_measure_id(measure_id)
     if family == "ree":
         return "mixed" if dims.total <= ree.MAX_TOTAL_DIM else None
-    if family in ("negativity", "log-negativity", "negativity-roof") or _uses_wootters(family, dims):
+    tier, _, h = FAMILIES[family]
+    if tier != "closed" or h is None or _uses_wootters(family, dims):
         return "mixed"
-    return "pure"  # the reduced-state (h-function) families
-
-
-def _closed_id(family: str, param: float | None) -> str:
-    if family in ("negativity", "log-negativity"):
-        return family
-    return _h_function(family, param).measure_id
+    return "pure"  # closed forms that are h of a pure state's reduced state
 
 
 def evaluate_closed_stack(measure_id: str, mats: np.ndarray, dims: Dims) -> np.ndarray:
@@ -136,12 +124,12 @@ def evaluate_closed_stack(measure_id: str, mats: np.ndarray, dims: Dims) -> np.n
     families need every member pure; a mixed one raises ``MeasureError``.
     """
     family, param = parse_measure_id(measure_id)
-    if family in OPTIMIZER_IDS:
+    if FAMILIES[family].tier != "closed":
         raise MeasureError(f"{measure_id!r} has no closed form")
-    return _closed_values(measure_id, family, param, mats, dims)
+    return _closed_values(measure_id, family, _h_function(family, param), mats, dims)
 
 
-def _closed_values(measure_id, family, param, mats, dims) -> np.ndarray:
+def _closed_values(measure_id, family, h, mats, dims) -> np.ndarray:
     if family == "negativity":
         return measures.negativity_of_norms(measures.pt_trace_norms(mats, dims))
     if family == "log-negativity":
@@ -158,7 +146,7 @@ def _closed_values(measure_id, family, param, mats, dims) -> np.ndarray:
                 f"got a mixed state on {dims.factors}"
             )
         raise MeasureError(f"{measure_id!r} is a pure-state measure; input is mixed")
-    return measures.pure_measure_stack(_h_function(family, param), vecs, dims)
+    return measures.pure_measure_stack(h, vecs, dims)
 
 
 def evaluate_measure(
@@ -168,9 +156,10 @@ def evaluate_measure(
 ) -> MeasureValue:
     """Evaluate a measure by its external id on a bipartite state."""
     family, param = parse_measure_id(measure_id)
+    h = _h_function(family, param)
 
     if family == "negativity-roof":
-        result = roof.roof_minimize(measures.NEGATIVITY_H, _as_density(state), rng=rng)
+        result = roof.roof_minimize(h, _as_density(state), rng=rng)
         return MeasureValue(
             result.value,
             "negativity-roof",
@@ -192,9 +181,8 @@ def evaluate_measure(
 
     if isinstance(state, PureState) and measure_state_kind(measure_id, state.dims) == "pure":
         # A given state vector needs no eigendecomposition to find it.
-        value = measures.pure_measure_stack(_h_function(family, param), state.amplitudes,
-                                            state.dims)
+        value = measures.pure_measure_stack(h, state.amplitudes, state.dims)
     else:
         dm = _as_density(state)
-        value = _closed_values(measure_id, family, param, dm.matrix, dm.dims)
-    return MeasureValue(float(value), _closed_id(family, param))
+        value = _closed_values(measure_id, family, h, dm.matrix, dm.dims)
+    return MeasureValue(float(value), family if h is None else h.measure_id)

@@ -134,7 +134,7 @@ class DensityMatrix:
     dims: Dims
 
     def __post_init__(self):
-        mat = _as_complex(self.matrix, "matrix")
+        mat = np.asarray(self.matrix, dtype=np.complex128)
         n = self.dims.total
         if mat.shape != (n, n):
             raise DimensionMismatchError(
@@ -192,6 +192,8 @@ def validate_density_stack(mats: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian_unit_trace(mats: np.ndarray) -> None:
+    if not np.isfinite(mats).all():
+        raise StateValidationError("matrix contains non-finite entries")
     if mats.shape[-1] > 1:
         dev = np.abs(mats - mats.swapaxes(-1, -2).conj())
         if dev.max() > TOL_HERM:
@@ -225,16 +227,16 @@ def _trusted_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
     return rho
 
 
-def clipped_eigvalsh(mat: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
+def clipped_eigvalsh(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix with roundoff negatives zeroed.
 
-    Values in ``[-tol, 0)`` are clipped to 0; anything more negative raises,
-    since that indicates a genuinely invalid input rather than roundoff.
+    Values in ``[-TOL_PSD, 0)`` are clipped to 0; lower ones raise, since
+    that indicates a genuinely invalid input rather than roundoff.
     """
     vals = np.linalg.eigvalsh(mat)
     lo = float(vals[0])
-    if lo < -tol:
-        raise StateValidationError(f"eigenvalue {lo} below -{tol}; input not PSD")
+    if lo < -TOL_PSD:
+        raise StateValidationError(f"eigenvalue {lo} below -{TOL_PSD}; input not PSD")
     return np.clip(vals, 0.0, None)
 
 
@@ -351,7 +353,7 @@ def _rel_entropy_psd(x: np.ndarray, y: np.ndarray) -> float:
     respective eigenbases with eigenvalues at most ``TOL_SUPPORT`` treated
     as kernel directions.
     """
-    xv = clipped_eigvalsh(x, tol=1e-7 * max(1.0, float(np.abs(np.trace(x)))))
+    xv = clipped_eigvalsh(x)
     pos = xv[xv > TOL_SUPPORT]
     tr_x_ln_x = float(np.sum(pos * np.log(pos)))
 

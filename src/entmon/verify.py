@@ -64,7 +64,7 @@ from .measures import (
     negativity,
     negativity_of_norms,
     pt_trace_norms,
-    pure_measure,
+    pure_measure_stack,
     renyi,
     tsallis,
     wootters_eof,
@@ -103,14 +103,22 @@ from .states import (
 # convergence error.
 MONOTONE_TOL = {"closed": 1e-9, "roof": 2e-3, "ree": 2e-2}
 STRICT_FLOOR = 1e-6  # separates strict decrease from roundoff
+STRICT_ZERO = 1e-12  # values and gaps of a strict sweep below this carry no entanglement
 EQUALITY_TOL = 1e-9
 CONCAVITY_STRICT_TOL = 1e-12
 CONCAVITY_EQUAL_TOL = 1e-10
 CONCAVITY_DISTANCE = 1e-3
+CONCAVITY_SAME_STATES = 1e-12  # distance at or below which the two states are equal
+CONCAVITY_FULL_RANK = 1e-9  # lowest eigenvalue of a full-rank g-concurrence input
 REDUCED_DEV_STRICT = 1e-6
 REDUCED_DEV_EQUAL = 1e-8
 MONOGAMY_TOL = 1e-9
 MONOGAMY_DIM_CAP = 64
+NEG_PPT_FLOOR = 1e-9  # negativity at or below this is a PPT input
+JORDAN_TOL = 1e-10  # |weight of the negative part - negativity| of a neg-decomposition
+LOGNEG_MARGIN = 1e-6  # convexity violation that counts as a witness
+ROOF_ORACLE_TOL, ROOF_ORACLE_SLACK = 5e-3, 1e-9  # roof value - Wootters EoF in [-slack, tol]
+REE_CASE_TOL = {"bell": 1e-2, "pure-coincidence": 1e-2, "separable": 1e-4, "below-eof": 2e-2}
 # Thresholds that a rule reads but no report field stores.
 ORTHOGONALITY_TOL = 1e-9  # Jordan parts of the partial transpose
 MARGINAL_DEV_TOL = 1e-8  # A marginals after the contractions on C
@@ -352,6 +360,8 @@ def check_strict(
     """
     if measure_tier(measure_id) != "closed":
         raise MeasureError(f"check_strict takes closed-form measures, not {measure_id!r}")
+    if n_states < 1:
+        raise ValueError("n_states must be at least 1")
     mats = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
     dims = _input_dims(channel, mats, n_states)
     _check_hermitian_unit_trace(mats)  # _outcome_stack checks the spectra
@@ -377,7 +387,7 @@ def _strict_report(measure_id, tag, lhs_vals, rhs_vals, seed, mixture):
         "mean_gap": float(np.mean(gaps)),
     }
     if tag == TAG_GENERAL:
-        if float(np.max(lhs_vals)) < 1e-12 and float(np.max(np.abs(gaps))) < 1e-12:
+        if float(np.max(lhs_vals)) < STRICT_ZERO and float(np.max(np.abs(gaps))) < STRICT_ZERO:
             metadata["note"] = "unentangled inputs are uninformative"
             metadata["rule"] = "all values zero"
             i = 0
@@ -436,11 +446,11 @@ def _concavity_reports(items):
             if h.kind == "tangle":
                 metadata["tangle_identity_dev"] = abs(lhs - rhs
                                                       - 2.0 * lam * (1.0 - lam) * dist * dist)
-            if dist <= 1e-12:
+            if dist <= CONCAVITY_SAME_STATES:
                 tol, branch, rule = CONCAVITY_EQUAL_TOL, "equal-states", "|gap| <= tolerance"
             elif dist <= CONCAVITY_DISTANCE:
                 tol, branch, rule = CONCAVITY_STRICT_TOL, "near-equal", "gap >= -tolerance"
-            elif h.kind == "g-concurrence" and min(lows) <= 1e-9:
+            elif h.kind == "g-concurrence" and min(lows) <= CONCAVITY_FULL_RANK:
                 # (det)^(1/d) is strictly concave only on the definite cone.
                 metadata["reason"] = "g-concurrence strictness needs full-rank inputs"
                 reports[i] = _report("concavity", h.measure_id, None, 0.0, 0.0,
@@ -528,29 +538,22 @@ def check_monogamy_product(
     # nonzero eigenvectors are product across AB1|B2, so the
     # eigendecomposition average realizes the optimal decomposition.
     vals, vecs = np.linalg.eigh(rho_ab.matrix)
-    rhs = 0.0
-    for lamv, vec in zip(vals, vecs.T):
-        if lamv > 1e-12:
-            rhs += lamv * pure_measure(h, PureState(vec, Dims(dA, dB))).value
+    support = vals > 1e-12
+    rhs = sum(lam * v for lam, v in zip(vals[support],
+                                        pure_measure_stack(h, vecs.T[support], Dims(dA, dB))))
     cut_dev = abs(lhs - rhs)
 
     product_dev = float(np.linalg.norm(rho_ac.matrix - np.kron(rho_a.matrix, rho_c.matrix)))
     neg_ac = negativity(rho_ac).value
 
-    resync = -rho_ab.matrix.copy()
-    max_marginal_dev = 0.0
-    for s in range(dC):
-        bra = np.zeros((1, dC))
-        bra[0, s] = 1.0
-        v_s = np.kron(np.eye(dA * dB), bra)  # I_A x I_B x <s|
-        block = v_s @ rho.matrix @ v_s.conj().T
-        resync += block
-        p_s = float(np.real(np.trace(block)))
-        if p_s < 1e-12:
-            continue
-        out = DensityMatrix(block / p_s, Dims(dA, dB))
-        dev = float(np.linalg.norm(partial_trace(out, "A").matrix - rho_a.matrix))
-        max_marginal_dev = max(max_marginal_dev, dev)
+    # Contracting C with <s| is outcome s of the projective family {|s><s|}
+    # on the AB|C cut; its A marginal traces out B and C.
+    probs, keep, outs = _outcome_stack(projector_stack(np.eye(dC)), "B", rho.matrix[None],
+                                       Dims(dA * dB, dC))
+    marginals = np.trace(outs.reshape(-1, dA, dB * dC, dA, dB * dC), axis1=-3, axis2=-1)
+    max_marginal_dev = max(float(np.linalg.norm(m - rho_a.matrix)) for m in marginals)
+    average = np.tensordot(probs[keep], outs, 1).reshape(dA * dB, dC, dA * dB, dC)
+    resync = np.trace(average, axis1=1, axis2=3) - rho_ab.matrix
 
     metadata = {
         "rule": "all three subchecks within tolerance",
@@ -570,8 +573,8 @@ def check_negativity_decomposition(rho: DensityMatrix, seed: int = 0) -> Verific
     must be orthogonal, and both must be valid states.
     """
     n_val = negativity(rho).value
-    if n_val <= 1e-9:
-        return _report("neg-decomposition", "negativity", None, 0.0, 0.0, 1e-10, seed,
+    if n_val <= NEG_PPT_FLOOR:
+        return _report("neg-decomposition", "negativity", None, 0.0, 0.0, JORDAN_TOL, seed,
                        {"reason": "input is PPT; the decomposition is trivial"})
     pt = partial_transpose(rho, "A")
     vals, vecs = np.linalg.eigh(pt)
@@ -593,7 +596,7 @@ def check_negativity_decomposition(rho: DensityMatrix, seed: int = 0) -> Verific
         "parts_valid": parts_valid,
         "n_negative_eigenvalues": int(np.sum(vals < 0.0)),
     }
-    return _report("neg-decomposition", "negativity", None, a, n_val, 1e-10, seed, metadata)
+    return _report("neg-decomposition", "negativity", None, a, n_val, JORDAN_TOL, seed, metadata)
 
 
 # Triples per batch of the log-negativity scan; bounds the scan's memory.
@@ -608,8 +611,8 @@ def check_logneg_nonconvexity(
     """Search for a convexity violation of the logarithmic negativity.
 
     Scans random (rho1, rho2, lambda) triples of two-qubit pure states for
-    E_N(mix) exceeding the weighted average by more than 1e-6; the control
-    confirms plain negativity stays convex on exactly the same triples.
+    E_N(mix) exceeding the weighted average by more than ``LOGNEG_MARGIN``;
+    the control confirms plain negativity stays convex on the same triples.
     Each triple takes two generator calls (lambda, then the normals of
     rho1 and rho2); triples are built and evaluated in blocks, and one
     trace-norm stack gives both measures of mix, rho1 and rho2.
@@ -636,8 +639,8 @@ def check_logneg_nonconvexity(
         n_vals, en_vals = negativity_of_norms(norms), log_negativity_of_norms(norms)
         n_avg = lam * n_vals[:, 1] + (1.0 - lam) * n_vals[:, 2]
         en_avg = lam * en_vals[:, 1] + (1.0 - lam) * en_vals[:, 2]
-        control_violations += int(np.count_nonzero(n_vals[:, 0] > n_avg + 1e-6))
-        hits = np.flatnonzero(en_vals[:, 0] > en_avg + 1e-6)
+        control_violations += int(np.count_nonzero(n_vals[:, 0] > n_avg + LOGNEG_MARGIN))
+        hits = np.flatnonzero(en_vals[:, 0] > en_avg + LOGNEG_MARGIN)
         if witness is None and hits.size:
             j = hits[0]
             witness = {
@@ -655,7 +658,8 @@ def check_logneg_nonconvexity(
         "witness": witness,
     }
     lhs, rhs = (0.0, 0.0) if witness is None else (witness["en_mix"], witness["en_avg"])
-    return _report("logneg-nonconvexity", "log-negativity", None, lhs, rhs, 1e-6, seed, metadata)
+    return _report("logneg-nonconvexity", "log-negativity", None, lhs, rhs, LOGNEG_MARGIN, seed,
+                   metadata)
 
 
 def recompute_verdict(report: VerificationReport) -> str:
@@ -833,8 +837,7 @@ def _sweep_concavity(config: SweepConfig, check_idx: int) -> list[VerificationRe
 
 
 def _projective_channel(d: int) -> LocalKrausChannel:
-    eye = np.eye(d)
-    return LocalKrausChannel("B", tuple(np.outer(eye[i], eye[i]) for i in range(d)))
+    return LocalKrausChannel("B", tuple(projector_stack(np.eye(d))))
 
 
 def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
@@ -857,8 +860,8 @@ def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[Verification
         oracle = wootters_eof(rho)
         result = roof_minimize(ENTROPY, rho, 4, 20, rng)
         reports.append(_report(
-            "roof-oracle", "eof", None, result.value, oracle, 5e-3, seed,
-            {"rule": "-lower_slack <= gap <= tolerance", "lower_slack": 1e-9,
+            "roof-oracle", "eof", None, result.value, oracle, ROOF_ORACLE_TOL, seed,
+            {"rule": "-lower_slack <= gap <= tolerance", "lower_slack": ROOF_ORACLE_SLACK,
              "converged": result.converged},
         ))
     return reports
@@ -878,20 +881,20 @@ def _ree_input(case: str, rng: np.random.Generator, t: int):
 
 
 def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    """Cases ``(case, trials, seed parts, tolerance)``: the REE must meet
-    the ``_ree_input`` reference value or, for ``below-eof``, stay under
-    it (the EoF bounds the REE from above)."""
+    """Cases ``(case, trials, seed parts)``: the REE must meet the
+    ``_ree_input`` reference value within the case's ``REE_CASE_TOL`` or,
+    for ``below-eof``, stay under it (the EoF bounds the REE from above)."""
     n = max(1, config.trials // 100)
-    cases = (("bell", 1, (), 1e-2), ("pure-coincidence", n, (1,), 1e-2),
-             ("separable", n, (2,), 1e-4), ("below-eof", n, (3,), 2e-2))
+    cases = (("bell", 1, ()), ("pure-coincidence", n, (1,)), ("separable", n, (2,)),
+             ("below-eof", n, (3,)))
     reports = []
-    for case, count, parts, tol in cases:
+    for case, count, parts in cases:
         for t, seed, rng in _trials(config, count, check_idx, *parts):
             rho, reference = _ree_input(case, rng, t)
             res = ree_minimize(rho, rng=rng)
             lhs, rhs, rule = (reference, res.value, "gap >= -tolerance") if case == "below-eof" \
                 else (res.value, reference, "|gap| <= tolerance")
-            reports.append(_report("ree", "ree", None, lhs, rhs, tol, seed,
+            reports.append(_report("ree", "ree", None, lhs, rhs, REE_CASE_TOL[case], seed,
                                    {"rule": rule, "case": case, "iterations": res.iterations,
                                     "converged": res.converged,
                                     "duality_gap_estimate": res.duality_gap_estimate,

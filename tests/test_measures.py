@@ -16,6 +16,7 @@ from entmon.measures import (
     NEGATIVITY_H,
     TANGLE,
     h_eval,
+    h_of_spectrum,
     log_negativity,
     log_negativity_of_norms,
     negativity,
@@ -66,6 +67,8 @@ class TestHFunction:
         with pytest.raises(ValueError):
             HFunction("spooky")
         assert renyi(1.0).param == 1.0  # closed endpoint reduces to entropy
+        mu = np.array([[0.0, 0.2, 0.8], [1e-14, 0.5, 0.5], [0.3, 0.3, 0.4]])
+        assert np.array_equal(h_of_spectrum(renyi(1.0), mu), h_of_spectrum(ENTROPY, mu))
 
     def test_measure_ids(self):
         assert ENTROPY.measure_id == "eof"

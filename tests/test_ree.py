@@ -399,6 +399,103 @@ class TestDataProcessing:
         assert rep.skipped_reason is not None
 
 
+def _reference_dpi(rho, sigma, channel):
+    """``ree_data_processing_check`` as it was before its outcomes came from
+    the channels kernel: each outcome as the sandwich K rho K^dag."""
+    from entmon.channels import _embedded_kraus
+    from entmon.ree import DataProcessingReport
+    from entmon.states import _rel_entropy_psd
+
+    sig_min = float(np.linalg.eigvalsh(sigma.matrix)[0])
+    if sig_min < 1e-12:
+        return DataProcessingReport(
+            math.nan, math.nan, math.nan, np.array([]), np.array([]), math.nan,
+            skipped_reason="sigma is not full rank",
+        )
+    total = _rel_entropy_psd(rho.matrix, sigma.matrix)
+    ops = _embedded_kraus(np.stack(channel.kraus), channel.side, rho.dims)
+    ops_dag = ops.conj().swapaxes(-1, -2)
+    xs = ops @ rho.matrix @ ops_dag
+    ys = ops @ sigma.matrix @ ops_dag
+    p = xs.trace(axis1=-2, axis2=-1).real
+    q = ys.trace(axis1=-2, axis2=-1).real
+    terms = [0.0 if pk < 1e-15 else _rel_entropy_psd(x, y) for pk, x, y in zip(p, xs, ys)]
+    outcome = float(sum(terms))
+    if math.isinf(outcome) or math.isinf(total):
+        return DataProcessingReport(
+            outcome, total, math.nan, p, q, math.nan,
+            skipped_reason="support violation produced an infinite divergence",
+        )
+    return DataProcessingReport(
+        outcome_divergence=outcome,
+        total_divergence=total,
+        gap=total - outcome,
+        p=p,
+        q=q,
+        max_prob_deviation=float(np.max(np.abs(p - q))),
+    )
+
+
+def _dpi_channel(kind, d, side, rng):
+    if kind == "unitary":
+        return LocalKrausChannel(side, (haar_unitary(d, rng),))
+    if kind == "mixture":
+        return unitary_mixture_channel([0.3, 0.7], [haar_unitary(d, rng) for _ in range(2)], side)
+    if kind == "projective":  # rank-deficient outcomes of rho and sigma
+        return LocalKrausChannel(side, tuple(np.diag(row) for row in np.eye(d)))
+    return random_channel(d, 2 + int(rng.integers(3)), rng, side=side)
+
+
+class TestDataProcessingMatchesSandwichReference:
+    @pytest.mark.parametrize("sigma_rank", ["full", "deficient"])
+    @pytest.mark.parametrize("kind", ["unitary", "mixture", "general", "projective"])
+    @pytest.mark.parametrize("dims_pair,side", [((2, 2), "B"), ((2, 3), "B"), ((2, 3), "A")])
+    def test_reports_match(self, dims_pair, side, kind, sigma_rank):
+        dims = Dims(*dims_pair)
+        d = dims.factors["AB".index(side)]
+        for seed in range(4):
+            rng = np.random.default_rng(70 + seed)
+            rho = random_mixed(dims, 1 + seed if seed < 2 else None, rng)
+            sigma = random_mixed(dims, None if sigma_rank == "full" else dims.total - 1, rng)
+            channel = _dpi_channel(kind, d, side, rng)
+            rep = ree_data_processing_check(rho, sigma, channel)
+            ref = _reference_dpi(rho, sigma, channel)
+            assert rep.skipped_reason == ref.skipped_reason
+            assert (rep.skipped_reason is None) == (sigma_rank == "full")
+            np.testing.assert_allclose(
+                [rep.outcome_divergence, rep.total_divergence, rep.gap, rep.max_prob_deviation],
+                [ref.outcome_divergence, ref.total_divergence, ref.gap, ref.max_prob_deviation],
+                rtol=0, atol=1e-10)
+            np.testing.assert_allclose(rep.p, ref.p, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(rep.q, ref.q, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_b=st.sampled_from([2, 3]), c=st.floats(0.05, 1.0), log_eps=st.floats(-12.0, -3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_dpi_holds_on_rank_one_inputs_under_near_annihilating_families(d_b, c, log_eps, seed):
+    # The families of the benchmark's known-defect probe, sqrt(c)|w><w| and
+    # I - (1 - sqrt(1 - c))|w><w|, on a pure rho whose B support is w-perp
+    # up to amplitude noise eps: the first outcome of rho nearly vanishes.
+    from entmon.states import PureState
+    from entmon.verify import EQUALITY_TOL
+
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(d_b, rng)
+    w, perp = u[:, 0], u[:, 1:]
+    proj = np.outer(w, w.conj())
+    channel = LocalKrausChannel("B", (math.sqrt(c) * proj,
+                                      np.eye(d_b) - (1.0 - math.sqrt(1.0 - c)) * proj))
+    g = rng.standard_normal((2, d_b - 1)) + 1j * rng.standard_normal((2, d_b - 1))
+    psi = (g @ perp.T).reshape(-1)
+    z = rng.standard_normal(2 * d_b) + 1j * rng.standard_normal(2 * d_b)
+    psi = psi / np.linalg.norm(psi) + 10.0 ** log_eps * z / np.linalg.norm(z)
+    rho = PureState(psi / np.linalg.norm(psi), Dims(2, d_b)).density()
+    sigma = random_mixed(Dims(2, d_b), None, rng)
+    rep = ree_data_processing_check(rho, sigma, channel)
+    assert rep.gap >= -EQUALITY_TOL
+
+
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
     # No scipy module is loaded, by the import or by a solve.
     import entmon

@@ -41,6 +41,39 @@ def test_units_and_tiers():
     assert measure_tier("ree") == "ree"
 
 
+
+# Per id, the answers the registry gave before one table held them: tier,
+# unit class and the id a Bell-state evaluation reports.
+FAMILY_ANSWERS = [
+    ("eof", "closed", "nats", "eof"),
+    ("concurrence", "closed", "dimensionless", "concurrence"),
+    ("g-concurrence", "closed", "dimensionless", "g-concurrence"),
+    ("tangle", "closed", "dimensionless", "tangle"),
+    ("renyi:0.50", "closed", "nats", "renyi:0.5"),
+    ("renyi:1", "closed", "nats", "renyi:1"),
+    ("tsallis:2.0", "closed", "dimensionless", "tsallis:2"),
+    ("negativity", "closed", "dimensionless", "negativity"),
+    ("log-negativity", "closed", "log2", "log-negativity"),
+    ("negativity-roof", "roof", "dimensionless", "negativity-roof"),
+    ("ree", "ree", "nats", "ree"),
+]
+
+
+@pytest.mark.parametrize("measure_id,tier,unit,reported", FAMILY_ANSWERS)
+def test_family_table_answers(measure_id, tier, unit, reported):
+    assert (measure_tier(measure_id), unit_of(measure_id)) == (tier, unit)
+    value = evaluate_measure(measure_id, bell_state(), rng=np.random.default_rng(0))
+    assert value.measure_id == reported
+    if tier != "closed":
+        with pytest.raises(MeasureError):
+            evaluate_closed_stack(measure_id, bell_state().density().matrix[None], Dims(2, 2))
+
+
+@pytest.mark.parametrize("measure_id", ["renyi", "tsallis", "eof:1", "ree:1", "negativity-roof:2"])
+def test_parameters_only_where_the_family_takes_one(measure_id):
+    with pytest.raises(MeasureError, match="unknown measure id"):
+        parse_measure_id(measure_id)
+
 def test_eof_dispatch():
     # Two-qubit mixed goes through the closed form; pure non-2x2 through
     # the reduced-state entropy.

@@ -306,3 +306,21 @@ class TestEntropies:
     def test_max_entangled_reduction(self):
         red = partial_trace(max_entangled(3).density(), "B")
         np.testing.assert_allclose(red.matrix, np.eye(3) / 3, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_entries_are_refused_alike_by_state_and_stack(bad):
+    import warnings
+
+    from entmon.states import StateValidationError, validate_density_stack
+
+    mats = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+    mats[1, 0, 2] = bad
+    mats[1, 2, 0] = np.conj(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateValidationError) as from_stack:
+            validate_density_stack(mats)
+        with pytest.raises(StateValidationError) as from_state:
+            DensityMatrix(mats[1], Dims(2, 2))
+    assert str(from_stack.value) == str(from_state.value) == "matrix contains non-finite entries"

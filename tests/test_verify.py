@@ -1167,3 +1167,165 @@ class TestConcavityAndReducedStateKeepEveryInputCheck:
         with pytest.raises(StateValidationError) as stacked:
             check_reduced_state_condition(ENTROPY, psi, channel)
         assert str(stacked.value) == str(per_state.value)
+
+
+# ---------------------------------------------------------------------------
+# Per-outcome reference for the monogamy check: the check as it was before
+# its contractions on C and its eigendecomposition average came from the
+# channels kernel and one ``pure_measure_stack`` call, one ``np.kron``
+# contraction and one validated state per outcome.
+
+
+def _reference_monogamy(phi_ab1, eta_b2c, h, seed=0):
+    from entmon.measures import h_eval, negativity, pure_measure
+    from entmon.states import PureState, partial_trace
+    from entmon.verify import MONOGAMY_TOL, _report
+
+    dA, dB1 = phi_ab1.dims.factors
+    dB2, dC = eta_b2c.dims.factors
+    dB = dB1 * dB2
+    amps = np.kron(phi_ab1.amplitudes, eta_b2c.amplitudes)
+    psi = PureState(amps, Dims(dA, dB, dC))
+    rho = psi.density()
+    rho_a = partial_trace(rho, "A")
+    rho_ab = partial_trace(rho, "AB")
+    rho_ac = partial_trace(rho, "AC")
+    rho_c = partial_trace(rho, "C")
+
+    lhs = h_eval(h, rho_a)
+    vals, vecs = np.linalg.eigh(rho_ab.matrix)
+    rhs = 0.0
+    for lamv, vec in zip(vals, vecs.T):
+        if lamv > 1e-12:
+            rhs += lamv * pure_measure(h, PureState(vec, Dims(dA, dB))).value
+    cut_dev = abs(lhs - rhs)
+
+    product_dev = float(np.linalg.norm(rho_ac.matrix - np.kron(rho_a.matrix, rho_c.matrix)))
+    neg_ac = negativity(rho_ac).value
+
+    resync = -rho_ab.matrix.copy()
+    max_marginal_dev = 0.0
+    for s in range(dC):
+        bra = np.zeros((1, dC))
+        bra[0, s] = 1.0
+        v_s = np.kron(np.eye(dA * dB), bra)
+        block = v_s @ rho.matrix @ v_s.conj().T
+        resync += block
+        p_s = float(np.real(np.trace(block)))
+        if p_s < 1e-12:
+            continue
+        out = DensityMatrix(block / p_s, Dims(dA, dB))
+        dev = float(np.linalg.norm(partial_trace(out, "A").matrix - rho_a.matrix))
+        max_marginal_dev = max(max_marginal_dev, dev)
+
+    metadata = {
+        "rule": "all three subchecks within tolerance",
+        "cut_dev": cut_dev,
+        "ac_product_dev": product_dev,
+        "ac_negativity": neg_ac,
+        "max_marginal_dev": max_marginal_dev,
+        "contraction_resync_dev": float(np.linalg.norm(resync)),
+    }
+    return _report("monogamy", h.measure_id, None, lhs, rhs, MONOGAMY_TOL, seed, metadata)
+
+
+def _assert_reports_close(a, b, atol):
+    """Equal reports up to ``atol`` in lhs, rhs, gap and every float of the
+    metadata; every other field is equal."""
+    assert (a.check_id, a.measure_id, a.channel_class, a.tolerance, a.verdict, a.seed) == \
+        (b.check_id, b.measure_id, b.channel_class, b.tolerance, b.verdict, b.seed)
+    np.testing.assert_allclose([a.lhs, a.rhs, a.gap], [b.lhs, b.rhs, b.gap], rtol=0, atol=atol)
+    assert a.metadata.keys() == b.metadata.keys()
+    for key, value in a.metadata.items():
+        if isinstance(value, float):
+            assert abs(value - b.metadata[key]) <= atol, key
+        else:
+            assert value == b.metadata[key], key
+
+
+def _monogamy_factors(kind, dims_pair, rng):
+    from entmon.sampling import random_product_pure
+
+    if kind == "bell":
+        return bell_state(), bell_state()
+    draw = random_product_pure if kind == "product" else random_pure
+    return draw(Dims(*dims_pair[0]), rng), draw(Dims(*dims_pair[1]), rng)
+
+
+class TestMonogamyMatchesPerOutcomeReference:
+    @pytest.mark.parametrize("h", [ENTROPY, NEGATIVITY_H, TANGLE, renyi(0.5)],
+                             ids=lambda h: h.measure_id)
+    @pytest.mark.parametrize("kind,dims_pair", [
+        ("bell", ((2, 2), (2, 2))),
+        ("product", ((2, 2), (2, 2))),
+        ("product", ((3, 2), (2, 3))),
+        ("random", ((2, 2), (2, 2))),
+        ("random", ((2, 3), (2, 2))),
+        ("random", ((3, 2), (2, 3))),
+    ])
+    def test_reports_match(self, kind, dims_pair, h):
+        for seed in range(3):
+            phi, eta = _monogamy_factors(kind, dims_pair, np.random.default_rng(60 + seed))
+            _assert_reports_close(check_monogamy_product(phi, eta, h, seed=seed),
+                                  _reference_monogamy(phi, eta, h, seed=seed), 1e-12)
+
+
+def test_only_channels_applies_kraus_operators_in_the_sweeps():
+    # Every Kraus application of the ree-dpi and monogamy sweeps goes
+    # through the channels kernels: no other module calls _embedded_kraus.
+    import sys
+
+    from entmon import channels
+
+    code = channels._embedded_kraus.__code__
+    callers = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            caller = frame.f_back.f_code
+            callers.append((caller.co_filename, caller.co_name))
+
+    config = SweepConfig(checks=("ree-dpi", "monogamy"), trials=60, seed=3)
+    sys.setprofile(profile)
+    try:
+        reports = run_sweep(config)
+    finally:
+        sys.setprofile(None)
+    assert {r.check_id for r in reports} == {"ree-dpi", "monogamy"}
+    assert len(callers) >= 60
+    assert {filename for filename, _ in callers} == {code.co_filename}
+
+
+class TestStrictBoundary:
+    """``check_strict`` is where a caller's stack enters the library."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    def test_non_finite_entries_are_rejected_as_density_matrix_does(self, bad):
+        import warnings
+
+        from entmon.states import StateValidationError
+
+        def with_bad_pair(r, n):
+            mats = random_mixed_stack(Dims(2, 2), None, n, r)
+            mats[3, 0, 1] = bad
+            mats[3, 1, 0] = np.conj(bad)
+            return mats
+
+        mats = with_bad_pair(np.random.default_rng(16), 5)
+        with pytest.raises(StateValidationError) as expected:
+            DensityMatrix(mats[3], Dims(2, 2))
+        rng = np.random.default_rng(16)
+        channel = random_channel(2, 3, np.random.default_rng(17))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateValidationError) as raised:
+                check_strict("negativity", with_bad_pair, channel, 5, rng)
+        assert str(raised.value) == str(expected.value) == "matrix contains non-finite entries"
+
+    @pytest.mark.parametrize("n_states", [0, -1])
+    def test_fewer_than_one_state_is_rejected(self, n_states):
+        rng = np.random.default_rng(18)
+        channel = random_channel(2, 2, rng)
+        with pytest.raises(ValueError, match="n_states must be at least 1"):
+            check_strict("negativity", _stack_sampler("mixed", Dims(2, 2)), channel, n_states,
+                         rng)
