@@ -1,9 +1,10 @@
 """Entanglement measures: reduced-state h-functions and closed forms.
 
 Every pure-state measure here is a unitarily invariant, strictly concave
-function of the reduced state's spectrum.  Mixed-state closed forms cover
-negativity, logarithmic negativity, and the two-qubit Wootters
-concurrence / entanglement of formation.
+function h of the reduced state's spectrum: ``h_of_spectrum`` defines each
+h kind, exact and smoothed, and ``h_partials`` its derivatives.  Mixed-state
+closed forms cover negativity, logarithmic negativity, and the two-qubit
+Wootters concurrence / entanglement of formation.
 
 Each closed form is computed by one kernel that works on a whole stack of
 states at once: ``(..., n, n)`` density matrices or ``(..., n)`` amplitude
@@ -42,8 +43,8 @@ class HFunction:
     """Concave spectral function on reduced states defining a pure-state measure.
 
     ``renyi`` takes an order ``alpha`` in (0, 1] (alpha = 1 reduces to the
-    entropy); ``tsallis`` takes ``q > 0``, ``q != 1``.  The other kinds are
-    parameter-free.
+    entropy); ``tsallis`` takes a finite ``q > 0``, ``q != 1``.  The other
+    kinds are parameter-free.
     """
 
     kind: str
@@ -56,7 +57,7 @@ class HFunction:
             if self.param is None or not 0.0 < self.param <= 1.0:
                 raise ValueError("renyi order must lie in (0, 1]")
         elif self.kind == "tsallis":
-            if self.param is None or self.param <= 0.0 or self.param == 1.0:
+            if self.param is None or not 0.0 < self.param < math.inf or self.param == 1.0:
                 raise ValueError("tsallis order must be positive and != 1")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
@@ -131,39 +132,80 @@ class MeasureValue:
 SPECTRUM_FLOOR = 1e-13
 
 
-def h_of_spectrum(h: HFunction, mu: np.ndarray) -> np.ndarray:
-    """Evaluate ``h`` on spectra.  ``mu`` is (..., d) of nonnegative weights.
+def h_of_spectrum(h: HFunction, mu: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """``h`` on (..., d) spectra ``mu`` of nonnegative weights; h_eps for ``eps`` > 0.
 
-    Floored weights are renormalized so a numerically pure spectrum maps to
-    exactly zero even for the roundoff-amplifying kinds (sqrt, small
-    powers).
+    At ``eps`` = 0, floored weights are renormalized so a numerically pure
+    spectrum maps to exactly zero even for the roundoff-amplifying kinds
+    (sqrt, small powers).  The kinked kinds take forms that are smooth for
+    eps > 0 (Nesterov, Math. Program. 103, 127 (2005)) and h at eps = 0:
+
+    - concurrence: sqrt(s + eps^2) - eps with s = 2 (1 - sum mu^2), taken
+      as 4 sum_{j<k} mu_j mu_k, which does not cancel near products;
+    - negativity: sum over pairs j < k of sqrt(mu_j mu_k + eps^2) - eps;
+    - G-concurrence, Renyi and Tsallis: every mu^a becomes
+      f(mu) = (mu + eps)^a - eps^a; for Renyi and Tsallis the power sum
+      is divided by f(1), so that product spectra still read 0.
+
+    Without weights in (0, ``SPECTRUM_FLOOR``), 0 <= h_eps <= h to roundoff
+    and h_eps -> h as eps -> 0; the entropy and the tangle ignore ``eps``.
     """
     mu = np.asarray(mu, dtype=float)
-    mu = np.where(mu < SPECTRUM_FLOOR, 0.0, mu)
-    total = np.sum(mu, axis=-1, keepdims=True)
-    mu = mu / np.where(total > 0.0, total, 1.0)
+    if eps == 0.0:
+        mu = np.where(mu < SPECTRUM_FLOOR, 0.0, mu)
+        total = np.sum(mu, axis=-1, keepdims=True)
+        mu = mu / np.where(total > 0.0, total, 1.0)
+    d = mu.shape[-1]
     if h.kind == "entropy" or (h.kind == "renyi" and h.param == 1.0):
         safe = np.where(mu > 0.0, mu, 1.0)
         return -np.sum(mu * np.log(safe), axis=-1)
-    if h.kind == "concurrence":
-        return np.sqrt(np.clip(2.0 * (1.0 - np.sum(mu * mu, axis=-1)), 0.0, None))
     if h.kind == "tangle":
         return np.clip(2.0 * (1.0 - np.sum(mu * mu, axis=-1)), 0.0, None)
-    if h.kind == "g-concurrence":
-        d = mu.shape[-1]
-        # d * (prod mu)^(1/d); exactly 0 on singular spectra.
-        prod = np.prod(mu, axis=-1)
-        return d * np.power(prod, 1.0 / d)
+    if h.kind == "concurrence":
+        s = 4.0 * np.sum(mu[..., 1:] * np.cumsum(mu[..., :-1], axis=-1), axis=-1)
+        return np.sqrt(s + eps * eps) - eps
     if h.kind == "negativity":
-        s = np.sum(np.sqrt(mu), axis=-1)
-        return np.clip((s * s - 1.0) / 2.0, 0.0, None)
-    if h.kind == "renyi":
-        a = float(h.param)
-        return np.log(np.sum(np.power(mu, a), axis=-1)) / (1.0 - a)
-    if h.kind == "tsallis":
-        q = float(h.param)
-        return (1.0 - np.sum(np.power(mu, q), axis=-1)) / (q - 1.0)
-    raise AssertionError(h.kind)
+        root = np.sqrt(mu[..., :, None] * mu[..., None, :] + eps * eps) - eps
+        return 0.5 * np.sum(np.where(np.eye(d, dtype=bool), 0.0, root), axis=(-2, -1))
+    a = 1.0 / d if h.kind == "g-concurrence" else float(h.param)
+    f = np.power(mu + eps, a) - eps**a
+    if h.kind == "g-concurrence":
+        return d * np.prod(f, axis=-1)  # exactly 0 on singular spectra at eps = 0
+    ratio = np.sum(f, axis=-1) / ((1.0 + eps) ** a - eps**a)
+    return np.log(ratio) / (1.0 - a) if h.kind == "renyi" else (ratio - 1.0) / (1.0 - a)
+
+
+def h_partials(h: HFunction, mu: np.ndarray, eps: float, value: np.ndarray) -> np.ndarray:
+    """d_k h_eps at (..., d) weights ``mu`` off the simplex, given ``value``
+    = ``h_of_spectrum(h, mu, eps)``; ValueError for a root kind at eps = 0.
+
+    The exact logs and negative powers alone see ``mu`` clipped below at
+    ``SPECTRUM_FLOOR``, so they stay finite at zero weights.  The
+    concurrence's are those of its form in 2 (1 - sum mu^2), which agree
+    with the pairwise form's along every direction of zero sum.
+    """
+    if eps == 0.0 and h.kind in ("concurrence", "negativity", "g-concurrence"):
+        raise ValueError(f"h kind {h.kind!r} has no gradient")
+    d = mu.shape[-1]
+    if h.kind == "entropy" or (h.kind == "renyi" and h.param == 1.0):
+        return -np.log(np.maximum(mu, SPECTRUM_FLOOR)) - 1.0
+    if h.kind == "tangle":
+        return -4.0 * mu
+    if h.kind == "concurrence":
+        return -2.0 * mu / (value + eps)[..., None]  # d_k of 2 (1 - sum mu^2)
+    if h.kind == "negativity":
+        # d_k = sum over j != k of mu_j / (2 sqrt(mu_j mu_k + eps^2)).
+        root = np.sqrt(mu[..., :, None] * mu[..., None, :] + eps * eps)
+        off = ~np.eye(d, dtype=bool)
+        return np.sum(np.where(off, mu[..., :, None] / (2.0 * root), 0.0), axis=-2)
+    a = 1.0 / d if h.kind == "g-concurrence" else float(h.param)
+    f = np.power(mu + eps, a) - eps**a
+    df = a * np.power(mu + eps if eps > 0.0 else np.maximum(mu, SPECTRUM_FLOOR), a - 1.0)
+    if h.kind == "g-concurrence":
+        off = ~np.eye(d, dtype=bool)
+        return d * df * np.prod(np.where(off, f[..., None, :], 1.0), axis=-1)
+    norm = np.sum(f, axis=-1, keepdims=True) if h.kind == "renyi" else (1.0 + eps) ** a - eps**a
+    return df / ((1.0 - a) * norm)
 
 
 def h_eval(h: HFunction, rho_a: DensityMatrix) -> float:

@@ -39,6 +39,7 @@ from .channels import LocalKrausChannel, _gram_outcomes
 from .states import (
     DensityMatrix,
     DimensionMismatchError,
+    TOL_SUPPORT,
     _rel_entropy_psd,
     von_neumann_entropy,
 )
@@ -409,7 +410,7 @@ def ree_data_processing_check(
     if rho.dims.factors != sigma.dims.factors:
         raise DimensionMismatchError("states must share dims")
     sig_min = float(np.linalg.eigvalsh(sigma.matrix)[0])
-    if sig_min < 1e-12:
+    if sig_min < TOL_SUPPORT:
         return DataProcessingReport(
             math.nan, math.nan, math.nan, np.array([]), np.array([]), math.nan,
             skipped_reason="sigma is not full rank",

@@ -14,9 +14,9 @@ Barzilai-Borwein with nonmonotone Armijo backtracking (see
 Smooth h kinds (entropy, tangle, Renyi and Tsallis of order above 1/2)
 descend on h itself.  Kinked h kinds (concurrence, negativity,
 G-concurrence, Renyi and Tsallis of order at most 1/2; see ``is_kinked``)
-are not differentiable at product members, so they descend on a smoothed
-h_eps (Nesterov, Math. Program. 103, 127 (2005)) through the decreasing
-sequence ``SMOOTHING``, each stage warm-started from the last.  Either
+are not differentiable at product members, so they descend on the smoothed
+h_eps of ``measures.h_of_spectrum`` through the decreasing sequence
+``SMOOTHING``, each stage warm-started from the last.  Either
 way the winner is the chain of least exact (unsmoothed) average, each
 chain counting the least it reached at the end of any stage, and
 ``converged`` means that its stopping rule (see ``GRAD_TOL``) fired in the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, pure_measure
+from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, h_partials, pure_measure
 from .states import DensityMatrix, PureState, TOL_PSD
 
 ISOMETRY_TOL = 1e-8
@@ -181,93 +181,27 @@ def is_kinked(h: HFunction) -> bool:
     from a product state, so a term mu^a of the spectrum behaves like
     |x|^(2a) and is differentiable there only for a > 1/2.  Square roots
     of the spectrum (concurrence, negativity, G-concurrence) and Renyi or
-    Tsallis orders at most 1/2 are kinked and descend on ``_smoothed_h``.
+    Tsallis orders at most 1/2 are kinked and descend on the smoothed h_eps.
     """
     if h.kind in ("renyi", "tsallis"):
         return float(h.param) <= 0.5
     return h.kind in ("concurrence", "negativity", "g-concurrence")
 
 
-def _power_order(h: HFunction, d: int) -> float:
-    """Order a of the spectrum powers mu^a in a power kind of ``h``."""
-    return 1.0 / d if h.kind == "g-concurrence" else float(h.param)
-
-
-def _smoothed_h(h: HFunction, mu: np.ndarray, eps: float) -> np.ndarray:
-    """h_eps of a kinked kind on normalized spectra ``mu``: smooth for eps > 0.
-
-    - concurrence: sqrt(s + eps^2) - eps with s = 2 (1 - sum mu^2), taken
-      as 4 sum_{j<k} mu_j mu_k, which does not cancel near products;
-    - negativity: sum over pairs j < k of sqrt(mu_j mu_k + eps^2) - eps;
-    - G-concurrence, Renyi and Tsallis: every mu^a becomes
-      f(mu) = (mu + eps)^a - eps^a; for Renyi and Tsallis the power sum
-      is divided by f(1), so that product members still read 0.
-
-    Each is at most h and tends to h as eps -> 0; h_eps >= 0.
-    """
-    d = mu.shape[-1]
-    if h.kind == "concurrence":
-        s = 4.0 * np.sum(mu[..., 1:] * np.cumsum(mu[..., :-1], axis=-1), axis=-1)
-        return np.sqrt(s + eps * eps) - eps
-    if h.kind == "negativity":
-        root = np.sqrt(mu[..., :, None] * mu[..., None, :] + eps * eps) - eps
-        return 0.5 * np.sum(np.where(np.eye(d, dtype=bool), 0.0, root), axis=(-2, -1))
-    a = _power_order(h, d)
-    f = np.power(mu + eps, a) - eps**a
-    if h.kind == "g-concurrence":
-        return d * np.prod(f, axis=-1)
-    ratio = np.sum(f, axis=-1) / ((1.0 + eps) ** a - eps**a)
-    return np.log(ratio) / (1.0 - a) if h.kind == "renyi" else (ratio - 1.0) / (1.0 - a)
-
-
-def _smoothed_partials(h: HFunction, mu: np.ndarray, eps: float, value: np.ndarray
-                       ) -> np.ndarray:
-    """d_k h_eps, with mu off the simplex, given ``value`` = h_eps(mu)."""
-    d = mu.shape[-1]
-    off = ~np.eye(d, dtype=bool)
-    if h.kind == "concurrence":
-        return -2.0 * mu / (value + eps)[..., None]  # d_k of 2 (1 - sum mu^2)
-    if h.kind == "negativity":
-        # d_k = sum over j != k of mu_j / (2 sqrt(mu_j mu_k + eps^2)).
-        root = np.sqrt(mu[..., :, None] * mu[..., None, :] + eps * eps)
-        return np.sum(np.where(off, mu[..., :, None] / (2.0 * root), 0.0), axis=-2)
-    a = _power_order(h, d)
-    f = np.power(mu + eps, a) - eps**a
-    df = a * np.power(mu + eps, a - 1.0)
-    if h.kind == "g-concurrence":
-        return d * df * np.prod(np.where(off, f[..., None, :], 1.0), axis=-1)
-    norm = np.sum(f, axis=-1, keepdims=True) if h.kind == "renyi" else (1.0 + eps) ** a - eps**a
-    return df / ((1.0 - a) * norm)
-
-
 def _spectral_gradient(h: HFunction, mu: np.ndarray, eps: float = 0.0) -> np.ndarray:
     """dF/dlambda_k of F(lambda) = p h(lambda / p), p = sum(lambda), at mu = lambda / p.
 
-    Equals h(mu) + d_k h(mu) - sum_l mu_l d_l h(mu); for the entropy this is
-    -log mu_k.  With ``eps`` > 0 a kinked kind takes ``_smoothed_h`` for h.
-    Only the exact logs and negative powers see ``mu`` clipped below at
-    ``SPECTRUM_FLOOR``: they stay finite at product members, where the
-    gradient term they multiply vanishes.
+    Equals h(mu) + d_k h(mu) - sum_l mu_l d_l h(mu), from ``h_of_spectrum``
+    and ``h_partials`` at ``eps``.  For the entropy this is -log mu_k, with
+    ``mu`` clipped below at ``SPECTRUM_FLOOR``: finite at product members,
+    where the gradient term it multiplies vanishes.
     """
     mu = np.maximum(mu, 0.0)
-    if eps > 0.0 and is_kinked(h):
-        value = _smoothed_h(h, mu, eps)
-        dh = _smoothed_partials(h, mu, eps, value)
-        return value[..., None] + dh - np.sum(mu * dh, axis=-1, keepdims=True)
-    floored = np.maximum(mu, SPECTRUM_FLOOR)
     if h.kind == "entropy" or (h.kind == "renyi" and h.param == 1.0):
-        return -np.log(floored)
-    if h.kind == "tangle":
-        return 2.0 + 2.0 * np.sum(mu * mu, axis=-1, keepdims=True) - 4.0 * mu
-    if h.kind == "renyi":
-        a = float(h.param)
-        s = np.sum(np.power(mu, a), axis=-1, keepdims=True)
-        return (np.log(s) + a * (np.power(floored, a - 1.0) / s - 1.0)) / (1.0 - a)
-    if h.kind == "tsallis":
-        q = float(h.param)
-        s = np.sum(np.power(mu, q), axis=-1, keepdims=True)
-        return (1.0 + (q - 1.0) * s - q * np.power(floored, q - 1.0)) / (q - 1.0)
-    raise ValueError(f"h kind {h.kind!r} has no gradient")
+        return -np.log(np.maximum(mu, SPECTRUM_FLOOR))
+    value = h_of_spectrum(h, mu, eps)
+    dh = h_partials(h, mu, eps, value)
+    return value[..., None] + dh - np.sum(mu * dh, axis=-1, keepdims=True)
 
 
 class _RoofObjective:
@@ -285,7 +219,7 @@ class _RoofObjective:
 
     def member_values(self, phi: np.ndarray, eps: float = 0.0) -> np.ndarray:
         """p_j * h(psi_j) per row of unnormalized member vectors ``phi``;
-        h_eps of ``_smoothed_h`` for ``eps`` > 0."""
+        h_eps of ``h_of_spectrum`` for ``eps`` > 0."""
         p = np.sum(np.abs(phi) ** 2, axis=-1)
         m = phi.reshape(*phi.shape[:-1], self.dA, self.dB)
         if self.dA == 2:
@@ -302,8 +236,7 @@ class _RoofObjective:
             pure = np.zeros(mu.shape[-1])
             pure[-1] = 1.0
             mu_n = np.where(live[..., None], mu_n, pure)
-        hv = h_of_spectrum(self.h, mu_n) if eps == 0.0 else _smoothed_h(self.h, mu_n, eps)
-        return np.where(live, p * hv, 0.0)
+        return np.where(live, p * h_of_spectrum(self.h, mu_n, eps), 0.0)
 
     def eval_isometry(self, q: np.ndarray, eps: float = 0.0) -> np.ndarray:
         return np.sum(self.member_values(self.members(q), eps), axis=-1)

@@ -21,7 +21,7 @@ import numpy as np
 TOL_TRACE = 1e-10
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
-TOL_SUPPORT = 1e-12  # kernel directions of a relative entropy's arguments
+TOL_SUPPORT = 1e-12  # eigenvalues at most this are a state's kernel directions
 # The trace of |psi><psi| is the squared norm, which deviates from 1 by about
 # twice as much as the norm does.  A quarter of the trace tolerance leaves
 # the other half for roundoff, so every accepted PureState has a valid

@@ -88,6 +88,7 @@ from .states import (
     DimensionMismatchError,
     Dims,
     PureState,
+    TOL_SUPPORT,
     _check_hermitian_unit_trace,
     bell_state,
     partial_trace,
@@ -103,7 +104,7 @@ from .states import (
 # convergence error.
 MONOTONE_TOL = {"closed": 1e-9, "roof": 2e-3, "ree": 2e-2}
 STRICT_FLOOR = 1e-6  # separates strict decrease from roundoff
-STRICT_ZERO = 1e-12  # values and gaps of a strict sweep below this carry no entanglement
+STRICT_ZERO = 1e-12  # h values, and gaps of a strict sweep, below this carry no entanglement
 EQUALITY_TOL = 1e-9
 CONCAVITY_STRICT_TOL = 1e-12
 CONCAVITY_EQUAL_TOL = 1e-10
@@ -490,7 +491,7 @@ def check_reduced_state_condition(
     rhs = functools.reduce(operator.add, (p * v for (p, _), v in zip(outcomes, values)), 0.0)
     max_dev = max([0.0] + [float(np.linalg.norm(out_a - marginals[0])) for out_a in marginals[1:]])
     metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(outcomes)}
-    if lhs < 1e-12:
+    if lhs < STRICT_ZERO:
         metadata["note"] = "unentangled input"
     tag = classify(channel).tag
     if max_dev > REDUCED_DEV_STRICT:
@@ -538,7 +539,7 @@ def check_monogamy_product(
     # nonzero eigenvectors are product across AB1|B2, so the
     # eigendecomposition average realizes the optimal decomposition.
     vals, vecs = np.linalg.eigh(rho_ab.matrix)
-    support = vals > 1e-12
+    support = vals > TOL_SUPPORT
     rhs = sum(lam * v for lam, v in zip(vals[support],
                                         pure_measure_stack(h, vecs.T[support], Dims(dA, dB))))
     cut_dev = abs(lhs - rhs)

@@ -67,6 +67,10 @@ class TestMeasureCommand:
     def test_unknown_measure_is_mismatch(self, bell_file, capsys):
         assert main(["measure", bell_file, "sorcery"]) == 3
 
+    @pytest.mark.parametrize("measure_id", ["tsallis:nan", "tsallis:inf"])
+    def test_non_finite_order_is_mismatch(self, bell_file, measure_id, capsys):
+        assert main(["measure", bell_file, measure_id]) == 3
+
     def test_vector_off_norm_beyond_trace_tolerance_is_parse_error(self, tmp_path, capsys):
         # |psi| = 1 + 8e-11 puts Tr |psi><psi| 1.6e-10 from 1, beyond the
         # density-matrix trace tolerance: refused at load, not a traceback.

@@ -70,6 +70,13 @@ class TestHFunction:
         mu = np.array([[0.0, 0.2, 0.8], [1e-14, 0.5, 0.5], [0.3, 0.3, 0.4]])
         assert np.array_equal(h_of_spectrum(renyi(1.0), mu), h_of_spectrum(ENTROPY, mu))
 
+    @pytest.mark.parametrize("kind,param", [("tsallis", math.nan), ("tsallis", math.inf),
+                                            ("tsallis", -math.inf), ("renyi", math.nan),
+                                            ("renyi", math.inf)])
+    def test_non_finite_orders_rejected(self, kind, param):
+        with pytest.raises(ValueError, match=f"{kind} order must"):
+            HFunction(kind, param)
+
     def test_measure_ids(self):
         assert ENTROPY.measure_id == "eof"
         assert renyi(0.5).measure_id == "renyi:0.5"

@@ -32,6 +32,13 @@ def test_parse_ids():
         parse_measure_id("negativity:2")
 
 
+@pytest.mark.parametrize("measure_id", ["tsallis:nan", "tsallis:inf", "tsallis:-inf",
+                                        "renyi:nan", "renyi:inf"])
+def test_non_finite_orders_rejected(measure_id):
+    with pytest.raises(MeasureError, match="order must"):
+        parse_measure_id(measure_id)
+
+
 def test_units_and_tiers():
     assert unit_of("eof") == "nats"
     assert unit_of("log-negativity") == "log2"
