@@ -6,8 +6,9 @@ with a fixed number of terms are parameterized by isometries applied to
 the eigendecomposition (the Schroedinger-HJW construction), and the
 minimum is approached by Riemannian gradient descent on the Stiefel
 manifold of isometries (Roethlisberger, Rehacek & Loss, PRA 80, 042301
-(2009)) from several starts.  The analytic gradient comes from the
-eigendecomposition of each member's reduced state; steps are
+(2009)) from several starts.  Each step takes the trials' values and
+analytic gradients from one pass (``_RoofObjective.evaluate``): in closed
+form when side A is a qubit, otherwise from one ``eigh``.  Steps are
 Barzilai-Borwein with nonmonotone Armijo backtracking (see
 ``NONMONOTONE``) and a QR retraction.
 
@@ -27,8 +28,12 @@ independent chains with derived seeds and the merge is a deterministic
 minimum, so results are reproducible and, above ``VALUE_FLOOR``,
 nonincreasing in the number of restarts.  The chains advance in lockstep:
 one batched objective call per step, with accept/reject as masked array
-updates.  When side A is a qubit the reduced spectra come in closed form
-instead of from ``eigvalsh``.
+updates.
+
+On 2x2 and 2x3 inputs with a positive partial transpose, separable by
+Peres-Horodecki, a winner above ``VALUE_FLOOR`` goes on to the product
+stage (``_product_stage``); there ``converged`` means a value at most
+``VALUE_FLOOR``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, h_partials, pure_measure
-from .states import DensityMatrix, PureState, TOL_PSD
+from .states import DensityMatrix, DimensionMismatchError, PureState, TOL_PSD, partial_transpose
 
 ISOMETRY_TOL = 1e-8
 WEIGHT_FLOOR = 1e-14
@@ -70,6 +75,9 @@ VALUE_FLOOR = 1e-12
 NONMONOTONE = 10
 # Smoothing parameters of the kinked kinds' continuation, in stage order.
 SMOOTHING = tuple(10.0**-k for k in range(1, 9))
+# Product stage: Levenberg-Marquardt steps and forward-difference step.
+PRODUCT_ITERS = 200
+FD_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -155,23 +163,28 @@ def _qr_isometries(x: np.ndarray) -> np.ndarray:
     return q * phase.conj()[..., None, :]
 
 
-def _qubit_reduced_spectrum(m: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of ``m m^dag`` for a (..., 2, dB) stack, clipped at 0.
+def _qubit_reduction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of the reduced states R = ``m m^dag`` of a (..., 2, dB) stack.
 
-    The 2x2 reduced state [[a, b], [b*, d]] has eigenvalues
-    (a + d)/2 -+ hypot((a - d)/2, |b|); the hypot form of the discriminant
-    does not cancel.
+    R = [[a, c], [c*, d]] has eigenvalues (a + d)/2 -+ rad with
+    rad = hypot((a - d)/2, |c|), a form of the discriminant that does not
+    cancel.  Returns the ascending spectrum, clipped at 0, and
+    N = (R - (a + d)/2 I) / rad, the upper eigenprojector minus the lower;
+    N = 0 where rad = 0, since (a - d)/2 and c are then 0.
     """
     sq = np.abs(m) ** 2
-    a = sq[..., 0, :].sum(axis=-1)
-    d = sq[..., 1, :].sum(axis=-1)
-    b = np.abs((m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1))
-    mid = 0.5 * (a + d)
-    rad = np.hypot(0.5 * (a - d), b)
+    a, d = sq[..., 0, :].sum(axis=-1), sq[..., 1, :].sum(axis=-1)
+    c = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1)
+    mid, half = 0.5 * (a + d), 0.5 * (a - d)
+    rad = np.hypot(half, np.abs(c))
     mu = np.empty(mid.shape + (2,))
     mu[..., 0] = mid - rad
     mu[..., 1] = mid + rad
-    return np.maximum(mu, 0.0, out=mu)
+    inv = 1.0 / np.where(rad > 0.0, rad, 1.0)
+    n = np.empty(mid.shape + (2, 2), dtype=np.complex128)
+    n[..., 0, 0], n[..., 0, 1] = half * inv, c * inv
+    n[..., 1, 0], n[..., 1, 1] = n[..., 0, 1].conj(), -n[..., 0, 0]
+    return np.maximum(mu, 0.0, out=mu), n
 
 
 def is_kinked(h: HFunction) -> bool:
@@ -217,48 +230,47 @@ class _RoofObjective:
         """Unnormalized member vectors as rows, for an isometry ``q``."""
         return q @ self._weighted.T
 
-    def member_values(self, phi: np.ndarray, eps: float = 0.0) -> np.ndarray:
-        """p_j * h(psi_j) per row of unnormalized member vectors ``phi``;
-        h_eps of ``h_of_spectrum`` for ``eps`` > 0."""
+    def evaluate(self, q: np.ndarray, eps: float = 0.0,
+                 grad: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """Average h (h_eps for ``eps`` > 0) of a (..., n, r) isometry stack
+        and, with ``grad``, its Euclidean gradient dF/d conj(q).
+
+        Per member M (phi reshaped dA x dB) with R = M M^dag = U diag(lambda) U^dag,
+        dF/d conj(phi) = G M with G = U diag(dF/dlambda) U^dag, and phi = q W^T
+        gives dF/d conj(q) = (dF/d conj(phi)) conj(W).  For dA = 2,
+        G = (g_- + g_+)/2 I + (g_+ - g_-)/2 N (``_qubit_reduction``), without
+        eigh.  Members of weight at most WEIGHT_FLOOR contribute 0 to both.
+        """
+        phi = self.members(q)
         p = np.sum(np.abs(phi) ** 2, axis=-1)
         m = phi.reshape(*phi.shape[:-1], self.dA, self.dB)
         if self.dA == 2:
-            mu = _qubit_reduced_spectrum(m)
+            lam, n_mat = _qubit_reduction(m)
         else:
             red = m @ np.swapaxes(m, -2, -1).conj()
-            mu = np.clip(np.linalg.eigvalsh(red), 0.0, None)
+            lam, u = np.linalg.eigh(red) if grad else (np.linalg.eigvalsh(red), None)
+            lam = np.clip(lam, 0.0, None)
         live = p > WEIGHT_FLOOR
-        denom = np.where(live, p, 1.0)
-        mu_n = mu / denom[..., None]
-        if not np.all(live):
-            # Dead rows get a placeholder pure spectrum; their h value is 0
-            # and their weight is 0, so they contribute nothing either way.
-            pure = np.zeros(mu.shape[-1])
-            pure[-1] = 1.0
-            mu_n = np.where(live[..., None], mu_n, pure)
-        return np.where(live, p * h_of_spectrum(self.h, mu_n, eps), 0.0)
+        # Dead members get a uniform placeholder spectrum; their weight and
+        # gradient are 0, so they contribute nothing either way.
+        mu = np.where(live[..., None], lam / np.where(live, p, 1.0)[..., None], 1.0 / self.dA)
+        vals = np.sum(np.where(live, p * h_of_spectrum(self.h, mu, eps), 0.0), axis=-1)
+        if not grad:
+            return vals, None
+        g = np.where(live[..., None], _spectral_gradient(self.h, mu, eps), 0.0)
+        if self.dA == 2:
+            mean, half = 0.5 * (g[..., 0] + g[..., 1]), 0.5 * (g[..., 1] - g[..., 0])
+            gmat = mean[..., None, None] * np.eye(2) + half[..., None, None] * n_mat
+        else:
+            gmat = (u * g[..., None, :]) @ np.swapaxes(u, -2, -1).conj()
+        return vals, (gmat @ m).reshape(phi.shape) @ self._weighted.conj()
 
     def eval_isometry(self, q: np.ndarray, eps: float = 0.0) -> np.ndarray:
-        return np.sum(self.member_values(self.members(q), eps), axis=-1)
+        return self.evaluate(q, eps)[0]
 
     def gradient(self, q: np.ndarray, eps: float = 0.0) -> np.ndarray:
-        """Euclidean gradient dF/d conj(q) of the average for a (..., n, r) stack.
-
-        Per member M (phi reshaped dA x dB) with R = M M^dag = U diag(lambda) U^dag,
-        the gradient with respect to conj(phi) is U diag(dF/dlambda) U^dag M;
-        phi = q W^T then gives dF/d conj(q) = (dF/d conj(phi)) conj(W).
-        Members of weight at most WEIGHT_FLOOR contribute 0.
-        """
-        phi = self.members(q)
-        m = phi.reshape(*phi.shape[:-1], self.dA, self.dB)
-        lam, u = np.linalg.eigh(m @ np.swapaxes(m, -2, -1).conj())
-        p = np.sum(np.abs(phi) ** 2, axis=-1)
-        live = p > WEIGHT_FLOOR
-        # Dead members get a uniform placeholder spectrum and a zero gradient.
-        mu = np.where(live[..., None], lam / np.where(live, p, 1.0)[..., None], 1.0 / self.dA)
-        g = np.where(live[..., None], _spectral_gradient(self.h, mu, eps), 0.0)
-        gm = (u * g[..., None, :]) @ (np.swapaxes(u, -2, -1).conj() @ m)
-        return gm.reshape(phi.shape) @ self._weighted.conj()
+        """Euclidean gradient dF/d conj(q) of the average for a (..., n, r) stack."""
+        return self.evaluate(q, eps, grad=True)[1]
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,8 +297,8 @@ def _riemannian_descent(
     by its magnitude.  Returns every chain's (q, h_eps value, converged).
     """
     q = q.copy()
-    vals = objective.eval_isometry(q, eps)
-    grad = _tangent(q, objective.gradient(q, eps))
+    vals, egrad = objective.evaluate(q, eps, grad=True)
+    grad = _tangent(q, egrad)
     gnorm2 = _inner(grad, grad)
     step = STEP_INIT / np.sqrt(np.maximum(gnorm2, GRAD_TOL**2))
     converged = (gnorm2 <= GRAD_TOL**2) | (vals <= 0.0)
@@ -295,13 +307,14 @@ def _riemannian_descent(
     recent = np.repeat(vals[:, None], NONMONOTONE, axis=1)
     accepted = np.zeros(len(q), dtype=int)
     for _ in range(DESCENT_ITERS):
-        if stopped.size and np.any(objective.eval_isometry(q[stopped]) <= VALUE_FLOOR):
+        if stopped.size and np.any(
+                (vals[stopped] if eps == 0.0 else objective.eval_isometry(q[stopped])) <= VALUE_FLOOR):
             break
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         trial = _qr_isometries(q[idx] - step[idx, None, None] * grad[idx])
-        trial_vals = objective.eval_isometry(trial, eps)
+        trial_vals, trial_grad = objective.evaluate(trial, eps, grad=True)
         ok = trial_vals <= recent[idx].max(axis=1) - ARMIJO * step[idx] * gnorm2[idx]
         bad = idx[~ok]
         step[bad] *= 0.5
@@ -312,7 +325,7 @@ def _riemannian_descent(
         if not ok.any():
             continue
         acc, q_new, v_new = idx[ok], trial[ok], trial_vals[ok]
-        g_new = _tangent(q_new, objective.gradient(q_new, eps))
+        g_new = _tangent(q_new, trial_grad[ok])
         s, y = q_new - q[acc], g_new - grad[acc]
         rel = np.abs(vals[acc] - v_new) / np.maximum(vals[acc], 1.0)
         q[acc], vals[acc], grad[acc] = q_new, v_new, g_new
@@ -326,6 +339,48 @@ def _riemannian_descent(
         converged[done] = True
         stopped = np.concatenate([stopped, done])
     return q, vals, converged
+
+
+def _minors(objective: _RoofObjective, q: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of the 2x2 minors of every member's dA x dB
+    amplitude matrix, one row per isometry: all 0 exactly on product ensembles."""
+    m = objective.members(q).reshape(*q.shape[:-1], objective.dA, objective.dB)
+    i, j = np.triu_indices(objective.dA, 1)
+    k, l = np.triu_indices(objective.dB, 1)
+    i, j = i[:, None], j[:, None]
+    minors = (m[..., i, k] * m[..., j, l] - m[..., i, l] * m[..., j, k]).reshape(*q.shape[:-2], -1)
+    return np.concatenate([minors.real, minors.imag], axis=-1)
+
+
+def _product_stage(objective: _RoofObjective, q: np.ndarray) -> np.ndarray | None:
+    """An isometry near ``q`` whose members are products, or None.
+
+    Levenberg-Marquardt on ``_minors`` over the 2 n r real parameters of
+    q + X, retracted by QR, with a forward-difference Jacobian from one
+    batched evaluation.  Gauss-Newton steps converge fast on such
+    zero-residual problems even with a rank-deficient Jacobian (Yamashita &
+    Fukushima, Computing Suppl. 15, 239 (2001)), where first-order descent
+    crawls.  Returns the first iterate whose sum of squared minors is at
+    most VALUE_FLOOR^2, or None after PRODUCT_ITERS steps.
+    """
+    n, r = q.shape
+    dirs = FD_STEP * np.concatenate([np.eye(n * r), 1j * np.eye(n * r)]).reshape(-1, n, r)
+    res = _minors(objective, q)
+    damping = 1e-3
+    for _ in range(PRODUCT_ITERS):
+        cost = res @ res
+        if cost <= VALUE_FLOOR**2:
+            return q
+        jac_t = (_minors(objective, _qr_isometries(q + dirs)) - res) / FD_STEP
+        jtj = jac_t @ jac_t.T
+        step = np.linalg.solve(jtj + damping * np.eye(len(jtj)), -(jac_t @ res)).reshape(2, n, r)
+        trial = _qr_isometries(q + step[0] + 1j * step[1])
+        trial_res = _minors(objective, trial)
+        if trial_res @ trial_res < cost:
+            q, res, damping = trial, trial_res, damping / 3.0
+        else:
+            damping *= 2.0
+    return None
 
 
 def roof_minimize(
@@ -352,8 +407,12 @@ def roof_minimize(
     stated at ``GRAD_TOL``) fired in the final stage before
     ``DESCENT_ITERS`` steps, or that its value is at most ``VALUE_FLOOR``.  Once some chain's exact
     value is at most ``VALUE_FLOOR``, between stages or on stopping, the
-    search ends.
+    search ends.  A winner above the floor on a 2x2 or 2x3 PPT input goes
+    on to the product stage, and ``converged`` then means a value at most
+    ``VALUE_FLOOR``.
     """
+    if len(rho.dims.factors) != 2:
+        raise DimensionMismatchError("the convex roof is computed on bipartite states")
     if rng is None:
         rng = np.random.default_rng(0)
     lam, evecs = _eig_ensemble(rho)
@@ -393,6 +452,14 @@ def roof_minimize(
         if np.any(exact <= VALUE_FLOOR):
             break
     winner = int(np.argmin(best_vals))  # argmin takes the earliest index on ties
-    best = decomposition_from_isometry(rho, best_q[winner])
-    return RoofResult(float(best_vals[winner]), best, restarts,
-                      bool(converged[winner] or best_vals[winner] <= VALUE_FLOOR))
+    value, q = float(best_vals[winner]), best_q[winner]
+    converged = bool(converged[winner] or value <= VALUE_FLOOR)
+    if (value > VALUE_FLOOR and rho.dims.total <= 6
+            and np.linalg.eigvalsh(partial_transpose(rho))[0] >= -TOL_PSD):
+        # Peres-Horodecki: PPT is separable here, so the roof is 0, and
+        # ``converged`` means that the product stage certified it.
+        product = _product_stage(objective, q)
+        if product is not None:
+            value, q = float(objective.eval_isometry(product)), product
+        converged = value <= VALUE_FLOOR
+    return RoofResult(value, decomposition_from_isometry(rho, q), restarts, converged)

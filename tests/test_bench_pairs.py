@@ -9,7 +9,10 @@ the real benchmark checks both parses against the current output format.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +40,20 @@ def test_run_records_the_first_round_digest():
     # cannot tell apart.
     line = f"digest run {'a' * 64} first-round {'b' * 64}"
     assert bench_pairs._DIGESTS.match(line)["first"] == "b" * 64
+
+
+@pytest.mark.parametrize("cached", ["src/entmon/__pycache__", "perfbench/__pycache__"])
+def test_refuses_a_tree_with_a_bytecode_cache(tmp_path, monkeypatch, capsys, cached):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "src" / "entmon").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+    (change / cached).mkdir()
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", str(parent), "--change",
+                                      str(change), "--out", str(tmp_path / "out.json"),
+                                      "--pairs", "roof-oracle:1:2"])
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs().main()
+    assert exc.value.code == 2
+    assert str(change / cached) in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()

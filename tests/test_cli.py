@@ -89,6 +89,16 @@ class TestMeasureCommand:
         save_state(path, random_mixed(Dims(2, 3), None, np.random.default_rng(0)))
         assert main(["measure", str(path), "eof"]) == 3
 
+    @pytest.mark.parametrize("measure_id", ["negativity-roof", "ree"])
+    def test_tripartite_optimizer_measure_is_mismatch(self, tmp_path, measure_id, capsys):
+        from entmon.sampling import random_mixed
+        from entmon.states import Dims
+
+        path = tmp_path / "tri.json"
+        save_state(path, random_mixed(Dims(2, 2, 2), 3, np.random.default_rng(0)))
+        assert main(["measure", str(path), measure_id]) == 3
+        assert "bipartite" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_small_sweep_writes_reports(self, tmp_path, capsys):

@@ -8,7 +8,10 @@ WORKLOAD --seed S --seconds T`` in both source trees, with T the
 ``run_seconds`` of the change tree's BENCHMARK.json, for the N seeds
 FIRST_SEED, FIRST_SEED + 1, ...; the parent runs first on even pair indices
 and second on odd ones.  Every run is single-threaded (perfbench pins
-OPENBLAS_NUM_THREADS=1 before numpy loads).  The file records every run's
+OPENBLAS_NUM_THREADS=1 before numpy loads) and writes no bytecode, and the
+script refuses to start while either tree holds a ``__pycache__`` under
+``src/`` or ``perfbench/``: ``setup_s`` includes compiling, so a tree with a
+cache would read faster for the same code.  The file records every run's
 end-to-end metrics, round and operation counts, first-round behaviour
 digest and machine, each side's median round count (``peak_rss_mb`` grows
 with the rounds a run fits into its seconds), how many pairs have equal
@@ -29,11 +32,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+ENV = {"OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, **ENV}
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     run = json.loads(lines[-1])
@@ -52,6 +57,10 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 _COUNTS = re.compile(r"workload \S+ seed -?\d+: (?P<rounds>\d+) round\(s\), \d+ items, "
                      r"(?P<operations>\d+) operations")
 _DIGESTS = re.compile(r"digest run [0-9a-f]+ first-round (?P<first>[0-9a-f]+)$")
+
+
+def _bytecode_caches(tree: Path) -> list[Path]:
+    return sorted(p for sub in ("src", "perfbench") for p in (tree / sub).rglob("__pycache__"))
 
 
 def _quartiles(xs: list[float]) -> dict:
@@ -80,12 +89,16 @@ def main() -> int:
     parser.add_argument("--pairs", action="append", required=True,
                         metavar="WORKLOAD:FIRST_SEED:N")
     args = parser.parse_args()
+    caches = _bytecode_caches(args.parent) + _bytecode_caches(args.change)
+    if caches:
+        parser.error(f"remove the bytecode cache {caches[0]}: a tree with one skips "
+                     "compiling, which setup_s times")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     declared, seconds = bench["end_to_end"], float(bench["run_seconds"])
     result = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-        "env": {"OPENBLAS_NUM_THREADS": "1"},
+        "env": ENV,
         "platform": platform.platform(),
         "workloads": {},
     }
