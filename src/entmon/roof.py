@@ -17,11 +17,12 @@ descend on h itself.  Kinked h kinds (concurrence, negativity,
 G-concurrence, Renyi and Tsallis of order at most 1/2; see ``is_kinked``)
 are not differentiable at product members, so they descend on the smoothed
 h_eps of ``measures.h_of_spectrum`` through the decreasing sequence
-``SMOOTHING``, each stage warm-started from the last.  Either
-way the winner is the chain of least exact (unsmoothed) average, each
-chain counting the least it reached at the end of any stage, and
-``converged`` means that its stopping rule (see ``GRAD_TOL``) fired in the
-final stage, or that its exact value is at most ``VALUE_FLOOR``.
+``SMOOTHING``, each stage warm-started from the last with each chain's
+last step size and ended on stationarity at a gradient norm that shrinks
+with eps (see ``GRAD_TOL``).  Either way the winner is the chain of least
+exact (unsmoothed) average, each chain counting the least it reached at
+the end of any stage, and ``converged`` means that its stopping rule fired
+in the final stage, or that its exact value is at most ``VALUE_FLOOR``.
 
 The returned value is an upper bound on the true roof; restarts are
 independent chains with derived seeds and the merge is a deterministic
@@ -31,8 +32,10 @@ one batched objective call per step, with accept/reject as masked array
 updates.
 
 On 2x2 and 2x3 inputs with a positive partial transpose, separable by
-Peres-Horodecki, a winner above ``VALUE_FLOOR`` goes on to the product
-stage (``_product_stage``); there ``converged`` means a value at most
+Peres-Horodecki, the product stage (``_product_stage``) runs first, from
+chain 0's start, and a value at most ``VALUE_FLOOR`` there ends the call
+with no descent; otherwise a winner above ``VALUE_FLOOR`` goes on to the
+stage again.  On these inputs ``converged`` means a value at most
 ``VALUE_FLOOR``.
 """
 
@@ -50,15 +53,20 @@ WEIGHT_FLOOR = 1e-14
 
 # Riemannian descent.  A chain stops, converged, when its Riemannian
 # gradient norm (Frobenius, of dF/d conj(V) projected on the tangent
-# space) is at most GRAD_TOL, an accepted step changes its value by at
-# most REL_TOL * max(value, 1), backtracking shrinks the first-order
-# decrease step * |gradient|^2 below that, or its value reaches 0
-# (h >= 0).  It stops unconverged when backtracking shrinks its step below
-# STEP_MIN or after DESCENT_ITERS steps.  Steps start at length STEP_INIT
-# and follow the Barzilai-Borwein rule within [STEP_MIN, STEP_MAX].  Since
-# h >= 0, an exact value at most VALUE_FLOOR cannot be beaten by more than
-# the floor: once a stopped chain has one, every chain stops.
+# space) is at most max(GRAD_TOL, STAGE_GRAD * eps) in the stage of
+# smoothing eps (GRAD_TOL at eps <= 1e-6 and on smooth kinds), an accepted
+# step changes its value by at most REL_TOL * max(value, 1), backtracking
+# shrinks the first-order decrease step * |gradient|^2 below that, or its
+# value reaches 0 (h >= 0).  The first rule is that of the smoothing
+# gradient method (X. Chen, Math. Program. 134, 71 (2012)).  A chain stops
+# unconverged when backtracking shrinks its step below STEP_MIN or after
+# DESCENT_ITERS steps.  Steps start at length STEP_INIT in the first
+# stage and at the chain's last step in later ones, and follow the
+# Barzilai-Borwein rule within [STEP_MIN, STEP_MAX].  Since h >= 0, an
+# exact value at most VALUE_FLOOR cannot be beaten by more than the floor:
+# once a stopped chain has one, every chain stops.
 GRAD_TOL = 1e-7
+STAGE_GRAD = 0.1
 REL_TOL = 1e-14
 DESCENT_ITERS = 2000
 ARMIJO = 1e-4
@@ -285,30 +293,35 @@ def _tangent(q: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _riemannian_descent(
-    objective: _RoofObjective, q: np.ndarray, eps: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    objective: _RoofObjective, q: np.ndarray, eps: float = 0.0, step: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradient descent on the Stiefel manifold, on h_eps for ``eps`` > 0.
 
     ``q`` is a (chains, n, r) stack of isometries, advanced in lockstep.
     Each chain steps along its negative Riemannian gradient, retracts by
     QR, and takes a Barzilai-Borwein step size with nonmonotone Armijo
-    backtracking (see ``NONMONOTONE``); step sizes are per chain.  Chains
-    stop by the rules stated at ``GRAD_TOL``, a step's decrease counting
-    by its magnitude.  Returns every chain's (q, h_eps value, converged).
+    backtracking (see ``NONMONOTONE``); step sizes are per chain, starting
+    at ``step`` when given.  Chains stop by the rules stated at
+    ``GRAD_TOL``, a step's decrease counting by its magnitude.  Returns
+    every chain's (q, exact value, converged, step): each exact value is
+    evaluated once, when the chain stops or the descent ends.
     """
     q = q.copy()
     vals, egrad = objective.evaluate(q, eps, grad=True)
     grad = _tangent(q, egrad)
     gnorm2 = _inner(grad, grad)
-    step = STEP_INIT / np.sqrt(np.maximum(gnorm2, GRAD_TOL**2))
-    converged = (gnorm2 <= GRAD_TOL**2) | (vals <= 0.0)
+    gtol2 = max(GRAD_TOL, STAGE_GRAD * eps) ** 2
+    step = STEP_INIT / np.sqrt(np.maximum(gnorm2, GRAD_TOL**2)) if step is None else step.copy()
+    converged = (gnorm2 <= gtol2) | (vals <= 0.0)
     active = ~converged
     stopped = np.nonzero(converged)[0]
+    exact = vals if eps == 0.0 else np.full(len(q), np.nan)
     recent = np.repeat(vals[:, None], NONMONOTONE, axis=1)
     accepted = np.zeros(len(q), dtype=int)
     for _ in range(DESCENT_ITERS):
-        if stopped.size and np.any(
-                (vals[stopped] if eps == 0.0 else objective.eval_isometry(q[stopped])) <= VALUE_FLOOR):
+        if eps and stopped.size:
+            exact[stopped] = objective.eval_isometry(q[stopped])
+        if stopped.size and np.any(exact[stopped] <= VALUE_FLOOR):
             break
         idx = np.nonzero(active)[0]
         if idx.size == 0:
@@ -334,11 +347,15 @@ def _riemannian_descent(
         gnorm2[acc] = _inner(g_new, g_new)
         sy = np.abs(_inner(s, y))
         step[acc] = np.clip(_inner(s, s) / np.maximum(sy, 1e-300), STEP_MIN, STEP_MAX)
-        done = acc[(gnorm2[acc] <= GRAD_TOL**2) | (rel <= REL_TOL) | (v_new <= 0.0)]
+        done = acc[(gnorm2[acc] <= gtol2) | (rel <= REL_TOL) | (v_new <= 0.0)]
         active[done] = False
         converged[done] = True
         stopped = np.concatenate([stopped, done])
-    return q, vals, converged
+    # Chains still active, or stopped by the last step, have no exact value yet.
+    rest = np.isnan(exact)
+    if rest.any():
+        exact[rest] = objective.eval_isometry(q[rest])
+    return q, exact, converged, step
 
 
 def _minors(objective: _RoofObjective, q: np.ndarray) -> np.ndarray:
@@ -407,9 +424,9 @@ def roof_minimize(
     stated at ``GRAD_TOL``) fired in the final stage before
     ``DESCENT_ITERS`` steps, or that its value is at most ``VALUE_FLOOR``.  Once some chain's exact
     value is at most ``VALUE_FLOOR``, between stages or on stopping, the
-    search ends.  A winner above the floor on a 2x2 or 2x3 PPT input goes
-    on to the product stage, and ``converged`` then means a value at most
-    ``VALUE_FLOOR``.
+    search ends.  A 2x2 or 2x3 PPT input goes to the product stage first,
+    and after the descent again when the winner is above the floor;
+    ``converged`` then means a value at most ``VALUE_FLOOR``.
     """
     if len(rho.dims.factors) != 2:
         raise DimensionMismatchError("the convex roof is computed on bipartite states")
@@ -430,6 +447,9 @@ def roof_minimize(
         return RoofResult(pure_measure(h, psi).value, best, 0, True)
 
     objective = _RoofObjective(h, rho)
+    # Peres-Horodecki: a PPT input is separable on these dimensions, so its
+    # roof is 0; the product stage tries chain 0's start before any descent.
+    ppt = rho.dims.total <= 6 and np.linalg.eigvalsh(partial_transpose(rho))[0] >= -TOL_PSD
     base_seed = int(rng.integers(2**62))
     shape = (n_terms, r)
     xs = np.empty((restarts,) + shape, dtype=np.complex128)
@@ -439,13 +459,17 @@ def roof_minimize(
         xs[j] = (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
     q = _qr_isometries(xs)
+    if ppt:
+        product = _product_stage(objective, q[0])
+        value = np.inf if product is None else float(objective.eval_isometry(product))
+        if value <= VALUE_FLOOR:
+            return RoofResult(value, decomposition_from_isometry(rho, product), restarts, True)
     # Each chain keeps its least exact value over the stages, and the
     # isometry that reached it: a later stage can end above an earlier one.
     best_vals = np.full(restarts, np.inf)
-    best_q = q
+    best_q, step = q, None
     for eps in SMOOTHING if is_kinked(h) else (0.0,):
-        q, vals, converged = _riemannian_descent(objective, q, eps)
-        exact = objective.eval_isometry(q) if eps else vals
+        q, exact, converged, step = _riemannian_descent(objective, q, eps, step)
         lower = exact < best_vals
         best_vals = np.where(lower, exact, best_vals)
         best_q = np.where(lower[:, None, None], q, best_q)
@@ -454,10 +478,9 @@ def roof_minimize(
     winner = int(np.argmin(best_vals))  # argmin takes the earliest index on ties
     value, q = float(best_vals[winner]), best_q[winner]
     converged = bool(converged[winner] or value <= VALUE_FLOOR)
-    if (value > VALUE_FLOOR and rho.dims.total <= 6
-            and np.linalg.eigvalsh(partial_transpose(rho))[0] >= -TOL_PSD):
-        # Peres-Horodecki: PPT is separable here, so the roof is 0, and
-        # ``converged`` means that the product stage certified it.
+    if value > VALUE_FLOOR and ppt:
+        # The product stage again, from the winner; ``converged`` then
+        # means that it certified the roof's 0.
         product = _product_stage(objective, q)
         if product is not None:
             value, q = float(objective.eval_isometry(product)), product

@@ -57,3 +57,26 @@ def test_refuses_a_tree_with_a_bytecode_cache(tmp_path, monkeypatch, capsys, cac
     assert exc.value.code == 2
     assert str(change / cached) in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def _runs(values: list[float]) -> list[dict]:
+    return [{"metrics": {"wall_s": {"value": v}, "ok_frac": {"value": 1.0}}} for v in values]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+@pytest.mark.parametrize("change,holds", [
+    ([0.80 + 0.01 * i for i in range(10)], True),  # wins 10 of 10, far below the IQR
+    ([0.80] * 9 + [1.10], True),  # wins 9 of 10
+    ([0.80] * 8 + [1.10] * 2, False),  # wins 8 of 10
+    ([0.99] * 10, False),  # wins 10 of 10 by less than the parent's IQR
+])
+def test_claim_rule(better, change, holds):
+    # The parent's runs: median 1.00, IQR 0.0225.
+    parent = [1.00 + 0.005 * (i - 4.5) for i in range(10)]
+    if better == "higher":
+        parent, change = [-v for v in parent], [-v for v in change]
+    declared = [{"name": "wall_s", "unit": "s", "better": better, "bound": 0.2},
+                {"name": "ok_frac", "unit": "frac", "better": "higher", "bound": 0.02}]
+    summary = _bench_pairs()._summary(_runs(parent), _runs(change), declared)
+    assert summary["wall_s"]["claim_holds"] is holds
+    assert summary["ok_frac"]["change_wins"] == 0 and not summary["ok_frac"]["claim_holds"]

@@ -234,11 +234,11 @@ class TestKinkedPath:
 
     @pytest.mark.parametrize("h,scale", KINKED_ORACLES, ids=KINKED_IDS)
     # C = 1e-2 just above the separability threshold, and C = 0 on it.
-    @pytest.mark.parametrize("p,c", [(0.34, 1e-2), (1.0 / 3.0, 0.0)])
-    def test_werner_states_at_the_threshold(self, h, scale, p, c):
+    @pytest.mark.parametrize("p,c,seed", [(0.34, 1e-2, s) for s in range(5)] + [(1.0 / 3.0, 0.0, 0)])
+    def test_werner_states_at_the_threshold(self, h, scale, p, c, seed):
         rho = werner_state(p)
         assert wootters_concurrence(rho) == pytest.approx(c, abs=1e-14)
-        res = roof_minimize(h, rho, rng=np.random.default_rng(0))
+        res = roof_minimize(h, rho, rng=np.random.default_rng(seed))
         assert res.value == pytest.approx(scale * c, abs=1e-8)
         assert res.converged
 
@@ -251,12 +251,13 @@ class TestKinkedPath:
         descent = roof._riemannian_descent
         stage_values = []
 
-        def recorded(objective, q, eps=0.0):
-            q, vals, converged = descent(objective, q, eps)
+        def recorded(objective, q, eps=0.0, step=None):
+            q, exact, converged, step = descent(objective, q, eps, step)
             if regress_last and eps == roof.SMOOTHING[-1]:
                 q = _qr_isometries(np.broadcast_to(np.eye(*q.shape[-2:]), q.shape).copy())
+                exact = objective.eval_isometry(q)
             stage_values.append(objective.eval_isometry(q))
-            return q, vals, converged
+            return q, exact, converged, step
 
         monkeypatch.setattr(roof, "_riemannian_descent", recorded)
         return stage_values
@@ -286,6 +287,50 @@ class TestKinkedPath:
         assert res.value == pytest.approx(wootters_concurrence(rho), abs=1e-8)
         assert res.best.average_value(CONCURRENCE) == pytest.approx(res.value, abs=1e-12)
         np.testing.assert_allclose(res.best.reconstruct(), rho.matrix, atol=1e-12)
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        """(eps, grad, isometries) of every ``_RoofObjective.evaluate`` call."""
+        calls = []
+        evaluate = _RoofObjective.evaluate
+
+        def counting(self, q, eps=0.0, grad=False):
+            calls.append((eps, grad, int(np.prod(np.shape(q)[:-2]))))
+            return evaluate(self, q, eps, grad)
+
+        monkeypatch.setattr(_RoofObjective, "evaluate", counting)
+        return calls
+
+    def test_each_chain_has_one_exact_value_per_stage(self, monkeypatch):
+        # A chain's exact value is taken when it stops, or when the stage
+        # ends with it still active, and serves both the stage's early end
+        # and the chain's best value over the stages.
+        from entmon.roof import SMOOTHING
+
+        calls = self._count_evaluations(monkeypatch)
+        rho = random_mixed(Dims(2, 2), 3, np.random.default_rng(100))
+        res = roof_minimize(CONCURRENCE, rho, restarts=4, rng=np.random.default_rng(0))
+        assert res.converged
+        exact = sum(n for eps, grad, n in calls if eps == 0.0 and not grad)
+        assert 0 < exact <= 4 * len(SMOOTHING)
+
+    def test_a_stage_rerun_from_its_end_stops_at_once(self, monkeypatch):
+        # Each chain enters a stage with the step it left the last one with.
+        # Re-entered at STEP_INIT / |gradient| instead, a stopped chain
+        # backtracks about 25 times before it stops again.
+        from entmon.roof import SMOOTHING, _riemannian_descent
+
+        rho = random_mixed(Dims(2, 2), 3, np.random.default_rng(101))
+        objective = _RoofObjective(CONCURRENCE, rho)
+        q = _qr_isometries(np.random.default_rng(1).standard_normal((4, 4, 3)) + 0j)
+        step = None
+        calls = self._count_evaluations(monkeypatch)
+        for eps in SMOOTHING:
+            q, exact, converged, step = _riemannian_descent(objective, q, eps, step)
+            for c in range(len(q)):
+                calls.clear()
+                _riemannian_descent(objective, q[c:c + 1], eps, step[c:c + 1])
+                assert len(calls) <= 3, (eps, c, len(calls))
 
     def test_converged_wherever_concurrence_is_accurate(self):
         # As for the entropy: converged is the winner's stopping rule in
@@ -504,6 +549,20 @@ class TestProductStage:
         assert res.value <= 1e-12
         assert res.converged
         assert np.max(np.abs(res.best.reconstruct() - rho.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("h", [h for h, _ in KINKED_ORACLES], ids=KINKED_IDS)
+    def test_ppt_input_goes_to_the_product_stage_first(self, h, monkeypatch):
+        # The stage certifies 0 from chain 0's start, so no descent runs.
+        from entmon import roof
+
+        descents = []
+        descent = roof._riemannian_descent
+        monkeypatch.setattr(roof, "_riemannian_descent",
+                            lambda *args, **kwargs: descents.append(args) or descent(*args, **kwargs))
+        res = roof_minimize(h, werner_state(1.0 / 3.0), rng=np.random.default_rng(0))
+        assert descents == []
+        assert res.value <= 1e-12
+        assert res.converged
 
     @pytest.mark.parametrize("dims", [Dims(2, 2), Dims(2, 3), Dims(3, 2)],
                              ids=lambda d: "x".join(map(str, d.factors)))

@@ -16,8 +16,11 @@ end-to-end metrics, round and operation counts, first-round behaviour
 digest and machine, each side's median round count (``peak_rss_mb`` grows
 with the rounds a run fits into its seconds), how many pairs have equal
 first-round digests on both sides (a workload the change leaves unchanged
-has all of them equal), and per metric each side's median and quartiles and
-how many pairs the change won (ties count for neither side).
+has all of them equal), and per metric each side's median and quartiles,
+how many pairs the change won (ties count for neither side) and whether a
+gain on it could be claimed: ``claim_holds`` is true when the change won at
+least 9 in 10 of the pairs and its median is better than the parent's by
+more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -75,9 +78,11 @@ def _summary(parent: list[dict], change: list[dict], declared: list[dict]) -> di
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
         wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        qp, qc = _quartiles(p), _quartiles(c)
+        gain = (qp["median"] - qc["median"]) * (1 if lower else -1)
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                     "parent": _quartiles(p), "change": _quartiles(c),
-                     "change_wins": wins, "pairs": len(p)}
+                     "parent": qp, "change": qc, "change_wins": wins, "pairs": len(p),
+                     "claim_holds": 10 * wins >= 9 * len(p) and gain > qp["q3"] - qp["q1"]}
     return out
 
 
