@@ -14,6 +14,15 @@ normalizes its outcomes and validates the kept ones once, as one stack;
 ``apply_channel`` is its N = 1 case.  Each state may carry its own Kraus
 family (``_padded_kraus``), so outcomes of many (state, channel) trials
 are one call.
+
+Random channels are drawn in two steps.  A draw (``_draw_channel``,
+``_draw_mixture``) takes a channel's Ginibre matrices from the trial's
+generator; ``_build_channels`` then builds many draws at once, with one
+stacked phase-fixed QR per matrix size and one check of the families
+(``_check_families``, which ``LocalKrausChannel`` runs on a stack of one).
+``random_channel`` and ``classify`` are the one-channel cases of
+``_build_channels`` and ``_classify_stack``; stacked LAPACK calls give
+each member the bits of its own call.
 """
 
 from __future__ import annotations
@@ -22,12 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import haar_unitary
+from .sampling import _ginibre, _haar_stack
 from .states import (
     DensityMatrix,
     DimensionMismatchError,
     PureState,
     _check_spectra,
+    _first,
     _trusted_density,
     validate_density_stack,
 )
@@ -54,8 +64,6 @@ class LocalKrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.side not in ("A", "B"):
-            raise ChannelValidationError(f"side must be 'A' or 'B', got {self.side!r}")
         if not self.kraus:
             raise ChannelValidationError("at least one Kraus operator is required")
         ms = tuple(np.asarray(m, dtype=np.complex128) for m in self.kraus)
@@ -63,17 +71,34 @@ class LocalKrausChannel:
         for m in ms:
             if m.shape != (d, d):
                 raise ChannelValidationError("all Kraus operators must be square and equal-sized")
-        total = sum(m.conj().T @ m for m in ms)
-        residual = float(np.linalg.norm(total - np.eye(d)))
-        if residual > COMPLETENESS_TOL:
-            raise ChannelValidationError(
-                f"completeness residual {residual} exceeds {COMPLETENESS_TOL}"
-            )
+        _check_families(self.side, np.stack(ms)[None])
         object.__setattr__(self, "kraus", ms)
 
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
+
+
+def _check_families(side: str, kraus: np.ndarray) -> None:
+    """The one check of Kraus families, on a ``(N, K, d, d)`` stack of them
+    (zero-padded where shorter) acting on ``side``: each must satisfy
+    sum_k M_k^dag M_k = I within ``COMPLETENESS_TOL``."""
+    if side not in ("A", "B"):
+        raise ChannelValidationError(f"side must be 'A' or 'B', got {side!r}")
+    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    residual = np.linalg.norm(total - np.eye(kraus.shape[-1]), axis=(-2, -1))
+    if residual.max() > COMPLETENESS_TOL:
+        raise ChannelValidationError(f"completeness residual "
+                                     f"{_first(residual, residual > COMPLETENESS_TOL)} "
+                                     f"exceeds {COMPLETENESS_TOL}")
+
+
+def _trusted_channel(side: str, kraus: tuple) -> LocalKrausChannel:
+    """A LocalKrausChannel around families already checked by ``_check_families``."""
+    channel = object.__new__(LocalKrausChannel)
+    object.__setattr__(channel, "side", side)
+    object.__setattr__(channel, "kraus", kraus)
+    return channel
 
 
 @dataclass(frozen=True)
@@ -141,9 +166,12 @@ def _padded_kraus(channels) -> np.ndarray:
     return out
 
 
-def _gram_outcomes(kraus: np.ndarray, side: str, mats: np.ndarray, dims) -> np.ndarray:
+def _gram_outcomes(
+    kraus: np.ndarray, side: str, mats: np.ndarray, dims
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All K unnormalized outcomes ``(I x M_k) rho (I x M_k)^dag`` of every
-    state of a ``(N, n, n)`` stack, as a ``(N, K, n, n)`` stack.
+    state of a ``(N, n, n)`` stack, as a ``(N, K, n, n)`` stack, and the
+    states' eigensystem ``(vals, vecs)`` that built them.
 
     ``kraus`` is one family ``(K, d, d)`` for every state or one per state,
     ``(N, K, d, d)``, acting on ``side``.  Each outcome is the Gram matrix
@@ -159,10 +187,10 @@ def _gram_outcomes(kraus: np.ndarray, side: str, mats: np.ndarray, dims) -> np.n
     _check_spectra(vals)
     # Roundoff eigenvalues of a pure input (~1e-16, root columns ~1e-8) would
     # leave an outcome of probability ~1e-11 visibly mixed once normalized.
-    vals = np.where(vals > EIG_REL_FLOOR * vals[:, -1:], vals, 0.0)
-    root = vecs * np.sqrt(vals)[:, None, :]
+    kept = np.where(vals > EIG_REL_FLOOR * vals[:, -1:], vals, 0.0)
+    root = vecs * np.sqrt(kept)[:, None, :]
     b = ops @ root[:, None]
-    return b @ b.conj().swapaxes(-1, -2)
+    return b @ b.conj().swapaxes(-1, -2), vals, vecs
 
 
 def _outcome_stack(
@@ -178,7 +206,7 @@ def _outcome_stack(
     ``validate_density_stack``.  Each state's outcomes are the same bits
     whatever else is in the stack.
     """
-    x = _gram_outcomes(kraus, side, mats, dims)
+    x = _gram_outcomes(kraus, side, mats, dims)[0]
     p = x.trace(axis1=-2, axis2=-1).real
     keep = p >= P_FLOOR
     kept_p = np.where(keep, p, 0.0)
@@ -232,22 +260,35 @@ def classify(channel: LocalKrausChannel) -> ChannelClass:
     scaled unitary; if every operator passes, the channel is a convex
     mixture of local unitaries with weights c_k.  A single effective
     operator (one outcome, or all operators pairwise proportional) is a
-    plain local unitary.
+    plain local unitary.  The one-channel case of ``_classify_stack``.
     """
-    d = channel.dim
-    constants = []
-    for m in channel.kraus:
-        g = m.conj().T @ m
-        c = float(np.real(np.trace(g))) / d
-        if c <= 0.0 or float(np.linalg.norm(g - c * np.eye(d))) > PROPORTIONALITY_TOL:
-            return ChannelClass(TAG_GENERAL)
-        constants.append(c)
-    if len(channel.kraus) == 1:
-        return ChannelClass(TAG_LOCAL_UNITARY, {"weights": constants})
-    first = channel.kraus[0]
-    if all(_proportional(first, m, PROPORTIONALITY_TOL) for m in channel.kraus[1:]):
-        return ChannelClass(TAG_LOCAL_UNITARY, {"weights": constants})
-    return ChannelClass(TAG_UNITARY_MIXTURE, {"weights": constants})
+    return _classify_stack([channel])[0]
+
+
+def _classify_stack(channels) -> list[ChannelClass]:
+    """``classify`` of every channel of a list: per dimension, one Gram
+    stack of all their Kraus operators."""
+    out = [None] * len(channels)
+    by_dim = {}
+    for i, channel in enumerate(channels):
+        by_dim.setdefault(channel.dim, []).append(i)
+    for d, group in by_dim.items():
+        ops = np.stack([m for i in group for m in channels[i].kraus])
+        g = ops.conj().swapaxes(-1, -2) @ ops
+        c = g.trace(axis1=-2, axis2=-1).real / d
+        dev = np.linalg.norm(g - c[:, None, None] * np.eye(d), axis=(-2, -1))
+        scaled = (~((c <= 0.0) | (dev > PROPORTIONALITY_TOL))).tolist()
+        stop = 0
+        for i in group:
+            start, stop = stop, stop + len(channels[i].kraus)
+            if not all(scaled[start:stop]):
+                out[i] = ChannelClass(TAG_GENERAL)
+                continue
+            single = all(_proportional(ops[start], m, PROPORTIONALITY_TOL)
+                         for m in ops[start + 1:stop])
+            out[i] = ChannelClass(TAG_LOCAL_UNITARY if single else TAG_UNITARY_MIXTURE,
+                                  {"weights": c[start:stop].tolist()})
+    return out
 
 
 def random_channel(
@@ -258,31 +299,94 @@ def random_channel(
     The first d columns of a Haar-random (n_kraus*d) x (n_kraus*d) unitary
     form an exact isometry; its d x d blocks satisfy completeness to
     machine precision.  For n_kraus >= 2 the result is general (not a
-    unitary mixture) outside a measure-zero set.
+    unitary mixture) outside a measure-zero set.  The one-draw case of
+    ``_build_channels``.
     """
-    if n_kraus < 1:
-        raise ValueError("n_kraus must be at least 1")
-    u = haar_unitary(n_kraus * d, rng)
-    v = u[:, :d]
-    kraus = tuple(v[k * d : (k + 1) * d, :].copy() for k in range(n_kraus))
-    return LocalKrausChannel(side, kraus)
+    return _build_channels([_draw_channel(d, n_kraus, rng, side)])[0]
 
 
 def unitary_mixture_channel(
     weights, unitaries, side: str = "B"
 ) -> LocalKrausChannel:
-    """Channel with Kraus operators sqrt(w_k) U_k."""
+    """Channel with Kraus operators sqrt(w_k) U_k: the one-channel case of
+    ``_unitary_mixtures``."""
     w = np.asarray(weights, dtype=float)
-    if abs(float(np.sum(w)) - 1.0) > 1e-10 or np.any(w < 0.0):
-        raise ChannelValidationError("weights must be nonnegative and sum to 1")
-    if len(w) != len(unitaries):
+    us = [np.asarray(u, dtype=np.complex128) for u in unitaries]
+    if len(w) != len(us):
         raise ChannelValidationError("weights and unitaries must have equal length")
-    kraus = []
-    for wk, u in zip(w, unitaries):
-        u = np.asarray(u, dtype=np.complex128)
-        d = u.shape[0]
-        if u.shape != (d, d) or float(np.linalg.norm(u.conj().T @ u - np.eye(d))) > 1e-10:
-            raise ChannelValidationError("all operators must be unitary within 1e-10")
-        if wk > 1e-15:
-            kraus.append(np.sqrt(wk) * u)
-    return LocalKrausChannel(side, tuple(kraus))
+    if not us:
+        raise ChannelValidationError("at least one Kraus operator is required")
+    if any(u.ndim != 2 or u.shape[0] != u.shape[1] for u in us):
+        raise ChannelValidationError("all operators must be unitary within 1e-10")
+    if len({u.shape for u in us}) > 1:
+        raise ChannelValidationError("all Kraus operators must be square and equal-sized")
+    return _unitary_mixtures(w[None], np.stack(us)[None], side)[0]
+
+
+def _unitary_mixtures(weights: np.ndarray, unitaries: np.ndarray,
+                      side: str) -> list[LocalKrausChannel]:
+    """The channels sqrt(w_k) U_k of an ``(N, K)`` stack of weights and an
+    ``(N, K, d, d)`` stack of unitaries, operators of weight at most 1e-15
+    dropped.  Weights, unitarity and completeness are checked once."""
+    if (np.abs(weights.sum(axis=-1) - 1.0) > 1e-10).any() or (weights < 0.0).any():
+        raise ChannelValidationError("weights must be nonnegative and sum to 1")
+    eye = np.eye(unitaries.shape[-1])
+    if (np.linalg.norm(unitaries.conj().swapaxes(-1, -2) @ unitaries - eye,
+                       axis=(-2, -1)) > 1e-10).any():
+        raise ChannelValidationError("all operators must be unitary within 1e-10")
+    keep = weights > 1e-15
+    kraus = np.where(keep[..., None, None], np.sqrt(weights)[..., None, None] * unitaries, 0.0)
+    _check_families(side, kraus)
+    return [_trusted_channel(side, tuple(k[kept])) for k, kept in zip(kraus, keep)]
+
+
+@dataclass
+class _ChannelDraw:
+    """The Ginibre draws of one random channel, built with others by
+    ``_build_channels``: a general family of K operators from one
+    ``(K d, K d)`` matrix, or a mixture of K Haar unitaries from K
+    ``weights`` and ``(K, d, d)`` matrices."""
+
+    side: str
+    d: int
+    ginibre: np.ndarray
+    weights: np.ndarray | None = None
+    channel: LocalKrausChannel | None = None
+
+
+def _draw_channel(d: int, n_kraus: int, rng: np.random.Generator, side: str = "B"):
+    """``random_channel``'s draw: one Ginibre matrix of side ``n_kraus d``."""
+    if n_kraus < 1:
+        raise ValueError("n_kraus must be at least 1")
+    return _ChannelDraw(side, d, _ginibre(n_kraus * d, n_kraus * d, rng))
+
+
+def _draw_mixture(d: int, n_unitaries: int, rng: np.random.Generator, side: str = "B"):
+    """A mixture's draw: Dirichlet weights, then one d x d Ginibre matrix
+    per unitary, as successive ``haar_unitary`` calls draw them."""
+    weights = rng.dirichlet(np.ones(n_unitaries))
+    z = rng.standard_normal((n_unitaries, 2, d, d))
+    return _ChannelDraw(side, d, z[:, 0] + 1j * z[:, 1], weights)
+
+
+def _build_channels(draws) -> list[LocalKrausChannel]:
+    """The channel of each ``_ChannelDraw`` of a list; channels pass as they
+    are.  A draw is built once.  The draws of one side, kind and shape are
+    one stack: one phase-fixed QR (``_haar_stack``) and one check."""
+    groups = {}
+    for draw in draws:
+        if isinstance(draw, _ChannelDraw) and draw.channel is None:
+            key = draw.side, draw.d, draw.weights is None, draw.ginibre.shape
+            groups.setdefault(key, {})[id(draw)] = draw
+    for (side, d, general, _), group in groups.items():
+        group = list(group.values())
+        u = _haar_stack(np.stack([draw.ginibre for draw in group]))
+        if general:  # the blocks of the first d columns
+            kraus = u[..., :d].reshape(len(group), -1, d, d)
+            _check_families(side, kraus)
+            built = [_trusted_channel(side, tuple(k)) for k in kraus]
+        else:
+            built = _unitary_mixtures(np.stack([draw.weights for draw in group]), u, side)
+        for draw, channel in zip(group, built):
+            draw.channel = channel
+    return [draw.channel if isinstance(draw, _ChannelDraw) else draw for draw in draws]

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LocalKrausChannel, _gram_outcomes
+from .channels import LocalKrausChannel, _gram_outcomes, _padded_kraus
 from .states import (
     DensityMatrix,
     DimensionMismatchError,
     TOL_SUPPORT,
-    _rel_entropy_psd,
+    _rel_entropy_stack,
     von_neumann_entropy,
 )
 
@@ -398,38 +398,53 @@ def ree_minimize(
 def ree_data_processing_check(
     rho: DensityMatrix, sigma: DensityMatrix, channel: LocalKrausChannel
 ) -> DataProcessingReport:
-    """Compare sum_i S(p_i rho_i || q_i sigma_i) with S(rho || sigma).
-
-    The same channel is applied to both states by one ``_gram_outcomes``
-    call on the stack [rho, sigma].  All K outcomes are kept, with no
-    probability floor, so the terms and the probability vectors p and q
-    stay index-aligned and directly comparable; a zero operator's outcomes
-    are zero matrices, whose term is 0.  Support violations produce a
-    skipped report with the infinity carried in the total, not an exception.
-    """
+    """Compare sum_i S(p_i rho_i || q_i sigma_i) with S(rho || sigma): the
+    one-pair case of ``_data_processing_stack``."""
     if rho.dims.factors != sigma.dims.factors:
         raise DimensionMismatchError("states must share dims")
-    sig_min = float(np.linalg.eigvalsh(sigma.matrix)[0])
-    if sig_min < TOL_SUPPORT:
-        return DataProcessingReport(
-            math.nan, math.nan, math.nan, np.array([]), np.array([]), math.nan,
-            skipped_reason="sigma is not full rank",
-        )
-    total = _rel_entropy_psd(rho.matrix, sigma.matrix)
-    outs = _gram_outcomes(np.stack(channel.kraus), channel.side,
-                          np.stack([rho.matrix, sigma.matrix]), rho.dims)
-    p, q = outs.trace(axis1=-2, axis2=-1).real
-    outcome = float(sum(_rel_entropy_psd(x, y) for x, y in zip(*outs)))
-    if math.isinf(outcome) or math.isinf(total):
-        return DataProcessingReport(
-            outcome, total, math.nan, p, q, math.nan,
-            skipped_reason="support violation produced an infinite divergence",
-        )
-    return DataProcessingReport(
-        outcome_divergence=outcome,
-        total_divergence=total,
-        gap=total - outcome,
-        p=p,
-        q=q,
-        max_prob_deviation=float(np.max(np.abs(p - q))),
-    )
+    return _data_processing_stack(np.stack([rho.matrix, sigma.matrix])[None], [channel],
+                                  rho.dims)[0]
+
+
+def _data_processing_stack(mats: np.ndarray, channels, dims) -> list[DataProcessingReport]:
+    """``ree_data_processing_check`` of T pairs: ``mats`` is the ``(T, 2, n,
+    n)`` stack of each pair's [rho, sigma] on ``dims``, ``channels`` the
+    pairs' channels, all on one side.
+
+    One ``_gram_outcomes`` call applies each channel to its rho and sigma
+    and diagonalizes both once: sigma's lowest eigenvalue guards its full
+    rank, and its eigensystem serves S(rho || sigma).  All K outcomes are
+    kept, with no probability floor, so the terms and the probability
+    vectors p and q stay index-aligned and directly comparable; a zero
+    operator's outcomes are zero matrices, whose term is 0.  Support
+    violations produce a skipped report with the infinity carried in the
+    total, not an exception.
+    """
+    t, n = len(mats), dims.total
+    counts = [len(channel.kraus) for channel in channels]
+    kraus = np.repeat(_padded_kraus(channels), 2, axis=0)
+    outs, vals, vecs = _gram_outcomes(kraus, channels[0].side, mats.reshape(2 * t, n, n), dims)
+    outs = outs.reshape(t, 2, -1, n, n)
+    pq = outs.trace(axis1=-2, axis2=-1).real
+    full = np.flatnonzero(vals[1::2, 0] >= TOL_SUPPORT)
+    total = _rel_entropy_stack(mats[full, 0], vals[2 * full + 1], vecs[2 * full + 1])
+    live = np.arange(outs.shape[2]) < np.array(counts)[full, None]
+    terms = _rel_entropy_stack(outs[full, 0][live], *np.linalg.eigh(outs[full, 1][live])).tolist()
+    reports = [DataProcessingReport(
+        math.nan, math.nan, math.nan, np.array([]), np.array([]), math.nan,
+        skipped_reason="sigma is not full rank")] * t
+    stop = 0
+    for i, tot in zip(full.tolist(), total.tolist()):
+        start, stop = stop, stop + counts[i]
+        outcome = float(sum(terms[start:stop]))
+        p, q = pq[i, :, :counts[i]]
+        if math.isinf(outcome) or math.isinf(tot):
+            reports[i] = DataProcessingReport(
+                outcome, tot, math.nan, p, q, math.nan,
+                skipped_reason="support violation produced an infinite divergence",
+            )
+        else:
+            reports[i] = DataProcessingReport(outcome_divergence=outcome, total_divergence=tot,
+                                              gap=tot - outcome, p=p, q=q,
+                                              max_prob_deviation=float(np.max(np.abs(p - q))))
+    return reports

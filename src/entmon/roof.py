@@ -156,11 +156,12 @@ def decomposition_from_isometry(rho: DensityMatrix, v: np.ndarray) -> Decomposit
 
 
 def default_n_terms(rho: DensityMatrix) -> int:
-    """min(rank^2, 2 rank) capped at 8; 4 for two qubits."""
+    """min(rank^2, 2 rank) capped at 8, and never below the rank, which
+    ``roof_minimize`` requires; 4 for two qubits."""
     if rho.dims.factors == (2, 2):
         return 4
     r = _eig_ensemble(rho)[0].size
-    return max(1, min(r * r, 2 * r, 8))
+    return max(r, min(r * r, 2 * r, 8))
 
 
 def _qr_isometries(x: np.ndarray) -> np.ndarray:

@@ -24,23 +24,32 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _haar_stack(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a ``(..., d, d)`` stack of Ginibre matrices by
+    phase-fixed QR (F. Mezzadri, Notices AMS 54, 592 (2007)).  One stacked
+    ``np.linalg.qr`` gives each member the bits of its own call."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(_ginibre(d, d, rng))
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q
+    return _haar_stack(_ginibre(d, d, rng))
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     """Normalized complex rows from standard normal draws ``z`` of shape
     ``(n, 2, N)``: row i is ``z[i, 0] + 1j z[i, 1]`` over its norm.
 
-    Each row takes its own ``np.linalg.norm``: batched norms (an axis
-    argument, einsum, a matrix product) differ from it in the last bit.
+    Each row's norm is the one ``np.linalg.norm`` takes, sqrt(re . re +
+    im . im) with one BLAS dot product per part; a ``matmul`` of 1 x N by
+    N x 1 rows makes those same calls.  Other batched norms (an axis
+    argument, einsum, a complex product) differ from it in the last bit.
     """
     v = z[:, 0] + 1j * z[:, 1]
-    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    return v / np.sqrt(re @ v.real[:, :, None] + im @ v.imag[:, :, None])[:, 0]
 
 
 def _product_rows(z: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:

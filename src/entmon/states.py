@@ -228,15 +228,17 @@ def _trusted_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
 
 
 def clipped_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix with roundoff negatives zeroed.
+    """Eigenvalues of a Hermitian matrix, or of each of a ``(..., n, n)``
+    stack, with roundoff negatives zeroed.
 
     Values in ``[-TOL_PSD, 0)`` are clipped to 0; lower ones raise, since
     that indicates a genuinely invalid input rather than roundoff.
     """
     vals = np.linalg.eigvalsh(mat)
-    lo = float(vals[0])
-    if lo < -TOL_PSD:
-        raise StateValidationError(f"eigenvalue {lo} below -{TOL_PSD}; input not PSD")
+    low = vals[..., 0] < -TOL_PSD
+    if low.any():
+        raise StateValidationError(
+            f"eigenvalue {_first(vals[..., 0], low)} below -{TOL_PSD}; input not PSD")
     return np.clip(vals, 0.0, None)
 
 
@@ -347,26 +349,45 @@ def entropy_of_spectrum(mu: np.ndarray) -> float:
 
 
 def _rel_entropy_psd(x: np.ndarray, y: np.ndarray) -> float:
-    """Tr[X(ln X - ln Y)] for PSD matrices, inf when supp X exceeds supp Y.
+    """Tr[X(ln X - ln Y)] for PSD matrices, inf when supp X exceeds supp Y:
+    the one-pair case of ``_rel_entropy_stack``."""
+    yv, yu = np.linalg.eigh(y)
+    return float(_rel_entropy_stack(x[None], yv[None], yu[None])[0])
+
+
+def _rel_entropy_stack(x: np.ndarray, yv: np.ndarray, yu: np.ndarray) -> np.ndarray:
+    """Tr[X(ln X - ln Y)] of each X of a ``(M, n, n)`` stack of PSD matrices
+    and its Y, given by the eigensystem ``(yv, yu)`` of ``np.linalg.eigh``;
+    inf when supp X exceeds supp Y.
 
     Works on unnormalized operators; both log terms are evaluated in the
     respective eigenbases with eigenvalues at most ``TOL_SUPPORT`` treated
-    as kernel directions.
+    as kernel directions.  Each sum runs over one member's support, as one
+    call on that member alone rounds (``_tail_sums``).
     """
     xv = clipped_eigvalsh(x)
-    pos = xv[xv > TOL_SUPPORT]
-    tr_x_ln_x = float(np.sum(pos * np.log(pos)))
-
-    yv, yu = np.linalg.eigh(y)
+    pos = xv > TOL_SUPPORT
+    tr_x_ln_x = _tail_sums(xv * np.log(np.where(pos, xv, 1.0)), pos)
     yv = np.clip(yv, 0.0, None)
-    weights = np.real(np.einsum("ij,jk,ki->i", yu.conj().T, x, yu))
+    weights = np.real(np.einsum("bij,bjk,bki->bi", yu.conj().swapaxes(-1, -2), x, yu))
     weights = np.clip(weights, 0.0, None)
-    kernel = yv <= TOL_SUPPORT
-    if float(np.sum(weights[kernel])) > 1e-10:
-        return math.inf
-    supp = ~kernel
-    tr_x_ln_y = float(np.sum(weights[supp] * np.log(yv[supp])))
-    return tr_x_ln_x - tr_x_ln_y
+    supp = yv > TOL_SUPPORT
+    out = tr_x_ln_x - _tail_sums(weights * np.log(np.where(supp, yv, 1.0)), supp)
+    out[np.sum(np.where(supp, 0.0, weights), axis=-1) > 1e-10] = math.inf
+    return out
+
+
+def _tail_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row of ``(M, n)`` ``terms``, the ``np.sum`` of the terms that
+    ``keep`` marks, a tail of the row (ascending spectra above a floor).
+    From 8 terms numpy sums pairwise, so a zero-filled row would round
+    unlike the tail alone; rows of one tail length are summed together."""
+    start = terms.shape[-1] - keep.sum(axis=-1)
+    out = np.empty(len(terms))
+    for j in set(start.tolist()):
+        rows = start == j
+        out[rows] = np.sum(terms[rows, j:], axis=-1)
+    return out
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -6,15 +6,19 @@ configured batch of checks over seeded random instances; identical configs
 produce byte-identical reports.
 
 Every sweep goes from trials to reports through one path.  ``_trials``
-gives each trial its seed and a generator of its own.  The closed-form
-trials of ``monotone`` and ``strict`` stream through ``_batch_reports``,
-which validates each batch of at most ``_BATCH_STATES`` input states once
-and judges it with one kernel, ``_closed_gaps``: per measure, one
-``_outcome_stack`` call and one ``evaluate_closed_stack`` call.
+gives each trial its seed and a generator of its own, from which it draws
+its states and its channel's Ginibre matrices (``channels._draw_channel``
+and ``_draw_mixture``).  The trials of ``monotone`` (closed forms),
+``strict``, ``reduced-state`` and ``ree-dpi`` stream through
+``_batch_reports``, which validates each batch of at most
+``_BATCH_STATES`` input states once, builds its channels as stacks
+(``_build_channels``) and judges it with one kernel: ``_closed_gaps``
+(per measure, one ``_outcome_stack`` and one ``evaluate_closed_stack``
+call), ``_reduced_state_reports`` or ``_ree_dpi_reports``.  Each kernel
+classifies its channels as one stack (``_classify_stack``).
 ``_concavity_reports`` judges all ``concavity`` trials with one
 ``eigvalsh`` per (h, dimension).  The other checks, and the optimizer
-tiers of ``monotone``, judge one trial at a time; ``reduced-state`` takes
-one stack of each input and its outcomes.
+tiers of ``monotone``, judge one trial at a time.
 
 Every verdict comes from one table: ``RULES`` maps the rule name that
 each report stores in ``metadata["rule"]`` to a predicate over the
@@ -43,13 +47,15 @@ from .channels import (
     TAG_GENERAL,
     TAG_LOCAL_UNITARY,
     TAG_UNITARY_MIXTURE,
+    _build_channels,
+    _classify_stack,
+    _draw_channel,
+    _draw_mixture,
     _outcome_stack,
     _padded_kraus,
     apply_channel,
     apply_channel_to_pure,
     classify,
-    random_channel,
-    unitary_mixture_channel,
 )
 from .measures import (
     CONCURRENCE,
@@ -71,12 +77,11 @@ from .measures import (
 )
 from .registry import (MeasureError, evaluate_closed_stack, evaluate_measure, measure_state_kind,
                        measure_tier, parse_measure_id)
-from .ree import ree_data_processing_check, ree_minimize
+from .ree import _data_processing_stack, ree_minimize
 from .roof import roof_minimize
 from .sampling import (
     _product_rows,
     _unit_rows,
-    haar_unitary,
     random_mixed,
     random_mixed_stack,
     random_pure,
@@ -90,6 +95,7 @@ from .states import (
     PureState,
     TOL_SUPPORT,
     _check_hermitian_unit_trace,
+    _check_spectra,
     bell_state,
     partial_trace,
     partial_transpose,
@@ -288,16 +294,14 @@ def _closed_gaps(items, dims, tags=None):
     items of one measure are one ``_outcome_stack`` call and one
     ``evaluate_closed_stack`` call on their inputs followed by the kept
     outcomes; a state's values do not depend on the rest of the stack.
-    Each distinct channel is classified once: ``tags`` maps
-    ``id(channel)`` to ``(channel, tag)`` (holding the channel keeps its id
-    unique) and may be shared by calls.
+    Each distinct channel is classified once, the new ones of a call as one
+    ``_classify_stack`` call: ``tags`` maps ``id(channel)`` to ``(channel,
+    tag)`` (holding the channel keeps its id unique) and may be shared by
+    calls.
     """
     tags = {} if tags is None else tags
-    by_measure = {}
-    for i, item in enumerate(items):
-        by_measure.setdefault(item[0], []).append(i)
     gaps = [None] * len(items)
-    for measure_id, group in by_measure.items():
+    for measure_id, group in _groups(item[0] for item in items).items():
         counts = [len(items[i][1]) for i in group]
         channels = [items[i][2] for i in group]
         mats = np.concatenate([items[i][1] for i in group])
@@ -316,9 +320,9 @@ def _closed_gaps(items, dims, tags=None):
         for i, count in zip(group, counts):
             start, stop = stop, stop + count
             gaps[i] = vals[start:stop], rhs[start:stop], n_outcomes[start:stop]
-    for item in items:
-        if id(item[2]) not in tags:
-            tags[id(item[2])] = item[2], classify(item[2]).tag
+    new = {id(item[2]): item[2] for item in items if id(item[2]) not in tags}
+    for channel, cls in zip(new.values(), _classify_stack(list(new.values()))):
+        tags[id(channel)] = channel, cls.tag
     return [(tags[id(item[2])][1], *gap) for item, gap in zip(items, gaps)]
 
 
@@ -428,11 +432,8 @@ def _concavity_reports(items):
     seed)``, the states as matrices, in item order.  Per (h, dimension),
     the stack of every rho1, rho2 and mixture is validated once, and its
     one ``eigvalsh`` gives the spectra of every h value."""
-    groups = {}
-    for i, item in enumerate(items):
-        groups.setdefault((item[0], len(item[1])), []).append(i)
     reports = [None] * len(items)
-    for (h, _), group in groups.items():
+    for (h, _), group in _groups((item[0], len(item[1])) for item in items).items():
         pairs = np.array([items[i][1:3] for i in group])
         w = np.array([items[i][3] for i in group])[:, None, None]
         mix = w * pairs[:, 0] + (1.0 - w) * pairs[:, 1]
@@ -474,35 +475,62 @@ def check_reduced_state_condition(
 
     For a side-B family on a pure input, the outcomes are pure; a strictly
     positive gap must appear iff some outcome's A-side reduced state moved
-    away from the input's.
+    away from the input's.  The one-trial case of
+    ``_reduced_state_reports``, which the ``reduced-state`` sweep runs on
+    its trials in batches.
     """
-    if len(psi.dims.factors) != 2:
-        raise DimensionMismatchError("reduced-state condition needs a bipartite pure state")
-    if channel.side != "B":
-        raise ValueError("reduced-state condition is formulated for side-B channels")
-    # One amplitude stack of the input and its outcomes: the projectors and
-    # A marginals are validated once each; the marginals' spectra give h.
-    outcomes = apply_channel_to_pure(channel, psi)
-    dA, dB = psi.dims.factors
-    proj = projector_stack(np.stack([psi.amplitudes] + [out.amplitudes for _, out in outcomes]))
-    validate_density_stack(proj)
-    marginals = np.trace(proj.reshape(-1, dA, dB, dA, dB), axis1=-3, axis2=-1)
-    lhs, *values = h_of_spectrum(h, np.clip(validate_density_stack(marginals), 0.0, None)).tolist()
-    rhs = functools.reduce(operator.add, (p * v for (p, _), v in zip(outcomes, values)), 0.0)
-    max_dev = max([0.0] + [float(np.linalg.norm(out_a - marginals[0])) for out_a in marginals[1:]])
-    metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(outcomes)}
-    if lhs < STRICT_ZERO:
-        metadata["note"] = "unentangled input"
-    tag = classify(channel).tag
-    if max_dev > REDUCED_DEV_STRICT:
-        tol, branch, rule = EQUALITY_TOL, "strict", "gap > tolerance"
-    elif max_dev < REDUCED_DEV_EQUAL:
-        tol, branch, rule = REDUCED_DEV_EQUAL, "equal", "|gap| < tolerance"
-    else:
-        metadata["reason"] = "reduced-state deviation falls between the decision thresholds"
-        return _report("reduced-state", h.measure_id, tag, 0.0, 0.0, EQUALITY_TOL, seed, metadata)
-    metadata.update(branch=branch, rule=rule)
-    return _report("reduced-state", h.measure_id, tag, lhs, rhs, tol, seed, metadata)
+    proj = projector_stack(psi.amplitudes[None])
+    _check_hermitian_unit_trace(proj)  # _reduced_state_reports checks the outcomes
+    return _reduced_state_reports([(h, proj, channel, seed, psi)])[0]
+
+
+def _reduced_state_reports(items):
+    """``check_reduced_state_condition`` reports of items ``(h, proj,
+    channel, seed, psi)``, ``proj`` the ``(1, N, N)`` projector of ``psi``,
+    whose hermiticity and trace are checked.  Each trial's outcomes come
+    from one ``apply_channel_to_pure`` call.  Per (dims, h), the projectors
+    of every input and outcome, and then their A marginals, are validated
+    as one stack each; the marginals' one ``eigvalsh`` gives every value."""
+    outcomes = []
+    for _, _, channel, _, psi in items:
+        if len(psi.dims.factors) != 2:
+            raise DimensionMismatchError("reduced-state condition needs a bipartite pure state")
+        if channel.side != "B":
+            raise ValueError("reduced-state condition is formulated for side-B channels")
+        outcomes.append(apply_channel_to_pure(channel, psi))
+    values = [None] * len(items)
+    for (dims, h), group in _groups((item[4].dims, item[0]) for item in items).items():
+        dA, dB = dims.factors
+        outs = projector_stack(np.stack([o.amplitudes for i in group for _, o in outcomes[i]]))
+        _check_hermitian_unit_trace(outs)
+        proj = np.concatenate([items[i][1] for i in group] + [outs])  # inputs, then outcomes
+        _check_spectra(np.linalg.eigvalsh(proj))
+        marginals = np.trace(proj.reshape(-1, dA, dB, dA, dB), axis1=-3, axis2=-1)
+        h_vals = h_of_spectrum(h, np.clip(validate_density_stack(marginals), 0.0, None)).tolist()
+        stop = len(group)
+        for j, i in enumerate(group):
+            start, stop = stop, stop + len(outcomes[i])
+            values[i] = h_vals[j], h_vals[start:stop], marginals[j], marginals[start:stop]
+    reports = []
+    for (h, _, _, seed, _), outs, (lhs, vals, rho_a, out_a), cls in zip(
+            items, outcomes, values, _classify_stack([item[2] for item in items])):
+        rhs = functools.reduce(operator.add, (p * v for (p, _), v in zip(outs, vals)), 0.0)
+        max_dev = max([0.0] + [float(np.linalg.norm(m - rho_a)) for m in out_a])
+        metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(outs)}
+        if lhs < STRICT_ZERO:
+            metadata["note"] = "unentangled input"
+        if max_dev > REDUCED_DEV_STRICT:
+            tol, branch, rule = EQUALITY_TOL, "strict", "gap > tolerance"
+        elif max_dev < REDUCED_DEV_EQUAL:
+            tol, branch, rule = REDUCED_DEV_EQUAL, "equal", "|gap| < tolerance"
+        else:
+            metadata["reason"] = "reduced-state deviation falls between the decision thresholds"
+            tol, lhs, rhs = EQUALITY_TOL, 0.0, 0.0
+        if "reason" not in metadata:
+            metadata.update(branch=branch, rule=rule)
+        reports.append(_report("reduced-state", h.measure_id, cls.tag, lhs, rhs, tol, seed,
+                               metadata))
+    return reports
 
 
 def check_monogamy_product(
@@ -706,9 +734,9 @@ def _cycled(options, index):
 
 
 def _random_unitary_mixture(d: int, n_unitaries: int, rng: np.random.Generator, side="B"):
-    weights = rng.dirichlet(np.ones(n_unitaries))
-    unitaries = [haar_unitary(d, rng) for _ in range(n_unitaries)]
-    return unitary_mixture_channel(weights, unitaries, side)
+    """A mixture of ``n_unitaries`` Haar unitaries with Dirichlet weights:
+    the one-draw case of ``_build_channels``."""
+    return _build_channels([_draw_mixture(d, n_unitaries, rng, side)])[0]
 
 
 def _n_kraus(config: SweepConfig, t: int) -> int:
@@ -717,14 +745,21 @@ def _n_kraus(config: SweepConfig, t: int) -> int:
     return _cycled(range(2, max(2, config.n_kraus) + 1), t)
 
 
+def _trial_draw(config: SweepConfig, t: int, d: int, rng: np.random.Generator, every: int,
+                n_unitaries: int):
+    """The draw of trial ``t``'s side-B channel on dimension ``d``: a
+    mixture of ``n_unitaries`` Haar unitaries on the last trial of every
+    ``every``, a general channel of ``_n_kraus(config, t)`` operators
+    otherwise."""
+    if t % every == every - 1:
+        return _draw_mixture(d, n_unitaries, rng)
+    return _draw_channel(d, _n_kraus(config, t), rng)
+
+
 def _trial_channel(config: SweepConfig, t: int, d: int, rng: np.random.Generator, every: int,
                    n_unitaries: int) -> LocalKrausChannel:
-    """Trial ``t``'s side-B channel on dimension ``d``: a mixture of
-    ``n_unitaries`` Haar unitaries on the last trial of every ``every``,
-    a general channel of ``_n_kraus(config, t)`` operators otherwise."""
-    if t % every == every - 1:
-        return _random_unitary_mixture(d, n_unitaries, rng)
-    return random_channel(d, _n_kraus(config, t), rng, side="B")
+    """Trial ``t``'s channel: the one-draw case of ``_trial_draw``."""
+    return _build_channels([_trial_draw(config, t, d, rng, every, n_unitaries)])[0]
 
 
 def _stack_sampler(kind: str, dims: Dims):
@@ -749,16 +784,29 @@ def _trials(config: SweepConfig, n: int, check_idx: int, *parts: int):
 _BATCH_STATES = 128
 
 
+def _groups(keys) -> dict:
+    """The indices of each distinct key, keys in order of first appearance."""
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
+
+
 def _batch_reports(items, judge, *args):
     """``(item, report)`` pairs of a stream of items, tuples whose second
-    member is an ``(n, N, N)`` stack of input states.  ``judge(batch,
-    *args)`` returns the reports of consecutive lists of items of at most
-    ``_BATCH_STATES`` input states (or of one larger item); each list is
-    drawn when the one before is judged, and validated once (PSD by ``judge``)."""
+    member is an ``(n, N, N)`` stack of input states and whose third is a
+    channel or its draw.  ``judge(batch, *args)`` returns the reports of
+    consecutive lists of items of at most ``_BATCH_STATES`` input states
+    (or of one larger item); each list is drawn when the one before is
+    judged, its inputs are validated once per N (PSD by ``judge``), and its
+    channels are built (``_build_channels``)."""
     batch, n_states = [], 0
     for item in itertools.chain(items, [None]):
         if batch and (item is None or n_states + len(item[1]) > _BATCH_STATES):
-            _check_hermitian_unit_trace(np.concatenate([it[1] for it in batch]))
+            for group in _groups(it[1].shape for it in batch).values():
+                _check_hermitian_unit_trace(np.concatenate([batch[i][1] for i in group]))
+            channels = _build_channels([it[2] for it in batch])
+            batch = [it[:2] + (channel,) + it[3:] for it, channel in zip(batch, channels)]
             yield from zip(batch, judge(batch, *args))
             batch, n_states = [], 0
         if item is not None:
@@ -780,14 +828,14 @@ def _sweep_monotone(config: SweepConfig, check_idx: int) -> list[VerificationRep
                 continue
             sample = _stack_sampler(kind, dims)
             items = ((measure_id, sample(rng, 1),
-                      random_channel(dims_pair[1], _n_kraus(config, t), rng, side="B"), seed, rng)
+                      _draw_channel(dims_pair[1], _n_kraus(config, t), rng), seed, rng)
                      for t, seed, rng in _trials(config, config.trials, check_idx, di, mi))
             if measure_tier(measure_id) == "closed":
                 reports += [rep for _, rep in _batch_reports(items, _monotone_reports, dims)]
             else:
-                reports += [check_monotone(measure_id, DensityMatrix(mats[0], dims), channel,
-                                           rng, seed)
-                            for _, mats, channel, seed, rng in items]
+                reports += [check_monotone(measure_id, DensityMatrix(mats[0], dims),
+                                           _build_channels([draw])[0], rng, seed)
+                            for _, mats, draw, seed, rng in items]
     return reports
 
 
@@ -800,16 +848,16 @@ def _strict_items(config: SweepConfig, check_idx: int, di: int):
     # Existence direction: general channels must strictly decrease
     # negativity somewhere among Haar-random pure states.
     for c, seed, rng in _trials(config, max(1, config.trials // 4), check_idx, 0, di):
-        channel = random_channel(dims_pair[1], _n_kraus(config, c), rng, side="B")
-        yield "negativity", _stack_sampler("pure", dims)(rng, 100), channel, seed, False
+        draw = _draw_channel(dims_pair[1], _n_kraus(config, c), rng)
+        yield "negativity", _stack_sampler("pure", dims)(rng, 100), draw, seed, False
     # Equality direction: unitary mixtures must preserve every measure.
     for t, seed, rng in _trials(config, config.trials, check_idx, 1, di):
-        channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
+        draw = _draw_mixture(dims_pair[1], 1 + t % 3, rng)
         for measure_id in config.measures:
             kind = measure_state_kind(measure_id, dims)
             if kind is None or measure_tier(measure_id) != "closed":
                 continue
-            yield measure_id, _stack_sampler(kind, dims)(rng, 3), channel, seed, True
+            yield measure_id, _stack_sampler(kind, dims)(rng, 3), draw, seed, True
 
 
 def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
@@ -842,16 +890,23 @@ def _projective_channel(d: int) -> LocalKrausChannel:
 
 
 def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    reports = [check_reduced_state_condition(ENTROPY, bell_state(), _projective_channel(2),
-                                             seed=derived_seed(config.seed, check_idx, 0))]
+    """The Bell state under the projective channel, then the trials, each
+    drawn from its own generator; ``_reduced_state_reports`` judges them in
+    batches."""
+    return [rep for _, rep in _batch_reports(_reduced_state_items(config, check_idx),
+                                             _reduced_state_reports)]
+
+
+def _reduced_state_items(config: SweepConfig, check_idx: int):
+    bell = bell_state()
+    yield (ENTROPY, projector_stack(bell.amplitudes[None]), _projective_channel(2),
+           derived_seed(config.seed, check_idx, 0), bell)
     h_cycle = (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE)
     for t, seed, rng in _trials(config, config.trials, check_idx, 1):
         dims_pair = _cycled(config.dims, t)
-        dims = Dims(*dims_pair)
-        psi = random_pure(dims, rng)
-        channel = _trial_channel(config, t, dims_pair[1], rng, 3, 3)
-        reports.append(check_reduced_state_condition(_cycled(h_cycle, t), psi, channel, seed=seed))
-    return reports
+        psi = random_pure(Dims(*dims_pair), rng)
+        yield (_cycled(h_cycle, t), projector_stack(psi.amplitudes[None]),
+               _trial_draw(config, t, dims_pair[1], rng, 3, 3), seed, psi)
 
 
 def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
@@ -904,14 +959,32 @@ def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
 
 
 def _sweep_ree_dpi(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    reports = []
+    """Each trial draws rho, sigma and its channel from its own generator;
+    ``_ree_dpi_reports`` judges the trials in batches."""
+    return [rep for _, rep in _batch_reports(_ree_dpi_items(config, check_idx),
+                                             _ree_dpi_reports)]
+
+
+def _ree_dpi_items(config: SweepConfig, check_idx: int):
     for t, seed, rng in _trials(config, config.trials, check_idx):
         dims_pair = _cycled(config.dims, t)
         dims = Dims(*dims_pair)
-        rho = random_mixed(dims, None, rng)
-        sigma = random_mixed(dims, None, rng)
-        channel = _trial_channel(config, t, dims_pair[1], rng, 4, 2)
-        rep = ree_data_processing_check(rho, sigma, channel)
+        yield (dims, random_mixed_stack(dims, None, 2, rng),
+               _trial_draw(config, t, dims_pair[1], rng, 4, 2), seed)
+
+
+def _ree_dpi_reports(items):
+    """``ree-dpi`` reports of items ``(dims, mats, channel, seed)``, ``mats``
+    the ``(2, N, N)`` stack [rho, sigma]: one ``_data_processing_stack``
+    call per dims."""
+    dpi = [None] * len(items)
+    for dims, group in _groups(item[0] for item in items).items():
+        reps = _data_processing_stack(np.stack([items[i][1] for i in group]),
+                                      [items[i][2] for i in group], dims)
+        for i, rep in zip(group, reps):
+            dpi[i] = rep
+    reports = []
+    for (_, _, _, seed), rep, cls in zip(items, dpi, _classify_stack([it[2] for it in items])):
         if rep.skipped_reason is not None:
             lhs, rhs, metadata = 0.0, 0.0, {"reason": rep.skipped_reason}
         else:
@@ -922,8 +995,8 @@ def _sweep_ree_dpi(config: SweepConfig, check_idx: int) -> list[VerificationRepo
             metadata = {"rule": "gap >= -tolerance and probabilities unchanged" if equality
                         else "gap >= -tolerance",
                         "max_prob_deviation": rep.max_prob_deviation, "equality_case": equality}
-        reports.append(_report("ree-dpi", "ree", classify(channel).tag, lhs, rhs, EQUALITY_TOL,
-                               seed, metadata))
+        reports.append(_report("ree-dpi", "ree", cls.tag, lhs, rhs, EQUALITY_TOL, seed,
+                               metadata))
     return reports
 
 

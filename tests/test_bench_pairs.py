@@ -80,3 +80,18 @@ def test_claim_rule(better, change, holds):
     summary = _bench_pairs()._summary(_runs(parent), _runs(change), declared)
     assert summary["wall_s"]["claim_holds"] is holds
     assert summary["ok_frac"]["change_wins"] == 0 and not summary["ok_frac"]["claim_holds"]
+
+
+@pytest.mark.parametrize("change", [
+    [0.80, 0.81, 0.82, 0.83],  # wins 4 of 4, far below the parent
+    [1.10, 1.10, 1.10, 1.10],  # loses 4 of 4
+])
+def test_no_claim_below_ten_pairs(change):
+    # Four pairs cannot carry a claim either way: "9 in 10" would mean 4 of 4,
+    # and the parent's IQR would come from four runs.
+    parent = [1.00, 1.01, 0.99, 1.00]
+    declared = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}]
+    summary = _bench_pairs()._summary(_runs(parent), _runs(change), declared)["wall_s"]
+    assert summary["claim_holds"] is None
+    assert summary["pairs"] == 4
+    assert summary["change_wins"] == (4 if change[0] < 1.0 else 0)

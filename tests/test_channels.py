@@ -320,3 +320,185 @@ class TestUnitaryMixtureInvariance:
         rho_a = partial_trace(rho, "A").matrix
         for _, sigma in apply_channel(channel, rho).outcomes:
             np.testing.assert_allclose(partial_trace(sigma, "A").matrix, rho_a, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The stacked channel build.  Each draw takes its Ginibre matrices from its
+# own generator; ``_build_channels`` then builds all draws of one kind and
+# shape with one stacked QR.  The references below build one channel at a
+# time, as the per-channel code did: one ``np.linalg.qr`` per matrix, a
+# copied block per Kraus operator, one ``sqrt(w) U`` per mixture operator.
+
+
+def _reference_haar(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def _reference_general(d, n_kraus, rng):
+    v = _reference_haar(n_kraus * d, rng)[:, :d]
+    return [v[k * d:(k + 1) * d, :].copy() for k in range(n_kraus)]
+
+
+def _reference_mixture(d, n_unitaries, rng):
+    w = rng.dirichlet(np.ones(n_unitaries))
+    us = [_reference_haar(d, rng) for _ in range(n_unitaries)]
+    return [np.sqrt(wk) * u for wk, u in zip(w, us) if wk > 1e-15]
+
+
+# A draw spec: (mixture, d, K).
+DRAW_SPECS = st.lists(st.tuples(st.booleans(), st.sampled_from([2, 3]), st.integers(1, 4)),
+                      min_size=1, max_size=12)
+
+
+def _assert_same_family(channel, reference):
+    assert len(channel.kraus) == len(reference)
+    for m, ref in zip(channel.kraus, reference):
+        assert m.dtype == np.complex128 and m.shape == ref.shape
+        assert np.array_equal(m, ref)
+
+
+class TestStackedChannelBuildMatchesPerDrawReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(specs=DRAW_SPECS, seed=st.integers(0, 2**32 - 1))
+    def test_build(self, specs, seed):
+        from entmon.channels import _build_channels, _draw_channel, _draw_mixture
+
+        gens = [np.random.default_rng([seed, i]) for i in range(len(specs))]
+        refs = [np.random.default_rng([seed, i]) for i in range(len(specs))]
+        draws = [(_draw_mixture if mixture else _draw_channel)(d, k, rng)
+                 for (mixture, d, k), rng in zip(specs, gens)]
+        channels = _build_channels(draws)
+        for (mixture, d, k), channel, rng, ref_rng in zip(specs, channels, gens, refs):
+            reference = (_reference_mixture if mixture else _reference_general)(d, k, ref_rng)
+            _assert_same_family(channel, reference)
+            assert channel.side == "B"
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # A built draw keeps its channel; a channel passes as it is.
+        again = _build_channels(draws + channels[:1])
+        assert all(a is b for a, b in zip(again, channels + channels[:1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixture=st.booleans(), d=st.sampled_from([2, 3]), k=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["A", "B"]))
+    def test_one_draw_cases(self, mixture, d, k, seed, side):
+        from entmon.verify import _random_unitary_mixture
+
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _random_unitary_mixture if mixture else random_channel
+        channel = draw(d, k, rng, side=side)
+        _assert_same_family(channel, (_reference_mixture if mixture else _reference_general)(
+            d, k, ref_rng))
+        assert channel.side == side
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestStackChecksKeepTodaysMessages:
+    """A fault in one member of a stack raises what the per-channel check
+    raised on that member alone."""
+
+    def test_completeness(self):
+        from entmon.channels import _check_families
+
+        kraus = np.stack([np.stack(random_channel(2, 3, np.random.default_rng(s)).kraus)
+                          for s in range(5)])
+        kraus[3, 1] *= 1.01
+        total = sum(m.conj().T @ m for m in kraus[3])
+        residual = float(np.linalg.norm(total - np.eye(2)))  # the per-channel residual
+        with pytest.raises(ChannelValidationError, match="completeness residual") as stacked:
+            _check_families("B", kraus)
+        number = float(str(stacked.value).split()[2])
+        assert number == pytest.approx(residual, rel=1e-12)
+        assert str(stacked.value) == f"completeness residual {number} exceeds 1e-08"
+        with pytest.raises(ChannelValidationError, match="completeness residual"):
+            LocalKrausChannel("B", tuple(kraus[3]))
+        with pytest.raises(ChannelValidationError, match="side must be 'A' or 'B'"):
+            _check_families("C", kraus[:1])
+
+    def test_mixture_unitarity_and_weights(self):
+        from entmon.channels import _unitary_mixtures
+
+        rng = np.random.default_rng(3)
+        weights = rng.dirichlet(np.ones(2), size=4)
+        unitaries = np.stack([[haar_unitary(2, rng) for _ in range(2)] for _ in range(4)])
+        assert len(_unitary_mixtures(weights, unitaries, "B")) == 4
+        dropped = _unitary_mixtures(np.array([[1.0, 0.0], [0.5, 0.5]]), unitaries[:2], "B")
+        assert [len(c.kraus) for c in dropped] == [1, 2]  # a zero weight drops its operator
+        _assert_same_family(dropped[0], [unitaries[0, 0]])
+        bad = unitaries.copy()
+        bad[2, 1] *= 1.001
+        with pytest.raises(ChannelValidationError) as per_channel:
+            unitary_mixture_channel(weights[2], list(bad[2]))
+        with pytest.raises(ChannelValidationError) as stacked:
+            _unitary_mixtures(weights, bad, "B")
+        assert str(stacked.value) == str(per_channel.value) == \
+            "all operators must be unitary within 1e-10"
+        bad_w = weights.copy()
+        bad_w[1] = [0.6, 0.6]
+        with pytest.raises(ChannelValidationError) as per_channel:
+            unitary_mixture_channel(bad_w[1], list(unitaries[1]))
+        with pytest.raises(ChannelValidationError) as stacked:
+            _unitary_mixtures(bad_w, unitaries, "B")
+        assert str(stacked.value) == str(per_channel.value) == \
+            "weights must be nonnegative and sum to 1"
+
+    def test_public_mixture_shapes(self):
+        with pytest.raises(ChannelValidationError, match="unitary within"):
+            unitary_mixture_channel([1.0], [np.ones((2, 3))])
+        with pytest.raises(ChannelValidationError, match="equal-sized"):
+            unitary_mixture_channel([0.5, 0.5], [np.eye(2), np.eye(3)])
+        with pytest.raises(ChannelValidationError, match="equal length"):
+            unitary_mixture_channel([0.5, 0.5], [np.eye(2)])
+
+
+def _reference_classify(channel):
+    """``classify`` as it was before the stack kernel: one operator at a time."""
+    from entmon.channels import PROPORTIONALITY_TOL, ChannelClass, _proportional
+
+    d = channel.dim
+    constants = []
+    for m in channel.kraus:
+        g = m.conj().T @ m
+        c = float(np.real(np.trace(g))) / d
+        if c <= 0.0 or float(np.linalg.norm(g - c * np.eye(d))) > PROPORTIONALITY_TOL:
+            return ChannelClass(TAG_GENERAL)
+        constants.append(c)
+    if len(channel.kraus) == 1 or all(_proportional(channel.kraus[0], m, PROPORTIONALITY_TOL)
+                                      for m in channel.kraus[1:]):
+        return ChannelClass(TAG_LOCAL_UNITARY, {"weights": constants})
+    return ChannelClass(TAG_UNITARY_MIXTURE, {"weights": constants})
+
+
+class TestClassifyStack:
+    @settings(max_examples=60, deadline=None)
+    @given(specs=DRAW_SPECS, seed=st.integers(0, 2**32 - 1))
+    def test_stack_drawn_channels(self, specs, seed):
+        from entmon.channels import _build_channels, _classify_stack, _draw_channel, _draw_mixture
+
+        draws = [(_draw_mixture if mixture else _draw_channel)(d, k, np.random.default_rng([seed, i]))
+                 for i, (mixture, d, k) in enumerate(specs)]
+        channels = _build_channels(draws)
+        classes = _classify_stack(channels)
+        assert classes == [classify(c) for c in channels] == \
+            [_reference_classify(c) for c in channels]
+        for (mixture, _, k), cls in zip(specs, classes):
+            if mixture:  # a drawn mixture is never called general
+                assert cls.tag in (TAG_UNITARY_MIXTURE, TAG_LOCAL_UNITARY)
+            elif k >= 2:  # a drawn general family is never called a mixture
+                assert cls.tag == TAG_GENERAL
+
+    def test_hand_made_channels(self):
+        rng = np.random.default_rng(30)
+        u = haar_unitary(2, rng)
+        channels = [LocalKrausChannel("B", (np.eye(2),)), projective_b(), projective_b(3),
+                    unitary_mixture_channel([0.3, 0.7], [u, haar_unitary(2, rng)]),
+                    unitary_mixture_channel([0.5, 0.5], [u, 1j * u]),
+                    LocalKrausChannel("B", (np.eye(2), np.zeros((2, 2))))]
+        from entmon.channels import _classify_stack
+
+        assert _classify_stack(channels) == [_reference_classify(c) for c in channels]
+        assert [c.tag for c in _classify_stack(channels)] == [
+            TAG_LOCAL_UNITARY, TAG_GENERAL, TAG_GENERAL, TAG_UNITARY_MIXTURE, TAG_LOCAL_UNITARY,
+            TAG_GENERAL]

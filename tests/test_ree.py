@@ -470,6 +470,187 @@ class TestDataProcessingMatchesSandwichReference:
             np.testing.assert_allclose(rep.q, ref.q, rtol=0, atol=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# The data-processing check as one stack of pairs.  The references are the
+# per-pair code it replaced: ``_rel_entropy_psd`` with masked sums, and the
+# check with an ``eigvalsh`` full-rank guard and one divergence per outcome.
+
+
+def _reference_rel_entropy(x, y):
+    from entmon.states import TOL_SUPPORT, clipped_eigvalsh
+
+    xv = clipped_eigvalsh(x)
+    pos = xv[xv > TOL_SUPPORT]
+    tr_x_ln_x = float(np.sum(pos * np.log(pos)))
+    yv, yu = np.linalg.eigh(y)
+    yv = np.clip(yv, 0.0, None)
+    weights = np.clip(np.real(np.einsum("ij,jk,ki->i", yu.conj().T, x, yu)), 0.0, None)
+    kernel = yv <= TOL_SUPPORT
+    if float(np.sum(weights[kernel])) > 1e-10:
+        return math.inf
+    supp = ~kernel
+    return tr_x_ln_x - float(np.sum(weights[supp] * np.log(yv[supp])))
+
+
+def _reference_dpi_check(rho, sigma, channel):
+    from entmon.channels import _gram_outcomes
+    from entmon.ree import DataProcessingReport
+
+    if float(np.linalg.eigvalsh(sigma.matrix)[0]) < 1e-12:
+        return DataProcessingReport(math.nan, math.nan, math.nan, np.array([]), np.array([]),
+                                    math.nan, skipped_reason="sigma is not full rank")
+    total = _reference_rel_entropy(rho.matrix, sigma.matrix)
+    outs = _gram_outcomes(np.stack(channel.kraus), channel.side,
+                          np.stack([rho.matrix, sigma.matrix]), rho.dims)[0]
+    p, q = outs.trace(axis1=-2, axis2=-1).real
+    outcome = float(sum(_reference_rel_entropy(x, y) for x, y in zip(*outs)))
+    if math.isinf(outcome) or math.isinf(total):
+        return DataProcessingReport(outcome, total, math.nan, p, q, math.nan,
+                                    skipped_reason="support violation produced an infinite "
+                                                   "divergence")
+    return DataProcessingReport(outcome, total, total - outcome, p, q,
+                                float(np.max(np.abs(p - q))))
+
+
+def _same_bits(a, b):
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b)
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _assert_same_dpi(rep, ref):
+    for name in ("outcome_divergence", "total_divergence", "gap", "p", "q",
+                 "max_prob_deviation", "skipped_reason"):
+        assert _same_bits(getattr(rep, name), getattr(ref, name)), name
+
+
+def _psd(n, rank, rng):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    return g @ g.conj().T * rng.uniform(0.1, 2.0)
+
+
+class TestDataProcessingStack:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 9), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_rel_entropy_stack_matches_per_pair_reference(self, n, m, seed, data):
+        from entmon.states import _rel_entropy_psd, _rel_entropy_stack
+
+        rng = np.random.default_rng(seed)
+        ranks = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                                   min_size=m, max_size=m))
+        x = np.stack([_psd(n, rx, rng) for rx, _ in ranks])
+        y = np.stack([_psd(n, ry, rng) for _, ry in ranks])
+        stacked = _rel_entropy_stack(x, *np.linalg.eigh(y)).tolist()
+        assert stacked == [_reference_rel_entropy(a, b) for a, b in zip(x, y)]
+        assert stacked == [_rel_entropy_psd(a, b) for a, b in zip(x, y)]
+
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_rel_entropy_stack_sums_each_support_alone(self, n):
+        # From 8 terms up, numpy sums pairwise, so a sum over a zero-filled
+        # row rounds unlike the same sum over the support alone: the stack
+        # must sum each member's support as its own call does.
+        from entmon.states import _rel_entropy_stack
+
+        rng = np.random.default_rng(n)
+        x = np.stack([_psd(n, int(r), rng) for r in rng.integers(1, n + 1, 200)])
+        y = np.stack([_psd(n, int(r), rng) for r in rng.integers(n - 1, n + 1, 200)])
+        stacked = _rel_entropy_stack(x, *np.linalg.eigh(y)).tolist()
+        assert stacked == [_reference_rel_entropy(a, b) for a, b in zip(x, y)]
+
+    @pytest.mark.parametrize("dims_pair,side", [((2, 2), "B"), ((2, 3), "B"), ((2, 3), "A"),
+                                                ((3, 3), "B")])
+    def test_stack_matches_per_pair_reference(self, dims_pair, side):
+        from entmon.ree import _data_processing_stack
+
+        dims = Dims(*dims_pair)
+        d = dims.factors["AB".index(side)]
+        rng = np.random.default_rng(80)
+        mats, channels = [], []
+        for kind in ("unitary", "mixture", "general", "projective"):
+            for seed in range(4):
+                rho = random_mixed(dims, 1 + seed if seed < 2 else None, rng)
+                sigma = random_mixed(dims, None if seed % 3 else dims.total - 1, rng)
+                mats.append([rho.matrix, sigma.matrix])
+                channels.append(_dpi_channel(kind, d, side, rng))
+        refs = [_reference_dpi_check(DensityMatrix(r, dims), DensityMatrix(s, dims), channel)
+                for (r, s), channel in zip(mats, channels)]
+        assert {ref.skipped_reason for ref in refs} == {None, "sigma is not full rank"}
+        for rep, ref in zip(_data_processing_stack(np.array(mats), channels, dims), refs):
+            _assert_same_dpi(rep, ref)
+        for (r, s), channel, ref in zip(mats, channels, refs):
+            _assert_same_dpi(ree_data_processing_check(DensityMatrix(r, dims),
+                                                       DensityMatrix(s, dims), channel), ref)
+
+    @pytest.mark.parametrize("n_kraus", [2, 4])
+    def test_sigma_is_decomposed_once(self, monkeypatch, n_kraus):
+        # The parent decomposed sigma three times per call (the guard's
+        # eigvalsh, the divergence's eigh and the Gram kernel's eigh), in
+        # 2 K + 4 calls; now one eigh of [rho, sigma] serves all three.
+        rng = np.random.default_rng(81)
+        rho, sigma = random_mixed(Dims(2, 3), None, rng), random_mixed(Dims(2, 3), None, rng)
+        channel = random_channel(3, n_kraus, rng)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def recording(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.array(a)))
+                return _f(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recording)
+        rep = ree_data_processing_check(rho, sigma, channel)
+        assert rep.skipped_reason is None
+        with_sigma = [name for name, a in calls
+                      for m in a.reshape(-1, 6, 6) if np.array_equal(m, sigma.matrix)]
+        assert with_sigma == ["eigh"]
+        assert len(calls) == 4
+
+
+def _reference_sweep_ree_dpi(config):
+    """The ``ree-dpi`` sweep as it was: per trial two validated states, one
+    channel and one per-pair check."""
+    from entmon.channels import classify
+    from entmon.verify import CHECK_IDS, EQUALITY_TOL, _report, _trial_channel
+
+    check_idx = CHECK_IDS.index("ree-dpi")
+    reports = []
+    for t in range(config.trials):
+        seed = derived_seed(config.seed, check_idx, t)
+        rng = np.random.default_rng(seed)
+        dims_pair = config.dims[t % len(config.dims)]
+        dims = Dims(*dims_pair)
+        rho, sigma = random_mixed(dims, None, rng), random_mixed(dims, None, rng)
+        channel = _trial_channel(config, t, dims_pair[1], rng, 4, 2)
+        rep = _reference_dpi_check(rho, sigma, channel)
+        if rep.skipped_reason is not None:
+            lhs, rhs, metadata = 0.0, 0.0, {"reason": rep.skipped_reason}
+        else:
+            equality = bool(rep.gap < EQUALITY_TOL)
+            lhs, rhs = rep.total_divergence, rep.outcome_divergence
+            metadata = {"rule": "gap >= -tolerance and probabilities unchanged" if equality
+                        else "gap >= -tolerance",
+                        "max_prob_deviation": rep.max_prob_deviation, "equality_case": equality}
+        reports.append(_report("ree-dpi", "ree", classify(channel).tag, lhs, rhs, EQUALITY_TOL,
+                               seed, metadata))
+    return reports
+
+
+class TestReeDpiSweepMatchesPerTrialReference:
+    @pytest.mark.parametrize("seed,trials,small", [(seed, trials, seed == 1) for seed in range(3)
+                                                   for trials in (0, 1, 7, 24)])
+    def test_sweep(self, seed, trials, small, monkeypatch):
+        from entmon import verify
+
+        if small:  # many batches, a dims of several trials in each
+            monkeypatch.setattr(verify, "_BATCH_STATES", 9)
+        config = verify.SweepConfig(dims=((2, 2), (2, 3), (3, 2)), trials=trials,
+                                    n_kraus=2 + seed, seed=seed)
+        stacked = verify._sweep_ree_dpi(config, verify.CHECK_IDS.index("ree-dpi"))
+        reference = _reference_sweep_ree_dpi(config)
+        assert [verify.report_to_json(r) for r in stacked] == \
+            [verify.report_to_json(r) for r in reference]
+        if trials == 24:
+            assert {r.channel_class for r in stacked} == {"general", "mixture-of-local-unitaries"}
+
+
 @settings(max_examples=60, deadline=None)
 @given(d_b=st.sampled_from([2, 3]), c=st.floats(0.05, 1.0), log_eps=st.floats(-12.0, -3.0),
        seed=st.integers(0, 2**32 - 1))

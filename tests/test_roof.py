@@ -151,6 +151,21 @@ class TestRoofMinimize:
         assert default_n_terms(random_mixed(Dims(2, 3), 2, np.random.default_rng(1))) == 4
         assert default_n_terms(random_mixed(Dims(2, 3), 6, np.random.default_rng(2))) == 8
 
+    @pytest.mark.parametrize("dims_pair", [(3, 3), (2, 5), (3, 4)])
+    def test_default_n_terms_covers_the_rank(self, dims_pair):
+        # Known defect 1: the default was capped at 8, below every rank of 9
+        # or more, so roof_minimize refused its own default.
+        dims = Dims(*dims_pair)
+        for rank in range(1, dims.total + 1):
+            rho = random_mixed(dims, rank, np.random.default_rng(rank))
+            assert default_n_terms(rho) == max(rank, min(rank * rank, 2 * rank, 8))
+
+    def test_full_rank_3x3_input_runs_at_the_default_n_terms(self):
+        rho = random_mixed(Dims(3, 3), None, np.random.default_rng(0))
+        res = roof_minimize(ENTROPY, rho, None, 1)
+        assert np.isfinite(res.value) and res.value >= 0.0
+        assert len(res.best.weights) <= 9
+
 
 class TestSmoothPath:
     def test_converged_wherever_criterion_4_is_accurate(self):

@@ -152,3 +152,16 @@ class TestStackSamplersMatchPerStateDraws:
     def test_mixed_rank_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             random_mixed_stack(Dims(2, 2), 5, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 4, 6, 8, 9, 16, 27])
+def test_unit_rows_divide_by_each_rows_own_norm(n_cols):
+    # The stacked row norms are the ones np.linalg.norm takes row by row,
+    # bit for bit, on stacks as large as a strict sweep's 100 states and
+    # larger.
+    from entmon.sampling import _unit_rows
+
+    z = np.random.default_rng(n_cols).standard_normal((300, 2, n_cols))
+    v = z[:, 0] + 1j * z[:, 1]
+    reference = np.stack([row / np.linalg.norm(row) for row in v])
+    assert np.array_equal(_unit_rows(z), reference)

@@ -453,8 +453,9 @@ class TestDecisionRules:
         from entmon import verify
 
         calls = []
-        classify = verify.classify
-        monkeypatch.setattr(verify, "classify", lambda ch: calls.append(ch) or classify(ch))
+        classify_stack = verify._classify_stack
+        monkeypatch.setattr(verify, "_classify_stack",
+                            lambda chs: calls.extend(chs) or classify_stack(chs))
         monkeypatch.setattr(verify, "_BATCH_STATES", 4)  # a channel's items straddle batches
         config = SweepConfig(trials=10, seed=0)
         reports = verify._sweep_strict(config, verify.CHECK_IDS.index("strict"))
@@ -465,11 +466,11 @@ class TestDecisionRules:
         from entmon import verify
         from entmon.ree import DataProcessingReport
 
-        def moved_probabilities(rho, sigma, channel):
+        def moved_probabilities(mats, channels, dims):
             p, q = np.array([0.5, 0.5]), np.array([0.501, 0.499])
-            return DataProcessingReport(0.25, 0.25, 0.0, p, q, 1e-3)
+            return [DataProcessingReport(0.25, 0.25, 0.0, p, q, 1e-3)] * len(channels)
 
-        monkeypatch.setattr(verify, "ree_data_processing_check", moved_probabilities)
+        monkeypatch.setattr(verify, "_data_processing_stack", moved_probabilities)
         rep, = verify._sweep_ree_dpi(SweepConfig(trials=1), verify.CHECK_IDS.index("ree-dpi"))
         assert rep.gap == 0.0
         assert rep.metadata["equality_case"] is True
@@ -1279,11 +1280,14 @@ def test_only_channels_applies_kraus_operators_in_the_sweeps():
 
     code = channels._embedded_kraus.__code__
     callers = []
+    states = []  # states each call applies Kraus operators to: one per family
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
             caller = frame.f_back.f_code
             callers.append((caller.co_filename, caller.co_name))
+            kraus = frame.f_locals["kraus"]
+            states.append(len(kraus) if kraus.ndim == 4 else 1)
 
     config = SweepConfig(checks=("ree-dpi", "monogamy"), trials=60, seed=3)
     sys.setprofile(profile)
@@ -1292,7 +1296,7 @@ def test_only_channels_applies_kraus_operators_in_the_sweeps():
     finally:
         sys.setprofile(None)
     assert {r.check_id for r in reports} == {"ree-dpi", "monogamy"}
-    assert len(callers) >= 60
+    assert sum(states) >= 2 * 60  # rho and sigma of every ree-dpi trial
     assert {filename for filename, _ in callers} == {code.co_filename}
 
 
@@ -1329,3 +1333,65 @@ class TestStrictBoundary:
         with pytest.raises(ValueError, match="n_states must be at least 1"):
             check_strict("negativity", _stack_sampler("mixed", Dims(2, 2)), channel, n_states,
                          rng)
+
+
+# ---------------------------------------------------------------------------
+# reduced-state judged across trials, in batches that mix dims.
+# ``tests/test_ree.py`` compares the ree-dpi sweep with its per-trial form.
+
+
+# (seed, trials, small batches): every seed meets every trial count.
+ACROSS_TRIALS_CASES = [(seed, trials, seed == 1) for seed in range(3) for trials in (0, 1, 7, 24)]
+
+
+class TestReducedStateAcrossTrials:
+    @pytest.mark.parametrize("seed,trials,small", ACROSS_TRIALS_CASES)
+    def test_sweep(self, seed, trials, small, monkeypatch):
+        from entmon import verify
+
+        if small:  # many batches, a dims of several trials in each
+            monkeypatch.setattr(verify, "_BATCH_STATES", 9)
+        config = SweepConfig(dims=((2, 2), (2, 3), (3, 2)), trials=trials, n_kraus=2 + seed,
+                             seed=seed)
+        assert _json_lines(verify._sweep_reduced_state(config, 3)) == \
+            _json_lines(_reference_sweep_reduced_state(config))
+
+    def test_one_trial_cases_match_the_stack(self):
+        from entmon.verify import _reduced_state_reports
+
+        inputs = _reduced_state_branch_inputs(np.random.default_rng(40))
+        items = [(h, projector_stack(psi.amplitudes[None]), channel, i, psi)
+                 for i, (h, psi, channel) in enumerate(inputs)]
+        one_by_one = [check_reduced_state_condition(h, psi, channel, seed=i)
+                      for i, (h, psi, channel) in enumerate(inputs)]
+        assert _json_lines(_reduced_state_reports(items)) == _json_lines(one_by_one)
+
+
+def _stack_drawn_channel(mixture, d, k, rng):
+    from entmon.channels import _build_channels, _draw_channel, _draw_mixture
+
+    return _build_channels([(_draw_mixture if mixture else _draw_channel)(d, k, rng)])[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims_pair=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), mixture=st.booleans(),
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_tangle_gap_is_the_reduced_state_spread(dims_pair, mixture, k, seed):
+    # Direction 5: for a side-B channel on a pure input the A marginals
+    # average to the input's, so tau(psi) - sum_k p_k tau(psi_k) equals
+    # 2 sum_k p_k ||rho_A^k - rho_A||_2^2.
+    from entmon.channels import apply_channel_to_pure
+    from entmon.states import partial_trace
+
+    rng = np.random.default_rng(seed)
+    psi = random_pure(Dims(*dims_pair), rng)
+    channel = _stack_drawn_channel(mixture, dims_pair[1], k, rng)
+    rep = check_reduced_state_condition(TANGLE, psi, channel)
+    rho_a = partial_trace(psi.density(), "A").matrix
+    spread = 2.0 * sum(p * np.linalg.norm(partial_trace(out.density(), "A").matrix - rho_a) ** 2
+                       for p, out in apply_channel_to_pure(channel, psi))
+    if "reason" not in rep.metadata:
+        assert abs(rep.gap - spread) <= 1e-12
+    if mixture:
+        assert rep.channel_class != "general"
+        assert spread <= 1e-12

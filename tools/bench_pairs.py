@@ -20,7 +20,9 @@ has all of them equal), and per metric each side's median and quartiles,
 how many pairs the change won (ties count for neither side) and whether a
 gain on it could be claimed: ``claim_holds`` is true when the change won at
 least 9 in 10 of the pairs and its median is better than the parent's by
-more than the parent's interquartile range.
+more than the parent's interquartile range.  Below 10 pairs it is null:
+with 4 pairs, "9 in 10" means 4 of 4 and the parent's quartiles come from
+4 runs, so the machine's drift between runs can pass as a gain.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import sys
 from pathlib import Path
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+CLAIM_PAIRS = 10  # fewest pairs on which a gain can be claimed
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -82,7 +85,8 @@ def _summary(parent: list[dict], change: list[dict], declared: list[dict]) -> di
         gain = (qp["median"] - qc["median"]) * (1 if lower else -1)
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                      "parent": qp, "change": qc, "change_wins": wins, "pairs": len(p),
-                     "claim_holds": 10 * wins >= 9 * len(p) and gain > qp["q3"] - qp["q1"]}
+                     "claim_holds": None if len(p) < CLAIM_PAIRS
+                     else 10 * wins >= 9 * len(p) and gain > qp["q3"] - qp["q1"]}
     return out
 
 
