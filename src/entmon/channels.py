@@ -20,9 +20,10 @@ Random channels are drawn in two steps.  A draw (``_draw_channel``,
 generator; ``_build_channels`` then builds many draws at once, with one
 stacked phase-fixed QR per matrix size and one check of the families
 (``_check_families``, which ``LocalKrausChannel`` runs on a stack of one).
-``random_channel`` and ``classify`` are the one-channel cases of
-``_build_channels`` and ``_classify_stack``; stacked LAPACK calls give
-each member the bits of its own call.
+``random_channel`` is the one-draw case of ``_build_channels``; stacked
+LAPACK calls give each member the bits of its own call.  The Gram stack
+that checks a family's completeness also classifies it, once, when the
+channel is built; ``classify`` reads that class.
 """
 
 from __future__ import annotations
@@ -57,11 +58,20 @@ class ChannelValidationError(ValueError):
 
 
 @dataclass(frozen=True)
+class ChannelClass:
+    """Classification tag plus per-Kraus proportionality constants when known."""
+
+    tag: str
+    details: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class LocalKrausChannel:
     """Kraus family {M_k} acting on one subsystem of a bipartite state."""
 
     side: str
     kraus: tuple[np.ndarray, ...]
+    channel_class: ChannelClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.kraus:
@@ -71,33 +81,61 @@ class LocalKrausChannel:
         for m in ms:
             if m.shape != (d, d):
                 raise ChannelValidationError("all Kraus operators must be square and equal-sized")
-        _check_families(self.side, np.stack(ms)[None])
+        cls, = _check_families(self.side, np.stack(ms)[None])
         object.__setattr__(self, "kraus", ms)
+        object.__setattr__(self, "channel_class", cls)
 
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
 
-def _check_families(side: str, kraus: np.ndarray) -> None:
+def _check_families(side: str, kraus: np.ndarray, live=None) -> list[ChannelClass]:
     """The one check of Kraus families, on a ``(N, K, d, d)`` stack of them
-    (zero-padded where shorter) acting on ``side``: each must satisfy
-    sum_k M_k^dag M_k = I within ``COMPLETENESS_TOL``."""
+    acting on ``side``: each must be finite and satisfy sum_k M_k^dag M_k = I
+    within ``COMPLETENESS_TOL``.  Returns the ``classify`` class of each,
+    from the same Gram stack.  ``live``, ``(N, K)``, marks each family's own
+    operators; the others are zero padding (default: none)."""
     if side not in ("A", "B"):
         raise ChannelValidationError(f"side must be 'A' or 'B', got {side!r}")
-    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
-    residual = np.linalg.norm(total - np.eye(kraus.shape[-1]), axis=(-2, -1))
+    if not np.isfinite(kraus).all():
+        raise ChannelValidationError("Kraus operators contain non-finite entries")
+    d = kraus.shape[-1]
+    g = kraus.conj().swapaxes(-1, -2) @ kraus
+    residual = np.linalg.norm(g.sum(axis=1) - np.eye(d), axis=(-2, -1))
     if residual.max() > COMPLETENESS_TOL:
         raise ChannelValidationError(f"completeness residual "
                                      f"{_first(residual, residual > COMPLETENESS_TOL)} "
                                      f"exceeds {COMPLETENESS_TOL}")
+    live = np.ones(kraus.shape[:2], bool) if live is None else live
+    c = g.trace(axis1=-2, axis2=-1).real / d
+    dev = np.linalg.norm(g - c[..., None, None] * np.eye(d), axis=(-2, -1))
+    out = []
+    for i, mixture in enumerate(((c > 0.0) & (dev <= PROPORTIONALITY_TOL) | ~live).all(axis=1)):
+        if not mixture:
+            out.append(ChannelClass(TAG_GENERAL))
+            continue
+        ops = kraus[i, live[i]]
+        single = all(_proportional(ops[0], m, PROPORTIONALITY_TOL) for m in ops[1:])
+        out.append(ChannelClass(TAG_LOCAL_UNITARY if single else TAG_UNITARY_MIXTURE,
+                                {"weights": c[i, live[i]].tolist()}))
+    return out
 
 
-def _trusted_channel(side: str, kraus: tuple) -> LocalKrausChannel:
-    """A LocalKrausChannel around families already checked by ``_check_families``."""
+def _proportional(m1: np.ndarray, m2: np.ndarray, tol: float) -> bool:
+    denom = float(np.vdot(m1, m1).real)
+    if denom <= tol * tol:
+        return False
+    z = np.vdot(m1, m2) / denom
+    return float(np.linalg.norm(m2 - z * m1)) <= tol
+
+
+def _trusted_channel(side: str, kraus: tuple, cls: ChannelClass) -> LocalKrausChannel:
+    """A LocalKrausChannel around a family that ``_check_families`` passed as ``cls``."""
     channel = object.__new__(LocalKrausChannel)
     object.__setattr__(channel, "side", side)
     object.__setattr__(channel, "kraus", kraus)
+    object.__setattr__(channel, "channel_class", cls)
     return channel
 
 
@@ -123,14 +161,6 @@ class OutcomeEnsemble:
     def average_state(self) -> DensityMatrix:
         m = sum(p * s.matrix for p, s in self.outcomes)
         return DensityMatrix(m, self.outcomes[0][1].dims)
-
-
-@dataclass(frozen=True)
-class ChannelClass:
-    """Classification tag plus per-Kraus proportionality constants when known."""
-
-    tag: str
-    details: dict = field(default_factory=dict)
 
 
 def _embedded_kraus(kraus: np.ndarray, side: str, dims) -> np.ndarray:
@@ -245,14 +275,6 @@ def apply_channel_to_pure(
             for pk, v in zip(p[keep], vs[keep])]
 
 
-def _proportional(m1: np.ndarray, m2: np.ndarray, tol: float) -> bool:
-    denom = float(np.vdot(m1, m1).real)
-    if denom <= tol * tol:
-        return False
-    z = np.vdot(m1, m2) / denom
-    return float(np.linalg.norm(m2 - z * m1)) <= tol
-
-
 def classify(channel: LocalKrausChannel) -> ChannelClass:
     """Classify a channel as local-unitary, a unitary mixture, or general.
 
@@ -260,35 +282,9 @@ def classify(channel: LocalKrausChannel) -> ChannelClass:
     scaled unitary; if every operator passes, the channel is a convex
     mixture of local unitaries with weights c_k.  A single effective
     operator (one outcome, or all operators pairwise proportional) is a
-    plain local unitary.  The one-channel case of ``_classify_stack``.
+    plain local unitary.  ``_check_families`` classified it when it was built.
     """
-    return _classify_stack([channel])[0]
-
-
-def _classify_stack(channels) -> list[ChannelClass]:
-    """``classify`` of every channel of a list: per dimension, one Gram
-    stack of all their Kraus operators."""
-    out = [None] * len(channels)
-    by_dim = {}
-    for i, channel in enumerate(channels):
-        by_dim.setdefault(channel.dim, []).append(i)
-    for d, group in by_dim.items():
-        ops = np.stack([m for i in group for m in channels[i].kraus])
-        g = ops.conj().swapaxes(-1, -2) @ ops
-        c = g.trace(axis1=-2, axis2=-1).real / d
-        dev = np.linalg.norm(g - c[:, None, None] * np.eye(d), axis=(-2, -1))
-        scaled = (~((c <= 0.0) | (dev > PROPORTIONALITY_TOL))).tolist()
-        stop = 0
-        for i in group:
-            start, stop = stop, stop + len(channels[i].kraus)
-            if not all(scaled[start:stop]):
-                out[i] = ChannelClass(TAG_GENERAL)
-                continue
-            single = all(_proportional(ops[start], m, PROPORTIONALITY_TOL)
-                         for m in ops[start + 1:stop])
-            out[i] = ChannelClass(TAG_LOCAL_UNITARY if single else TAG_UNITARY_MIXTURE,
-                                  {"weights": c[start:stop].tolist()})
-    return out
+    return channel.channel_class
 
 
 def random_channel(
@@ -328,6 +324,8 @@ def _unitary_mixtures(weights: np.ndarray, unitaries: np.ndarray,
     """The channels sqrt(w_k) U_k of an ``(N, K)`` stack of weights and an
     ``(N, K, d, d)`` stack of unitaries, operators of weight at most 1e-15
     dropped.  Weights, unitarity and completeness are checked once."""
+    if not (np.isfinite(weights).all() and np.isfinite(unitaries).all()):
+        raise ChannelValidationError("weights and unitaries must be finite")
     if (np.abs(weights.sum(axis=-1) - 1.0) > 1e-10).any() or (weights < 0.0).any():
         raise ChannelValidationError("weights must be nonnegative and sum to 1")
     eye = np.eye(unitaries.shape[-1])
@@ -336,8 +334,8 @@ def _unitary_mixtures(weights: np.ndarray, unitaries: np.ndarray,
         raise ChannelValidationError("all operators must be unitary within 1e-10")
     keep = weights > 1e-15
     kraus = np.where(keep[..., None, None], np.sqrt(weights)[..., None, None] * unitaries, 0.0)
-    _check_families(side, kraus)
-    return [_trusted_channel(side, tuple(k[kept])) for k, kept in zip(kraus, keep)]
+    return [_trusted_channel(side, tuple(k[kept]), cls)
+            for k, kept, cls in zip(kraus, keep, _check_families(side, kraus, keep))]
 
 
 @dataclass
@@ -383,8 +381,8 @@ def _build_channels(draws) -> list[LocalKrausChannel]:
         u = _haar_stack(np.stack([draw.ginibre for draw in group]))
         if general:  # the blocks of the first d columns
             kraus = u[..., :d].reshape(len(group), -1, d, d)
-            _check_families(side, kraus)
-            built = [_trusted_channel(side, tuple(k)) for k in kraus]
+            built = [_trusted_channel(side, tuple(k), cls)
+                     for k, cls in zip(kraus, _check_families(side, kraus))]
         else:
             built = _unitary_mixtures(np.stack([draw.weights for draw in group]), u, side)
         for draw, channel in zip(group, built):

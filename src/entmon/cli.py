@@ -51,6 +51,9 @@ def _convert_base(value: float, measure_id: str, base: str) -> float:
 
 
 def cmd_measure(args) -> int:
+    if args.seed < 0:
+        _log("error: --seed must be nonnegative")
+        return EXIT_PARSE
     try:
         state = load_state(args.state_file)
     except (OSError, StateFormatError, StateValidationError, DimensionMismatchError) as exc:

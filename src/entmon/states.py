@@ -100,7 +100,7 @@ def _as_complex(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector with subsystem dimension tags."""
+    """Normalized state vector with its subsystem dimensions."""
 
     amplitudes: np.ndarray
     dims: Dims
@@ -128,7 +128,7 @@ def projector_stack(amps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix with dimension tags."""
+    """Hermitian, positive semidefinite, unit-trace matrix with its subsystem dimensions."""
 
     matrix: np.ndarray
     dims: Dims

@@ -14,8 +14,9 @@ and ``_draw_mixture``).  The trials of ``monotone`` (closed forms),
 ``_BATCH_STATES`` input states once, builds its channels as stacks
 (``_build_channels``) and judges it with one kernel: ``_closed_gaps``
 (per measure, one ``_outcome_stack`` and one ``evaluate_closed_stack``
-call), ``_reduced_state_reports`` or ``_ree_dpi_reports``.  Each kernel
-classifies its channels as one stack (``_classify_stack``).
+call), ``_reduced_state_reports`` or ``_ree_dpi_reports``.  No kernel
+classifies a channel: each reads ``classify(channel)``, the class that
+``channels._check_families`` gave the channel when it was built.
 ``_concavity_reports`` judges all ``concavity`` trials with one
 ``eigvalsh`` per (h, dimension).  The other checks, and the optimizer
 tiers of ``monotone``, judge one trial at a time.
@@ -48,7 +49,6 @@ from .channels import (
     TAG_LOCAL_UNITARY,
     TAG_UNITARY_MIXTURE,
     _build_channels,
-    _classify_stack,
     _draw_channel,
     _draw_mixture,
     _outcome_stack,
@@ -284,7 +284,7 @@ def _monotone_reports(items, dims):
             for item, (tag, lhs, rhs, n_outcomes) in zip(items, _closed_gaps(items, dims))]
 
 
-def _closed_gaps(items, dims, tags=None):
+def _closed_gaps(items, dims):
     """Per item ``(measure_id, mats, channel, ...)``, the channel's tag and,
     per state of ``mats``, the measure of the state and its average over
     the channel's outcomes, as ``(tag, lhs, rhs, n_outcomes)``.
@@ -294,12 +294,7 @@ def _closed_gaps(items, dims, tags=None):
     items of one measure are one ``_outcome_stack`` call and one
     ``evaluate_closed_stack`` call on their inputs followed by the kept
     outcomes; a state's values do not depend on the rest of the stack.
-    Each distinct channel is classified once, the new ones of a call as one
-    ``_classify_stack`` call: ``tags`` maps ``id(channel)`` to ``(channel,
-    tag)`` (holding the channel keeps its id unique) and may be shared by
-    calls.
     """
-    tags = {} if tags is None else tags
     gaps = [None] * len(items)
     for measure_id, group in _groups(item[0] for item in items).items():
         counts = [len(items[i][1]) for i in group]
@@ -320,10 +315,7 @@ def _closed_gaps(items, dims, tags=None):
         for i, count in zip(group, counts):
             start, stop = stop, stop + count
             gaps[i] = vals[start:stop], rhs[start:stop], n_outcomes[start:stop]
-    new = {id(item[2]): item[2] for item in items if id(item[2]) not in tags}
-    for channel, cls in zip(new.values(), _classify_stack(list(new.values()))):
-        tags[id(channel)] = channel, cls.tag
-    return [(tags[id(item[2])][1], *gap) for item, gap in zip(items, gaps)]
+    return [(classify(item[2]).tag, *gap) for item, gap in zip(items, gaps)]
 
 
 def _input_dims(channel: LocalKrausChannel, mats: np.ndarray, n_states: int) -> Dims:
@@ -373,14 +365,14 @@ def check_strict(
     return _strict_reports([(measure_id, mats, channel, seed, False)], dims)[0]
 
 
-def _strict_reports(items, dims, tags=None):
+def _strict_reports(items, dims):
     """``check_strict`` reports of ``items``, tuples ``(measure_id, mats,
-    channel, seed, mixture)`` as ``_closed_gaps`` takes them, with its
-    ``tags``.  An item built as a unitary mixture (``mixture``) that
-    ``classify`` calls general fails with a note."""
+    channel, seed, mixture)`` as ``_closed_gaps`` takes them.  An item
+    built as a unitary mixture (``mixture``) that ``classify`` calls
+    general fails with a note."""
     return [_strict_report(measure_id, tag, lhs, rhs, seed, mixture)
             for (measure_id, _, _, seed, mixture), (tag, lhs, rhs, _)
-            in zip(items, _closed_gaps(items, dims, tags))]
+            in zip(items, _closed_gaps(items, dims))]
 
 
 def _strict_report(measure_id, tag, lhs_vals, rhs_vals, seed, mixture):
@@ -512,8 +504,7 @@ def _reduced_state_reports(items):
             start, stop = stop, stop + len(outcomes[i])
             values[i] = h_vals[j], h_vals[start:stop], marginals[j], marginals[start:stop]
     reports = []
-    for (h, _, _, seed, _), outs, (lhs, vals, rho_a, out_a), cls in zip(
-            items, outcomes, values, _classify_stack([item[2] for item in items])):
+    for (h, _, channel, seed, _), outs, (lhs, vals, rho_a, out_a) in zip(items, outcomes, values):
         rhs = functools.reduce(operator.add, (p * v for (p, _), v in zip(outs, vals)), 0.0)
         max_dev = max([0.0] + [float(np.linalg.norm(m - rho_a)) for m in out_a])
         metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(outs)}
@@ -528,8 +519,8 @@ def _reduced_state_reports(items):
             tol, lhs, rhs = EQUALITY_TOL, 0.0, 0.0
         if "reason" not in metadata:
             metadata.update(branch=branch, rule=rule)
-        reports.append(_report("reduced-state", h.measure_id, cls.tag, lhs, rhs, tol, seed,
-                               metadata))
+        reports.append(_report("reduced-state", h.measure_id, classify(channel).tag, lhs, rhs,
+                               tol, seed, metadata))
     return reports
 
 
@@ -723,20 +714,20 @@ class SweepConfig:
         for d in self.dims:
             if len(d) != 2 or any(not isinstance(x, int) or x < 2 for x in d):
                 raise ValueError(f"dims entries must be pairs of integers >= 2, got {d!r}")
+        for name in ("trials", "n_kraus", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if self.n_kraus < 1:
             raise ValueError("n_kraus must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _cycled(options, index):
     return options[index % len(options)]
-
-
-def _random_unitary_mixture(d: int, n_unitaries: int, rng: np.random.Generator, side="B"):
-    """A mixture of ``n_unitaries`` Haar unitaries with Dirichlet weights:
-    the one-draw case of ``_build_channels``."""
-    return _build_channels([_draw_mixture(d, n_unitaries, rng, side)])[0]
 
 
 def _n_kraus(config: SweepConfig, t: int) -> int:
@@ -754,12 +745,6 @@ def _trial_draw(config: SweepConfig, t: int, d: int, rng: np.random.Generator, e
     if t % every == every - 1:
         return _draw_mixture(d, n_unitaries, rng)
     return _draw_channel(d, _n_kraus(config, t), rng)
-
-
-def _trial_channel(config: SweepConfig, t: int, d: int, rng: np.random.Generator, every: int,
-                   n_unitaries: int) -> LocalKrausChannel:
-    """Trial ``t``'s channel: the one-draw case of ``_trial_draw``."""
-    return _build_channels([_trial_draw(config, t, d, rng, every, n_unitaries)])[0]
 
 
 def _stack_sampler(kind: str, dims: Dims):
@@ -862,11 +847,11 @@ def _strict_items(config: SweepConfig, check_idx: int, di: int):
 
 def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     """The reports of one dims, both directions, go to ``_strict_reports``
-    in batches that share one ``tags`` cache."""
+    in batches."""
     existence, equality = [], []
     for di, dims_pair in enumerate(config.dims):
         for item, rep in _batch_reports(_strict_items(config, check_idx, di), _strict_reports,
-                                        Dims(*dims_pair), {}):
+                                        Dims(*dims_pair)):
             (equality if item[4] else existence).append(rep)
     return existence + equality
 
@@ -984,7 +969,7 @@ def _ree_dpi_reports(items):
         for i, rep in zip(group, reps):
             dpi[i] = rep
     reports = []
-    for (_, _, _, seed), rep, cls in zip(items, dpi, _classify_stack([it[2] for it in items])):
+    for (_, _, channel, seed), rep in zip(items, dpi):
         if rep.skipped_reason is not None:
             lhs, rhs, metadata = 0.0, 0.0, {"reason": rep.skipped_reason}
         else:
@@ -995,8 +980,8 @@ def _ree_dpi_reports(items):
             metadata = {"rule": "gap >= -tolerance and probabilities unchanged" if equality
                         else "gap >= -tolerance",
                         "max_prob_deviation": rep.max_prob_deviation, "equality_case": equality}
-        reports.append(_report("ree-dpi", "ree", cls.tag, lhs, rhs, EQUALITY_TOL, seed,
-                               metadata))
+        reports.append(_report("ree-dpi", "ree", classify(channel).tag, lhs, rhs, EQUALITY_TOL,
+                               seed, metadata))
     return reports
 
 

@@ -246,6 +246,26 @@ class TestApply:
         assert len(outs) == 1
 
 
+class TestNonFiniteInputs:
+    """Non-finite entries are refused before any matrix product; pytest
+    turns the product's RuntimeWarning into an error."""
+
+    def test_kraus_family(self):
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            LocalKrausChannel("B", (np.full((2, 2), np.nan),))
+
+    def test_mixture_unitary(self):
+        bad = np.eye(2)
+        bad[0, 1] = np.nan
+        with pytest.raises(ChannelValidationError, match="must be finite"):
+            unitary_mixture_channel([0.5, 0.5], [np.eye(2), bad])
+
+    def test_mixture_weight(self):
+        u = haar_unitary(2, np.random.default_rng(5))
+        with pytest.raises(ChannelValidationError, match="must be finite"):
+            unitary_mixture_channel([np.nan, 1.0], [u, u])
+
+
 class TestClassify:
     def test_identity_is_local_unitary(self):
         assert classify(LocalKrausChannel("B", (np.eye(2),))).tag == TAG_LOCAL_UNITARY
@@ -384,11 +404,11 @@ class TestStackedChannelBuildMatchesPerDrawReferences:
     @given(mixture=st.booleans(), d=st.sampled_from([2, 3]), k=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["A", "B"]))
     def test_one_draw_cases(self, mixture, d, k, seed, side):
-        from entmon.verify import _random_unitary_mixture
+        from entmon.channels import _build_channels, _draw_mixture
 
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draw = _random_unitary_mixture if mixture else random_channel
-        channel = draw(d, k, rng, side=side)
+        channel = _build_channels([_draw_mixture(d, k, rng, side)])[0] if mixture \
+            else random_channel(d, k, rng, side=side)
         _assert_same_family(channel, (_reference_mixture if mixture else _reference_general)(
             d, k, ref_rng))
         assert channel.side == side
@@ -472,17 +492,18 @@ def _reference_classify(channel):
 
 
 class TestClassifyStack:
+    """Each channel is classified by the check of the stack it was built in."""
+
     @settings(max_examples=60, deadline=None)
     @given(specs=DRAW_SPECS, seed=st.integers(0, 2**32 - 1))
     def test_stack_drawn_channels(self, specs, seed):
-        from entmon.channels import _build_channels, _classify_stack, _draw_channel, _draw_mixture
+        from entmon.channels import _build_channels, _draw_channel, _draw_mixture
 
         draws = [(_draw_mixture if mixture else _draw_channel)(d, k, np.random.default_rng([seed, i]))
                  for i, (mixture, d, k) in enumerate(specs)]
         channels = _build_channels(draws)
-        classes = _classify_stack(channels)
-        assert classes == [classify(c) for c in channels] == \
-            [_reference_classify(c) for c in channels]
+        classes = [classify(c) for c in channels]
+        assert classes == [_reference_classify(c) for c in channels]
         for (mixture, _, k), cls in zip(specs, classes):
             if mixture:  # a drawn mixture is never called general
                 assert cls.tag in (TAG_UNITARY_MIXTURE, TAG_LOCAL_UNITARY)
@@ -496,9 +517,46 @@ class TestClassifyStack:
                     unitary_mixture_channel([0.3, 0.7], [u, haar_unitary(2, rng)]),
                     unitary_mixture_channel([0.5, 0.5], [u, 1j * u]),
                     LocalKrausChannel("B", (np.eye(2), np.zeros((2, 2))))]
-        from entmon.channels import _classify_stack
-
-        assert _classify_stack(channels) == [_reference_classify(c) for c in channels]
-        assert [c.tag for c in _classify_stack(channels)] == [
+        assert [classify(c) for c in channels] == [_reference_classify(c) for c in channels]
+        assert [classify(c).tag for c in channels] == [
             TAG_LOCAL_UNITARY, TAG_GENERAL, TAG_GENERAL, TAG_UNITARY_MIXTURE, TAG_LOCAL_UNITARY,
             TAG_GENERAL]
+
+    def test_dropped_weight_leaves_no_padding_in_the_class(self):
+        # The stack check sees the zero operator padded in for the dropped
+        # weight; the class holds the kept operator's weight only.
+        rng = np.random.default_rng(31)
+        u1, u2, u3 = (haar_unitary(2, rng) for _ in range(3))
+        for weights, tag in (([0.4, 1e-16, 0.6], TAG_UNITARY_MIXTURE),
+                             ([1.0, 1e-15], TAG_LOCAL_UNITARY)):
+            channel = unitary_mixture_channel(weights, [u1, u2, u3][:len(weights)])
+            cls = classify(channel)
+            assert len(channel.kraus) == len(cls.details["weights"]) == len(weights) - 1
+            assert cls == _reference_classify(channel)  # tag and exact weights
+            assert cls.tag == tag
+
+    def test_explicit_zero_operator_stays_general(self):
+        u = haar_unitary(2, np.random.default_rng(32))
+        channel = LocalKrausChannel("B", (u, np.zeros((2, 2))))
+        assert classify(channel) == _reference_classify(channel)
+        assert classify(channel).tag == TAG_GENERAL
+        assert classify(channel).details == {}
+
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_build_paths_agree(self, mixture):
+        from entmon.channels import _build_channels, _draw_channel, _draw_mixture
+
+        draws = [(_draw_mixture if mixture else _draw_channel)(d, k, np.random.default_rng(k))
+                 for d in (2, 3) for k in (1, 2, 3)]
+        for built in _build_channels(draws):
+            user = LocalKrausChannel(built.side, built.kraus)
+            assert user == built
+            assert classify(user) == classify(built) == _reference_classify(built)
+
+    def test_class_is_no_part_of_repr_or_equality(self):
+        channel = projective_b()
+        assert "channel_class" not in repr(channel)
+        assert "general" not in repr(channel)
+        other = LocalKrausChannel("B", channel.kraus)
+        object.__setattr__(other, "channel_class", None)
+        assert other == channel

@@ -71,6 +71,11 @@ class TestMeasureCommand:
     def test_non_finite_order_is_mismatch(self, bell_file, measure_id, capsys):
         assert main(["measure", bell_file, measure_id]) == 3
 
+    def test_negative_seed_is_parse_error(self, bell_file, capsys):
+        assert main(["measure", bell_file, "eof", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be nonnegative\n"
+
     def test_vector_off_norm_beyond_trace_tolerance_is_parse_error(self, tmp_path, capsys):
         # |psi| = 1 + 8e-11 puts Tr |psi><psi| 1.6e-10 from 1, beyond the
         # density-matrix trace tolerance: refused at load, not a traceback.
@@ -141,6 +146,27 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 2
         cfg.write_text(json.dumps({"base": "bits"}))
         assert main(["verify", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("n_kraus", 2.5, "n_kraus must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be nonnegative"),
+    ])
+    def test_non_integer_or_negative_config_counts_rejected(self, tmp_path, capsys, key, value,
+                                                            message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"checks": ["concavity"], key: value,
+                                   "output_path": str(tmp_path / "c.jsonl")}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "rep.jsonl"
+        assert main(["verify", "--check", "concavity", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be nonnegative\n"
+        assert not out.exists()
 
     def test_output_paths_checked_before_the_sweep(self, tmp_path, capsys):
         # A directory, or a path in a missing directory, is a usage error

@@ -607,8 +607,8 @@ class TestDataProcessingStack:
 def _reference_sweep_ree_dpi(config):
     """The ``ree-dpi`` sweep as it was: per trial two validated states, one
     channel and one per-pair check."""
-    from entmon.channels import classify
-    from entmon.verify import CHECK_IDS, EQUALITY_TOL, _report, _trial_channel
+    from entmon.channels import _build_channels, classify
+    from entmon.verify import CHECK_IDS, EQUALITY_TOL, _report, _trial_draw
 
     check_idx = CHECK_IDS.index("ree-dpi")
     reports = []
@@ -618,7 +618,7 @@ def _reference_sweep_ree_dpi(config):
         dims_pair = config.dims[t % len(config.dims)]
         dims = Dims(*dims_pair)
         rho, sigma = random_mixed(dims, None, rng), random_mixed(dims, None, rng)
-        channel = _trial_channel(config, t, dims_pair[1], rng, 4, 2)
+        channel = _build_channels([_trial_draw(config, t, dims_pair[1], rng, 4, 2)])[0]
         rep = _reference_dpi_check(rho, sigma, channel)
         if rep.skipped_reason is not None:
             lhs, rhs, metadata = 0.0, 0.0, {"reason": rep.skipped_reason}

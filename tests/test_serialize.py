@@ -107,3 +107,12 @@ def test_channel_bad_documents():
         channel_from_json({"side": "B"})
     with pytest.raises(StateFormatError):
         channel_from_json({"side": "B", "kraus": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]})
+
+
+def test_channel_file_with_nan_entries_rejected(tmp_path):
+    from entmon.channels import ChannelValidationError
+
+    path = tmp_path / "nan.json"
+    path.write_text('{"side": "B", "kraus": [[[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [NaN, 0.0]]]}')
+    with pytest.raises(ChannelValidationError, match="non-finite"):
+        load_channel(path)

@@ -450,12 +450,13 @@ class TestDecisionRules:
         assert rep.verdict == recompute_verdict(rep) == "fail"
 
     def test_strict_sweep_classifies_each_channel_once(self, monkeypatch):
-        from entmon import verify
+        from entmon import channels, verify
 
         calls = []
-        classify_stack = verify._classify_stack
-        monkeypatch.setattr(verify, "_classify_stack",
-                            lambda chs: calls.extend(chs) or classify_stack(chs))
+        check_families = channels._check_families
+        monkeypatch.setattr(channels, "_check_families",
+                            lambda side, kraus, *live: calls.extend(kraus)
+                            or check_families(side, kraus, *live))
         monkeypatch.setattr(verify, "_BATCH_STATES", 4)  # a channel's items straddle batches
         config = SweepConfig(trials=10, seed=0)
         reports = verify._sweep_strict(config, verify.CHECK_IDS.index("strict"))
@@ -588,9 +589,10 @@ def _reference_sweep_monotone(config):
 
 def _reference_sweep_strict(config):
     """The ``strict`` sweep as one ``_reference_strict`` per report."""
-    from entmon.channels import TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE
+    from entmon.channels import (TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE, _build_channels,
+                                 _draw_mixture)
     from entmon.registry import measure_state_kind, measure_tier
-    from entmon.verify import CHECK_IDS, _random_unitary_mixture, _report, derived_seed
+    from entmon.verify import CHECK_IDS, _report, derived_seed
 
     check_idx = CHECK_IDS.index("strict")
     reports = []
@@ -605,7 +607,7 @@ def _reference_sweep_strict(config):
         for t in range(config.trials):
             seed = derived_seed(config.seed, check_idx, 1, di, t)
             rng = np.random.default_rng(seed)
-            channel = _random_unitary_mixture(dims_pair[1], 1 + t % 3, rng)
+            channel = _build_channels([_draw_mixture(dims_pair[1], 1 + t % 3, rng)])[0]
             for measure_id in config.measures:
                 kind = measure_state_kind(measure_id, Dims(*dims_pair))
                 if kind is None or measure_tier(measure_id) != "closed":
@@ -683,11 +685,9 @@ def _stack_sampler(kind, dims):
 
 
 def _channel(kind, d, rng):
-    from entmon.verify import _random_unitary_mixture
-
     if kind == "general":
         return random_channel(d, 3, rng)
-    return _random_unitary_mixture(d, 2, rng)
+    return _stack_drawn_channel(True, d, 2, rng)
 
 
 # (measure, dims, sampler): eof and concurrence need pure states outside 2x2.
@@ -830,7 +830,7 @@ class TestStrictInputStack:
                    "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0])}[fault]
         items = [("negativity", mats, random_channel(2, 2, rng), 0, False)]
         with pytest.raises(StateValidationError, match=fault):
-            list(_batch_reports(items, _strict_reports, Dims(2, 2), {}))
+            list(_batch_reports(items, _strict_reports, Dims(2, 2)))
 
     def test_sampler_shape_must_fit_the_channel(self):
         from entmon.states import DimensionMismatchError
@@ -997,7 +997,8 @@ def _reference_reduced_state(h, psi, channel, seed=0):
 def _reference_sweep_reduced_state(config):
     """The ``reduced-state`` sweep as one ``_reference_reduced_state`` per trial."""
     from entmon.measures import CONCURRENCE
-    from entmon.verify import CHECK_IDS, _trial_channel, derived_seed
+    from entmon.channels import _build_channels
+    from entmon.verify import CHECK_IDS, _trial_draw, derived_seed
 
     check_idx = CHECK_IDS.index("reduced-state")
     reports = [_reference_reduced_state(ENTROPY, bell_state(), _projective_channel(2),
@@ -1008,7 +1009,7 @@ def _reference_sweep_reduced_state(config):
         rng = np.random.default_rng(seed)
         dims_pair = config.dims[t % len(config.dims)]
         psi = random_pure(Dims(*dims_pair), rng)
-        channel = _trial_channel(config, t, dims_pair[1], rng, 3, 3)
+        channel = _build_channels([_trial_draw(config, t, dims_pair[1], rng, 3, 3)])[0]
         reports.append(_reference_reduced_state(h_cycle[t % 4], psi, channel, seed=seed))
     return reports
 
