@@ -30,7 +30,6 @@ from .states import (
     Dims,
     PureState,
     _partial_transpose_array,
-    _trace_norm_stack,
     projector_stack,
     validate_density_stack,
 )
@@ -116,10 +115,7 @@ class MeasureValue:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = float(self.value)
-        if v < -ROUNDOFF_FLOOR:
-            raise ValueError(f"measure value {v} below the roundoff floor")
-        object.__setattr__(self, "value", max(0.0, v))
+        object.__setattr__(self, "value", float(_floored(np.float64(self.value))))
 
     def __float__(self) -> float:
         return self.value
@@ -220,37 +216,45 @@ def _bipartite(dims: Dims, what: str) -> tuple[int, int]:
 
 
 def pure_measure_stack(h: HFunction, amps: np.ndarray, dims: Dims) -> np.ndarray:
-    """``h`` on the A-side reduced states of a ``(..., n)`` stack of pure states.
+    """``h`` on the reduced states of the smaller factor (A on a tie) of a
+    ``(..., n)`` stack of pure states.
 
-    Reduced states are ``Tr_B |psi><psi|``; they are validated once, as a
-    stack, and their spectra clipped at 0.
+    Both marginals share their nonzero spectrum, but the larger one pads it
+    with zeros, which the G-concurrence's d prod mu^(1/d) would read as 0.
+    The reduced states are validated once, as a stack.
     """
     dA, dB = _bipartite(dims, "pure_measure")
     lead = amps.shape[:-1]
     proj = projector_stack(amps).reshape(lead + (dA, dB, dA, dB))
-    reduced = np.trace(proj, axis1=-3, axis2=-1)
-    mu = np.clip(validate_density_stack(reduced), 0.0, None)
-    return _floored(h_of_spectrum(h, mu))
+    reduced = np.trace(proj, axis1=-4, axis2=-2) if dA > dB else np.trace(proj, axis1=-3, axis2=-1)
+    return _floored(h_of_spectrum(h, validate_density_stack(reduced)))
 
 
 def pure_measure(h: HFunction, psi: PureState) -> MeasureValue:
-    """Measure of a bipartite pure state: ``h`` on the reduced state of A."""
+    """Measure of a bipartite pure state: ``h`` on its smaller reduced state."""
     return MeasureValue(float(pure_measure_stack(h, psi.amplitudes, psi.dims)), h.measure_id)
 
 
 def pt_trace_norms(mats: np.ndarray, dims: Dims) -> np.ndarray:
-    """``||rho^{T_A}||_Tr`` for a ``(..., n, n)`` stack of bipartite states."""
+    """``||rho^{T_A}||_Tr / Tr rho`` for a ``(..., n, n)`` stack of bipartite
+    states, both sums over the one spectrum of ``rho^{T_A}``.
+
+    Dividing by the trace, which a valid state holds to ``TOL_TRACE`` only,
+    gives at least 1 exactly: each |lambda| >= lambda and rounding is
+    monotone.  Both negativities are then >= 0 with no floor to absorb.
+    """
     dA, dB = _bipartite(dims, "partial transpose")
-    return _trace_norm_stack(_partial_transpose_array(mats, dA, dB, "A"))
+    vals = np.linalg.eigvalsh(_partial_transpose_array(mats, dA, dB, "A"))
+    return np.sum(np.abs(vals), axis=-1) / np.sum(vals, axis=-1)
 
 
 def negativity_of_norms(norms: np.ndarray) -> np.ndarray:
-    """Negativity ``(||rho^{T_A}||_Tr - 1) / 2`` from the trace norms."""
+    """Negativity ``(||rho^{T_A}||_Tr - 1) / 2`` from ``pt_trace_norms``."""
     return _floored((norms - 1.0) / 2.0)
 
 
 def log_negativity_of_norms(norms: np.ndarray) -> np.ndarray:
-    """Logarithmic negativity ``log2 ||rho^{T_A}||_Tr`` from the trace norms."""
+    """Logarithmic negativity ``log2 ||rho^{T_A}||_Tr`` from ``pt_trace_norms``."""
     return _floored(_elementwise(math.log2, norms))
 
 

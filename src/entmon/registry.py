@@ -106,10 +106,16 @@ def _uses_wootters(family: str, dims: Dims) -> bool:
 
 
 def measure_state_kind(measure_id: str, dims: Dims) -> str | None:
-    """'mixed' or 'pure': the states a measure evaluates on ``dims``; None if none."""
+    """'mixed' or 'pure': the states a measure evaluates on ``dims``; None if none.
+
+    The G-concurrence reads 1 on every state of a system with a factor of
+    dimension 1, so it is not defined there.
+    """
     family, _ = parse_measure_id(measure_id)
     if family == "ree":
         return "mixed" if dims.total <= ree.MAX_TOTAL_DIM else None
+    if family == "g-concurrence" and 1 in dims.factors:
+        return None
     tier, _, h = FAMILIES[family]
     if tier != "closed" or h is None or _uses_wootters(family, dims):
         return "mixed"
@@ -130,6 +136,8 @@ def evaluate_closed_stack(measure_id: str, mats: np.ndarray, dims: Dims) -> np.n
 
 
 def _closed_values(measure_id, family, h, mats, dims) -> np.ndarray:
+    if measure_state_kind(measure_id, dims) is None:
+        raise MeasureError(f"{measure_id!r} is not defined on a {dims.factors} system")
     if family == "negativity":
         return measures.negativity_of_norms(measures.pt_trace_norms(mats, dims))
     if family == "log-negativity":

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, h_partials, pure_measure
+from .sampling import _haar_stack
 from .states import DensityMatrix, DimensionMismatchError, PureState, TOL_PSD, partial_transpose
 
 ISOMETRY_TOL = 1e-8
@@ -164,14 +165,6 @@ def default_n_terms(rho: DensityMatrix) -> int:
     return max(r, min(r * r, 2 * r, 8))
 
 
-def _qr_isometries(x: np.ndarray) -> np.ndarray:
-    """Batched QR with the R-diagonal phase fixed, so x = I maps to I."""
-    q, r = np.linalg.qr(x)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = np.where(np.abs(diag) > 0.0, diag / np.where(np.abs(diag) > 0.0, np.abs(diag), 1.0), 1.0)
-    return q * phase.conj()[..., None, :]
-
-
 def _qubit_reduction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of the reduced states R = ``m m^dag`` of a (..., 2, dB) stack.
 
@@ -274,13 +267,6 @@ class _RoofObjective:
             gmat = (u * g[..., None, :]) @ np.swapaxes(u, -2, -1).conj()
         return vals, (gmat @ m).reshape(phi.shape) @ self._weighted.conj()
 
-    def eval_isometry(self, q: np.ndarray, eps: float = 0.0) -> np.ndarray:
-        return self.evaluate(q, eps)[0]
-
-    def gradient(self, q: np.ndarray, eps: float = 0.0) -> np.ndarray:
-        """Euclidean gradient dF/d conj(q) of the average for a (..., n, r) stack."""
-        return self.evaluate(q, eps, grad=True)[1]
-
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real inner product Re Tr(a^dag b) per matrix of two stacks."""
@@ -321,13 +307,13 @@ def _riemannian_descent(
     accepted = np.zeros(len(q), dtype=int)
     for _ in range(DESCENT_ITERS):
         if eps and stopped.size:
-            exact[stopped] = objective.eval_isometry(q[stopped])
+            exact[stopped] = objective.evaluate(q[stopped])[0]
         if stopped.size and np.any(exact[stopped] <= VALUE_FLOOR):
             break
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        trial = _qr_isometries(q[idx] - step[idx, None, None] * grad[idx])
+        trial = _haar_stack(q[idx] - step[idx, None, None] * grad[idx])
         trial_vals, trial_grad = objective.evaluate(trial, eps, grad=True)
         ok = trial_vals <= recent[idx].max(axis=1) - ARMIJO * step[idx] * gnorm2[idx]
         bad = idx[~ok]
@@ -355,7 +341,7 @@ def _riemannian_descent(
     # Chains still active, or stopped by the last step, have no exact value yet.
     rest = np.isnan(exact)
     if rest.any():
-        exact[rest] = objective.eval_isometry(q[rest])
+        exact[rest] = objective.evaluate(q[rest])[0]
     return q, exact, converged, step
 
 
@@ -389,10 +375,10 @@ def _product_stage(objective: _RoofObjective, q: np.ndarray) -> np.ndarray | Non
         cost = res @ res
         if cost <= VALUE_FLOOR**2:
             return q
-        jac_t = (_minors(objective, _qr_isometries(q + dirs)) - res) / FD_STEP
+        jac_t = (_minors(objective, _haar_stack(q + dirs)) - res) / FD_STEP
         jtj = jac_t @ jac_t.T
         step = np.linalg.solve(jtj + damping * np.eye(len(jtj)), -(jac_t @ res)).reshape(2, n, r)
-        trial = _qr_isometries(q + step[0] + 1j * step[1])
+        trial = _haar_stack(q + step[0] + 1j * step[1])
         trial_res = _minors(objective, trial)
         if trial_res @ trial_res < cost:
             q, res, damping = trial, trial_res, damping / 3.0
@@ -427,10 +413,14 @@ def roof_minimize(
     value is at most ``VALUE_FLOOR``, between stages or on stopping, the
     search ends.  A 2x2 or 2x3 PPT input goes to the product stage first,
     and after the descent again when the winner is above the floor;
-    ``converged`` then means a value at most ``VALUE_FLOOR``.
+    ``converged`` then means a value at most ``VALUE_FLOOR``.  A
+    G-concurrence ``h`` raises ``ValueError`` on dA > dB.
     """
     if len(rho.dims.factors) != 2:
         raise DimensionMismatchError("the convex roof is computed on bipartite states")
+    if h.kind == "g-concurrence" and rho.dims.dA > rho.dims.dB:
+        # Members' A marginals would hold dA - dB zeros, which d prod mu^(1/d) reads as 0.
+        raise ValueError("the G-concurrence roof needs dA <= dB; run it on the swapped state")
     if rng is None:
         rng = np.random.default_rng(0)
     lam, evecs = _eig_ensemble(rho)
@@ -459,10 +449,10 @@ def roof_minimize(
         z = np.random.default_rng(base_seed + j).standard_normal((2,) + shape)
         xs[j] = (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
-    q = _qr_isometries(xs)
+    q = _haar_stack(xs)
     if ppt:
         product = _product_stage(objective, q[0])
-        value = np.inf if product is None else float(objective.eval_isometry(product))
+        value = np.inf if product is None else float(objective.evaluate(product)[0])
         if value <= VALUE_FLOOR:
             return RoofResult(value, decomposition_from_isometry(rho, product), restarts, True)
     # Each chain keeps its least exact value over the stages, and the
@@ -484,6 +474,6 @@ def roof_minimize(
         # means that it certified the roof's 0.
         product = _product_stage(objective, q)
         if product is not None:
-            value, q = float(objective.eval_isometry(product)), product
+            value, q = float(objective.evaluate(product)[0]), product
         converged = value <= VALUE_FLOOR
     return RoofResult(value, decomposition_from_isometry(rho, q), restarts, converged)

@@ -25,12 +25,14 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _haar_stack(g: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a ``(..., d, d)`` stack of Ginibre matrices by
-    phase-fixed QR (F. Mezzadri, Notices AMS 54, 592 (2007)).  One stacked
-    ``np.linalg.qr`` gives each member the bits of its own call."""
+    """Phase-fixed QR of a ``(..., n, r)`` stack: Q with the phase of each
+    nonzero entry of R's diagonal divided out, so I maps to I, and Haar
+    unitaries from Ginibre matrices (F. Mezzadri, Notices AMS 54, 592
+    (2007)).  One stacked ``np.linalg.qr`` gives each member its own bits."""
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    size = np.abs(diag)
+    return q * np.where(size > 0.0, diag / np.where(size > 0.0, size, 1.0), 1.0)[..., None, :]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

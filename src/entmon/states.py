@@ -145,7 +145,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum, roundoff negatives clipped to 0."""
-        return clipped_eigvalsh(self.matrix)
+        return _check_spectra(np.linalg.eigvalsh(self.matrix))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -185,7 +185,7 @@ def validate_density_stack(mats: np.ndarray) -> np.ndarray:
     Each member must be Hermitian within ``TOL_HERM``, have unit trace
     within ``TOL_TRACE`` and no eigenvalue below ``-TOL_PSD``; the first
     offending member raises ``StateValidationError``.  Returns the
-    ascending spectra ``(..., n)``, unclipped.
+    ascending spectra ``(..., n)``, clipped at 0 (``_check_spectra``).
     """
     _check_hermitian_unit_trace(mats)
     return _check_spectra(np.linalg.eigvalsh(mats))
@@ -210,12 +210,15 @@ def _check_hermitian_unit_trace(mats: np.ndarray) -> None:
 
 
 def _check_spectra(vals: np.ndarray) -> np.ndarray:
-    lo = vals[..., 0]
-    if lo.min() < -TOL_PSD:
+    """Ascending spectra ``(..., n)`` of a stack, possibly empty, clipped at
+    0.  Values in ``[-TOL_PSD, 0)`` are roundoff; a lower one raises, since
+    it marks an input that is not PSD."""
+    low = vals[..., 0] < -TOL_PSD
+    if low.any():
         raise StateValidationError(
-            f"negative eigenvalue {_first(lo, lo < -TOL_PSD)} below -{TOL_PSD}"
+            f"negative eigenvalue {_first(vals[..., 0], low)} below -{TOL_PSD}"
         )
-    return vals
+    return np.clip(vals, 0.0, None)
 
 
 def _trusted_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
@@ -225,21 +228,6 @@ def _trusted_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
     object.__setattr__(rho, "matrix", mat)
     object.__setattr__(rho, "dims", dims)
     return rho
-
-
-def clipped_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, or of each of a ``(..., n, n)``
-    stack, with roundoff negatives zeroed.
-
-    Values in ``[-TOL_PSD, 0)`` are clipped to 0; lower ones raise, since
-    that indicates a genuinely invalid input rather than roundoff.
-    """
-    vals = np.linalg.eigvalsh(mat)
-    low = vals[..., 0] < -TOL_PSD
-    if low.any():
-        raise StateValidationError(
-            f"eigenvalue {_first(vals[..., 0], low)} below -{TOL_PSD}; input not PSD")
-    return np.clip(vals, 0.0, None)
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
@@ -306,6 +294,9 @@ def partial_transpose(
         mat = np.asarray(rho, dtype=complex)
     if len(dims.factors) != 2:
         raise DimensionMismatchError("partial transpose requires a bipartite state")
+    if mat.shape[-2:] != (dims.total, dims.total):
+        raise DimensionMismatchError(
+            f"matrix of shape {mat.shape} does not match dims {dims.factors}")
     dA, dB = dims.factors
     return _partial_transpose_array(mat, dA, dB, side)
 
@@ -327,14 +318,11 @@ def trace_norm(m: np.ndarray) -> float:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError("trace_norm expects a square matrix")
+    if not np.isfinite(m).all():
+        raise StateValidationError("trace_norm expects finite entries")
     if float(np.max(np.abs(m - m.conj().T))) > 1e-8:
         raise StateValidationError("trace_norm expects a Hermitian matrix")
-    return float(_trace_norm_stack(m))
-
-
-def _trace_norm_stack(m: np.ndarray) -> np.ndarray:
-    """Trace norms of a ``(..., n, n)`` stack of Hermitian matrices."""
-    return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -365,7 +353,7 @@ def _rel_entropy_stack(x: np.ndarray, yv: np.ndarray, yu: np.ndarray) -> np.ndar
     as kernel directions.  Each sum runs over one member's support, as one
     call on that member alone rounds (``_tail_sums``).
     """
-    xv = clipped_eigvalsh(x)
+    xv = _check_spectra(np.linalg.eigvalsh(x))
     pos = xv > TOL_SUPPORT
     tr_x_ln_x = _tail_sums(xv * np.log(np.where(pos, xv, 1.0)), pos)
     yv = np.clip(yv, 0.0, None)

@@ -429,8 +429,7 @@ def _concavity_reports(items):
         pairs = np.array([items[i][1:3] for i in group])
         w = np.array([items[i][3] for i in group])[:, None, None]
         mix = w * pairs[:, 0] + (1.0 - w) * pairs[:, 1]
-        mu = np.clip(validate_density_stack(np.concatenate([pairs, mix[:, None]], axis=1)),
-                     0.0, None)
+        mu = validate_density_stack(np.concatenate([pairs, mix[:, None]], axis=1))
         for i, (v1, v2, lhs), lows in zip(group, h_of_spectrum(h, mu).tolist(),
                                           mu[:, :2, 0].tolist()):
             _, rho1, rho2, lam, seed = items[i]
@@ -498,7 +497,7 @@ def _reduced_state_reports(items):
         proj = np.concatenate([items[i][1] for i in group] + [outs])  # inputs, then outcomes
         _check_spectra(np.linalg.eigvalsh(proj))
         marginals = np.trace(proj.reshape(-1, dA, dB, dA, dB), axis1=-3, axis2=-1)
-        h_vals = h_of_spectrum(h, np.clip(validate_density_stack(marginals), 0.0, None)).tolist()
+        h_vals = h_of_spectrum(h, validate_density_stack(marginals)).tolist()
         stop = len(group)
         for j, i in enumerate(group):
             start, stop = stop, stop + len(outcomes[i])
@@ -635,8 +634,11 @@ def check_logneg_nonconvexity(
     the control confirms plain negativity stays convex on the same triples.
     Each triple takes two generator calls (lambda, then the normals of
     rho1 and rho2); triples are built and evaluated in blocks, and one
-    trace-norm stack gives both measures of mix, rho1 and rho2.
+    trace-norm stack gives both measures of mix, rho1 and rho2.  A scan of
+    no triples is skipped; negative ``trials`` raise ``ValueError``.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     dims = Dims(2, 2)
     witness = None
     control_violations = 0
@@ -677,6 +679,8 @@ def check_logneg_nonconvexity(
         "control_violations": control_violations,
         "witness": witness,
     }
+    if trials == 0:
+        metadata["reason"] = "no triples scanned"
     lhs, rhs = (0.0, 0.0) if witness is None else (witness["en_mix"], witness["en_avg"])
     return _report("logneg-nonconvexity", "log-negativity", None, lhs, rhs, LOGNEG_MARGIN, seed,
                    metadata)
@@ -1003,7 +1007,7 @@ def _sweep_neg_decomposition(config: SweepConfig, check_idx: int) -> list[Verifi
 
 
 def _sweep_logneg(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    trials = min(10000, max(1, config.trials * 50))
+    trials = min(10000, 50 * config.trials)
     return [check_logneg_nonconvexity(rng, trials=trials, seed=seed)
             for _, seed, rng in _trials(config, 1, check_idx)]
 

@@ -9,7 +9,7 @@ import pytest
 
 from entmon.cli import main
 from entmon.serialize import save_state
-from entmon.states import bell_state, product_pure
+from entmon.states import DensityMatrix, Dims, PureState, bell_state, product_pure
 
 
 @pytest.fixture
@@ -105,7 +105,34 @@ class TestMeasureCommand:
         assert "bipartite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("measure_id", ["negativity", "log-negativity"])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_ppt_state_below_unit_trace_measures_zero(tmp_path, capsys, measure_id, kind):
+    # Valid states whose norm or trace sits just below 1.
+    if kind == "pure":
+        state = PureState((1.0 - 2e-11) * np.eye(4)[0], Dims(2, 2))
+    else:
+        state = DensityMatrix((1.0 - 5e-11) * np.eye(4) / 4.0, Dims(2, 2))
+    path = tmp_path / "state.json"
+    save_state(path, state)
+    assert main(["measure", str(path), measure_id]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
+def test_g_concurrence_with_a_factor_of_dimension_one_is_a_mismatch(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    save_state(path, product_pure(np.array([1.0]), np.array([0.6, 0.8, 0.0])))
+    assert main(["measure", str(path), "g-concurrence"]) == 3
+    assert "not defined" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
+    def test_zero_trials_exits_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "rep.jsonl"
+        assert main(["verify", "--trials", "0", "--out", str(out)]) == 0
+        verdicts = [json.loads(line)["verdict"] for line in out.read_text().splitlines()]
+        assert "fail" not in verdicts and "skipped" in verdicts
+
     def test_small_sweep_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "rep.jsonl"
         code = main([

@@ -261,7 +261,8 @@ class TestStackKernels:
     def test_pt_trace_norm_bit_for_bit(self, seed, n, dims):
         states = _random_stack(Dims(*dims), n, np.random.default_rng(seed))
         stacked = pt_trace_norms(np.stack([s.matrix for s in states]), Dims(*dims))
-        assert stacked.tolist() == [trace_norm(partial_transpose(s, "A")) for s in states]
+        pts = [partial_transpose(s, "A") for s in states]
+        assert stacked.tolist() == [trace_norm(pt) / np.sum(np.linalg.eigvalsh(pt)) for pt in pts]
         assert negativity_of_norms(stacked).tolist() == [negativity(s).value for s in states]
         assert log_negativity_of_norms(stacked).tolist() == \
             [log_negativity(s).value for s in states]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmon.registry import (
     MeasureError,
@@ -14,8 +16,18 @@ from entmon.registry import (
     parse_measure_id,
     unit_of,
 )
-from entmon.sampling import random_mixed, random_pure
-from entmon.states import DimensionMismatchError, Dims, bell_state, max_entangled, werner_state
+from entmon.sampling import random_mixed, random_product_pure, random_pure
+from entmon.states import (
+    TOL_NORM,
+    TOL_TRACE,
+    DensityMatrix,
+    DimensionMismatchError,
+    Dims,
+    PureState,
+    bell_state,
+    max_entangled,
+    werner_state,
+)
 
 
 def test_parse_ids():
@@ -176,3 +188,62 @@ def test_state_kind_matches_what_the_measure_evaluates(measure_id, dims_pair):
     if kind == "pure":
         with pytest.raises(MeasureError):
             evaluate_measure(measure_id, mixed, rng=rng)
+
+
+def below_unit_trace(kind):
+    """A valid two-qubit state whose norm or trace sits just below 1:
+    PPT, so both negativities are 0."""
+    if kind == "pure":
+        return PureState((1.0 - 2e-11) * np.eye(4)[0], Dims(2, 2))
+    return DensityMatrix((1.0 - 5e-11) * np.eye(4) / 4.0, Dims(2, 2))
+
+
+@pytest.mark.parametrize("measure_id", ["negativity", "log-negativity"])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_negativities_of_ppt_states_below_unit_trace_are_zero(measure_id, kind):
+    assert evaluate_measure(measure_id, below_unit_trace(kind)).value == 0.0
+
+
+def test_g_concurrence_refused_with_a_factor_of_dimension_one():
+    dims = Dims(1, 3)
+    psi = random_pure(dims, np.random.default_rng(0))
+    assert measure_state_kind("g-concurrence", dims) is None
+    for state in (psi, psi.density()):
+        with pytest.raises(MeasureError, match=r"not defined on a \(1, 3\) system"):
+            evaluate_measure("g-concurrence", state)
+    with pytest.raises(MeasureError):
+        evaluate_closed_stack("g-concurrence", psi.density().matrix[None], dims)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]),
+       shape=st.sampled_from(["haar", "product", "mixed", "maximally-mixed"]),
+       offset=st.floats(-0.99, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_are_nonnegative_inside_the_state_tolerances(dims, shape, offset, seed):
+    # Each state's norm or trace is off 1 by a share ``offset`` of its
+    # tolerance; PPT ones (products, the maximally mixed state) read 0.
+    dims = Dims(*dims)
+    rng = np.random.default_rng(seed)
+    if shape in ("haar", "product"):
+        psi = (random_pure if shape == "haar" else random_product_pure)(dims, rng)
+        state = PureState((1.0 + offset * TOL_NORM) * psi.amplitudes, dims)
+    else:
+        mat = random_mixed(dims, None, rng).matrix if shape == "mixed" else np.eye(dims.total)
+        state = DensityMatrix((1.0 + offset * TOL_TRACE) * mat / np.trace(mat).real, dims)
+    for measure_id in CLOSED_IDS:
+        kind = measure_state_kind(measure_id, dims)
+        if kind is None or (kind == "pure" and isinstance(state, DensityMatrix)):
+            continue
+        value = evaluate_measure(measure_id, state).value
+        assert math.isfinite(value) and value >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(2, 3), (3, 2), (2, 4), (4, 2)]), seed=st.integers(0, 2**32 - 1))
+def test_pure_state_values_are_invariant_under_swapping_the_factors(dims, seed):
+    dA, dB = dims
+    psi = random_pure(Dims(dA, dB), np.random.default_rng(seed))
+    swapped = PureState(psi.amplitudes.reshape(dA, dB).T.reshape(-1), Dims(dB, dA))
+    for measure_id in CLOSED_IDS:
+        assert evaluate_measure(measure_id, swapped).value == \
+            pytest.approx(evaluate_measure(measure_id, psi).value, abs=1e-12)

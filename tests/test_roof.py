@@ -25,7 +25,6 @@ from entmon.roof import (
     WEIGHT_FLOOR,
     Decomposition,
     _inner,
-    _qr_isometries,
     _qubit_reduction,
     _RoofObjective,
     _spectral_gradient,
@@ -35,7 +34,7 @@ from entmon.roof import (
     is_kinked,
     roof_minimize,
 )
-from entmon.sampling import haar_unitary, random_mixed, random_pure, random_separable
+from entmon.sampling import _haar_stack, haar_unitary, random_mixed, random_pure, random_separable
 from entmon.states import (
     DensityMatrix,
     DimensionMismatchError,
@@ -146,6 +145,13 @@ class TestRoofMinimize:
         with pytest.raises(ValueError):
             roof_minimize(ENTROPY, rho, n_terms=2, rng=np.random.default_rng(0))
 
+    def test_g_concurrence_refused_on_a_larger_a_factor(self):
+        # Every member's A marginal on 3x2 has a zero eigenvalue, so the
+        # descent would read the G-concurrence as 0 there.
+        rho = random_mixed(Dims(3, 2), 2, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="dA <= dB"):
+            roof_minimize(G_CONCURRENCE, rho, rng=np.random.default_rng(0))
+
     def test_default_n_terms(self):
         assert default_n_terms(random_mixed(Dims(2, 2), 4, np.random.default_rng(0))) == 4
         assert default_n_terms(random_mixed(Dims(2, 3), 2, np.random.default_rng(1))) == 4
@@ -198,14 +204,14 @@ class TestSmoothPath:
         from entmon import roof
 
         steps = []
-        qr = roof._qr_isometries
+        qr = roof._haar_stack
 
         def counting(x):
             steps.append(1)
             return qr(x)
 
         rho = random_mixed(Dims(2, 2), 4, np.random.default_rng(0))
-        monkeypatch.setattr(roof, "_qr_isometries", counting)
+        monkeypatch.setattr(roof, "_haar_stack", counting)
         res = roof_minimize(ENTROPY, rho, n_terms=4, restarts=20, rng=np.random.default_rng(0))
         assert len(steps) - 1 < 400  # one call builds the starting isometries
         assert res.converged
@@ -269,9 +275,9 @@ class TestKinkedPath:
         def recorded(objective, q, eps=0.0, step=None):
             q, exact, converged, step = descent(objective, q, eps, step)
             if regress_last and eps == roof.SMOOTHING[-1]:
-                q = _qr_isometries(np.broadcast_to(np.eye(*q.shape[-2:]), q.shape).copy())
-                exact = objective.eval_isometry(q)
-            stage_values.append(objective.eval_isometry(q))
+                q = _haar_stack(np.broadcast_to(np.eye(*q.shape[-2:]), q.shape).copy())
+                exact = objective.evaluate(q)[0]
+            stage_values.append(objective.evaluate(q)[0])
             return q, exact, converged, step
 
         monkeypatch.setattr(roof, "_riemannian_descent", recorded)
@@ -337,7 +343,7 @@ class TestKinkedPath:
 
         rho = random_mixed(Dims(2, 2), 3, np.random.default_rng(101))
         objective = _RoofObjective(CONCURRENCE, rho)
-        q = _qr_isometries(np.random.default_rng(1).standard_normal((4, 4, 3)) + 0j)
+        q = _haar_stack(np.random.default_rng(1).standard_normal((4, 4, 3)) + 0j)
         step = None
         calls = self._count_evaluations(monkeypatch)
         for eps in SMOOTHING:
@@ -426,9 +432,9 @@ class TestRoofGradient:
         z /= np.sqrt(_inner(z, z))
         # QR retraction is q + t z to first order; d/dt F = 2 Re Tr(E^dag z).
         t = 1e-6
-        fd = (objective.eval_isometry(_qr_isometries(q + t * z))
-              - objective.eval_isometry(_qr_isometries(q - t * z))) / (2 * t)
-        analytic = 2.0 * _inner(objective.gradient(q), z)
+        fd = (objective.evaluate(_haar_stack(q + t * z))[0]
+              - objective.evaluate(_haar_stack(q - t * z))[0]) / (2 * t)
+        analytic = 2.0 * _inner(objective.evaluate(q, grad=True)[1], z)
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("h", KINKED_H, ids=lambda h: h.measure_id)
@@ -445,9 +451,9 @@ class TestRoofGradient:
         z = _tangent(q, rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
         z /= np.sqrt(_inner(z, z))
         t = 1e-6
-        fd = (objective.eval_isometry(_qr_isometries(q + t * z), eps)
-              - objective.eval_isometry(_qr_isometries(q - t * z), eps)) / (2 * t)
-        analytic = 2.0 * _inner(objective.gradient(q, eps), z)
+        fd = (objective.evaluate(_haar_stack(q + t * z), eps)[0]
+              - objective.evaluate(_haar_stack(q - t * z), eps)[0]) / (2 * t)
+        analytic = 2.0 * _inner(objective.evaluate(q, eps, grad=True)[1], z)
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("h", KINKED_H, ids=lambda h: h.measure_id)
@@ -455,11 +461,11 @@ class TestRoofGradient:
         rho = random_mixed(Dims(3, 3), 4, np.random.default_rng(14))
         objective = _RoofObjective(h, rho)
         q = haar_unitary(6, np.random.default_rng(15))[:, :4]
-        exact = objective.eval_isometry(q)
+        exact = objective.evaluate(q)[0]
         for eps in (1e-1, 1e-4, 1e-30):
-            assert 0.0 <= objective.eval_isometry(q, eps) <= exact + 1e-15
+            assert 0.0 <= objective.evaluate(q, eps)[0] <= exact + 1e-15
         # The power kinds converge like eps^a, the root kinds like eps.
-        assert objective.eval_isometry(q, 1e-30) == pytest.approx(exact, abs=1e-5)
+        assert objective.evaluate(q, 1e-30)[0] == pytest.approx(exact, abs=1e-5)
 
     @pytest.mark.parametrize("h", GRADIENT_H, ids=lambda h: h.measure_id)
     def test_product_members_are_clipped(self, h):
@@ -467,7 +473,7 @@ class TestRoofGradient:
         # eigenvalues); the gradient stays finite, without RuntimeWarning.
         rho = DensityMatrix(np.diag([0.6, 0.0, 0.0, 0.4]), Dims(2, 2))  # |00>, |11>
         objective = _RoofObjective(h, rho)
-        grad = objective.gradient(np.eye(3, 2))
+        grad = objective.evaluate(np.eye(3, 2), grad=True)[1]
         assert np.all(np.isfinite(grad))
         np.testing.assert_allclose(grad, 0.0, atol=1e-8)
 
@@ -515,7 +521,7 @@ class TestOnePass:
             n = rank + 2
             q = np.stack([haar_unitary(n, rng)[:, :rank] for _ in range(3)])
             ref = _eigh_gradient(objective, q, eps)
-            grad = objective.gradient(q, eps)
+            grad = objective.evaluate(q, eps, grad=True)[1]
             assert np.all(np.abs(grad - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("h,eps", GRADIENT_CASES, ids=GRADIENT_CASE_IDS)
@@ -531,8 +537,8 @@ class TestOnePass:
         z = _tangent(q, np.random.default_rng(6).standard_normal(q.shape) + 0.5j)
         z /= np.sqrt(_inner(z, z))
         t = 1e-6
-        fd = (objective.eval_isometry(_qr_isometries(q + t * z), eps)
-              - objective.eval_isometry(_qr_isometries(q - t * z), eps)) / (2 * t)
+        fd = (objective.evaluate(_haar_stack(q + t * z), eps)[0]
+              - objective.evaluate(_haar_stack(q - t * z), eps)[0]) / (2 * t)
         assert 2.0 * _inner(grad, z) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("h", [ENTROPY, CONCURRENCE], ids=lambda h: h.measure_id)

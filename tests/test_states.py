@@ -1,6 +1,7 @@
 """Core state types, partial trace/transpose, Schmidt form, entropies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestValidateDensityStack:
         mats = self._stack()
         vals = validate_density_stack(mats)
         for m, v in zip(mats, vals):
-            assert np.array_equal(v, np.linalg.eigvalsh(m))
+            assert np.array_equal(v, np.clip(np.linalg.eigvalsh(m), 0.0, None))
 
     def test_one_non_psd_member_raises(self):
         mats = self._stack()
@@ -207,6 +208,10 @@ class TestPartialTranspose:
         with pytest.raises(DimensionMismatchError):
             partial_transpose(psi.density(), "A")
 
+    def test_raw_array_must_match_the_dims(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(3, 3\).*dims \(2, 2\)"):
+            partial_transpose(np.eye(3), "A", Dims(2, 2))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
     def test_trace_norm_at_least_one(self, seed):
@@ -257,6 +262,13 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(StateValidationError):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StateValidationError, match="finite"):
+                trace_norm(np.array([[bad]]))
 
 
 class TestEntropies:

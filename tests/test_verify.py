@@ -333,6 +333,13 @@ class TestLognegNonconvexity:
         assert rep.metadata["control_violations"] == 0
         assert rep.gap > 1e-6
 
+    def test_scan_of_no_triples_is_skipped(self):
+        rep = check_logneg_nonconvexity(np.random.default_rng(16), trials=0)
+        assert rep.verdict == "skipped"
+        assert rep.metadata["reason"] == "no triples scanned"
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_logneg_nonconvexity(np.random.default_rng(16), trials=-1)
+
 
 class TestGenericStrictness:
     def test_strict_decrease_is_generic_not_just_existential(self):
