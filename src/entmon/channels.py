@@ -6,14 +6,14 @@ outcome ensemble (p_k, sigma_k) with p_k = Tr[(I x M_k) rho (I x M_k)^dag];
 such families map pure states to scalar multiples of pure states, which is
 the scenario all monotonicity checks run against.
 
-One Gram kernel, ``_gram_outcomes``, builds the outcomes of N states
-under K Kraus operators as a ``(N, K, n, n)`` stack in a few batched
-matrix products; it serves ``apply_channel``, the closed sweeps, the REE
-data-processing check and the monogamy contractions.  ``_outcome_stack``
-normalizes its outcomes and validates the kept ones once, as one stack;
-``apply_channel`` is its N = 1 case.  Each state may carry its own Kraus
-family (``_padded_kraus``), so outcomes of many (state, channel) trials
-are one call.
+Two kernels apply Kraus operators to N states at once.  For density
+matrices, the Gram kernel ``_gram_outcomes`` builds the ``(N, K, n, n)``
+outcomes; it serves the closed sweeps' mixed inputs, the REE data-processing
+check and the monogamy contractions, and ``_outcome_stack`` normalizes and
+validates them (``apply_channel`` is its N = 1 case).  For pure states,
+``_vector_outcomes`` maps amplitude vectors to outcome vectors with no
+eigendecomposition; ``apply_channel_to_pure`` is its N = 1 case.  Each
+state may carry its own Kraus family (``_padded_kraus``).
 
 Random channels are drawn in two steps.  A draw (``_draw_channel``,
 ``_draw_mixture``) takes a channel's Ginibre matrices from the trial's
@@ -184,15 +184,15 @@ def _embedded_kraus(kraus: np.ndarray, side: str, dims) -> np.ndarray:
     return out.reshape(*lead, dA * dB, dA * dB)
 
 
-def _padded_kraus(channels) -> np.ndarray:
-    """The Kraus families of channels of one dimension as one ``(N, K, d, d)``
-    stack, zero-padded to the largest family: a zero operator's outcome has
-    probability 0 and ``_outcome_stack`` drops it."""
-    d = channels[0].dim
-    out = np.zeros((len(channels), max(len(c.kraus) for c in channels), d, d), np.complex128)
-    for i, channel in enumerate(channels):
-        for k, m in enumerate(channel.kraus):
-            out[i, k] = m
+def _padded_kraus(families) -> np.ndarray:
+    """Kraus families of one dimension, each a sequence of ``(d, d)``
+    operators, as one ``(N, K, d, d)`` stack, zero-padded to the largest
+    family: a zero operator's outcome has probability 0 and the outcome
+    kernels drop it."""
+    d = families[0][0].shape[-1]
+    out = np.zeros((len(families), max(map(len, families)), d, d), np.complex128)
+    for i, family in enumerate(families):
+        out[i, :len(family)] = family
     return out
 
 
@@ -261,18 +261,30 @@ def apply_channel(channel: LocalKrausChannel, rho: DensityMatrix) -> OutcomeEnse
     ))
 
 
+def _vector_outcomes(kraus: np.ndarray, side: str, amps: np.ndarray,
+                     dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_outcome_stack`` for a ``(N, n)`` stack of pure states: outcome k of
+    psi is ``(I x M_k) psi`` over its norm, p_k its squared norm, and the kept
+    outcomes come as one ``(M, n)`` stack of vectors.  A unit vector is a
+    state by construction, so no spectrum is taken."""
+    if len(dims.factors) != 2:
+        raise DimensionMismatchError("channels act on bipartite states")
+    vs = (_embedded_kraus(kraus, side, dims) @ amps[:, None, :, None])[..., 0]
+    p = (vs.conj()[..., None, :] @ vs[..., :, None])[..., 0, 0].real  # rounds as np.vdot does
+    keep = p >= P_FLOOR
+    kept_p = np.where(keep, p, 0.0)
+    total = kept_p.cumsum(axis=1)[:, -1]  # in Kraus order, as a running sum rounds
+    return kept_p / total[:, None], keep, vs[keep] / np.sqrt(p[keep])[:, None]
+
+
 def apply_channel_to_pure(
     channel: LocalKrausChannel, psi: PureState
 ) -> list[tuple[float, PureState]]:
-    """Pure-state fast path: each outcome is (I x M_k)|psi> renormalized."""
-    if len(psi.dims.factors) != 2:
-        raise DimensionMismatchError("channels act on bipartite states")
-    vs = _embedded_kraus(np.stack(channel.kraus), channel.side, psi.dims) @ psi.amplitudes
-    p = (vs.conj()[:, None, :] @ vs[:, :, None])[:, 0, 0].real  # rounds as np.vdot does
-    keep = p >= P_FLOOR
-    total = float(sum(p[keep]))  # in Kraus order, as a running sum rounds
-    return [(float(pk) / total, PureState(v / np.sqrt(pk), psi.dims))
-            for pk, v in zip(p[keep], vs[keep])]
+    """Pure-state fast path: each outcome is (I x M_k)|psi> renormalized.
+    The one-state case of ``_vector_outcomes``."""
+    probs, keep, vectors = _vector_outcomes(np.stack(channel.kraus), channel.side,
+                                            psi.amplitudes[None], psi.dims)
+    return [(float(p), PureState(v, psi.dims)) for p, v in zip(probs[keep], vectors)]
 
 
 def classify(channel: LocalKrausChannel) -> ChannelClass:
@@ -370,21 +382,27 @@ def _draw_mixture(d: int, n_unitaries: int, rng: np.random.Generator, side: str 
 def _build_channels(draws) -> list[LocalKrausChannel]:
     """The channel of each ``_ChannelDraw`` of a list; channels pass as they
     are.  A draw is built once.  The draws of one side, kind and shape are
-    one stack: one phase-fixed QR (``_haar_stack``) and one check."""
-    groups = {}
+    one stack for one phase-fixed QR (``_haar_stack``), and the general
+    families of one side and dimension are one check (``_padded_kraus``)."""
+    groups, general = {}, {}
     for draw in draws:
         if isinstance(draw, _ChannelDraw) and draw.channel is None:
             key = draw.side, draw.d, draw.weights is None, draw.ginibre.shape
             groups.setdefault(key, {})[id(draw)] = draw
-    for (side, d, general, _), group in groups.items():
+    for (side, d, is_general, _), group in groups.items():
         group = list(group.values())
         u = _haar_stack(np.stack([draw.ginibre for draw in group]))
-        if general:  # the blocks of the first d columns
+        if is_general:  # the blocks of the first d columns
             kraus = u[..., :d].reshape(len(group), -1, d, d)
-            built = [_trusted_channel(side, tuple(k), cls)
-                     for k, cls in zip(kraus, _check_families(side, kraus))]
-        else:
-            built = _unitary_mixtures(np.stack([draw.weights for draw in group]), u, side)
-        for draw, channel in zip(group, built):
+            general.setdefault((side, d), []).extend(zip(group, kraus))
+            continue
+        weights = np.stack([draw.weights for draw in group])
+        for draw, channel in zip(group, _unitary_mixtures(weights, u, side)):
             draw.channel = channel
+    for (side, _), pairs in general.items():
+        built, families = zip(*pairs)
+        kraus = _padded_kraus(families)
+        live = np.arange(kraus.shape[1]) < np.array([len(k) for k in families])[:, None]
+        for draw, k, cls in zip(built, families, _check_families(side, kraus, live)):
+            draw.channel = _trusted_channel(side, tuple(k), cls)
     return [draw.channel if isinstance(draw, _ChannelDraw) else draw for draw in draws]

@@ -2,13 +2,15 @@
 
     entmon measure STATE_FILE MEASURE_ID [--base nats|bits] [--json] [--seed N]
     entmon verify [--config FILE] [--seed N] [--trials N] [--dims dAxdB ...]
-                  [--measure ID ...] [--check ID ...] [--out PATH] [--json]
+                  [--measure ID ...] [--check ID ...] [--out PATH] [--timings PATH] [--json]
 
 Exit codes: 0 success (verify: no failing verdicts), 1 verify found a
 failing verdict, 2 parse/config error or unusable --out path, 3 dimension
 or measure mismatch.
 Stdout carries only the requested payload; progress, including one line
 per verify check with its report count and wall seconds, goes to stderr.
+``--timings PATH`` writes those per-check counts and seconds as a JSON list
+of ``{"check_id", "reports", "seconds"}``; the reports do not change.
 """
 
 from __future__ import annotations
@@ -122,16 +124,24 @@ def cmd_verify(args) -> int:
     jsonl_path = Path(config.output_path)
     csv_path = jsonl_path.with_suffix(".csv") if jsonl_path.suffix else \
         Path(str(jsonl_path) + ".csv")
-    for path in (jsonl_path, csv_path):
-        if path.is_dir() or not path.parent.is_dir():
+    timings_path = None if args.timings is None else Path(args.timings)
+    for path in (jsonl_path, csv_path, timings_path):
+        if path is not None and (path.is_dir() or not path.parent.is_dir()):
             _log(f"output error: {path} is a directory or lies in a missing one")
             return EXIT_PARSE
     _log(f"running checks {list(config.checks)} with seed {config.seed}, "
          f"trials {config.trials}")
-    reports = run_sweep(config, on_check=lambda check_id, batch, seconds: _log(
-        f"check {check_id}: {len(batch)} reports in {seconds:.3f} s"))
+    timings = []
+
+    def on_check(check_id, batch, seconds):
+        _log(f"check {check_id}: {len(batch)} reports in {seconds:.3f} s")
+        timings.append({"check_id": check_id, "reports": len(batch), "seconds": seconds})
+
+    reports = run_sweep(config, on_check=on_check)
     write_reports_jsonl(reports, jsonl_path)
     write_summary_csv(reports, csv_path)
+    if timings_path is not None:
+        timings_path.write_text(json.dumps(timings) + "\n")
     _log(f"wrote {len(reports)} reports to {jsonl_path} and summary to {csv_path}")
     failures = sum(1 for r in reports if r.verdict == "fail")
     rows = summarize(reports)
@@ -147,7 +157,7 @@ def cmd_verify(args) -> int:
     else:
         for row in rows:
             print(f"{row['check_id']:22s} {row['measure_id']:16s} "
-                  f"{row['passes']}/{row['trials']} pass  "
+                  f"{row['passes']}/{row['trials']} pass  {row['skipped']} skipped  "
                   f"gap[min={row['min_gap']:.3e} max={row['max_gap']:.3e}]")
     return EXIT_FAILURES if failures else EXIT_OK
 
@@ -176,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--measure", action="append", metavar="ID")
     v.add_argument("--check", action="append", metavar="ID", choices=CHECK_IDS)
     v.add_argument("--out", metavar="PATH", help="JSON-lines report path")
+    v.add_argument("--timings", metavar="PATH", help="JSON file of per-check wall seconds")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
     return parser

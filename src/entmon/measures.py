@@ -147,6 +147,8 @@ def h_of_spectrum(h: HFunction, mu: np.ndarray, eps: float = 0.0) -> np.ndarray:
     and h_eps -> h as eps -> 0; the entropy and the tangle ignore ``eps``.
     """
     mu = np.asarray(mu, dtype=float)
+    if h.kind == "g-concurrence" and mu.shape[-1] == 1:
+        raise ValueError("the G-concurrence is not defined on a factor of dimension 1")
     if eps == 0.0:
         mu = np.where(mu < SPECTRUM_FLOOR, 0.0, mu)
         total = np.sum(mu, axis=-1, keepdims=True)

@@ -422,7 +422,7 @@ def _data_processing_stack(mats: np.ndarray, channels, dims) -> list[DataProcess
     """
     t, n = len(mats), dims.total
     counts = [len(channel.kraus) for channel in channels]
-    kraus = np.repeat(_padded_kraus(channels), 2, axis=0)
+    kraus = np.repeat(_padded_kraus([c.kraus for c in channels]), 2, axis=0)
     outs, vals, vecs = _gram_outcomes(kraus, channels[0].side, mats.reshape(2 * t, n, n), dims)
     outs = outs.reshape(t, 2, -1, n, n)
     pq = outs.trace(axis1=-2, axis2=-1).real

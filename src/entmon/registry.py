@@ -27,7 +27,7 @@ import numpy as np
 
 from . import measures, ree, roof
 from .measures import HFunction, MeasureValue
-from .states import DensityMatrix, Dims, PureState
+from .states import DensityMatrix, Dims, PureState, projector_stack
 
 PURITY_TOL = 1e-10
 
@@ -122,22 +122,24 @@ def measure_state_kind(measure_id: str, dims: Dims) -> str | None:
     return "pure"  # closed forms that are h of a pure state's reduced state
 
 
-def evaluate_closed_stack(measure_id: str, mats: np.ndarray, dims: Dims) -> np.ndarray:
-    """A closed-form measure on a ``(..., n, n)`` stack of density matrices.
-
-    The members must be valid states on ``dims``.  Values carry
-    ``MeasureValue``'s roundoff floor.  The reduced-state (h-function)
-    families need every member pure; a mixed one raises ``MeasureError``.
+def evaluate_closed_stack(measure_id: str, states: np.ndarray, dims: Dims) -> np.ndarray:
+    """A closed-form measure on an ``(M, n)`` stack of amplitude vectors or
+    an ``(M, n, n)`` stack of density matrices (``states.ndim`` tells which)
+    that are valid states on ``dims``.  Values carry ``MeasureValue``'s
+    roundoff floor.  The reduced-state (h-function) families take vectors
+    to ``pure_measure_stack`` and need every matrix pure (else
+    ``MeasureError``); the others take a vector as its projector.
     """
     family, param = parse_measure_id(measure_id)
     if FAMILIES[family].tier != "closed":
         raise MeasureError(f"{measure_id!r} has no closed form")
-    return _closed_values(measure_id, family, _h_function(family, param), mats, dims)
-
-
-def _closed_values(measure_id, family, h, mats, dims) -> np.ndarray:
-    if measure_state_kind(measure_id, dims) is None:
+    h = _h_function(family, param)
+    kind = measure_state_kind(measure_id, dims)
+    if kind is None:
         raise MeasureError(f"{measure_id!r} is not defined on a {dims.factors} system")
+    if states.ndim == 2 and kind == "pure":
+        return measures.pure_measure_stack(h, states, dims)
+    mats = projector_stack(states) if states.ndim == 2 else states
     if family == "negativity":
         return measures.negativity_of_norms(measures.pt_trace_norms(mats, dims))
     if family == "log-negativity":
@@ -187,10 +189,7 @@ def evaluate_measure(
             },
         )
 
-    if isinstance(state, PureState) and measure_state_kind(measure_id, state.dims) == "pure":
-        # A given state vector needs no eigendecomposition to find it.
-        value = measures.pure_measure_stack(h, state.amplitudes, state.dims)
-    else:
-        dm = _as_density(state)
-        value = _closed_values(measure_id, family, h, dm.matrix, dm.dims)
+    # A given state vector needs no eigendecomposition to find it.
+    stack = state.amplitudes if isinstance(state, PureState) else state.matrix
+    value = evaluate_closed_stack(measure_id, stack[None], state.dims)[0]
     return MeasureValue(float(value), family if h is None else h.measure_id)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, Dims, PureState
+from .states import DensityMatrix, Dims, PureState, _norms
 
 
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,16 +42,10 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     """Normalized complex rows from standard normal draws ``z`` of shape
-    ``(n, 2, N)``: row i is ``z[i, 0] + 1j z[i, 1]`` over its norm.
-
-    Each row's norm is the one ``np.linalg.norm`` takes, sqrt(re . re +
-    im . im) with one BLAS dot product per part; a ``matmul`` of 1 x N by
-    N x 1 rows makes those same calls.  Other batched norms (an axis
-    argument, einsum, a complex product) differ from it in the last bit.
-    """
+    ``(n, 2, N)``: row i is ``z[i, 0] + 1j z[i, 1]`` over the norm that
+    ``np.linalg.norm`` takes (``states._norms``)."""
     v = z[:, 0] + 1j * z[:, 1]
-    re, im = v.real[:, None, :], v.imag[:, None, :]
-    return v / np.sqrt(re @ v.real[:, :, None] + im @ v.imag[:, :, None])[:, 0]
+    return v / _norms(v)[:, None]
 
 
 def _product_rows(z: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:

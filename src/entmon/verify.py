@@ -13,7 +13,8 @@ and ``_draw_mixture``).  The trials of ``monotone`` (closed forms),
 ``_batch_reports``, which validates each batch of at most
 ``_BATCH_STATES`` input states once, builds its channels as stacks
 (``_build_channels``) and judges it with one kernel: ``_closed_gaps``
-(per measure, one ``_outcome_stack`` and one ``evaluate_closed_stack``
+(per measure, one ``_vector_outcomes`` call on pure inputs, kept as
+vectors, or ``_outcome_stack`` call, and one ``evaluate_closed_stack``
 call), ``_reduced_state_reports`` or ``_ree_dpi_reports``.  No kernel
 classifies a channel: each reads ``classify(channel)``, the class that
 ``channels._check_families`` gave the channel when it was built.
@@ -53,8 +54,8 @@ from .channels import (
     _draw_mixture,
     _outcome_stack,
     _padded_kraus,
+    _vector_outcomes,
     apply_channel,
-    apply_channel_to_pure,
     classify,
 )
 from .measures import (
@@ -95,12 +96,12 @@ from .states import (
     PureState,
     TOL_SUPPORT,
     _check_hermitian_unit_trace,
-    _check_spectra,
     bell_state,
     partial_trace,
     partial_transpose,
     projector_stack,
     validate_density_stack,
+    validate_pure_stack,
     von_neumann_entropy,
     werner_state,
 )
@@ -285,28 +286,30 @@ def _monotone_reports(items, dims):
 
 
 def _closed_gaps(items, dims):
-    """Per item ``(measure_id, mats, channel, ...)``, the channel's tag and,
-    per state of ``mats``, the measure of the state and its average over
-    the channel's outcomes, as ``(tag, lhs, rhs, n_outcomes)``.
+    """Per item ``(measure_id, states, channel, ...)``, the channel's tag
+    and, per state, the measure of the state and its average over the
+    channel's outcomes, as ``(tag, lhs, rhs, n_outcomes)``.
 
-    ``mats`` is a ``(n, N, N)`` stack of valid states on ``dims``, every
-    channel acts on one side and every measure is a closed form.  The
-    items of one measure are one ``_outcome_stack`` call and one
+    ``states``, valid states on ``dims``, are ``(n, N)`` amplitudes or
+    ``(n, N, N)`` density matrices; every channel acts on one side and every
+    measure is a closed form.  The items of one measure and ``ndim`` are one
+    ``_vector_outcomes`` or ``_outcome_stack`` call and one
     ``evaluate_closed_stack`` call on their inputs followed by the kept
     outcomes; a state's values do not depend on the rest of the stack.
     """
     gaps = [None] * len(items)
-    for measure_id, group in _groups(item[0] for item in items).items():
+    for (measure_id, ndim), group in _groups((item[0], item[1].ndim) for item in items).items():
         counts = [len(items[i][1]) for i in group]
         channels = [items[i][2] for i in group]
-        mats = np.concatenate([items[i][1] for i in group])
-        kraus = _padded_kraus(channels)
-        if len(kraus) < len(mats):  # items of several states: one family per state
+        states = np.concatenate([items[i][1] for i in group])
+        kraus = _padded_kraus([channel.kraus for channel in channels])
+        if len(kraus) < len(states):  # items of several states: one family per state
             kraus = np.repeat(kraus, counts, axis=0)
-        probs, keep, outcomes = _outcome_stack(kraus, channels[0].side, mats, dims)
-        vals = evaluate_closed_stack(measure_id, np.concatenate([mats, outcomes]), dims)
+        outcome_kernel = _vector_outcomes if ndim == 2 else _outcome_stack
+        probs, keep, outcomes = outcome_kernel(kraus, channels[0].side, states, dims)
+        vals = evaluate_closed_stack(measure_id, np.concatenate([states, outcomes]), dims)
         n_outcomes = [sum(row) for row in keep.tolist()]
-        terms = iter((probs[keep] * vals[len(mats):]).tolist())
+        terms = iter((probs[keep] * vals[len(states):]).tolist())
         # Left folds over each state's outcome terms: in outcome order, as
         # a running sum rounds.
         rhs = [functools.reduce(operator.add, itertools.islice(terms, n), 0.0)
@@ -318,17 +321,22 @@ def _closed_gaps(items, dims):
     return [(classify(item[2]).tag, *gap) for item, gap in zip(items, gaps)]
 
 
-def _input_dims(channel: LocalKrausChannel, mats: np.ndarray, n_states: int) -> Dims:
-    """Dims of a ``(n_states, N, N)`` input stack: the channel acts on a
-    factor of dimension ``channel.dim`` on its side, the rest is the other."""
+def _input_dims(channel: LocalKrausChannel, states: np.ndarray, n_states: int) -> Dims:
+    """Dims of an ``(n_states, N)`` or ``(n_states, N, N)`` input stack: the
+    channel acts on a factor of dimension ``channel.dim``, the rest is the other."""
     d = channel.dim
-    if mats.ndim != 3 or mats.shape[0] != n_states or mats.shape[1] != mats.shape[2] \
-            or mats.shape[-1] % d:
+    if states.ndim not in (2, 3) or states.shape[0] != n_states \
+            or states.shape[1] != states.shape[-1] or states.shape[-1] % d:
         raise DimensionMismatchError(
-            f"sampler returned shape {mats.shape}, expected ({n_states}, N, N) with N a "
-            f"multiple of the channel dimension {d}")
-    other = mats.shape[-1] // d
+            f"sampler returned shape {states.shape}, expected ({n_states}, N) or "
+            f"({n_states}, N, N) with N a multiple of the channel dimension {d}")
+    other = states.shape[-1] // d
     return Dims(other, d) if channel.side == "B" else Dims(d, other)
+
+
+def _check_inputs(states: np.ndarray) -> None:
+    """Amplitudes ``(n, N)`` by norm, matrices ``(n, N, N)`` by hermiticity and trace."""
+    (validate_pure_stack if states.ndim == 2 else _check_hermitian_unit_trace)(states)
 
 
 def check_strict(
@@ -347,26 +355,26 @@ def check_strict(
     An optimizer-backed measure raises ``MeasureError`` before the sampler
     runs.
 
-    ``state_sampler(rng, n)`` returns the ``n`` input density matrices as
-    one ``(n, N, N)`` array, for example ``random_mixed_stack`` or
-    ``projector_stack`` of ``random_pure_stack``.  The stack is validated
-    once, here; its dims follow from the channel, which acts on the factor
-    of dimension ``channel.dim`` on ``channel.side``.  The rest is the
-    one-report case of ``_strict_reports``, which the ``strict`` sweep runs
-    on its reports in batches.
+    ``state_sampler(rng, n)`` returns the ``n`` inputs as one array: pure
+    states as ``(n, N)`` amplitudes (``random_pure_stack``), which no
+    eigendecomposition touches, or ``(n, N, N)`` density matrices
+    (``random_mixed_stack``).  The stack is validated once, here; its dims
+    follow from the channel, which acts on the factor of dimension
+    ``channel.dim`` on ``channel.side``.  The rest is the one-report case of
+    ``_strict_reports``, which the ``strict`` sweep runs in batches.
     """
     if measure_tier(measure_id) != "closed":
         raise MeasureError(f"check_strict takes closed-form measures, not {measure_id!r}")
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
-    mats = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
-    dims = _input_dims(channel, mats, n_states)
-    _check_hermitian_unit_trace(mats)  # _outcome_stack checks the spectra
-    return _strict_reports([(measure_id, mats, channel, seed, False)], dims)[0]
+    states = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
+    dims = _input_dims(channel, states, n_states)
+    _check_inputs(states)
+    return _strict_reports([(measure_id, states, channel, seed, False)], dims)[0]
 
 
 def _strict_reports(items, dims):
-    """``check_strict`` reports of ``items``, tuples ``(measure_id, mats,
+    """``check_strict`` reports of ``items``, tuples ``(measure_id, states,
     channel, seed, mixture)`` as ``_closed_gaps`` takes them.  An item
     built as a unitary mixture (``mixture``) that ``classify`` calls
     general fails with a note."""
@@ -470,43 +478,40 @@ def check_reduced_state_condition(
     ``_reduced_state_reports``, which the ``reduced-state`` sweep runs on
     its trials in batches.
     """
-    proj = projector_stack(psi.amplitudes[None])
-    _check_hermitian_unit_trace(proj)  # _reduced_state_reports checks the outcomes
-    return _reduced_state_reports([(h, proj, channel, seed, psi)])[0]
+    return _reduced_state_reports([(h, psi.amplitudes[None], channel, seed, psi.dims)])[0]
 
 
 def _reduced_state_reports(items):
-    """``check_reduced_state_condition`` reports of items ``(h, proj,
-    channel, seed, psi)``, ``proj`` the ``(1, N, N)`` projector of ``psi``,
-    whose hermiticity and trace are checked.  Each trial's outcomes come
-    from one ``apply_channel_to_pure`` call.  Per (dims, h), the projectors
-    of every input and outcome, and then their A marginals, are validated
-    as one stack each; the marginals' one ``eigvalsh`` gives every value."""
-    outcomes = []
-    for _, _, channel, _, psi in items:
-        if len(psi.dims.factors) != 2:
+    """``check_reduced_state_condition`` reports of items ``(h, amps,
+    channel, seed, dims)``, ``amps`` the ``(1, N)`` amplitudes of a pure
+    state on ``dims``.  Per (dims, h), the outcomes of every trial are one
+    ``_vector_outcomes`` call, and the A marginals of every input and
+    outcome are validated as one stack, whose one ``eigvalsh`` gives every
+    value; so a vector off the unit sphere raises."""
+    for _, _, channel, _, dims in items:
+        if len(dims.factors) != 2:
             raise DimensionMismatchError("reduced-state condition needs a bipartite pure state")
         if channel.side != "B":
             raise ValueError("reduced-state condition is formulated for side-B channels")
-        outcomes.append(apply_channel_to_pure(channel, psi))
     values = [None] * len(items)
-    for (dims, h), group in _groups((item[4].dims, item[0]) for item in items).items():
+    for (dims, h), group in _groups((item[4], item[0]) for item in items).items():
         dA, dB = dims.factors
-        outs = projector_stack(np.stack([o.amplitudes for i in group for _, o in outcomes[i]]))
-        _check_hermitian_unit_trace(outs)
-        proj = np.concatenate([items[i][1] for i in group] + [outs])  # inputs, then outcomes
-        _check_spectra(np.linalg.eigvalsh(proj))
+        amps = np.concatenate([items[i][1] for i in group])
+        probs, keep, outs = _vector_outcomes(
+            _padded_kraus([items[i][2].kraus for i in group]), "B", amps, dims)
+        proj = projector_stack(np.concatenate([amps, outs]))  # inputs, then outcomes
         marginals = np.trace(proj.reshape(-1, dA, dB, dA, dB), axis1=-3, axis2=-1)
         h_vals = h_of_spectrum(h, validate_density_stack(marginals)).tolist()
         stop = len(group)
         for j, i in enumerate(group):
-            start, stop = stop, stop + len(outcomes[i])
-            values[i] = h_vals[j], h_vals[start:stop], marginals[j], marginals[start:stop]
+            start, stop = stop, stop + int(keep[j].sum())
+            values[i] = (probs[j, keep[j]].tolist(), h_vals[j], h_vals[start:stop], marginals[j],
+                         marginals[start:stop])
     reports = []
-    for (h, _, channel, seed, _), outs, (lhs, vals, rho_a, out_a) in zip(items, outcomes, values):
-        rhs = functools.reduce(operator.add, (p * v for (p, _), v in zip(outs, vals)), 0.0)
+    for (h, _, channel, seed, _), (p, lhs, vals, rho_a, out_a) in zip(items, values):
+        rhs = functools.reduce(operator.add, (pk * v for pk, v in zip(p, vals)), 0.0)
         max_dev = max([0.0] + [float(np.linalg.norm(m - rho_a)) for m in out_a])
-        metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(outs)}
+        metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(p)}
         if lhs < STRICT_ZERO:
             metadata["note"] = "unentangled input"
         if max_dev > REDUCED_DEV_STRICT:
@@ -752,11 +757,11 @@ def _trial_draw(config: SweepConfig, t: int, d: int, rng: np.random.Generator, e
 
 
 def _stack_sampler(kind: str, dims: Dims):
-    """``check_strict`` sampler of Haar pure ('pure') or Ginibre full-rank
-    ('mixed') states."""
+    """``check_strict`` sampler of Haar pure ('pure', as amplitudes) or
+    Ginibre full-rank ('mixed') states."""
     if kind == "mixed":
         return lambda rng, n: random_mixed_stack(dims, None, n, rng)
-    return lambda rng, n: projector_stack(random_pure_stack(dims, n, rng))
+    return lambda rng, n: random_pure_stack(dims, n, rng)
 
 
 def _trials(config: SweepConfig, n: int, check_idx: int, *parts: int):
@@ -783,17 +788,17 @@ def _groups(keys) -> dict:
 
 def _batch_reports(items, judge, *args):
     """``(item, report)`` pairs of a stream of items, tuples whose second
-    member is an ``(n, N, N)`` stack of input states and whose third is a
-    channel or its draw.  ``judge(batch, *args)`` returns the reports of
-    consecutive lists of items of at most ``_BATCH_STATES`` input states
-    (or of one larger item); each list is drawn when the one before is
-    judged, its inputs are validated once per N (PSD by ``judge``), and its
-    channels are built (``_build_channels``)."""
+    member is a stack of input states and whose third is a channel or its
+    draw.  ``judge(batch, *args)`` returns the reports of consecutive lists
+    of items of at most ``_BATCH_STATES`` input states (or of one larger
+    item); each list is drawn when the one before is judged, its inputs are
+    validated once per trailing shape (``_check_inputs``), and its channels
+    are built (``_build_channels``)."""
     batch, n_states = [], 0
     for item in itertools.chain(items, [None]):
         if batch and (item is None or n_states + len(item[1]) > _BATCH_STATES):
-            for group in _groups(it[1].shape for it in batch).values():
-                _check_hermitian_unit_trace(np.concatenate([batch[i][1] for i in group]))
+            for group in _groups(it[1].shape[1:] for it in batch).values():
+                _check_inputs(np.concatenate([batch[i][1] for i in group]))
             channels = _build_channels([it[2] for it in batch])
             batch = [it[:2] + (channel,) + it[3:] for it, channel in zip(batch, channels)]
             yield from zip(batch, judge(batch, *args))
@@ -888,14 +893,13 @@ def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[Verificati
 
 def _reduced_state_items(config: SweepConfig, check_idx: int):
     bell = bell_state()
-    yield (ENTROPY, projector_stack(bell.amplitudes[None]), _projective_channel(2),
-           derived_seed(config.seed, check_idx, 0), bell)
+    yield (ENTROPY, bell.amplitudes[None], _projective_channel(2),
+           derived_seed(config.seed, check_idx, 0), bell.dims)
     h_cycle = (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE)
     for t, seed, rng in _trials(config, config.trials, check_idx, 1):
-        dims_pair = _cycled(config.dims, t)
-        psi = random_pure(Dims(*dims_pair), rng)
-        yield (_cycled(h_cycle, t), projector_stack(psi.amplitudes[None]),
-               _trial_draw(config, t, dims_pair[1], rng, 3, 3), seed, psi)
+        dims = Dims(*_cycled(config.dims, t))
+        yield (_cycled(h_cycle, t), random_pure_stack(dims, 1, rng),
+               _trial_draw(config, t, dims.dB, rng, 3, 3), seed, dims)
 
 
 def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
@@ -1067,7 +1071,7 @@ def write_reports_jsonl(reports: list[VerificationReport], path: str | Path) -> 
 
 
 def summarize(reports: list[VerificationReport]) -> list[dict]:
-    """Per (check_id, measure_id) trial counts, passes, and gap statistics."""
+    """Per (check_id, measure_id) trial counts, passes, skips, and gap statistics."""
     groups: dict[tuple[str, str], list[VerificationReport]] = {}
     for r in reports:
         groups.setdefault((r.check_id, r.measure_id), []).append(r)
@@ -1079,6 +1083,7 @@ def summarize(reports: list[VerificationReport]) -> list[dict]:
             "measure_id": key[1],
             "trials": len(rs),
             "passes": sum(1 for r in rs if r.verdict == "pass"),
+            "skipped": len(rs) - len(gaps),
             "min_gap": min(gaps) if gaps else 0.0,
             "mean_gap": sum(gaps) / len(gaps) if gaps else 0.0,
             "max_gap": max(gaps) if gaps else 0.0,
@@ -1091,7 +1096,7 @@ def write_summary_csv(reports: list[VerificationReport], path: str | Path) -> No
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh,
-            fieldnames=["check_id", "measure_id", "trials", "passes",
+            fieldnames=["check_id", "measure_id", "trials", "passes", "skipped",
                         "min_gap", "mean_gap", "max_gap"],
         )
         writer.writeheader()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmon.channels import (
+    P_FLOOR,
     ChannelValidationError,
     LocalKrausChannel,
     TAG_GENERAL,
@@ -18,12 +19,13 @@ from entmon.channels import (
     _embedded_kraus,
     _outcome_stack,
     _padded_kraus,
+    _vector_outcomes,
     classify,
     random_channel,
     unitary_mixture_channel,
 )
 from entmon.registry import PURITY_TOL
-from entmon.sampling import haar_unitary, random_mixed, random_pure
+from entmon.sampling import haar_unitary, random_mixed, random_pure, random_pure_stack
 from entmon.states import DensityMatrix, Dims, PureState, bell_state, partial_trace
 
 X_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -222,7 +224,7 @@ class TestApply:
                 rho = random_mixed(dims, 1 + i % dims.total, rng).matrix
             states.append(rho)
             channels.append(channel)
-        kraus = _padded_kraus(channels)
+        kraus = _padded_kraus([c.kraus for c in channels])
         probs, keep, outs = _outcome_stack(kraus, side, np.stack(states), dims)
         assert kraus.shape[1] == max(len(c.kraus) for c in channels)
         start = 0
@@ -560,3 +562,90 @@ class TestClassifyStack:
         other = LocalKrausChannel("B", channel.kraus)
         object.__setattr__(other, "channel_class", None)
         assert other == channel
+
+
+# ---------------------------------------------------------------------------
+# The vector kernel: ``apply_channel_to_pure`` is its one-state case.
+
+
+def _former_apply_channel_to_pure(channel, psi):
+    """``apply_channel_to_pure`` as it was before ``_vector_outcomes``, one
+    matrix-vector product per channel; kept as the reference that the
+    kernel's one-state case must match bit for bit."""
+    vs = _embedded_kraus(np.stack(channel.kraus), channel.side, psi.dims) @ psi.amplitudes
+    p = (vs.conj()[:, None, :] @ vs[:, :, None])[:, 0, 0].real
+    keep = p >= P_FLOOR
+    total = float(sum(p[keep]))
+    return [(float(pk) / total, PureState(v / np.sqrt(pk), psi.dims))
+            for pk, v in zip(p[keep], vs[keep])]
+
+
+class TestVectorOutcomes:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+           side=st.sampled_from("AB"), kind=st.sampled_from(["general", "mixture", "annihilating"]),
+           k=st.integers(1, 4))
+    def test_one_state_case_is_bit_identical_to_the_former_body(self, seed, dims, side, kind, k):
+        rng = np.random.default_rng(seed)
+        dims = Dims(*dims)
+        d = dims.factors["AB".index(side)]
+        if kind == "annihilating":  # outcomes of p ~ 1e-20 to 1e-6, some dropped
+            channel, proj = _near_annihilating(dims, side, 10.0 ** rng.uniform(-10, -3), rng)
+            psi = PureState(np.linalg.eigh(proj)[1][:, -1], dims)
+        else:
+            psi = random_pure(dims, rng)
+            channel = random_channel(d, k, rng, side) if kind == "general" else \
+                unitary_mixture_channel(rng.dirichlet(np.ones(k)),
+                                        [haar_unitary(d, rng) for _ in range(k)], side)
+        former = _former_apply_channel_to_pure(channel, psi)
+        now = apply_channel_to_pure(channel, psi)
+        assert [p for p, _ in now] == [p for p, _ in former]
+        assert all(np.array_equal(a.amplitudes, b.amplitudes) for (_, a), (_, b) in zip(now, former))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_stack_of_families_matches_one_state_at_a_time(self, dims):
+        # Each state carries its own family of 1-4 operators, zero-padded.
+        rng = np.random.default_rng(sum(dims))
+        dims = Dims(*dims)
+        channels = [random_channel(dims.dB, 1 + t % 4, rng) for t in range(9)]
+        amps = random_pure_stack(dims, 9, rng)
+        probs, keep, vectors = _vector_outcomes(_padded_kraus([c.kraus for c in channels]), "B",
+                                                amps, dims)
+        one_by_one = [apply_channel_to_pure(c, PureState(a, dims)) for c, a in zip(channels, amps)]
+        assert probs[keep].tolist() == [p for outs in one_by_one for p, _ in outs]
+        assert np.array_equal(vectors, [o.amplitudes for outs in one_by_one for _, o in outs])
+        assert np.array_equal(probs.sum(axis=1) > 0, np.ones(9, bool))
+
+    def test_tripartite_state_is_refused(self):
+        from entmon.states import DimensionMismatchError
+
+        with pytest.raises(DimensionMismatchError, match="bipartite"):
+            _vector_outcomes(np.eye(2)[None], "B", np.eye(8)[:1], Dims(2, 2, 2))
+
+
+def test_general_families_of_one_side_and_dimension_are_checked_once(monkeypatch):
+    # Families of 2-4 operators on one (side, d) are one zero-padded stack
+    # for _check_families, with the classes each family's own check gives.
+    from entmon import channels
+    from entmon.channels import _build_channels, _draw_channel, _draw_mixture
+
+    rng = np.random.default_rng(33)
+    draws = [_draw_channel(3, 2 + t % 3, rng) for t in range(7)]
+    draws += [_draw_channel(2, 3, rng), _draw_channel(3, 2, rng, side="A"),
+              _draw_mixture(3, 2, rng), _draw_mixture(3, 3, rng)]
+    calls = []
+    check = channels._check_families
+
+    def counted(side, kraus, live=None):
+        calls.append((side, kraus.shape, live is not None))
+        return check(side, kraus, live)
+
+    monkeypatch.setattr(channels, "_check_families", counted)
+    built = _build_channels(draws)
+    general = [("B", (7, 4, 3, 3), True), ("B", (1, 3, 2, 2), True), ("A", (1, 2, 3, 3), True)]
+    mixtures = [("B", (1, 2, 3, 3), True), ("B", (1, 3, 3, 3), True)]
+    assert sorted(calls) == sorted(general + mixtures)
+    monkeypatch.undo()
+    for channel in built:
+        alone = LocalKrausChannel(channel.side, channel.kraus)
+        assert classify(alone) == classify(channel)

@@ -133,6 +133,42 @@ class TestVerifyCommand:
         verdicts = [json.loads(line)["verdict"] for line in out.read_text().splitlines()]
         assert "fail" not in verdicts and "skipped" in verdicts
 
+    def test_all_skipped_group_reads_as_skipped(self, tmp_path, capsys):
+        # The scan of 0 triples is skipped, not failed: its CSV row and its
+        # table line say so.
+        import csv
+
+        out = tmp_path / "rep.jsonl"
+        assert main(["verify", "--trials", "0", "--check", "logneg-nonconvexity",
+                     "--out", str(out)]) == 0
+        row, = csv.DictReader((tmp_path / "rep.csv").open())
+        assert (row["check_id"], row["trials"], row["passes"], row["skipped"]) == \
+            ("logneg-nonconvexity", "1", "0", "1")
+        assert "0/1 pass  1 skipped" in capsys.readouterr().out
+
+    def test_timings_file_leaves_the_reports_unchanged(self, tmp_path, capsys):
+        argv = ["verify", "--trials", "3", "--seed", "2", "--check", "strict", "--check",
+                "reduced-state", "--check", "concavity"]
+        plain, timed = tmp_path / "plain.jsonl", tmp_path / "timed.jsonl"
+        timings = tmp_path / "timings.json"
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--out", str(timed), "--timings", str(timings)]) == 0
+        assert timed.read_bytes() == plain.read_bytes()
+        entries = json.loads(timings.read_text())
+        counts = {}
+        for line in plain.read_text().splitlines():
+            check_id = json.loads(line)["check_id"]
+            counts[check_id] = counts.get(check_id, 0) + 1
+        assert [(e["check_id"], e["reports"]) for e in entries] == list(counts.items())
+        assert all(e["seconds"] >= 0.0 for e in entries)
+
+    def test_timings_path_checked_before_the_sweep(self, tmp_path, capsys):
+        out = tmp_path / "rep.jsonl"
+        assert main(["verify", "--check", "concavity", "--trials", "2", "--out", str(out),
+                     "--timings", str(tmp_path / "missing" / "t.json")]) == 2
+        assert "output error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_sweep_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "rep.jsonl"
         code = main([

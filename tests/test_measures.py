@@ -335,3 +335,18 @@ class TestStrictConcavity:
             gap = h_eval(TANGLE, mix) - lam * h_eval(TANGLE, r1) - (1 - lam) * h_eval(TANGLE, r2)
             dist2 = np.linalg.norm(r1.matrix - r2.matrix) ** 2
             assert gap == pytest.approx(2 * lam * (1 - lam) * dist2, abs=1e-10)
+
+
+def test_g_concurrence_refused_on_a_factor_of_dimension_one():
+    # A reduced state of dimension 1 would read 1 on every state.
+    from entmon.roof import Decomposition
+    from entmon.states import PureState
+
+    psi = PureState([0.6, 0.8, 0.0], Dims(1, 3))
+    with pytest.raises(ValueError, match="dimension 1"):
+        pure_measure(G_CONCURRENCE, psi)
+    with pytest.raises(ValueError, match="dimension 1"):
+        h_eval(G_CONCURRENCE, DensityMatrix(np.eye(1), Dims(1)))
+    with pytest.raises(ValueError, match="dimension 1"):
+        Decomposition(np.array([1.0]), (psi,)).average_value(G_CONCURRENCE)
+    assert pure_measure(TANGLE, psi).value == 0.0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmon.sampling import random_mixed, random_pure, random_separable
+from entmon.sampling import random_mixed, random_pure, random_pure_stack, random_separable
 from entmon.states import (
     TOL_NORM,
     TOL_TRACE,
@@ -26,6 +26,7 @@ from entmon.states import (
     schmidt_decompose,
     trace_norm,
     validate_density_stack,
+    validate_pure_stack,
     von_neumann_entropy,
     werner_state,
 )
@@ -336,3 +337,24 @@ def test_non_finite_entries_are_refused_alike_by_state_and_stack(bad):
         with pytest.raises(StateValidationError) as from_state:
             DensityMatrix(mats[1], Dims(2, 2))
     assert str(from_stack.value) == str(from_state.value) == "matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "norm above", "norm below"])
+def test_vector_stack_refuses_what_a_pure_state_refuses(fault):
+    # validate_pure_stack is PureState's check on a stack: the first
+    # offending member raises the message its PureState would.
+    amps = random_pure_stack(Dims(2, 3), 4, np.random.default_rng(41))
+    if fault in ("nan", "inf"):
+        amps[2, 1] = {"nan": math.nan, "inf": complex(0.0, math.inf)}[fault]
+    else:
+        amps[2] *= 1.0 + (1.01 if fault == "norm above" else -1.01) * TOL_NORM
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateValidationError) as from_stack:
+            validate_pure_stack(amps)
+        with pytest.raises(StateValidationError) as from_state:
+            PureState(amps[2], Dims(2, 3))
+    assert str(from_stack.value) == str(from_state.value)
+    assert ("finite" if fault in ("nan", "inf") else "norm") in str(from_stack.value)
+    validate_pure_stack(np.delete(amps, 2, axis=0))
+    validate_pure_stack(amps[:2] * (1.0 + 0.99 * TOL_NORM))

@@ -413,7 +413,7 @@ class TestSweep:
         path = tmp_path / "summary.csv"
         write_summary_csv(reports, path)
         header = path.read_text().splitlines()[0]
-        assert header == "check_id,measure_id,trials,passes,min_gap,mean_gap,max_gap"
+        assert header == "check_id,measure_id,trials,passes,skipped,min_gap,mean_gap,max_gap"
 
     def test_jsonl_fields(self, tmp_path):
         cfg = SweepConfig(checks=("neg-decomposition",), trials=2, seed=0)
@@ -507,10 +507,21 @@ def _judged(report, ok):
     return report
 
 
-def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0):
-    from entmon.channels import apply_channel, classify
-    from entmon.registry import evaluate_measure
+def _outcomes(channel, state):
+    """The outcome ensemble of one state: by ``apply_channel_to_pure`` for a
+    ``PureState``, as the sweeps keep pure inputs as vectors, and by
+    ``apply_channel`` for a density matrix."""
+    from entmon.channels import apply_channel, apply_channel_to_pure
     from entmon.states import PureState
+
+    if isinstance(state, PureState):
+        return apply_channel_to_pure(channel, state)
+    return apply_channel(channel, state).outcomes
+
+
+def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0):
+    from entmon.channels import classify
+    from entmon.registry import evaluate_measure
     from entmon.verify import EQUALITY_TOL, STRICT_FLOOR, TAG_GENERAL, _report
 
     cls = classify(channel)
@@ -519,10 +530,9 @@ def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0)
     rhs_vals = np.empty(n_states)
     for i in range(n_states):
         state = state_sampler(rng)
-        dm = state.density() if isinstance(state, PureState) else state
-        lhs = evaluate_measure(measure_id, dm, rng=rng).value
-        ensemble = apply_channel(channel, dm)
-        rhs = sum(p * evaluate_measure(measure_id, s, rng=rng).value for p, s in ensemble.outcomes)
+        lhs = evaluate_measure(measure_id, state, rng=rng).value
+        rhs = sum(p * evaluate_measure(measure_id, s, rng=rng).value
+                  for p, s in _outcomes(channel, state))
         lhs_vals[i], rhs_vals[i], gaps[i] = lhs, rhs, lhs - rhs
     metadata = {
         "n_states": n_states,
@@ -547,7 +557,7 @@ def _reference_strict(measure_id, state_sampler, channel, n_states, rng, seed=0)
 
 
 def _reference_monotone(measure_id, rho, channel, rng=None, seed=0):
-    from entmon.channels import apply_channel, classify
+    from entmon.channels import classify
     from entmon.registry import evaluate_measure, measure_tier
     from entmon.verify import MONOTONE_TOL, _report
 
@@ -556,8 +566,7 @@ def _reference_monotone(measure_id, rho, channel, rng=None, seed=0):
     if rng is None and tier != "closed":
         rng = np.random.default_rng(seed)
     lhs = evaluate_measure(measure_id, rho, rng=rng)
-    ensemble = apply_channel(channel, rho)
-    outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in ensemble.outcomes]
+    outs = [(p, evaluate_measure(measure_id, s, rng=rng)) for p, s in _outcomes(channel, rho)]
     rhs = sum(p * v.value for p, v in outs)
     metadata = {"rule": "gap >= -tolerance", "n_outcomes": len(outs), "tier": tier}
     if tier != "closed":
@@ -588,7 +597,7 @@ def _reference_sweep_monotone(config):
             for t in range(config.trials):
                 seed = derived_seed(config.seed, check_idx, di, mi, t)
                 rng = np.random.default_rng(seed)
-                rho = _sampler(kind, dims)(rng)
+                rho = _sweep_sampler(kind, dims)(rng)
                 channel = random_channel(dims_pair[1], _reference_n_kraus(config, t), rng)
                 reports.append(_reference_monotone(measure_id, rho, channel, rng=rng, seed=seed))
     return reports
@@ -608,7 +617,8 @@ def _reference_sweep_strict(config):
             seed = derived_seed(config.seed, check_idx, 0, di, c)
             rng = np.random.default_rng(seed)
             channel = random_channel(dims_pair[1], _reference_n_kraus(config, c), rng)
-            reports.append(_reference_strict("negativity", _sampler("pure", Dims(*dims_pair)),
+            reports.append(_reference_strict("negativity",
+                                             _sweep_sampler("pure", Dims(*dims_pair)),
                                              channel, 100, rng, seed=seed))
     for di, dims_pair in enumerate(config.dims):
         for t in range(config.trials):
@@ -619,8 +629,8 @@ def _reference_sweep_strict(config):
                 kind = measure_state_kind(measure_id, Dims(*dims_pair))
                 if kind is None or measure_tier(measure_id) != "closed":
                     continue
-                rep = _reference_strict(measure_id, _sampler(kind, Dims(*dims_pair)), channel,
-                                        3, rng, seed=seed)
+                rep = _reference_strict(measure_id, _sweep_sampler(kind, Dims(*dims_pair)),
+                                        channel, 3, rng, seed=seed)
                 if rep.channel_class not in (TAG_LOCAL_UNITARY, TAG_UNITARY_MIXTURE):
                     rep = _judged(_report(rep.check_id, rep.measure_id, rep.channel_class,
                                           rep.lhs, rep.rhs, rep.tolerance, seed,
@@ -680,6 +690,12 @@ def _sampler(kind, dims):
     if kind == "pure":
         return lambda r: random_pure(dims, r).density()
     return lambda r: random_product_pure(dims, r).density()
+
+
+def _sweep_sampler(kind, dims):
+    """What the sweeps draw per state: Haar pure states as ``PureState``
+    vectors, mixed ones as ``_sampler`` draws them."""
+    return (lambda r: random_pure(dims, r)) if kind == "pure" else _sampler(kind, dims)
 
 
 def _stack_sampler(kind, dims):
@@ -1150,31 +1166,33 @@ class TestConcavityAndReducedStateKeepEveryInputCheck:
 
     @pytest.mark.parametrize("member", ["input", "outcome"])
     def test_reduced_state_norm_faults(self, member, monkeypatch):
-        from entmon import channels, verify
+        # A vector off the unit sphere, input or outcome, is refused by the
+        # check of its A marginal, with the message a DensityMatrix gives.
+        from entmon import verify
         from entmon.states import StateValidationError
-
-        def off_norm(psi):  # bypasses the PureState norm check
-            object.__setattr__(psi, "amplitudes", 1.001 * psi.amplitudes)
 
         rng = np.random.default_rng(16)
         psi = random_pure(Dims(2, 3), rng)
         channel = random_channel(3, 3, rng)
+        off = []
         if member == "input":
-            off_norm(psi)
+            object.__setattr__(psi, "amplitudes", 1.001 * psi.amplitudes)  # bypasses the check
+            off.append(psi.amplitudes)
         else:
-            exact = channels.apply_channel_to_pure
+            exact = verify._vector_outcomes
 
-            def one_off_outcome(ch, state):
-                outcomes = exact(ch, state)
-                off_norm(outcomes[1][1])
-                return outcomes
+            def one_off_outcome(*args):
+                probs, keep, vectors = exact(*args)
+                vectors[1] *= 1.001
+                off.append(vectors[1])
+                return probs, keep, vectors
 
-            monkeypatch.setattr(channels, "apply_channel_to_pure", one_off_outcome)
-            monkeypatch.setattr(verify, "apply_channel_to_pure", one_off_outcome)
-        with pytest.raises(StateValidationError, match="trace") as per_state:
-            _reference_reduced_state(ENTROPY, psi, channel)
+            monkeypatch.setattr(verify, "_vector_outcomes", one_off_outcome)
         with pytest.raises(StateValidationError) as stacked:
             check_reduced_state_condition(ENTROPY, psi, channel)
+        marginal = np.trace(projector_stack(off[0]).reshape(2, 3, 2, 3), axis1=1, axis2=3)
+        with pytest.raises(StateValidationError, match="trace") as per_state:
+            DensityMatrix(marginal, Dims(2))
         assert str(stacked.value) == str(per_state.value)
 
 
@@ -1368,7 +1386,7 @@ class TestReducedStateAcrossTrials:
         from entmon.verify import _reduced_state_reports
 
         inputs = _reduced_state_branch_inputs(np.random.default_rng(40))
-        items = [(h, projector_stack(psi.amplitudes[None]), channel, i, psi)
+        items = [(h, psi.amplitudes[None], channel, i, psi.dims)
                  for i, (h, psi, channel) in enumerate(inputs)]
         one_by_one = [check_reduced_state_condition(h, psi, channel, seed=i)
                       for i, (h, psi, channel) in enumerate(inputs)]
@@ -1403,3 +1421,117 @@ def test_tangle_gap_is_the_reduced_state_spread(dims_pair, mixture, k, seed):
     if mixture:
         assert rep.channel_class != "general"
         assert spread <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Pure inputs as amplitude vectors: the closed sweeps' vector path against
+# the projector path, and its checks at the boundary.
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims_pair=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), mixture=st.booleans(),
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_closed_gaps_of_vectors_match_their_projectors(dims_pair, mixture, k, seed):
+    # Every closed measure that takes states on dims_pair: the same outcome
+    # counts, and values that differ by roundoff alone.
+    from entmon.registry import measure_state_kind
+    from entmon.verify import _closed_gaps
+
+    dims = Dims(*dims_pair)
+    rng = np.random.default_rng(seed)
+    amps = random_pure_stack(dims, 3, rng)
+    channel = _stack_drawn_channel(mixture, dims_pair[1], k, rng)
+    ids = [m for m in CLOSED_MEASURES if measure_state_kind(m, dims) is not None]
+    vectors = _closed_gaps([(m, amps, channel) for m in ids], dims)
+    projectors = _closed_gaps([(m, projector_stack(amps), channel) for m in ids], dims)
+    for (tag, lhs, rhs, n_outcomes), (tag_p, lhs_p, rhs_p, n_outcomes_p) in zip(vectors,
+                                                                                projectors):
+        assert tag == tag_p and n_outcomes == n_outcomes_p
+        np.testing.assert_allclose(lhs, lhs_p, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(rhs, rhs_p, rtol=0.0, atol=1e-13)
+
+
+class TestVectorInputs:
+    @pytest.mark.parametrize("channel_kind", ["general", "mixture"])
+    @pytest.mark.parametrize("measure_id,dims_pair", [("negativity", (2, 3)), ("eof", (2, 2)),
+                                                      ("eof", (3, 2)), ("tangle", (3, 3))])
+    def test_strict_with_a_vector_sampler_matches_the_per_state_loop(self, measure_id, dims_pair,
+                                                                     channel_kind):
+        dims = Dims(*dims_pair)
+        reports = []
+        for check, sampler in ((check_strict, lambda r, n: random_pure_stack(dims, n, r)),
+                               (_reference_strict, _sweep_sampler("pure", dims))):
+            rng = np.random.default_rng(21)
+            channel = _channel(channel_kind, dims_pair[1], rng)
+            reports.append(check(measure_id, sampler, channel, 12, rng, seed=21))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("fault,message", [("non-finite", "non-finite"), ("norm", "norm")])
+    def test_faulty_amplitudes_are_refused_at_the_boundary(self, fault, message):
+        from entmon.states import TOL_NORM, StateValidationError
+        from entmon.verify import _batch_reports, _strict_reports
+
+        def faulty(r, n):
+            amps = random_pure_stack(Dims(2, 2), n, r)
+            if fault == "norm":
+                amps[2] *= 1.0 + 1.01 * TOL_NORM
+            else:
+                amps[2, 1] = math.nan
+            return amps
+
+        rng = np.random.default_rng(22)
+        channel = random_channel(2, 2, rng)
+        with pytest.raises(StateValidationError, match=message):
+            check_strict("negativity", faulty, channel, 4, rng)
+        items = [("negativity", random_pure_stack(Dims(2, 2), 3, rng), random_channel(2, 2, rng),
+                  0, False), ("negativity", faulty(rng, 4), random_channel(2, 2, rng), 1, False)]
+        with pytest.raises(StateValidationError, match=message):
+            list(_batch_reports(items, _strict_reports, Dims(2, 2)))
+
+    def test_vector_sampler_shape_must_fit_the_channel(self):
+        from entmon.states import DimensionMismatchError
+
+        rng = np.random.default_rng(23)
+        channel = random_channel(3, 2, rng)
+        for sampler in (lambda r, n: random_pure_stack(Dims(2, 2), n, r),  # 4 is no multiple of 3
+                        lambda r, n: random_pure_stack(Dims(2, 3), n, r)[0]):  # one vector
+            with pytest.raises(DimensionMismatchError):
+                check_strict("negativity", sampler, channel, 4, rng)
+
+
+def test_strict_existence_items_decompose_no_full_state_matrix(monkeypatch):
+    # The existence direction evaluates the negativity on Haar pure inputs
+    # and their outcomes: the only dA dB x dA dB spectra it takes are the
+    # partial transposes of the negativity; no eigh of that size at all.
+    from entmon import measures, verify
+
+    config = SweepConfig(checks=("strict",), dims=((2, 2), (2, 3), (3, 3)), trials=8, seed=4)
+    calls, inside = [], []
+    eigh, eigvalsh, pt_trace_norms = np.linalg.eigh, np.linalg.eigvalsh, measures.pt_trace_norms
+
+    def traced(fn, name):
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape[-1], bool(inside)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    def pt_norms(mats, dims):
+        inside.append(True)
+        try:
+            return pt_trace_norms(mats, dims)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", traced(eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced(eigvalsh, "eigvalsh"))
+    monkeypatch.setattr(measures, "pt_trace_norms", pt_norms)
+    n_reports = 0
+    for di, dims_pair in enumerate(config.dims):
+        n = dims_pair[0] * dims_pair[1]
+        items = [item for item in verify._strict_items(config, 1, di) if not item[4]]
+        calls.clear()
+        n_reports += len(list(verify._batch_reports(items, verify._strict_reports,
+                                                    Dims(*dims_pair))))
+        assert ("eigvalsh", n, True) in calls
+        assert [c for c in calls if c[1] == n and c != ("eigvalsh", n, True)] == []
+    assert n_reports == 3 * 2
