@@ -6,13 +6,13 @@ outcome ensemble (p_k, sigma_k) with p_k = Tr[(I x M_k) rho (I x M_k)^dag];
 such families map pure states to scalar multiples of pure states, which is
 the scenario all monotonicity checks run against.
 
-Two kernels apply Kraus operators to N states at once.  For density
-matrices, the Gram kernel ``_gram_outcomes`` builds the ``(N, K, n, n)``
-outcomes; it serves the closed sweeps' mixed inputs, the REE data-processing
-check and the monogamy contractions, and ``_outcome_stack`` normalizes and
-validates them (``apply_channel`` is its N = 1 case).  For pure states,
-``_vector_outcomes`` maps amplitude vectors to outcome vectors with no
-eigendecomposition; ``apply_channel_to_pure`` is its N = 1 case.  Each
+One kernel, ``_outcome_stack``, applies Kraus operators to N states at
+once, in either input form, and keeps and renormalizes their outcomes by
+one rule.  Pure states stay amplitude vectors, mapped to outcome vectors
+with no eigendecomposition (``apply_channel_to_pure`` is the N = 1 case).
+Density matrices go through the Gram kernel ``_gram_outcomes``, which
+builds the ``(N, K, n, n)`` outcomes PSD by construction (``apply_channel``
+is the N = 1 case); the REE data-processing check calls it directly.  Each
 state may carry its own Kraus family (``_padded_kraus``).
 
 Random channels are drawn in two steps.  A draw (``_draw_channel``,
@@ -74,13 +74,7 @@ class LocalKrausChannel:
     channel_class: ChannelClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.kraus:
-            raise ChannelValidationError("at least one Kraus operator is required")
-        ms = tuple(np.asarray(m, dtype=np.complex128) for m in self.kraus)
-        d = ms[0].shape[0]
-        for m in ms:
-            if m.shape != (d, d):
-                raise ChannelValidationError("all Kraus operators must be square and equal-sized")
+        ms = _square_operators(self.kraus)
         cls, = _check_families(self.side, np.stack(ms)[None])
         object.__setattr__(self, "kraus", ms)
         object.__setattr__(self, "channel_class", cls)
@@ -88,6 +82,17 @@ class LocalKrausChannel:
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
+
+
+def _square_operators(ops) -> tuple[np.ndarray, ...]:
+    """A family's operators as complex arrays, under the one shape rule:
+    at least one, each square, all of one size."""
+    ms = tuple(np.asarray(m, dtype=np.complex128) for m in ops)
+    if not ms:
+        raise ChannelValidationError("at least one Kraus operator is required")
+    if any(m.ndim != 2 or m.shape != ms[0].shape or m.shape[0] != m.shape[1] for m in ms):
+        raise ChannelValidationError("all Kraus operators must be square and equal-sized")
+    return ms
 
 
 def _check_families(side: str, kraus: np.ndarray, live=None) -> list[ChannelClass]:
@@ -170,7 +175,7 @@ def _embedded_kraus(kraus: np.ndarray, side: str, dims) -> np.ndarray:
     Each ``M_k`` is copied into the diagonal blocks of a zero array: the
     entries equal ``np.kron``'s, at a fraction of its cost on these sizes.
     """
-    dA, dB = dims.factors
+    dA, dB = dims.bipartite("a local channel")
     if kraus.shape[-1] != (dA if side == "A" else dB):
         raise DimensionMismatchError(f"channel dimension does not match side {side}")
     lead = kraus.shape[:-2]
@@ -210,8 +215,6 @@ def _gram_outcomes(
     is tiny and dividing by p_k would amplify the cancellation roundoff of
     the sandwich.  The input spectra are checked for PSD.
     """
-    if len(dims.factors) != 2:
-        raise DimensionMismatchError("channels act on bipartite states")
     ops = _embedded_kraus(kraus, side, dims)
     vals, vecs = np.linalg.eigh(mats)
     _check_spectra(vals)
@@ -224,27 +227,37 @@ def _gram_outcomes(
 
 
 def _outcome_stack(
-    kraus: np.ndarray, side: str, mats: np.ndarray, dims
+    kraus: np.ndarray, side: str, states: np.ndarray, dims
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome ensembles of Kraus families on a ``(N, n, n)`` stack of states.
+    """Outcome ensembles of Kraus families on a stack of states: ``(N, n)``
+    amplitudes or ``(N, n, n)`` density matrices.
 
     ``kraus`` as ``_gram_outcomes`` takes it.  Returns ``(probs, keep,
-    states)``: ``probs`` is ``(N, K)``, each row renormalized over the
+    outcomes)``: ``probs`` is ``(N, K)``, each row renormalized over the
     outcomes kept (``keep``, those with probability at least ``P_FLOOR``)
-    and 0 elsewhere; ``states`` holds the kept outcome states, row by row
-    in Kraus order, as one ``(M, n, n)`` stack that has passed
-    ``validate_density_stack``.  Each state's outcomes are the same bits
-    whatever else is in the stack.
+    and 0 elsewhere; ``outcomes`` holds the kept outcomes, row by row in
+    Kraus order, as one stack of the input's form.  Outcome k of a vector
+    psi is ``(I x M_k) psi`` over its norm, a unit vector and so a state
+    with no spectrum taken; outcome matrices are the Gram outcomes over
+    their traces, passed through ``validate_density_stack``.  Each state's
+    outcomes are the same bits whatever else is in the stack.
     """
-    x = _gram_outcomes(kraus, side, mats, dims)[0]
-    p = x.trace(axis1=-2, axis2=-1).real
+    if states.ndim == 2:
+        x = (_embedded_kraus(kraus, side, dims) @ states[:, None, :, None])[..., 0]
+        p = (x.conj()[..., None, :] @ x[..., :, None])[..., 0, 0].real  # rounds as np.vdot does
+    else:
+        x = _gram_outcomes(kraus, side, states, dims)[0]
+        p = x.trace(axis1=-2, axis2=-1).real
     keep = p >= P_FLOOR
     kept_p = np.where(keep, p, 0.0)
     total = kept_p.cumsum(axis=1)[:, -1]  # in Kraus order, as a running sum rounds
-    states = x[keep] / p[keep][:, None, None]
-    states = 0.5 * (states + states.conj().swapaxes(-1, -2))
-    validate_density_stack(states)
-    return kept_p / total[:, None], keep, states
+    if states.ndim == 2:
+        outcomes = x[keep] / np.sqrt(p[keep])[:, None]
+    else:
+        outcomes = x[keep] / p[keep][:, None, None]
+        outcomes = 0.5 * (outcomes + outcomes.conj().swapaxes(-1, -2))
+        validate_density_stack(outcomes)
+    return kept_p / total[:, None], keep, outcomes
 
 
 def apply_channel(channel: LocalKrausChannel, rho: DensityMatrix) -> OutcomeEnsemble:
@@ -261,29 +274,13 @@ def apply_channel(channel: LocalKrausChannel, rho: DensityMatrix) -> OutcomeEnse
     ))
 
 
-def _vector_outcomes(kraus: np.ndarray, side: str, amps: np.ndarray,
-                     dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_outcome_stack`` for a ``(N, n)`` stack of pure states: outcome k of
-    psi is ``(I x M_k) psi`` over its norm, p_k its squared norm, and the kept
-    outcomes come as one ``(M, n)`` stack of vectors.  A unit vector is a
-    state by construction, so no spectrum is taken."""
-    if len(dims.factors) != 2:
-        raise DimensionMismatchError("channels act on bipartite states")
-    vs = (_embedded_kraus(kraus, side, dims) @ amps[:, None, :, None])[..., 0]
-    p = (vs.conj()[..., None, :] @ vs[..., :, None])[..., 0, 0].real  # rounds as np.vdot does
-    keep = p >= P_FLOOR
-    kept_p = np.where(keep, p, 0.0)
-    total = kept_p.cumsum(axis=1)[:, -1]  # in Kraus order, as a running sum rounds
-    return kept_p / total[:, None], keep, vs[keep] / np.sqrt(p[keep])[:, None]
-
-
 def apply_channel_to_pure(
     channel: LocalKrausChannel, psi: PureState
 ) -> list[tuple[float, PureState]]:
     """Pure-state fast path: each outcome is (I x M_k)|psi> renormalized.
-    The one-state case of ``_vector_outcomes``."""
-    probs, keep, vectors = _vector_outcomes(np.stack(channel.kraus), channel.side,
-                                            psi.amplitudes[None], psi.dims)
+    The one-state case of ``_outcome_stack``."""
+    probs, keep, vectors = _outcome_stack(np.stack(channel.kraus), channel.side,
+                                          psi.amplitudes[None], psi.dims)
     return [(float(p), PureState(v, psi.dims)) for p, v in zip(probs[keep], vectors)]
 
 
@@ -318,16 +315,10 @@ def unitary_mixture_channel(
 ) -> LocalKrausChannel:
     """Channel with Kraus operators sqrt(w_k) U_k: the one-channel case of
     ``_unitary_mixtures``."""
+    us = _square_operators(unitaries)
     w = np.asarray(weights, dtype=float)
-    us = [np.asarray(u, dtype=np.complex128) for u in unitaries]
     if len(w) != len(us):
         raise ChannelValidationError("weights and unitaries must have equal length")
-    if not us:
-        raise ChannelValidationError("at least one Kraus operator is required")
-    if any(u.ndim != 2 or u.shape[0] != u.shape[1] for u in us):
-        raise ChannelValidationError("all operators must be unitary within 1e-10")
-    if len({u.shape for u in us}) > 1:
-        raise ChannelValidationError("all Kraus operators must be square and equal-sized")
     return _unitary_mixtures(w[None], np.stack(us)[None], side)[0]
 
 

@@ -211,12 +211,6 @@ def h_eval(h: HFunction, rho_a: DensityMatrix) -> float:
     return float(h_of_spectrum(h, rho_a.eigenvalues()))
 
 
-def _bipartite(dims: Dims, what: str) -> tuple[int, int]:
-    if len(dims.factors) != 2:
-        raise DimensionMismatchError(f"{what} requires a bipartite state")
-    return dims.factors
-
-
 def pure_measure_stack(h: HFunction, amps: np.ndarray, dims: Dims) -> np.ndarray:
     """``h`` on the reduced states of the smaller factor (A on a tie) of a
     ``(..., n)`` stack of pure states.
@@ -225,7 +219,7 @@ def pure_measure_stack(h: HFunction, amps: np.ndarray, dims: Dims) -> np.ndarray
     with zeros, which the G-concurrence's d prod mu^(1/d) would read as 0.
     The reduced states are validated once, as a stack.
     """
-    dA, dB = _bipartite(dims, "pure_measure")
+    dA, dB = dims.bipartite("pure_measure")
     lead = amps.shape[:-1]
     proj = projector_stack(amps).reshape(lead + (dA, dB, dA, dB))
     reduced = np.trace(proj, axis1=-4, axis2=-2) if dA > dB else np.trace(proj, axis1=-3, axis2=-1)
@@ -245,7 +239,7 @@ def pt_trace_norms(mats: np.ndarray, dims: Dims) -> np.ndarray:
     gives at least 1 exactly: each |lambda| >= lambda and rounding is
     monotone.  Both negativities are then >= 0 with no floor to absorb.
     """
-    dA, dB = _bipartite(dims, "partial transpose")
+    dA, dB = dims.bipartite("partial transpose")
     vals = np.linalg.eigvalsh(_partial_transpose_array(mats, dA, dB, "A"))
     return np.sum(np.abs(vals), axis=-1) / np.sum(vals, axis=-1)
 

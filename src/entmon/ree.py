@@ -320,9 +320,7 @@ def ree_minimize(
     the objective, or after ``max_iters`` iterations; non-convergence is
     reported through the ``converged`` flag, never as a failure.
     """
-    if len(rho.dims.factors) != 2:
-        raise DimensionMismatchError("E_r is computed on bipartite states")
-    dA, dB = rho.dims.factors
+    dA, dB = rho.dims.bipartite("E_r")
     n = dA * dB
     if n > MAX_TOTAL_DIM:
         raise DimensionMismatchError(f"total dimension {n} exceeds the desk-scale cap {MAX_TOTAL_DIM}")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, h_partials, pure_measure
 from .sampling import _haar_stack
-from .states import DensityMatrix, DimensionMismatchError, PureState, TOL_PSD, partial_transpose
+from .states import DensityMatrix, PureState, TOL_PSD, partial_transpose
 
 ISOMETRY_TOL = 1e-8
 WEIGHT_FLOOR = 1e-14
@@ -224,9 +224,15 @@ class _RoofObjective:
 
     def __init__(self, h: HFunction, rho: DensityMatrix):
         self.h = h
-        self.dA, self.dB = rho.dims.factors
+        dA, dB = rho.dims.factors
         lam, evecs = _eig_ensemble(rho)
         self._weighted = evecs * np.sqrt(lam)  # d x r
+        if dA > dB:
+            # Members read as transposed (B x A) matrices, so their reduced
+            # states are the smaller marginals: the larger ones pad the
+            # spectrum with zeros, which the G-concurrence reads as 0.
+            self._weighted = self._weighted.reshape(dA, dB, -1).swapaxes(0, 1).reshape(dA * dB, -1)
+        self.dA, self.dB = min(dA, dB), max(dA, dB)
 
     def members(self, q: np.ndarray) -> np.ndarray:
         """Unnormalized member vectors as rows, for an isometry ``q``."""
@@ -413,14 +419,9 @@ def roof_minimize(
     value is at most ``VALUE_FLOOR``, between stages or on stopping, the
     search ends.  A 2x2 or 2x3 PPT input goes to the product stage first,
     and after the descent again when the winner is above the floor;
-    ``converged`` then means a value at most ``VALUE_FLOOR``.  A
-    G-concurrence ``h`` raises ``ValueError`` on dA > dB.
+    ``converged`` then means a value at most ``VALUE_FLOOR``.
     """
-    if len(rho.dims.factors) != 2:
-        raise DimensionMismatchError("the convex roof is computed on bipartite states")
-    if h.kind == "g-concurrence" and rho.dims.dA > rho.dims.dB:
-        # Members' A marginals would hold dA - dB zeros, which d prod mu^(1/d) reads as 0.
-        raise ValueError("the G-concurrence roof needs dA <= dB; run it on the swapped state")
+    rho.dims.bipartite("the convex roof")
     if rng is None:
         rng = np.random.default_rng(0)
     lam, evecs = _eig_ensemble(rho)

@@ -45,11 +45,9 @@ def _decode_complex(pairs, name: str) -> np.ndarray:
 
 def _decode_dims(obj) -> Dims:
     dims = obj.get("dims")
-    if not isinstance(dims, list) or not 1 <= len(dims) <= 3:
+    if not isinstance(dims, list):
         raise StateFormatError("dims must be a list of 1 to 3 positive integers")
-    if not all(isinstance(d, int) and d >= 1 for d in dims):
-        raise StateFormatError("dims must be a list of 1 to 3 positive integers")
-    return Dims.of(*dims)
+    return Dims(*dims)  # which checks each entry
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict:

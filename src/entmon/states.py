@@ -39,39 +39,30 @@ class StateValidationError(ValueError):
     """Input violates a state invariant (norm, hermiticity, positivity, trace)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dims:
-    """Subsystem dimensions of a composite Hilbert space.
+    """Subsystem dimensions of a composite Hilbert space: ``Dims(dA)``,
+    ``Dims(dA, dB)`` or ``Dims(dA, dB, dC)``.
 
-    ``dB`` and ``dC`` are optional so reduced single-factor states can carry
-    a ``Dims`` too.  Factors are ordered A, B, C with A the slowest index.
+    Factors are ordered A, B, C with A the slowest index.  They are checked
+    once, on construction, and stored as the ``factors`` tuple of Python ints;
+    ``dB`` and ``dC`` are None where the factor is absent.
     """
 
-    dA: int
-    dB: int | None = None
-    dC: int | None = None
+    factors: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.dB is None and self.dC is not None:
-            raise DimensionMismatchError("dC given without dB")
-        for d in (self.dA, self.dB, self.dC):
-            if d is None:
-                continue
-            if not isinstance(d, (int, np.integer)) or d < 1:
+    def __init__(self, *factors: int):
+        if not 1 <= len(factors) <= 3:
+            raise DimensionMismatchError("supported systems have 1 to 3 factors")
+        for d in factors:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
                 raise DimensionMismatchError(f"dimensions must be positive integers, got {d!r}")
+        object.__setattr__(self, "factors", tuple(int(d) for d in factors))
+        object.__setattr__(self, "total", math.prod(self.factors))
 
-    @property
-    def factors(self) -> tuple[int, ...]:
-        out = [self.dA]
-        if self.dB is not None:
-            out.append(self.dB)
-        if self.dC is not None:
-            out.append(self.dC)
-        return tuple(int(d) for d in out)
-
-    @property
-    def total(self) -> int:
-        return math.prod(self.factors)
+    dA = property(lambda self: self.factors[0])
+    dB = property(lambda self: self.factors[1] if len(self.factors) > 1 else None)
+    dC = property(lambda self: self.factors[2] if len(self.factors) > 2 else None)
 
     @property
     def labels(self) -> str:
@@ -84,11 +75,11 @@ class Dims:
             raise DimensionMismatchError(f"no subsystem {label!r} in a {self.labels} system")
         return i
 
-    @staticmethod
-    def of(*factors: int) -> "Dims":
-        if not 1 <= len(factors) <= 3:
-            raise DimensionMismatchError("supported systems have 1 to 3 factors")
-        return Dims(*factors)
+    def bipartite(self, what: str) -> tuple[int, int]:
+        """``(dA, dB)``: the one check that ``what`` acts on a two-factor system."""
+        if len(self.factors) != 2:
+            raise DimensionMismatchError(f"{what} requires a bipartite state")
+        return self.factors
 
 
 @dataclass(frozen=True)
@@ -269,7 +260,7 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
         nleft -= 1
     kept = tuple(factors[i] for i in keep_axes)
     d = int(np.prod(kept))
-    return DensityMatrix(t.reshape(d, d), Dims.of(*kept))
+    return DensityMatrix(t.reshape(d, d), Dims(*kept))
 
 
 def _partial_transpose_array(mat: np.ndarray, dA: int, dB: int, side: str) -> np.ndarray:
@@ -303,20 +294,16 @@ def partial_transpose(
         if dims is None:
             raise DimensionMismatchError("dims are required for raw array inputs")
         mat = np.asarray(rho, dtype=complex)
-    if len(dims.factors) != 2:
-        raise DimensionMismatchError("partial transpose requires a bipartite state")
+    dA, dB = dims.bipartite("partial transpose")
     if mat.shape[-2:] != (dims.total, dims.total):
         raise DimensionMismatchError(
             f"matrix of shape {mat.shape} does not match dims {dims.factors}")
-    dA, dB = dims.factors
     return _partial_transpose_array(mat, dA, dB, side)
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
     """Schmidt form of a bipartite pure state via SVD of its amplitude matrix."""
-    if len(psi.dims.factors) != 2:
-        raise DimensionMismatchError("Schmidt decomposition requires a bipartite state")
-    dA, dB = psi.dims.factors
+    dA, dB = psi.dims.bipartite("Schmidt decomposition")
     m = psi.amplitudes.reshape(dA, dB)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # psi_ab = sum_i s_i u[:, i] vh[i, :], so the right Schmidt vectors are

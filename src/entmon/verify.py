@@ -3,7 +3,9 @@
 Each check turns one theorem-shaped claim into a falsifiable numeric
 comparison and emits a ``VerificationReport``.  ``run_sweep`` executes a
 configured batch of checks over seeded random instances; identical configs
-produce byte-identical reports.
+produce byte-identical reports.  ``_SWEEPS`` maps each check id to its
+sweep, and ``CHECK_IDS`` is its key order: a check's index there seeds its
+trials.
 
 Every sweep goes from trials to reports through one path.  ``_trials``
 gives each trial its seed and a generator of its own, from which it draws
@@ -13,9 +15,9 @@ and ``_draw_mixture``).  The trials of ``monotone`` (closed forms),
 ``_batch_reports``, which validates each batch of at most
 ``_BATCH_STATES`` input states once, builds its channels as stacks
 (``_build_channels``) and judges it with one kernel: ``_closed_gaps``
-(per measure, one ``_vector_outcomes`` call on pure inputs, kept as
-vectors, or ``_outcome_stack`` call, and one ``evaluate_closed_stack``
-call), ``_reduced_state_reports`` or ``_ree_dpi_reports``.  No kernel
+(per measure, one ``_outcome_stack`` call, on pure inputs kept as
+vectors or on density matrices, and one ``evaluate_closed_stack`` call),
+``_reduced_state_reports`` or ``_ree_dpi_reports``.  No kernel
 classifies a channel: each reads ``classify(channel)``, the class that
 ``channels._check_families`` gave the channel when it was built.
 ``_concavity_reports`` judges all ``concavity`` trials with one
@@ -54,7 +56,6 @@ from .channels import (
     _draw_mixture,
     _outcome_stack,
     _padded_kraus,
-    _vector_outcomes,
     apply_channel,
     classify,
 )
@@ -131,19 +132,6 @@ REE_CASE_TOL = {"bell": 1e-2, "pure-coincidence": 1e-2, "separable": 1e-4, "belo
 ORTHOGONALITY_TOL = 1e-9  # Jordan parts of the partial transpose
 MARGINAL_DEV_TOL = 1e-8  # A marginals after the contractions on C
 PROB_DEV_TOL = 1e-6  # outcome probabilities of rho and sigma, ree-dpi equality case
-
-CHECK_IDS = (
-    "monotone",
-    "strict",
-    "concavity",
-    "reduced-state",
-    "roof-oracle",
-    "ree",
-    "ree-dpi",
-    "neg-decomposition",
-    "logneg-nonconvexity",
-    "monogamy",
-)
 
 DEFAULT_H_SET = (
     ENTROPY,
@@ -293,9 +281,9 @@ def _closed_gaps(items, dims):
     ``states``, valid states on ``dims``, are ``(n, N)`` amplitudes or
     ``(n, N, N)`` density matrices; every channel acts on one side and every
     measure is a closed form.  The items of one measure and ``ndim`` are one
-    ``_vector_outcomes`` or ``_outcome_stack`` call and one
-    ``evaluate_closed_stack`` call on their inputs followed by the kept
-    outcomes; a state's values do not depend on the rest of the stack.
+    ``_outcome_stack`` call and one ``evaluate_closed_stack`` call on their
+    inputs followed by the kept outcomes; a state's values do not depend on
+    the rest of the stack.
     """
     gaps = [None] * len(items)
     for (measure_id, ndim), group in _groups((item[0], item[1].ndim) for item in items).items():
@@ -305,8 +293,7 @@ def _closed_gaps(items, dims):
         kraus = _padded_kraus([channel.kraus for channel in channels])
         if len(kraus) < len(states):  # items of several states: one family per state
             kraus = np.repeat(kraus, counts, axis=0)
-        outcome_kernel = _vector_outcomes if ndim == 2 else _outcome_stack
-        probs, keep, outcomes = outcome_kernel(kraus, channels[0].side, states, dims)
+        probs, keep, outcomes = _outcome_stack(kraus, channels[0].side, states, dims)
         vals = evaluate_closed_stack(measure_id, np.concatenate([states, outcomes]), dims)
         n_outcomes = [sum(row) for row in keep.tolist()]
         terms = iter((probs[keep] * vals[len(states):]).tolist())
@@ -322,7 +309,7 @@ def _closed_gaps(items, dims):
 
 
 def _input_dims(channel: LocalKrausChannel, states: np.ndarray, n_states: int) -> Dims:
-    """Dims of an ``(n_states, N)`` or ``(n_states, N, N)`` input stack: the
+    """The dims of an ``(n_states, N)`` or ``(n_states, N, N)`` input stack: the
     channel acts on a factor of dimension ``channel.dim``, the rest is the other."""
     d = channel.dim
     if states.ndim not in (2, 3) or states.shape[0] != n_states \
@@ -485,19 +472,18 @@ def _reduced_state_reports(items):
     """``check_reduced_state_condition`` reports of items ``(h, amps,
     channel, seed, dims)``, ``amps`` the ``(1, N)`` amplitudes of a pure
     state on ``dims``.  Per (dims, h), the outcomes of every trial are one
-    ``_vector_outcomes`` call, and the A marginals of every input and
+    ``_outcome_stack`` call, and the A marginals of every input and
     outcome are validated as one stack, whose one ``eigvalsh`` gives every
     value; so a vector off the unit sphere raises."""
     for _, _, channel, _, dims in items:
-        if len(dims.factors) != 2:
-            raise DimensionMismatchError("reduced-state condition needs a bipartite pure state")
+        dims.bipartite("the reduced-state condition")
         if channel.side != "B":
             raise ValueError("reduced-state condition is formulated for side-B channels")
     values = [None] * len(items)
     for (dims, h), group in _groups((item[4], item[0]) for item in items).items():
         dA, dB = dims.factors
         amps = np.concatenate([items[i][1] for i in group])
-        probs, keep, outs = _vector_outcomes(
+        probs, keep, outs = _outcome_stack(
             _padded_kraus([items[i][2].kraus for i in group]), "B", amps, dims)
         proj = projector_stack(np.concatenate([amps, outs]))  # inputs, then outcomes
         marginals = np.trace(proj.reshape(-1, dA, dB, dA, dB), axis1=-3, axis2=-1)
@@ -541,10 +527,8 @@ def check_monogamy_product(
     negativity, and (iii) the basis-contraction maps on C leave every
     outcome's A marginal untouched.
     """
-    if len(phi_ab1.dims.factors) != 2 or len(eta_b2c.dims.factors) != 2:
-        raise DimensionMismatchError("both factors must be bipartite pure states")
-    dA, dB1 = phi_ab1.dims.factors
-    dB2, dC = eta_b2c.dims.factors
+    dA, dB1 = phi_ab1.dims.bipartite("the monogamy check")
+    dB2, dC = eta_b2c.dims.bipartite("the monogamy check")
     total = dA * dB1 * dB2 * dC
     if total > MONOGAMY_DIM_CAP:
         raise DimensionMismatchError(f"total dimension {total} exceeds the cap {MONOGAMY_DIM_CAP}")
@@ -703,7 +687,7 @@ def recompute_verdict(report: VerificationReport) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    checks: tuple[str, ...] = CHECK_IDS
+    checks: tuple[str, ...] = field(default_factory=lambda: CHECK_IDS)
     measures: tuple[str, ...] = DEFAULT_MEASURES
     dims: tuple[tuple[int, int], ...] = DEFAULT_DIMS
     trials: int = 200
@@ -1039,6 +1023,7 @@ _SWEEPS = {
     "logneg-nonconvexity": _sweep_logneg,
     "monogamy": _sweep_monogamy,
 }
+CHECK_IDS = tuple(_SWEEPS)  # a check's index here seeds its trials (run_sweep)
 
 
 def run_sweep(config: SweepConfig, on_check=None) -> list[VerificationReport]:

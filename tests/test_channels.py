@@ -19,7 +19,6 @@ from entmon.channels import (
     _embedded_kraus,
     _outcome_stack,
     _padded_kraus,
-    _vector_outcomes,
     classify,
     random_channel,
     unitary_mixture_channel,
@@ -467,12 +466,18 @@ class TestStackChecksKeepTodaysMessages:
             "weights must be nonnegative and sum to 1"
 
     def test_public_mixture_shapes(self):
-        with pytest.raises(ChannelValidationError, match="unitary within"):
-            unitary_mixture_channel([1.0], [np.ones((2, 3))])
-        with pytest.raises(ChannelValidationError, match="equal-sized"):
-            unitary_mixture_channel([0.5, 0.5], [np.eye(2), np.eye(3)])
         with pytest.raises(ChannelValidationError, match="equal length"):
             unitary_mixture_channel([0.5, 0.5], [np.eye(2)])
+
+    @pytest.mark.parametrize("ops", [[np.ones((2, 3))], [np.eye(2), np.eye(3)],
+                                     [np.eye(2)[None]]], ids=["non-square", "unequal", "3-d"])
+    def test_one_shape_rule_for_both_constructors(self, ops):
+        # A shape fault is named as one, before any product: a non-square
+        # operator once read as "not unitary" in a mixture.
+        with pytest.raises(ChannelValidationError, match="square and equal-sized"):
+            LocalKrausChannel("B", tuple(ops))
+        with pytest.raises(ChannelValidationError, match="square and equal-sized"):
+            unitary_mixture_channel(np.full(len(ops), 1.0 / len(ops)), ops)
 
 
 def _reference_classify(channel):
@@ -569,7 +574,7 @@ class TestClassifyStack:
 
 
 def _former_apply_channel_to_pure(channel, psi):
-    """``apply_channel_to_pure`` as it was before ``_vector_outcomes``, one
+    """``apply_channel_to_pure`` as it was before the stacked vector kernel, one
     matrix-vector product per channel; kept as the reference that the
     kernel's one-state case must match bit for bit."""
     vs = _embedded_kraus(np.stack(channel.kraus), channel.side, psi.dims) @ psi.amplitudes
@@ -609,7 +614,7 @@ class TestVectorOutcomes:
         dims = Dims(*dims)
         channels = [random_channel(dims.dB, 1 + t % 4, rng) for t in range(9)]
         amps = random_pure_stack(dims, 9, rng)
-        probs, keep, vectors = _vector_outcomes(_padded_kraus([c.kraus for c in channels]), "B",
+        probs, keep, vectors = _outcome_stack(_padded_kraus([c.kraus for c in channels]), "B",
                                                 amps, dims)
         one_by_one = [apply_channel_to_pure(c, PureState(a, dims)) for c, a in zip(channels, amps)]
         assert probs[keep].tolist() == [p for outs in one_by_one for p, _ in outs]
@@ -620,7 +625,7 @@ class TestVectorOutcomes:
         from entmon.states import DimensionMismatchError
 
         with pytest.raises(DimensionMismatchError, match="bipartite"):
-            _vector_outcomes(np.eye(2)[None], "B", np.eye(8)[:1], Dims(2, 2, 2))
+            _outcome_stack(np.eye(2)[None], "B", np.eye(8)[:1], Dims(2, 2, 2))
 
 
 def test_general_families_of_one_side_and_dimension_are_checked_once(monkeypatch):

@@ -86,6 +86,16 @@ class TestMeasureCommand:
         assert main(["measure", str(path), "eof"]) == 2
         assert "norm" in capsys.readouterr().err
 
+    def test_boolean_dims_are_parse_error(self, tmp_path, capsys):
+        # ``true`` once loaded as a factor of 1, so the file measured as 1x4.
+        path = tmp_path / "bool-dims.json"
+        amps = bell_state().amplitudes
+        path.write_text(json.dumps({"dims": [True, 4],
+                                    "vector": [[z.real, z.imag] for z in amps.tolist()]}))
+        assert main(["measure", str(path), "eof", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive integers" in captured.err
+
     def test_wrong_dims_is_mismatch(self, tmp_path, capsys):
         from entmon.sampling import random_mixed
         from entmon.states import Dims

@@ -145,12 +145,19 @@ class TestRoofMinimize:
         with pytest.raises(ValueError):
             roof_minimize(ENTROPY, rho, n_terms=2, rng=np.random.default_rng(0))
 
-    def test_g_concurrence_refused_on_a_larger_a_factor(self):
-        # Every member's A marginal on 3x2 has a zero eigenvalue, so the
-        # descent would read the G-concurrence as 0 there.
+    def test_g_concurrence_on_a_larger_a_factor_matches_its_swap(self):
+        # Known defect 9: every member's A marginal on 3x2 has a zero
+        # eigenvalue, which the G-concurrence reads as 0; the objective now
+        # reads the smaller marginals, so the call equals its 2x3 swap's.
         rho = random_mixed(Dims(3, 2), 2, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="dA <= dB"):
-            roof_minimize(G_CONCURRENCE, rho, rng=np.random.default_rng(0))
+        swap = rho.matrix.reshape(3, 2, 3, 2).transpose(1, 0, 3, 2).reshape(6, 6)
+        res = roof_minimize(G_CONCURRENCE, rho, restarts=4, rng=np.random.default_rng(0))
+        ref = roof_minimize(G_CONCURRENCE, DensityMatrix(swap, Dims(2, 3)), restarts=4,
+                            rng=np.random.default_rng(0))
+        assert res.converged and res.value > 0.5
+        assert res.value == pytest.approx(ref.value, abs=1e-9)
+        assert res.best.average_value(G_CONCURRENCE) == pytest.approx(res.value, abs=1e-12)
+        assert np.linalg.norm(res.best.reconstruct() - rho.matrix) < 1e-8
 
     def test_default_n_terms(self):
         assert default_n_terms(random_mixed(Dims(2, 2), 4, np.random.default_rng(0))) == 4

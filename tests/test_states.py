@@ -55,6 +55,39 @@ class TestTypes:
     def test_dims_accepts_numpy_integers(self):
         assert Dims(np.int64(2), 3).factors == (2, 3)
 
+    @pytest.mark.parametrize("args", [(True, 2), (2, False), (np.bool_(True),)])
+    def test_dims_rejects_booleans(self, args):
+        # bool is an int subclass: True once passed as a factor of 1.
+        with pytest.raises(DimensionMismatchError, match="positive integers"):
+            Dims(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(factors=st.lists(st.integers(1, 50), min_size=1, max_size=3),
+           other=st.lists(st.integers(1, 50), min_size=1, max_size=3))
+    def test_dims_store_what_they_checked(self, factors, other):
+        dims = Dims(*factors)
+        assert dims.factors == tuple(factors)
+        assert all(type(d) is int for d in dims.factors)
+        assert dims.total == math.prod(factors)
+        assert (dims.dA, dims.dB, dims.dC) == tuple(factors) + (None,) * (3 - len(factors))
+        assert Dims(*map(np.int64, factors)) == dims
+        assert hash(Dims(*factors)) == hash(dims)
+        assert (Dims(*other) == dims) == (tuple(other) == tuple(factors))
+
+    @given(bad=st.one_of(st.integers(max_value=0), st.floats(allow_nan=True), st.booleans(),
+                         st.text(max_size=2), st.none()),
+           position=st.integers(0, 2))
+    def test_dims_refuse_every_non_positive_integer(self, bad, position):
+        factors = [2, 3, 4]
+        factors[position] = bad
+        with pytest.raises(DimensionMismatchError):
+            Dims(*factors)
+
+    @pytest.mark.parametrize("factors", [(), (2, 2, 2, 2), (1, 1, 1, 1, 1)])
+    def test_dims_hold_one_to_three_factors(self, factors):
+        with pytest.raises(DimensionMismatchError, match="1 to 3 factors"):
+            Dims(*factors)
+
     def test_pure_state_requires_normalization(self):
         with pytest.raises(StateValidationError):
             PureState(np.array([1.0, 1.0, 0.0, 0.0]), Dims(2, 2))
@@ -358,3 +391,34 @@ def test_vector_stack_refuses_what_a_pure_state_refuses(fault):
     assert ("finite" if fault in ("nan", "inf") else "norm") in str(from_stack.value)
     validate_pure_stack(np.delete(amps, 2, axis=0))
     validate_pure_stack(amps[:2] * (1.0 + 0.99 * TOL_NORM))
+
+
+def _bipartite_entries():
+    from entmon.channels import apply_channel, apply_channel_to_pure, random_channel
+    from entmon.measures import ENTROPY, negativity, pure_measure
+    from entmon.ree import ree_minimize
+    from entmon.roof import roof_minimize
+    from entmon.verify import check_monogamy_product, check_reduced_state_condition
+
+    channel = random_channel(2, 2, np.random.default_rng(0))
+    return {
+        "partial_transpose": lambda psi: partial_transpose(psi.density()),
+        "schmidt_decompose": schmidt_decompose,
+        "pure_measure": lambda psi: pure_measure(ENTROPY, psi),
+        "negativity": lambda psi: negativity(psi.density()),
+        "apply_channel": lambda psi: apply_channel(channel, psi.density()),
+        "apply_channel_to_pure": lambda psi: apply_channel_to_pure(channel, psi),
+        "roof_minimize": lambda psi: roof_minimize(ENTROPY, psi.density()),
+        "ree_minimize": lambda psi: ree_minimize(psi.density()),
+        "check_reduced_state_condition":
+            lambda psi: check_reduced_state_condition(ENTROPY, psi, channel),
+        "check_monogamy_product": lambda psi: check_monogamy_product(psi, bell_state(), ENTROPY),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_bipartite_entries()))
+def test_every_bipartite_entry_refuses_a_tripartite_state(entry):
+    # One rule, Dims.bipartite, decides this for every entry.
+    psi = random_pure(Dims(2, 2, 2), np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError, match="requires a bipartite state"):
+        _bipartite_entries()[entry](psi)

@@ -1179,7 +1179,7 @@ class TestConcavityAndReducedStateKeepEveryInputCheck:
             object.__setattr__(psi, "amplitudes", 1.001 * psi.amplitudes)  # bypasses the check
             off.append(psi.amplitudes)
         else:
-            exact = verify._vector_outcomes
+            exact = verify._outcome_stack
 
             def one_off_outcome(*args):
                 probs, keep, vectors = exact(*args)
@@ -1187,7 +1187,7 @@ class TestConcavityAndReducedStateKeepEveryInputCheck:
                 off.append(vectors[1])
                 return probs, keep, vectors
 
-            monkeypatch.setattr(verify, "_vector_outcomes", one_off_outcome)
+            monkeypatch.setattr(verify, "_outcome_stack", one_off_outcome)
         with pytest.raises(StateValidationError) as stacked:
             check_reduced_state_condition(ENTROPY, psi, channel)
         marginal = np.trace(projector_stack(off[0]).reshape(2, 3, 2, 3), axis1=1, axis2=3)
