@@ -65,19 +65,24 @@ class ChannelClass:
     details: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalKrausChannel:
     """Kraus family {M_k} acting on one subsystem of a bipartite state."""
 
     side: str
     kraus: tuple[np.ndarray, ...]
-    channel_class: ChannelClass = field(init=False, repr=False, compare=False)
+    channel_class: ChannelClass = field(init=False, repr=False)
 
     def __post_init__(self):
         ms = _square_operators(self.kraus)
         cls, = _check_families(self.side, np.stack(ms)[None])
         object.__setattr__(self, "kraus", ms)
         object.__setattr__(self, "channel_class", cls)
+
+    def __eq__(self, other):
+        return (isinstance(other, LocalKrausChannel) and self.side == other.side
+                and len(self.kraus) == len(other.kraus)
+                and all(map(np.array_equal, self.kraus, other.kraus)))
 
     @property
     def dim(self) -> int:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .channels import LocalKrausChannel, _gram_outcomes, _padded_kraus
 from .states import (
+    PPT_SEPARABLE_TOTAL,
     DensityMatrix,
     DimensionMismatchError,
     TOL_SUPPORT,
@@ -388,7 +389,7 @@ def ree_minimize(
         iterations=iterations,
         duality_gap_estimate=gap,
         converged=converged,
-        upper_bound_only=n > 6,
+        upper_bound_only=n > PPT_SEPARABLE_TOTAL,
         atoms=len(weights),
     )
 

@@ -27,9 +27,7 @@ import numpy as np
 
 from . import measures, ree, roof
 from .measures import HFunction, MeasureValue
-from .states import DensityMatrix, Dims, PureState, projector_stack
-
-PURITY_TOL = 1e-10
+from .states import PURITY_TOL, DensityMatrix, Dims, PureState, projector_stack
 
 
 class Family(NamedTuple):

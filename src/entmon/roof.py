@@ -47,7 +47,8 @@ import numpy as np
 
 from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, h_partials, pure_measure
 from .sampling import _haar_stack
-from .states import DensityMatrix, PureState, TOL_PSD, partial_transpose
+from .states import (PPT_SEPARABLE_TOTAL, TOL_PSD, TOL_SUPPORT, DensityMatrix, PureState,
+                     partial_transpose)
 
 ISOMETRY_TOL = 1e-8
 WEIGHT_FLOOR = 1e-14
@@ -105,10 +106,8 @@ class Decomposition:
         object.__setattr__(self, "weights", w)
 
     def reconstruct(self) -> np.ndarray:
-        out = 0.0
-        for w, s in zip(self.weights, self.states):
-            out = out + w * np.outer(s.amplitudes, s.amplitudes.conj())
-        return out
+        amps = np.array([s.amplitudes for s in self.states])
+        return (self.weights * amps.T) @ amps.conj()
 
     def average_value(self, h: HFunction) -> float:
         return float(
@@ -124,45 +123,22 @@ class RoofResult:
     converged: bool
 
 
-def _eig_ensemble(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    keep = vals > TOL_PSD
-    return vals[keep], vecs[:, keep]
-
-
 def decomposition_from_isometry(rho: DensityMatrix, v: np.ndarray) -> Decomposition:
     """Decomposition induced by an isometry on the eigendecomposition.
 
-    With eigenpairs (lam_i, e_i) of ``rho`` and an n x r isometry ``v``
-    (r the rank of ``rho``), the unnormalized vectors
-    ``phi_j = sum_i v[j, i] sqrt(lam_i) e_i`` define weights
-    ``p_j = <phi_j|phi_j>`` and normalized states; their mixture
-    reconstructs ``rho`` exactly.  Zero-weight terms are dropped.
+    With eigenpairs (lam_i, e_i) of ``rho``, lam_i above ``TOL_SUPPORT``,
+    and an n x r isometry ``v`` (r the rank of ``rho``), the unnormalized
+    vectors ``phi_j = sum_i v[j, i] sqrt(lam_i) e_i`` define normalized
+    states and weights ``p_j = <phi_j|phi_j>`` over their sum; their
+    mixture reconstructs ``rho``.  Zero-weight terms are dropped.
     """
-    lam, evecs = _eig_ensemble(rho)
-    r = lam.size
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] < r or v.shape[1] != r:
-        raise ValueError(f"expected an n x {r} matrix with n >= {r}, got shape {v.shape}")
-    residual = float(np.linalg.norm(v.conj().T @ v - np.eye(r)))
-    if residual > ISOMETRY_TOL:
-        raise ValueError(f"non-isometric input: ||V^dag V - I|| = {residual}")
-    phi = (evecs * np.sqrt(lam)) @ v.T  # d x n, columns are unnormalized states
-    p = np.sum(np.abs(phi) ** 2, axis=0)
-    keep = p > WEIGHT_FLOOR
-    states = tuple(
-        PureState(phi[:, j] / np.sqrt(p[j]), rho.dims) for j in np.nonzero(keep)[0]
-    )
-    return Decomposition(p[keep], states)
+    return _RoofObjective(None, rho).decomposition(v)
 
 
 def default_n_terms(rho: DensityMatrix) -> int:
     """min(rank^2, 2 rank) capped at 8, and never below the rank, which
     ``roof_minimize`` requires; 4 for two qubits."""
-    if rho.dims.factors == (2, 2):
-        return 4
-    r = _eig_ensemble(rho)[0].size
-    return max(r, min(r * r, 2 * r, 8))
+    return _RoofObjective(None, rho).n_terms
 
 
 def _qubit_reduction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,19 +196,41 @@ def _spectral_gradient(h: HFunction, mu: np.ndarray, eps: float = 0.0) -> np.nda
 
 
 class _RoofObjective:
-    """Batched average-measure evaluation over isometry parameter matrices."""
+    """The one eigendecomposition of the input, and batched average-measure
+    evaluation over the isometries applied to it.  ``factor`` is the d x rank
+    F = (sqrt(lam_i) e_i) over the eigenvalues above ``TOL_SUPPORT``, so
+    F F^dag = rho on its support; isometry q has members phi_j = (F q^T)[:, j].
+    """
 
-    def __init__(self, h: HFunction, rho: DensityMatrix):
-        self.h = h
-        dA, dB = rho.dims.factors
-        lam, evecs = _eig_ensemble(rho)
-        self._weighted = evecs * np.sqrt(lam)  # d x r
+    def __init__(self, h: HFunction | None, rho: DensityMatrix):
+        self.h, self.dims = h, rho.dims
+        dA, dB = rho.dims.bipartite("the convex roof")
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        keep = vals > TOL_SUPPORT
+        self.factor = self._weighted = vecs[:, keep] * np.sqrt(vals[keep])
+        r = self.rank = self.factor.shape[1]
+        self.n_terms = 4 if (dA, dB) == (2, 2) else max(r, min(r * r, 2 * r, 8))
         if dA > dB:
             # Members read as transposed (B x A) matrices, so their reduced
             # states are the smaller marginals: the larger ones pad the
             # spectrum with zeros, which the G-concurrence reads as 0.
-            self._weighted = self._weighted.reshape(dA, dB, -1).swapaxes(0, 1).reshape(dA * dB, -1)
+            self._weighted = self.factor.reshape(dA, dB, -1).swapaxes(0, 1).reshape(dA * dB, -1)
         self.dA, self.dB = min(dA, dB), max(dA, dB)
+
+    def decomposition(self, v: np.ndarray) -> Decomposition:
+        """``decomposition_from_isometry`` of an n x rank isometry ``v``."""
+        r = self.rank
+        v = np.asarray(v, dtype=np.complex128)
+        if v.ndim != 2 or v.shape[0] < r or v.shape[1] != r:
+            raise ValueError(f"expected an n x {r} matrix with n >= {r}, got shape {v.shape}")
+        residual = float(np.linalg.norm(v.conj().T @ v - np.eye(r)))
+        if residual > ISOMETRY_TOL:
+            raise ValueError(f"non-isometric input: ||V^dag V - I|| = {residual}")
+        phi = self.factor @ v.T  # d x n, columns are unnormalized states
+        p = np.sum(np.abs(phi) ** 2, axis=0)
+        keep = np.nonzero(p > WEIGHT_FLOOR)[0]
+        states = tuple(PureState(phi[:, j] / np.sqrt(p[j]), self.dims) for j in keep)
+        return Decomposition(p[keep] / np.sum(p[keep]), states)
 
     def members(self, q: np.ndarray) -> np.ndarray:
         """Unnormalized member vectors as rows, for an isometry ``q``."""
@@ -421,27 +419,24 @@ def roof_minimize(
     and after the descent again when the winner is above the floor;
     ``converged`` then means a value at most ``VALUE_FLOOR``.
     """
-    rho.dims.bipartite("the convex roof")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    lam, evecs = _eig_ensemble(rho)
-    r = lam.size
+    objective = _RoofObjective(h, rho)
+    rng = np.random.default_rng(0) if rng is None else rng
+    r = objective.rank
     if n_terms is None:
-        n_terms = default_n_terms(rho)
+        n_terms = objective.n_terms
     if n_terms < r:
         raise ValueError(f"n_terms = {n_terms} is below the state rank {r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
 
     if r == 1:
-        psi = PureState(evecs[:, 0], rho.dims)
-        best = Decomposition(np.array([1.0]), (psi,))
-        return RoofResult(pure_measure(h, psi).value, best, 0, True)
+        best = objective.decomposition(np.eye(1))
+        return RoofResult(best.average_value(h), best, 0, True)
 
-    objective = _RoofObjective(h, rho)
     # Peres-Horodecki: a PPT input is separable on these dimensions, so its
     # roof is 0; the product stage tries chain 0's start before any descent.
-    ppt = rho.dims.total <= 6 and np.linalg.eigvalsh(partial_transpose(rho))[0] >= -TOL_PSD
+    ppt = (rho.dims.total <= PPT_SEPARABLE_TOTAL
+           and np.linalg.eigvalsh(partial_transpose(rho))[0] >= -TOL_PSD)
     base_seed = int(rng.integers(2**62))
     shape = (n_terms, r)
     xs = np.empty((restarts,) + shape, dtype=np.complex128)
@@ -455,7 +450,7 @@ def roof_minimize(
         product = _product_stage(objective, q[0])
         value = np.inf if product is None else float(objective.evaluate(product)[0])
         if value <= VALUE_FLOOR:
-            return RoofResult(value, decomposition_from_isometry(rho, product), restarts, True)
+            return RoofResult(value, objective.decomposition(product), restarts, True)
     # Each chain keeps its least exact value over the stages, and the
     # isometry that reached it: a later stage can end above an earlier one.
     best_vals = np.full(restarts, np.inf)
@@ -477,4 +472,4 @@ def roof_minimize(
         if product is not None:
             value, q = float(objective.evaluate(product)[0]), product
         converged = value <= VALUE_FLOOR
-    return RoofResult(value, decomposition_from_isometry(rho, q), restarts, converged)
+    return RoofResult(value, objective.decomposition(q), restarts, converged)

@@ -27,6 +27,7 @@ TOL_SUPPORT = 1e-12  # eigenvalues at most this are a state's kernel directions
 # the other half for roundoff, so every accepted PureState has a valid
 # density().
 TOL_NORM = TOL_TRACE / 4
+PURITY_TOL = 1e-10  # a state is pure when its largest eigenvalue is at least 1 minus this
 
 _LABELS = "ABC"
 
@@ -82,7 +83,12 @@ class Dims:
         return self.factors
 
 
-@dataclass(frozen=True)
+# Peres-Horodecki: a bipartite state with a positive partial transpose is
+# separable exactly when dA * dB is at most this.
+PPT_SEPARABLE_TOTAL = 6
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector with its subsystem dimensions."""
 
@@ -98,6 +104,10 @@ class PureState:
         validate_pure_stack(amps)
         object.__setattr__(self, "amplitudes", amps)
 
+    def __eq__(self, other):
+        return (isinstance(other, PureState) and self.dims == other.dims
+                and np.array_equal(self.amplitudes, other.amplitudes))
+
     def density(self) -> "DensityMatrix":
         """Projector |psi><psi| as a DensityMatrix."""
         return DensityMatrix(projector_stack(self.amplitudes), self.dims)
@@ -108,7 +118,7 @@ def projector_stack(amps: np.ndarray) -> np.ndarray:
     return amps[..., :, None] * amps.conj()[..., None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix with its subsystem dimensions."""
 
@@ -125,6 +135,10 @@ class DensityMatrix:
         validate_density_stack(mat)
         object.__setattr__(self, "matrix", mat)
 
+    def __eq__(self, other):
+        return (isinstance(other, DensityMatrix) and self.dims == other.dims
+                and np.array_equal(self.matrix, other.matrix))
+
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum, roundoff negatives clipped to 0."""
         return _check_spectra(np.linalg.eigvalsh(self.matrix))
@@ -132,8 +146,9 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
-        return abs(self.purity() - 1.0) <= tol
+    def is_pure(self, tol: float = PURITY_TOL) -> bool:
+        """Whether the largest eigenvalue is at least 1 - ``tol``."""
+        return bool(1.0 - self.eigenvalues()[-1] <= tol)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,13 @@ def projective_b(d=2):
 
 
 class TestConstruction:
+    def test_value_equality_is_a_bool(self):
+        # Known defect 11: equal families built from distinct arrays.
+        assert (LocalKrausChannel("B", (np.eye(2),)) == LocalKrausChannel("B", (np.eye(2),))) is True
+        assert (LocalKrausChannel("A", (np.eye(2),)) == LocalKrausChannel("B", (np.eye(2),))) is False
+        assert (LocalKrausChannel("B", (X_FLIP,)) == LocalKrausChannel("B", (np.eye(2),))) is False
+        assert (projective_b() == LocalKrausChannel("B", (np.eye(2),))) is False
+
     def test_completeness_enforced(self):
         with pytest.raises(ChannelValidationError):
             LocalKrausChannel("B", (np.eye(2) * 0.5,))

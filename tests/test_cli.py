@@ -136,6 +136,19 @@ def test_g_concurrence_with_a_factor_of_dimension_one_is_a_mismatch(tmp_path, ca
     assert "not defined" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", [5e-10, -5e-10])
+def test_negativity_roof_at_the_support_edge_exits_cleanly(tmp_path, capsys, delta):
+    # A valid state with an eigenvalue within TOL_PSD of 0 once raised a
+    # traceback and exited 1, the code of a failing verify verdict.
+    from entmon.sampling import haar_unitary
+
+    u = haar_unitary(4, np.random.default_rng(0))
+    path = tmp_path / "edge.json"
+    save_state(path, DensityMatrix((u * [0.6, 0.4 - delta, delta, 0.0]) @ u.conj().T, Dims(2, 2)))
+    assert main(["measure", str(path), "negativity-roof"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
+
+
 class TestVerifyCommand:
     def test_zero_trials_exits_cleanly(self, tmp_path, capsys):
         out = tmp_path / "rep.jsonl"

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entmon.measures import (
@@ -20,6 +20,7 @@ from entmon.measures import (
     wootters_concurrence,
     wootters_eof,
 )
+from entmon.registry import evaluate_measure
 from entmon.roof import (
     VALUE_FLOOR,
     WEIGHT_FLOOR,
@@ -36,10 +37,12 @@ from entmon.roof import (
 )
 from entmon.sampling import _haar_stack, haar_unitary, random_mixed, random_pure, random_separable
 from entmon.states import (
+    TOL_PSD,
     DensityMatrix,
     DimensionMismatchError,
     Dims,
     PureState,
+    StateValidationError,
     bell_state,
     partial_trace,
     von_neumann_entropy,
@@ -678,3 +681,70 @@ class TestQubitReducedSpectrum:
         assert vals == live_vals > 0
         np.testing.assert_array_equal(grad[2:], 0.0)
         np.testing.assert_array_equal(grad[:2], live_grad)
+
+
+def _edge_state(dims: Dims, small, seed: int) -> DensityMatrix:
+    """U diag(spectrum) U^dag with Haar U: two random eigenvalues making the
+    trace 1, the ``small`` ones (each in [-TOL_PSD, TOL_PSD]) and zeros.  A
+    valid rank-deficient state whose spectrum sits at the support edge."""
+    rng = np.random.default_rng(seed)
+    spectrum = np.zeros(dims.total)
+    spectrum[:2] = rng.dirichlet(np.ones(2)) * (1.0 - sum(small))
+    spectrum[2:2 + len(small)] = small
+    u = haar_unitary(dims.total, rng)
+    return DensityMatrix((u * spectrum) @ u.conj().T, dims)
+
+
+def _crash_input(delta: float) -> DensityMatrix:
+    u = haar_unitary(4, np.random.default_rng(0))
+    return DensityMatrix((u * [0.6, 0.4 - delta, delta, 0.0]) @ u.conj().T, Dims(2, 2))
+
+
+EVERY_KIND = [ENTROPY, CONCURRENCE, NEGATIVITY_H, TANGLE, G_CONCURRENCE, renyi(0.7), tsallis(2.0)]
+
+
+class TestSupportEdge:
+    """Inputs with eigenvalues within TOL_PSD of 0 are valid states; the
+    roof keeps eigenvalues above TOL_SUPPORT and forms its weights as the
+    members' squared norms over their sum, so each yields a decomposition."""
+
+    @pytest.mark.parametrize("delta", [5e-10, -5e-10])
+    def test_eigenvalue_at_the_edge_gives_a_value(self, delta):
+        rho = _crash_input(delta)
+        res = roof_minimize(ENTROPY, rho, None, 4, np.random.default_rng(1))
+        assert np.isfinite(res.value) and res.value >= 0.0
+        assert np.max(np.abs(res.best.reconstruct() - rho.matrix)) <= 1e-8
+        value = evaluate_measure("negativity-roof", rho).value
+        assert np.isfinite(value) and value >= 0.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+           small=st.lists(st.floats(-TOL_PSD, TOL_PSD), min_size=1, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_kind_decomposes_inputs_at_the_edge(self, dims, small, seed):
+        try:
+            rho = _edge_state(Dims(*dims), small, seed)
+        except StateValidationError:
+            assume(False)  # roundoff took an eigenvalue below -TOL_PSD
+        for h in EVERY_KIND:
+            res = roof_minimize(h, rho, None, 1, np.random.default_rng(seed))
+            assert np.isfinite(res.value) and res.value >= 0.0, h.measure_id
+            assert np.max(np.abs(res.best.reconstruct() - rho.matrix)) <= 1e-8, h.measure_id
+            assert abs(float(np.sum(res.best.weights)) - 1.0) <= 1e-10, h.measure_id
+        value = evaluate_measure("negativity-roof", rho, np.random.default_rng(seed)).value
+        assert np.isfinite(value) and value >= 0.0
+
+    @pytest.mark.parametrize("dims_pair", [(2, 2), (2, 3), (3, 3)])
+    def test_one_diagonalization_of_the_input_per_call(self, dims_pair, monkeypatch):
+        rho = random_mixed(Dims(*dims_pair), 2, np.random.default_rng(3))
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == rho.matrix.shape and np.array_equal(a, rho.matrix):
+                calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        roof_minimize(ENTROPY, rho, None, 1, np.random.default_rng(0))
+        assert len(calls) == 1

@@ -109,6 +109,43 @@ class TestTypes:
             DensityMatrix(bad_herm, Dims(2, 2))
 
 
+class TestValueEquality:
+    """Known defect 11: states compare by dims and entries, as a bool."""
+
+    def test_equal_states_compare_equal(self):
+        assert (bell_state() == bell_state()) is True
+        assert (werner_state(0.3) == werner_state(0.3)) is True
+
+    def test_different_states_compare_unequal(self):
+        assert (bell_state() == max_entangled(3)) is False
+        assert (bell_state() == product_pure(np.array([1.0, 0.0]), np.array([1.0, 0.0]))) is False
+        assert (werner_state(0.3) == werner_state(0.4)) is False
+        assert (bell_state() == bell_state().density()) is False
+        # Same entries on other factors.
+        assert (PureState(np.eye(6)[0], Dims(2, 3)) == PureState(np.eye(6)[0], Dims(3, 2))) is False
+
+    def test_states_are_unhashable(self):
+        # Equal states must hash alike; none is safer than one over floats.
+        for state in (bell_state(), werner_state(0.3)):
+            with pytest.raises(TypeError):
+                hash(state)
+
+
+def test_is_pure_reads_the_largest_eigenvalue():
+    # Tr rho^2 = 1 - 1.6e-10 here, outside the former |Tr rho^2 - 1| <= 1e-10,
+    # while 1 - lambda_max = 8e-11 is within PURITY_TOL: the rule by which
+    # the pure-state measures accept the same matrix.
+    from entmon.registry import evaluate_measure
+    from entmon.sampling import haar_unitary
+
+    u = haar_unitary(4, np.random.default_rng(0))
+    rho = DensityMatrix((u * [1.0 - 8e-11, 8e-11, 0.0, 0.0]) @ u.conj().T, Dims(2, 2))
+    assert rho.is_pure() is True
+    assert evaluate_measure("tangle", rho).value >= 0.0
+    mixed = DensityMatrix((u * [1.0 - 2e-10, 2e-10, 0.0, 0.0]) @ u.conj().T, Dims(2, 2))
+    assert mixed.is_pure() is False
+
+
 class TestNormTolerance:
     def test_bell_state_beyond_tolerance_rejected(self):
         # Norm off by 8e-11: the density's trace would be off by 1.6e-10,
