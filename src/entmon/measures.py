@@ -10,7 +10,7 @@ Each closed form is computed by one kernel that works on a whole stack of
 states at once: ``(..., n, n)`` density matrices or ``(..., n)`` amplitude
 vectors, evaluated in a few batched LAPACK calls.  The kernels trust their
 inputs, which were validated when their states were built (the public
-dataclasses, or a ``validate_*_stack`` call once per stack).  The per-state
+dataclasses, or ``validate_density_stack`` once per stack).  The per-state
 public functions are the kernels on a single state.
 
 Values are in nats for entropic measures; logarithmic negativity alone uses
@@ -30,7 +30,8 @@ from .states import (
     Dims,
     PureState,
     _partial_transpose_array,
-    validate_pure_stack,
+    projector_stack,
+    validate_density_stack,
 )
 
 H_KINDS = ("entropy", "concurrence", "g-concurrence", "tangle", "negativity", "renyi", "tsallis")
@@ -211,21 +212,18 @@ def h_eval(h: HFunction, rho_a: DensityMatrix) -> float:
 
 
 def pure_measure_stack(h: HFunction, amps: np.ndarray, dims: Dims) -> np.ndarray:
-    """``h`` on the reduced states of the smaller factor of a ``(..., n)``
-    stack of pure states, validated once as a stack.
+    """``h`` on the reduced states of the smaller factor (A on a tie) of a
+    ``(..., n)`` stack of pure states.
 
-    That spectrum is the squared Schmidt coefficients: the min(dA, dB)
-    squared singular values of each state's (dA, dB) amplitude matrix.  The
-    larger marginal would pad it with zeros, which the G-concurrence's
-    d prod mu^(1/d) would read as 0.  A small weight mu comes out with an
-    error of about eps sqrt(mu) rather than the eps of an eigensolver on the
-    reduced state, so h kinds that amplify small weights (mu^(1/d), mu^a for
-    a < 1) agree across amplitude vectors that differ by roundoff.
+    Both marginals share their nonzero spectrum, but the larger one pads it
+    with zeros, which the G-concurrence's d prod mu^(1/d) would read as 0.
+    The reduced states are validated once, as a stack.
     """
     dA, dB = dims.bipartite("pure_measure")
-    validate_pure_stack(amps)
-    coeffs = np.linalg.svd(amps.reshape(amps.shape[:-1] + (dA, dB)), compute_uv=False)
-    return _floored(h_of_spectrum(h, coeffs * coeffs))
+    lead = amps.shape[:-1]
+    proj = projector_stack(amps).reshape(lead + (dA, dB, dA, dB))
+    reduced = np.trace(proj, axis1=-4, axis2=-2) if dA > dB else np.trace(proj, axis1=-3, axis2=-1)
+    return _floored(h_of_spectrum(h, validate_density_stack(reduced)))
 
 
 def pure_measure(h: HFunction, psi: PureState) -> MeasureValue:
