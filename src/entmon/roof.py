@@ -106,8 +106,10 @@ class Decomposition:
         object.__setattr__(self, "weights", w)
 
     def reconstruct(self) -> np.ndarray:
-        amps = np.array([s.amplitudes for s in self.states])
-        return (self.weights * amps.T) @ amps.conj()
+        out = 0.0
+        for w, s in zip(self.weights, self.states):
+            out = out + w * np.outer(s.amplitudes, s.amplitudes.conj())
+        return out
 
     def average_value(self, h: HFunction) -> float:
         return float(
@@ -126,11 +128,10 @@ class RoofResult:
 def decomposition_from_isometry(rho: DensityMatrix, v: np.ndarray) -> Decomposition:
     """Decomposition induced by an isometry on the eigendecomposition.
 
-    With eigenpairs (lam_i, e_i) of ``rho``, lam_i above ``TOL_SUPPORT``,
-    and an n x r isometry ``v`` (r the rank of ``rho``), the unnormalized
-    vectors ``phi_j = sum_i v[j, i] sqrt(lam_i) e_i`` define normalized
-    states and weights ``p_j = <phi_j|phi_j>`` over their sum; their
-    mixture reconstructs ``rho``.  Zero-weight terms are dropped.
+    With eigenpairs (lam_i, e_i) of ``rho``, lam_i above ``TOL_SUPPORT``, and
+    an n x r isometry ``v`` (r the rank), phi_j = sum_i v[j, i] sqrt(lam_i) e_i
+    gives a state phi_j / |phi_j| of weight |phi_j|^2 over the sum, zero
+    weights dropped; the mixture reconstructs ``rho``.
     """
     return _RoofObjective(None, rho).decomposition(v)
 
@@ -422,8 +423,7 @@ def roof_minimize(
     objective = _RoofObjective(h, rho)
     rng = np.random.default_rng(0) if rng is None else rng
     r = objective.rank
-    if n_terms is None:
-        n_terms = objective.n_terms
+    n_terms = objective.n_terms if n_terms is None else n_terms
     if n_terms < r:
         raise ValueError(f"n_terms = {n_terms} is below the state rank {r}")
     if restarts < 1:
