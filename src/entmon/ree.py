@@ -19,8 +19,8 @@ sigma.  A step is taken only if it lowers the objective.  The run stops when
 the Frank-Wolfe duality gap falls below its tolerance, confirmed by a harder
 product search, after one last step with the candidates of both searches,
 run to KKT like the first.  The returned value is an upper bound on E_r.
-Only ``_weight_objective`` diagonalizes sigma, with the solver's one EIG_FLOOR
-clip: one eigh serves the value, gradient, G, Hessian and eigenvalue floor.
+Sigma is diagonalized once per new point, by ``_eigensystem``, with the
+solver's one EIG_FLOOR clip; sigma / s keeps that eigensystem as (mu / s, u).
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
 reported closest separable state is exactly certifiable there; larger
@@ -111,6 +111,13 @@ def _log_kernel2(mu: np.ndarray, l1: np.ndarray) -> np.ndarray:
                     (l1[hi, mid] - l1[mid, lo]) / np.where(near, 1.0, span))
 
 
+def _partial_expectation(g4: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<x|G|x> over the first factor of G as ``g4`` (dX, dY, dX, dY), one dY x dY
+    matrix per row of ``x``, Hermitian up to roundoff (``eigh`` reads one triangle)."""
+    t = (x.conj() @ g4.reshape(len(g4), -1)).reshape(len(x), *g4.shape[1:])
+    return (x[:, None, None, :] @ t)[:, :, 0]
+
+
 def _min_product_expectation(
     g: np.ndarray,
     dA: int,
@@ -127,6 +134,7 @@ def _min_product_expectation(
     the A factors, the B factors and the values, one row per start.
     """
     g4 = g.reshape(dA, dB, dA, dB)
+    g4_b = np.ascontiguousarray(g4.transpose(1, 0, 3, 2))  # the factors swapped
     z = rng.standard_normal((2, restarts, dA))
     a = z[0] + 1j * z[1]
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -135,13 +143,8 @@ def _min_product_expectation(
     vals = np.full(a.shape[0], np.inf)
     b = np.zeros((a.shape[0], dB), dtype=complex)
     for _ in range(INNER_ROUNDS):
-        gb = np.einsum("ri,ijkl,rk->rjl", a.conj(), g4, a)
-        gb = 0.5 * (gb + np.swapaxes(gb, -2, -1).conj())
-        _, vb = np.linalg.eigh(gb)
-        b = vb[:, :, 0]
-        ga = np.einsum("rj,ijkl,rl->rik", b.conj(), g4, b)
-        ga = 0.5 * (ga + np.swapaxes(ga, -2, -1).conj())
-        wa, va = np.linalg.eigh(ga)
+        b = np.linalg.eigh(_partial_expectation(g4, a))[1][:, :, 0]
+        wa, va = np.linalg.eigh(_partial_expectation(g4_b, b))
         a = va[:, :, 0]
         new_vals = wa[:, 0]
         if float(np.max(np.abs(new_vals - vals))) < INNER_VAL_TOL:
@@ -157,13 +160,13 @@ def _new_atoms(a: np.ndarray, b: np.ndarray, vals: np.ndarray, level: float) -> 
     Best first; a candidate whose overlap |<p|q>|^2 with one already taken
     reaches ``DEDUPE_OVERLAP`` is dropped as a repeat of it.
     """
-    cands = (a[:, :, None] * b[:, None, :]).reshape(len(vals), -1)
+    order = np.argsort(vals)[:np.count_nonzero(vals < level)]
+    cands = (a[:, :, None] * b[:, None, :]).reshape(len(vals), -1)[order]
+    repeats = (np.abs(cands.conj() @ cands.T) ** 2 >= DEDUPE_OVERLAP).tolist()
     taken: list[int] = []
-    for r in np.argsort(vals):
-        if vals[r] >= level:
-            break
-        if all(abs(np.vdot(cands[q], cands[r])) ** 2 < DEDUPE_OVERLAP for q in taken):
-            taken.append(int(r))
+    for r, rep in enumerate(repeats):
+        if not any(rep[q] for q in taken):
+            taken.append(r)
     return cands[taken]
 
 
@@ -206,24 +209,34 @@ def _assemble(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
+def _eigensystem(v: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma = sum_k v_k pi_k diagonalized, unsymmetrized: ``eigh`` reads one triangle."""
+    return np.linalg.eigh((atoms.T * v) @ atoms.conj())
+
+
+def _objective_value(v: np.ndarray, rho_m: np.ndarray, eig: tuple, floor: float) -> tuple:
+    """The objective's value at sigma's ``eig`` (inf once mu[0] <= floor), clipped mu, rho_t."""
+    mu, u = eig
+    f = math.inf if mu[0] <= floor else float(np.sum(v))
+    mu = np.clip(mu, EIG_FLOOR, None)
+    rho_t = u.conj().T @ rho_m @ u
+    return f - float(np.real(np.diagonal(rho_t)) @ np.log(mu)), mu, rho_t
+
+
 def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray,
-                      hessian: bool = False, floor: float = EIG_FLOOR) -> tuple:
+                      hessian: bool = False, eig: tuple | None = None) -> tuple:
     """Value, gradient and G of v -> -Tr[rho ln sum_k v_k pi_k] + sum_k v_k,
     and with ``hessian`` its Hessian and sigma's lowest eigenvalue, unclipped;
-    the value is +inf once that eigenvalue is at most ``floor``.
+    the value is +inf once that eigenvalue is at most EIG_FLOOR.
 
     G is the Hermitized Frechet derivative of -Tr[rho ln sigma], the gradient
     <a_k|G|a_k> + 1 and the Hessian -Tr[rho D^2 ln(sigma)[pi_k, pi_l]].  One
-    eigendecomposition of sigma serves all five, in its eigenbasis with the
-    eigenvalues clipped at EIG_FLOOR (``eigh`` reads one triangle, so sigma
-    is not symmetrized).
+    eigensystem of sigma, ``eig`` where the caller has it, serves all five, in
+    its eigenbasis with the eigenvalues clipped at EIG_FLOOR.
     """
-    mu, u = np.linalg.eigh((atoms.T * v) @ atoms.conj())
+    mu, u = _eigensystem(v, atoms) if eig is None else eig
     lowest = float(mu[0])
-    f = math.inf if lowest <= floor else float(np.sum(v))
-    mu = np.clip(mu, EIG_FLOOR, None)
-    rho_t = u.conj().T @ rho_m @ u
-    f -= float(np.real(np.diagonal(rho_t)) @ np.log(mu))
+    f, mu, rho_t = _objective_value(v, rho_m, (mu, u), EIG_FLOOR)
     l1 = _log_kernel(mu)
     g = -(u @ (rho_t * l1) @ u.conj().T)
     g = 0.5 * (g + g.conj().T)
@@ -240,9 +253,10 @@ def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray,
     return f, grad, g, -(h + h.T), lowest
 
 
-def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray,
-                        steps: int = 1) -> np.ndarray:
-    """Approximate argmin over v >= 0 of ``_weight_objective``, from ``weights``.
+def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray, eig: tuple,
+                        steps: int = 1) -> tuple[np.ndarray, tuple]:
+    """Approximate argmin over v >= 0 of ``_weight_objective`` from ``weights``,
+    where sigma's eigensystem is ``eig``, and sigma's eigensystem at it.
 
     Bounds only: along the scale t of v the derivative is 1 - 1/t, so sum
     v = 1 holds at the optimum.  Each of up to ``steps`` Newton steps goes
@@ -254,7 +268,7 @@ def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarra
     """
     v = weights
     for _ in range(steps):
-        f, g, _, h, lowest = _weight_objective(v, rho_m, atoms, hessian=True)
+        f, g, _, h, lowest = _weight_objective(v, rho_m, atoms, hessian=True, eig=eig)
         pg = float(np.linalg.norm(v - np.maximum(v - g, 0.0)))
         if pg <= KKT_TOL:
             break
@@ -264,23 +278,25 @@ def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarra
         slope = ARMIJO * float(g @ d)
         for alpha in 0.5 ** np.arange(HALVINGS):
             w = v + alpha * d
-            if _weight_objective(w, rho_m, atoms, floor=floor)[0] <= f + alpha * slope:
+            eig_w = _eigensystem(w, atoms)
+            if _objective_value(w, rho_m, eig_w, floor)[0] <= f + alpha * slope:
                 break
         else:
-            return v
-        v = w
-    return v
+            break
+        v, eig = w, eig_w
+    return v, eig
 
 
 def _nonnegative_qp(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """argmin over x >= 0 of x.a.x / 2 - b.x, for positive definite ``a``.
 
-    Lawson-Hanson active sets, started from the feasible ``x``: solve on the
-    free set; step back to the first weight the solve sends below 0 and fix
-    it at 0, or else free the fixed weight whose gradient is most negative.
+    Lawson-Hanson active sets, started from the feasible ``x`` with every weight
+    free that is positive or would enter: solve on the free set; step back to the
+    first weight the solve sends below 0 and fix it at 0, or else free the fixed
+    weight whose gradient is most negative.
     """
     entry = 1e-14 * (1.0 + np.abs(b).max())
-    free = x > 0.0
+    free = (x > 0.0) | (b - a @ x > entry)
     for _ in range(3 * len(b)):
         z = np.zeros_like(x)
         z[free] = zf = np.linalg.solve(a[free][:, free], b[free])
@@ -337,7 +353,8 @@ def ree_minimize(
     # the maximally mixed state, itself a mixture of product basis states.
     atoms = np.eye(n, dtype=complex)
     weights = np.full(n, 1.0 / n)
-    f, grad, g = _weight_objective(weights, rho_m, atoms)
+    eig = _eigensystem(weights, atoms)
+    f, grad, g = _weight_objective(weights, rho_m, atoms, eig=eig)
     gap = math.inf
     iterations = 0
     converged = False
@@ -361,25 +378,27 @@ def ree_minimize(
             converged = gap < GAP_TOL
         prev_a = a[int(np.argmin(vals))]
 
-        # Fully corrective step: add the new atoms at weight 0, re-optimize
-        # all weights, drop the atoms that reach zero.
+        # Fully corrective step: add the new atoms at weight 0 (sigma stays),
+        # re-optimize all weights, drop the atoms that reach zero.
         new = _new_atoms(a, b, vals, level)
         cand = np.vstack([atoms, new])
-        v = _reoptimize_weights(rho_m, cand, np.append(weights, np.zeros(len(new))),
-                                FINAL_STEPS if converged or t == 0 else 1)
+        v, (mu, u) = _reoptimize_weights(rho_m, cand, np.append(weights, np.zeros(len(new))),
+                                         eig, FINAL_STEPS if converged or t == 0 else 1)
         keep = v > 0.0
-        v = v[keep] / float(np.sum(v[keep]))
-        new_f, new_grad, new_g = _weight_objective(v, rho_m, cand[keep])
+        s = float(np.sum(v[keep]))
+        v, new_eig = v[keep] / s, (mu / s, u)
+        new_f, new_grad, new_g = _weight_objective(v, rho_m, cand[keep], eig=new_eig)
         if new_f >= f:
             break
-        atoms, weights, f, grad, g = cand[keep], v, new_f, new_grad, new_g
+        atoms, weights, f, grad, g, eig = cand[keep], v, new_f, new_grad, new_g, new_eig
         if len(weights) > 2 * n * n:
             # Weights that stay positive but not unique (a closest state
             # with a continuum of decompositions) would let the list grow
             # without bound; between n^2 and 2 n^2 atoms the re-optimization
             # keeps the spare atoms it makes progress with.
             atoms, weights = _caratheodory(atoms, weights)
-            _, grad, g = _weight_objective(weights, rho_m, atoms)
+            eig = _eigensystem(weights, atoms)
+            _, grad, g = _weight_objective(weights, rho_m, atoms, eig=eig)
         if converged:
             break
 

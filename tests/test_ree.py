@@ -131,13 +131,17 @@ class TestReeMinimize:
         assert 1 <= res.atoms <= 2 * 9 * 9
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
-    def test_sigma_is_diagonalized_only_in_the_weight_objective(self, monkeypatch, dims):
-        # Every n x n eigendecomposition of a run comes from
-        # _weight_objective, except the entropy offset (the spectrum of rho)
-        # and the validation of the returned closest separable state.
+    def test_sigma_is_diagonalized_once_per_new_point(self, monkeypatch, dims):
+        # Every n x n eigendecomposition of a run is of sigma, by
+        # _eigensystem, except the entropy offset (the spectrum of rho) and
+        # the validation of the returned closest separable state.  Sigma is
+        # diagonalized at most at the start, at each Armijo trial point and
+        # after each Caratheodory cut; every _weight_objective call (the
+        # rescaled iterate, each Hessian) is at a point diagonalized before,
+        # up to scale, and diagonalizes nothing.
         n = dims[0] * dims[1]
         rho = random_mixed(Dims(*dims), None, np.random.default_rng(3))
-        callers = []
+        callers, trials, cuts, objective_calls = [], [], [], []
 
         def recording(decompose):
             def recorded(a, *args, **kwargs):
@@ -146,12 +150,29 @@ class TestReeMinimize:
                 return decompose(a, *args, **kwargs)
             return recorded
 
+        def counting(f, calls, only_from=None):
+            def call(*args, **kwargs):
+                if only_from in (None, sys._getframe(1).f_code.co_name):
+                    before = len(callers)
+                    result = f(*args, **kwargs)
+                    calls.append(len(callers) - before)
+                    return result
+                return f(*args, **kwargs)
+            return call
+
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        monkeypatch.setattr(ree, "_objective_value",
+                            counting(ree._objective_value, trials, "_reoptimize_weights"))
+        monkeypatch.setattr(ree, "_caratheodory", counting(ree._caratheodory, cuts))
+        monkeypatch.setattr(ree, "_weight_objective",
+                            counting(ree._weight_objective, objective_calls))
         res = ree_minimize(rho, rng=np.random.default_rng(0))
-        others = sorted(c for c in callers if c != "_weight_objective")
+        others = sorted(c for c in callers if c != "_eigensystem")
         assert others == ["eigenvalues", "validate_density_stack"]
-        assert callers.count("_weight_objective") >= 2 * res.iterations
+        assert callers.count("_eigensystem") <= 1 + len(trials) + len(cuts)
+        assert len(objective_calls) >= 2 * res.iterations
+        assert not any(objective_calls)
 
     @settings(max_examples=10, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 6),
@@ -265,6 +286,25 @@ class TestWeightStep:
             assert float(np.real(np.trace(g @ d))) == pytest.approx(fd, rel=1e-6, abs=1e-6)
         assert abs(float(v @ grad) - 1.0 - float(np.real(np.trace(g @ sigma)))) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
+           zeros=st.integers(0, 4), scale=st.floats(0.5, 2.0))
+    def test_passed_eigensystem_matches_a_fresh_one(self, dims, seed, zeros, scale):
+        # The solver hands sigma's eigensystem (mu, u) along to sigma / s as
+        # (mu / s, u), with new atoms at weight 0: every output matches the
+        # one from a fresh diagonalization.
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        rho = random_mixed(Dims(*dims), None, rng).matrix
+        atoms = _random_atoms(dims, 2 * n + zeros, rng)
+        v = rng.uniform(0.5, 1.5, 2 * n)
+        mu, u = ree._eigensystem(v, atoms[:2 * n])
+        w = np.append(v, np.zeros(zeros)) / scale
+        passed = _weight_objective(w, rho, atoms, hessian=True, eig=(mu / scale, u))
+        fresh = _weight_objective(w, rho, atoms, hessian=True)
+        for x, y in zip(passed, fresh):
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.max(np.abs(y)))
+
     @settings(max_examples=40, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
            zeros=st.integers(1, 4), rank=st.integers(1, 3))
@@ -277,8 +317,9 @@ class TestWeightStep:
         rho = random_mixed(Dims(*dims), None if rank == 3 else rank, rng).matrix
         atoms = _random_atoms(dims, n + 2 + zeros, rng)
         v0 = np.append(rng.dirichlet(np.ones(n + 2)), np.zeros(zeros))
-        v = _reoptimize_weights(rho, atoms, v0)
+        v, (mu, _) = _reoptimize_weights(rho, atoms, v0, ree._eigensystem(v0, atoms))
         assert np.all(v >= 0.0)
+        np.testing.assert_array_equal(mu, ree._eigensystem(v, atoms)[0])
         assert _weight_objective(v, rho, atoms)[0] <= _weight_objective(v0, rho, atoms)[0]
 
     @settings(max_examples=30, deadline=None)
@@ -294,7 +335,7 @@ class TestWeightStep:
         rho = random_mixed(Dims(*dims), None, rng).matrix
         atoms = _random_atoms(dims, n + zeros, rng)
         v0 = np.append(rng.dirichlet(np.ones(n)), np.zeros(zeros))
-        v = _reoptimize_weights(rho, atoms, v0, steps=100)
+        v, _ = _reoptimize_weights(rho, atoms, v0, ree._eigensystem(v0, atoms), steps=100)
         _, g, _ = _weight_objective(v, rho, atoms)
         assert np.linalg.norm(v - np.maximum(v - g, 0.0)) <= 1e-6
 
@@ -314,7 +355,7 @@ class TestWeightStep:
             return _weight_objective(v, *args, hessian=hessian, **kwargs)
 
         monkeypatch.setattr(ree, "_weight_objective", counted)
-        v = _reoptimize_weights(rho, atoms, v0, steps=steps)
+        v, _ = _reoptimize_weights(rho, atoms, v0, ree._eigensystem(v0, atoms), steps=steps)
         iterates = points + [v]
         assert len(points) == steps
         np.testing.assert_array_equal(points[0], v0)
@@ -337,6 +378,24 @@ class TestWeightStep:
         assert np.all(grad[x == 0.0] >= -1e-8)
 
     @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40))
+    def test_nonnegative_qp_warm_free_set_matches_the_positive_start(self, seed, k):
+        # The zero weights that would enter start free; the solution is the
+        # one reached from the positive weights alone.
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((k, k))
+        a = m @ m.T + 1e-3 * np.eye(k)
+        b = rng.standard_normal(k)
+        x0 = rng.uniform(0.0, 1.0, k) * (rng.uniform(size=k) < 0.7)
+        x0[0] = 1.0
+        x = _nonnegative_qp(a, b, x0)
+        ref = _nonnegative_qp_from_positive_weights(a, b, x0)
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+        grad = a @ x - b
+        np.testing.assert_allclose(grad[x > 0.0], 0.0, atol=1e-8 * (1.0 + np.abs(b).max()))
+        assert np.all(x >= 0.0) and np.all(grad[x == 0.0] >= -1e-8)
+
+    @settings(max_examples=40, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
            extra=st.integers(1, 40))
     def test_caratheodory_keeps_sigma_with_at_most_n_squared_atoms(self, dims, seed, extra):
@@ -348,6 +407,103 @@ class TestWeightStep:
         assert len(kept) <= n * n
         assert np.all(w >= 0.0) and math.isclose(float(np.sum(w)), 1.0, abs_tol=1e-12)
         np.testing.assert_allclose(_assemble(kept, w), _assemble(atoms, weights), atol=1e-13)
+
+
+def _nonnegative_qp_from_positive_weights(a, b, x):
+    """``_nonnegative_qp`` started with only the positive weights free."""
+    entry = 1e-14 * (1.0 + np.abs(b).max())
+    free = x > 0.0
+    for _ in range(3 * len(b)):
+        z = np.zeros_like(x)
+        z[free] = zf = np.linalg.solve(a[free][:, free], b[free])
+        if np.all(zf > 0.0):
+            x = z
+            r = np.where(free, -np.inf, b - a @ x)
+            j = int(np.argmax(r))
+            if r[j] <= entry:
+                break
+            free[j] = True
+        else:
+            neg = np.flatnonzero(free & (z <= 0.0))
+            ratio = x[neg] / (x[neg] - z[neg])
+            x = x + ratio.min() * (z - x)
+            x[neg[np.argmin(ratio)]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+    return x
+
+
+def _new_atoms_pairwise(a, b, vals, level):
+    """``_new_atoms`` by one overlap per pair of candidates."""
+    cands = (a[:, :, None] * b[:, None, :]).reshape(len(vals), -1)
+    taken = []
+    for r in np.argsort(vals):
+        if vals[r] >= level:
+            break
+        if all(abs(np.vdot(cands[q], cands[r])) ** 2 < ree.DEDUPE_OVERLAP for q in taken):
+            taken.append(int(r))
+    return cands[taken]
+
+
+def _random_hermitian(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return z + z.conj().T
+
+
+def _random_rows(k, d, rng):
+    x = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestProductSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+           seed=st.integers(0, 2**32 - 1), k=st.integers(1, 73))
+    def test_partial_expectations_match_the_einsum_reference(self, dims, seed, k):
+        rng = np.random.default_rng(seed)
+        dA, dB = dims
+        g4 = _random_hermitian(dA * dB, rng).reshape(dA, dB, dA, dB)
+        a, b = _random_rows(k, dA, rng), _random_rows(k, dB, rng)
+        for got, ref in [
+            (ree._partial_expectation(g4, a), np.einsum("ri,ijkl,rk->rjl", a.conj(), g4, a)),
+            (ree._partial_expectation(np.ascontiguousarray(g4.transpose(1, 0, 3, 2)), b),
+             np.einsum("rj,ijkl,rl->rik", b.conj(), g4, b)),
+        ]:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+           seed=st.integers(0, 2**32 - 1), warm=st.booleans())
+    def test_each_value_is_its_product_expectation(self, dims, seed, warm):
+        rng = np.random.default_rng(seed)
+        dA, dB = dims
+        g = _random_hermitian(dA * dB, rng)
+        start = _random_rows(1, dA, rng)[0] if warm else None
+        a, b, vals = ree._min_product_expectation(g, dA, dB, ree.RESTARTS, rng, start)
+        assert len(vals) == ree.RESTARTS + warm
+        ab = (a[:, :, None] * b[:, None, :]).reshape(len(vals), -1)
+        expect = np.einsum("ri,ij,rj->r", ab.conj(), g, ab)
+        np.testing.assert_allclose(vals, expect.real, rtol=0, atol=1e-12 * np.abs(g).max())
+        np.testing.assert_allclose(expect.imag, 0.0, atol=1e-12 * np.abs(g).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(1, 40), repeats=st.integers(0, 10))
+    def test_new_atoms_match_the_pairwise_reference(self, dims, seed, k, repeats):
+        # Candidates repeat exactly, up to a phase, or nearly, as restarts
+        # that reach the same local minimizer do.
+        rng = np.random.default_rng(seed)
+        a, b = _random_rows(k, dims[0], rng), _random_rows(k, dims[1], rng)
+        vals = rng.standard_normal(k)
+        for _ in range(repeats):
+            i, j = rng.integers(k, size=2)
+            a[j] = a[i] * np.exp(1j * rng.uniform(0, 2 * np.pi)) + rng.choice([0.0, 0.05])
+            b[j] = b[i] / np.linalg.norm(b[i])
+            a[j] /= np.linalg.norm(a[j])
+            vals[j] = vals[i] + rng.choice([0.0, 1e-9])
+        level = float(rng.uniform(-1.0, 2.0))
+        np.testing.assert_array_equal(ree._new_atoms(a, b, vals, level),
+                                      _new_atoms_pairwise(a, b, vals, level))
 
 
 class TestDataProcessing:
