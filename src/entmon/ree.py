@@ -9,17 +9,18 @@ iteration (a bilinear, nonconvex subproblem solved from several random
 starts; failures only loosen the upper bound).  Every start ends in a local
 minimizer; each distinct one that lies below the linearization Tr[G sigma]
 joins the list at weight 0 (a multi-atom step), and one Newton step on the
-exact Hessian corrects all weights, minimizing its quadratic model over
-v >= 0 by Lawson-Hanson active sets (Rehacek & Hradil, PRL 90, 127904
-(2003); Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)); the step is
-inexact, as in blended conditional gradients (Braun, Pokutta, Tu & Wright,
-ICML 2019).  Atoms whose weight reaches zero are dropped, and a list longer
-than twice the Caratheodory bound n^2 is cut back to n^2 atoms with the same
-sigma.  A step is taken only if it lowers the objective.  The run stops when
-the Frank-Wolfe duality gap falls below its tolerance, confirmed by a harder
-product search, after one last step with the candidates of both searches,
-run to KKT like the first.  The returned value is an upper bound on E_r.
-Sigma is diagonalized once per new point, by ``_eigensystem``, with the
+exact Hessian corrects all weights (Rehacek & Hradil, PRL 90, 127904 (2003);
+Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)), minimizing its quadratic
+model over v >= 0 by block principal pivoting with Murty's backup rule (Judice
+& Pires, Comput. Oper. Res. 21, 587 (1994); Kim & Park, SIAM J. Sci. Comput.
+33, 3261 (2011)); the step is inexact, as in blended conditional gradients
+(Braun, Pokutta, Tu & Wright, ICML 2019).  Atoms whose weight reaches zero are
+dropped, and a list longer than twice the Caratheodory bound n^2 is cut back to
+n^2 atoms with the same sigma.  A step is taken only if it lowers the objective.
+The run stops when the Frank-Wolfe duality gap falls below its tolerance,
+confirmed by a harder product search, after one last step with the candidates of
+both searches, run to KKT like the first.  The returned value is an upper bound
+on E_r.  Sigma is diagonalized once per new point, by ``_eigensystem``, with the
 solver's one EIG_FLOOR clip; sigma / s keeps that eigensystem as (mu / s, u).
 
 On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
@@ -290,31 +291,30 @@ def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarra
 def _nonnegative_qp(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """argmin over x >= 0 of x.a.x / 2 - b.x, for positive definite ``a``.
 
-    Lawson-Hanson active sets, started from the feasible ``x`` with every weight
-    free that is positive or would enter: solve on the free set; step back to the
-    first weight the solve sends below 0 and fix it at 0, or else free the fixed
-    weight whose gradient is most negative.
+    Block principal pivoting (Judice & Pires 1994; Kim & Park 2011) from ``x`` with each
+    weight free that is positive or would enter: solve on the free set, swap each infeasible
+    weight (z <= 0 if free, gradient below -``entry`` if fixed); after 3 swaps that leave no
+    fewer, Murty's backup rule swaps the highest infeasible index alone, from the best set.
     """
     entry = 1e-14 * (1.0 + np.abs(b).max())
     free = (x > 0.0) | (b - a @ x > entry)
+    fewest, spare = len(b) + 1, 3
     for _ in range(3 * len(b)):
         z = np.zeros_like(x)
-        z[free] = zf = np.linalg.solve(a[free][:, free], b[free])
-        if np.all(zf > 0.0):
-            x = z
-            r = np.where(free, -np.inf, b - a @ x)
-            j = int(np.argmax(r))
-            if r[j] <= entry:
-                break
-            free[j] = True
+        z[free] = np.linalg.solve(a[free][:, free], b[free])
+        bad = np.flatnonzero(np.where(free, z <= 0.0, b - a @ z > entry))
+        if len(bad) == 0:
+            break
+        if len(bad) < fewest:
+            fewest, spare, best = len(bad), 3, (free.copy(), bad)
+        elif spare > 0:
+            spare -= 1
         else:
-            neg = np.flatnonzero(free & (z <= 0.0))
-            ratio = x[neg] / (x[neg] - z[neg])
-            x = x + ratio.min() * (z - x)
-            x[neg[np.argmin(ratio)]] = 0.0
-            free &= x > 0.0
-            x[~free] = 0.0
-    return x
+            if spare == 0:  # the backup rule starts from the fewest infeasible
+                (free, bad), spare = best, -1
+            bad = bad[-1:]
+        free[bad] = ~free[bad]
+    return np.maximum(z, 0.0)
 
 
 def ree_minimize(
@@ -335,8 +335,12 @@ def ree_minimize(
     is then True, and that iteration's step still runs, to FINAL_STEPS, so
     the gap is that of the state before it), when a step no longer lowers
     the objective, or after ``max_iters`` iterations; non-convergence is
-    reported through the ``converged`` flag, never as a failure.
+    reported through the ``converged`` flag, never as a failure.  A
+    ``max_iters`` that is not an integer of at least 1 raises ValueError.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) \
+            or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     dA, dB = rho.dims.bipartite("E_r")
     n = dA * dB
     if n > MAX_TOTAL_DIM:
