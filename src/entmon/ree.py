@@ -42,6 +42,7 @@ from .states import (
     DensityMatrix,
     DimensionMismatchError,
     TOL_SUPPORT,
+    _is_count,
     _rel_entropy_stack,
     von_neumann_entropy,
 )
@@ -338,8 +339,7 @@ def ree_minimize(
     reported through the ``converged`` flag, never as a failure.  A
     ``max_iters`` that is not an integer of at least 1 raises ValueError.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) \
-            or max_iters < 1:
+    if not _is_count(max_iters):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     dA, dB = rho.dims.bipartite("E_r")
     n = dA * dB

@@ -8,9 +8,9 @@ minimum is approached by Riemannian gradient descent on the Stiefel
 manifold of isometries (Roethlisberger, Rehacek & Loss, PRA 80, 042301
 (2009)) from several starts.  Each step takes the trials' values and
 analytic gradients from one pass (``_RoofObjective.evaluate``): in closed
-form when side A is a qubit, otherwise from one ``eigh``.  Steps are
-Barzilai-Borwein with nonmonotone Armijo backtracking (see
-``NONMONOTONE``) and a QR retraction.
+form when side A is a qubit, otherwise from one ``eigh``.  Step lengths
+are the short Barzilai-Borwein step (see ``GRAD_TOL``), with nonmonotone
+Armijo backtracking (see ``NONMONOTONE``) and a QR retraction.
 
 Smooth h kinds (entropy, tangle, Renyi and Tsallis of order above 1/2)
 descend on h itself.  Kinked h kinds (concurrence, negativity,
@@ -48,7 +48,7 @@ import numpy as np
 from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, h_partials, pure_measure
 from .sampling import _haar_stack
 from .states import (PPT_SEPARABLE_TOTAL, TOL_PSD, TOL_SUPPORT, DensityMatrix, PureState,
-                     partial_transpose)
+                     _is_count, partial_transpose)
 
 ISOMETRY_TOL = 1e-8
 WEIGHT_FLOOR = 1e-14
@@ -63,10 +63,17 @@ WEIGHT_FLOOR = 1e-14
 # gradient method (X. Chen, Math. Program. 134, 71 (2012)).  A chain stops
 # unconverged when backtracking shrinks its step below STEP_MIN or after
 # DESCENT_ITERS steps.  Steps start at length STEP_INIT in the first
-# stage and at the chain's last step in later ones, and follow the
-# Barzilai-Borwein rule within [STEP_MIN, STEP_MAX].  Since h >= 0, an
-# exact value at most VALUE_FLOOR cannot be beaten by more than the floor:
-# once a stopped chain has one, every chain stops.
+# stage and at the chain's last step in later ones.  After an accepted
+# step s, with y the change of the Riemannian gradient, the next length is
+# the short Barzilai-Borwein step |<s,y>| / <y,y> (Barzilai & Borwein, IMA
+# J. Numer. Anal. 8, 141 (1988)) within [STEP_MIN, STEP_MAX]; by
+# Cauchy-Schwarz it is never longer than the long step <s,s> / |<s,y>|,
+# whose trials failed the Armijo test 3 to 10 times as often on the 2x2
+# roof-oracle inputs and which ran 2x3 concurrence stages to the step cap.
+# Since h >= 0, an exact value at most VALUE_FLOOR cannot be beaten by more
+# than the floor: once a stopped chain has one, every chain stops.  As
+# h_eps <= h, only a chain stopped at a smoothed value at most the floor
+# can have one, so only its exact value is taken when it stops.
 GRAD_TOL = 1e-7
 STAGE_GRAD = 0.1
 REL_TOL = 1e-14
@@ -81,7 +88,7 @@ VALUE_FLOOR = 1e-12
 # 23, 707 (1986)): with a monotone test, Barzilai-Borwein steps stall in
 # degenerate minima such as that of the separable Werner state at
 # p = 1/3, and on smooth h they backtrack more often (on the six 2x2
-# entropy inputs of the roof-oracle benchmark, 921 steps instead of 588).
+# entropy inputs of the roof-oracle benchmark, 522 steps instead of 445).
 NONMONOTONE = 10
 # Smoothing parameters of the kinked kinds' continuation, in stage order.
 SMOOTHING = tuple(10.0**-k for k in range(1, 9))
@@ -295,8 +302,10 @@ def _riemannian_descent(
     backtracking (see ``NONMONOTONE``); step sizes are per chain, starting
     at ``step`` when given.  Chains stop by the rules stated at
     ``GRAD_TOL``, a step's decrease counting by its magnitude.  Returns
-    every chain's (q, exact value, converged, step): each exact value is
-    evaluated once, when the chain stops or the descent ends.
+    every chain's (q, exact value, converged, step).  For ``eps`` > 0 each
+    exact value is evaluated once: when the chain stops at a smoothed
+    value at most VALUE_FLOOR, and otherwise in one batched call when the
+    descent ends.
     """
     q = q.copy()
     vals, egrad = objective.evaluate(q, eps, grad=True)
@@ -311,9 +320,10 @@ def _riemannian_descent(
     recent = np.repeat(vals[:, None], NONMONOTONE, axis=1)
     accepted = np.zeros(len(q), dtype=int)
     for _ in range(DESCENT_ITERS):
-        if eps and stopped.size:
-            exact[stopped] = objective.evaluate(q[stopped])[0]
-        if stopped.size and np.any(exact[stopped] <= VALUE_FLOOR):
+        low = stopped[vals[stopped] <= VALUE_FLOOR]
+        if eps and low.size:
+            exact[low] = objective.evaluate(q[low])[0]
+        if np.any(exact[low] <= VALUE_FLOOR):
             break
         idx = np.nonzero(active)[0]
         if idx.size == 0:
@@ -338,12 +348,12 @@ def _riemannian_descent(
         recent[acc, accepted[acc] % recent.shape[1]] = v_new
         gnorm2[acc] = _inner(g_new, g_new)
         sy = np.abs(_inner(s, y))
-        step[acc] = np.clip(_inner(s, s) / np.maximum(sy, 1e-300), STEP_MIN, STEP_MAX)
+        step[acc] = np.clip(sy / np.maximum(_inner(y, y), 1e-300), STEP_MIN, STEP_MAX)
         done = acc[(gnorm2[acc] <= gtol2) | (rel <= REL_TOL) | (v_new <= 0.0)]
         active[done] = False
         converged[done] = True
         stopped = np.concatenate([stopped, done])
-    # Chains still active, or stopped by the last step, have no exact value yet.
+    # The exact values of the chains still active or stopped above the floor.
     rest = np.isnan(exact)
     if rest.any():
         exact[rest] = objective.evaluate(q[rest])[0]
@@ -418,16 +428,19 @@ def roof_minimize(
     value is at most ``VALUE_FLOOR``, between stages or on stopping, the
     search ends.  A 2x2 or 2x3 PPT input goes to the product stage first,
     and after the descent again when the winner is above the floor;
-    ``converged`` then means a value at most ``VALUE_FLOOR``.
+    ``converged`` then means a value at most ``VALUE_FLOOR``.  A
+    ``restarts`` or ``n_terms`` that is not an integer of at least 1
+    raises ValueError, as does an ``n_terms`` below the rank.
     """
+    if not _is_count(restarts) or not (n_terms is None or _is_count(n_terms)):
+        raise ValueError("restarts and n_terms must be integers of at least 1, "
+                         f"got {restarts!r} and {n_terms!r}")
     objective = _RoofObjective(h, rho)
     rng = np.random.default_rng(0) if rng is None else rng
     r = objective.rank
     n_terms = objective.n_terms if n_terms is None else n_terms
     if n_terms < r:
         raise ValueError(f"n_terms = {n_terms} is below the state rank {r}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
 
     if r == 1:
         best = objective.decomposition(np.eye(1))

@@ -32,6 +32,11 @@ PURITY_TOL = 1e-10  # a state is pure when its largest eigenvalue is at least 1 
 _LABELS = "ABC"
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer (Python or numpy, not bool) of at least 1."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+
+
 class DimensionMismatchError(ValueError):
     """Array shape or subsystem label inconsistent with the declared dims."""
 
@@ -56,7 +61,7 @@ class Dims:
         if not 1 <= len(factors) <= 3:
             raise DimensionMismatchError("supported systems have 1 to 3 factors")
         for d in factors:
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            if not _is_count(d):
                 raise DimensionMismatchError(f"dimensions must be positive integers, got {d!r}")
         object.__setattr__(self, "factors", tuple(int(d) for d in factors))
         object.__setattr__(self, "total", math.prod(self.factors))

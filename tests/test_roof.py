@@ -148,6 +148,31 @@ class TestRoofMinimize:
         with pytest.raises(ValueError):
             roof_minimize(ENTROPY, rho, n_terms=2, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 2.5}, {"restarts": True}, {"restarts": "3"}, {"restarts": 0},
+        {"restarts": None}, {"n_terms": 4.0}, {"n_terms": True}, {"n_terms": "4"},
+        {"n_terms": 0}, {"n_terms": -1},
+    ], ids=repr)
+    def test_counts_must_be_integers_of_at_least_one(self, kwargs, monkeypatch):
+        # Refused before any work: the objective, which diagonalizes the
+        # input, is never built.  Floats and bools were read deep inside the
+        # call (a TypeError, or n_terms=True taken as 1).
+        from entmon import roof
+
+        def no_work(*args):
+            raise AssertionError("the call started work")
+
+        rho = random_mixed(Dims(2, 2), 3, np.random.default_rng(9))
+        monkeypatch.setattr(roof, "_RoofObjective", no_work)
+        with pytest.raises(ValueError, match="integers of at least 1"):
+            roof_minimize(ENTROPY, rho, **kwargs)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        rho = random_mixed(Dims(2, 2), 3, np.random.default_rng(9))
+        ref = roof_minimize(ENTROPY, rho, 4, 2, rng=np.random.default_rng(0))
+        res = roof_minimize(ENTROPY, rho, np.int64(4), np.int32(2), rng=np.random.default_rng(0))
+        assert res.value == ref.value and res.restarts_used == 2
+
     def test_g_concurrence_on_a_larger_a_factor_matches_its_swap(self):
         # Known defect 9: every member's A marginal on 3x2 has a zero
         # eigenvalue, which the G-concurrence reads as 0; the objective now
@@ -209,8 +234,8 @@ class TestSmoothPath:
 
     def test_nonmonotone_armijo_takes_fewer_steps(self, monkeypatch):
         # Each lockstep step retracts its trial isometries with one QR call.
-        # With the monotone Armijo test this input took 512 steps; with the
-        # nonmonotone one it takes 256, at the same accuracy.
+        # With the monotone Armijo test this input takes 208 steps; with the
+        # nonmonotone one it takes 176, at the same accuracy.
         from entmon import roof
 
         steps = []
@@ -223,9 +248,19 @@ class TestSmoothPath:
         rho = random_mixed(Dims(2, 2), 4, np.random.default_rng(0))
         monkeypatch.setattr(roof, "_haar_stack", counting)
         res = roof_minimize(ENTROPY, rho, n_terms=4, restarts=20, rng=np.random.default_rng(0))
-        assert len(steps) - 1 < 400  # one call builds the starting isometries
+        assert len(steps) - 1 < 190  # one call builds the starting isometries
         assert res.converged
         assert abs(res.value - wootters_eof(rho)) < 1e-12
+
+    def test_full_rank_3x3_input_converges_at_any_restart_count(self):
+        # Known defect 8: with the long Barzilai-Borwein step neither call
+        # converged, and the two upper bounds were 7.5e-5 apart (0.0357511
+        # and 0.0356766).
+        rho = random_mixed(Dims(3, 3), None, np.random.default_rng(0))
+        few, many = (roof_minimize(ENTROPY, rho, None, restarts, rng=np.random.default_rng(0))
+                     for restarts in (4, 20))
+        assert few.converged and many.converged
+        assert abs(few.value - many.value) < 1e-8
 
     def test_chains_stop_once_one_reaches_the_value_floor(self, monkeypatch):
         # On this separable input the winning chain stops at about 5e-13
@@ -362,6 +397,67 @@ class TestKinkedPath:
                 calls.clear()
                 _riemannian_descent(objective, q[c:c + 1], eps, step[c:c + 1])
                 assert len(calls) <= 3, (eps, c, len(calls))
+
+    def test_many_member_call_leaves_the_step_cap_in_the_late_stages(self, monkeypatch):
+        # Known defect 4: with the long Barzilai-Borwein step the stages
+        # eps = 1e-3 to 1e-6 of this call each ran to DESCENT_ITERS steps,
+        # 11,180 steps in all.  With the short step it takes about 6,200 and
+        # the stages eps <= 1e-5 stop on their own; eps = 1e-3 and 1e-4
+        # still reach the cap.
+        from entmon import roof
+
+        descent, qr = roof._riemannian_descent, roof._haar_stack
+        retractions, stage_steps = [0], []
+
+        def counting(x):
+            retractions[0] += 1
+            return qr(x)
+
+        def recorded(objective, q, eps=0.0, step=None):
+            before = retractions[0]
+            out = descent(objective, q, eps, step)
+            stage_steps.append(retractions[0] - before)
+            return out
+
+        monkeypatch.setattr(roof, "_haar_stack", counting)
+        monkeypatch.setattr(roof, "_riemannian_descent", recorded)
+        rho = random_mixed(Dims(2, 3), 4, np.random.default_rng(1))
+        res = roof_minimize(CONCURRENCE, rho, restarts=4, rng=np.random.default_rng(0))
+        assert res.converged
+        assert len(stage_steps) == len(roof.SMOOTHING)
+        assert sum(stage_steps) < 8000
+        assert max(stage_steps[roof.SMOOTHING.index(1e-5):]) < roof.DESCENT_ITERS
+
+    def test_one_exact_evaluation_per_stage(self, monkeypatch):
+        # h_eps <= h, so only a chain that stops at a smoothed value at most
+        # VALUE_FLOOR can end the stage on its exact value; every other
+        # chain's exact value waits for the one batched call at the stage's
+        # end.  Taking each at once cost 73 value-only calls on this input.
+        from entmon import roof
+
+        descent, evaluate = roof._riemannian_descent, _RoofObjective.evaluate
+        stage, extra = [], {}
+
+        def counting(self, q, eps=0.0, grad=False):
+            if stage and not grad and eps == 0.0:
+                smoothed = evaluate(self, q, stage[-1])[0]
+                extra[stage[-1]] += int(np.any(smoothed > VALUE_FLOOR))
+            return evaluate(self, q, eps, grad)
+
+        def recorded(objective, q, eps=0.0, step=None):
+            stage.append(eps)
+            extra[eps] = 0
+            out = descent(objective, q, eps, step)
+            stage.pop()
+            return out
+
+        monkeypatch.setattr(_RoofObjective, "evaluate", counting)
+        monkeypatch.setattr(roof, "_riemannian_descent", recorded)
+        rho = random_mixed(Dims(2, 2), 3, np.random.default_rng(100))
+        res = roof_minimize(CONCURRENCE, rho, rng=np.random.default_rng(0))
+        assert res.value == pytest.approx(wootters_concurrence(rho), abs=1e-8)
+        assert len(extra) == len(roof.SMOOTHING)
+        assert max(extra.values()) <= 1
 
     def test_converged_wherever_concurrence_is_accurate(self):
         # As for the entropy: converged is the winner's stopping rule in
