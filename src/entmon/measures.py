@@ -244,6 +244,28 @@ def pt_trace_norms(mats: np.ndarray, dims: Dims) -> np.ndarray:
     return np.sum(np.abs(vals), axis=-1) / np.sum(vals, axis=-1)
 
 
+def _two_by_two_minors(m: np.ndarray) -> np.ndarray:
+    """The 2x2 minors of a ``(..., dA, dB)`` stack, ``(..., row pairs, column pairs)``."""
+    i, j = np.triu_indices(m.shape[-2], 1)
+    k, l = np.triu_indices(m.shape[-1], 1)
+    i, j = i[:, None], j[:, None]
+    return m[..., i, k] * m[..., j, l] - m[..., i, l] * m[..., j, k]
+
+
+def pure_pt_trace_norms(amps: np.ndarray, dims: Dims) -> np.ndarray:
+    """``pt_trace_norms`` of the projectors of a ``(..., n)`` stack of vectors, from their
+    Schmidt coefficients sigma (Vidal & Werner, PRA 65, 032314 (2002)): 1 + 2 e2 / sum sigma^2
+    >= 1 exactly, e2 = sum_{i<j} sigma_i sigma_j; from the 2x2 minors (Cauchy-Binet) where a
+    factor has dimension 2, else from a values-only SVD."""
+    m = amps.reshape(amps.shape[:-1] + dims.bipartite("partial transpose"))
+    if min(m.shape[-2:]) <= 2:  # a factor of dimension 1 has no minors: e2 = 0
+        e2 = np.linalg.norm(_two_by_two_minors(m), axis=(-2, -1))
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
+        e2 = np.sum(s[..., 1:] * np.cumsum(s[..., :-1], axis=-1), axis=-1)
+    return 1.0 + 2.0 * e2 / np.sum(amps.real**2 + amps.imag**2, axis=-1)
+
+
 def negativity_of_norms(norms: np.ndarray) -> np.ndarray:
     """Negativity ``(||rho^{T_A}||_Tr - 1) / 2`` from ``pt_trace_norms``."""
     return _floored((norms - 1.0) / 2.0)

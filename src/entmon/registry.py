@@ -126,7 +126,8 @@ def evaluate_closed_stack(measure_id: str, states: np.ndarray, dims: Dims) -> np
     that are valid states on ``dims``.  Values carry ``MeasureValue``'s
     roundoff floor.  The reduced-state (h-function) families take vectors
     to ``pure_measure_stack`` and need every matrix pure (else
-    ``MeasureError``); the others take a vector as its projector.
+    ``MeasureError``); the negativities take vectors to
+    ``pure_pt_trace_norms``, the Wootters forms take a vector's projector.
     """
     family, param = parse_measure_id(measure_id)
     if FAMILIES[family].tier != "closed":
@@ -137,11 +138,12 @@ def evaluate_closed_stack(measure_id: str, states: np.ndarray, dims: Dims) -> np
         raise MeasureError(f"{measure_id!r} is not defined on a {dims.factors} system")
     if states.ndim == 2 and kind == "pure":
         return measures.pure_measure_stack(h, states, dims)
-    mats = projector_stack(states) if states.ndim == 2 else states
+    pt_norms = measures.pure_pt_trace_norms if states.ndim == 2 else measures.pt_trace_norms
     if family == "negativity":
-        return measures.negativity_of_norms(measures.pt_trace_norms(mats, dims))
+        return measures.negativity_of_norms(pt_norms(states, dims))
     if family == "log-negativity":
-        return measures.log_negativity_of_norms(measures.pt_trace_norms(mats, dims))
+        return measures.log_negativity_of_norms(pt_norms(states, dims))
+    mats = projector_stack(states) if states.ndim == 2 else states
     if _uses_wootters(family, dims):
         if family == "eof":
             return measures.wootters_eof_stack(mats)

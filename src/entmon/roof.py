@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SPECTRUM_FLOOR, HFunction, h_of_spectrum, h_partials, pure_measure
+from .measures import (SPECTRUM_FLOOR, HFunction, _two_by_two_minors, h_of_spectrum, h_partials,
+                       pure_measure)
 from .sampling import _haar_stack
 from .states import (PPT_SEPARABLE_TOTAL, TOL_PSD, TOL_SUPPORT, DensityMatrix, PureState,
                      _is_count, partial_transpose)
@@ -364,10 +365,7 @@ def _minors(objective: _RoofObjective, q: np.ndarray) -> np.ndarray:
     """Real and imaginary parts of the 2x2 minors of every member's dA x dB
     amplitude matrix, one row per isometry: all 0 exactly on product ensembles."""
     m = objective.members(q).reshape(*q.shape[:-1], objective.dA, objective.dB)
-    i, j = np.triu_indices(objective.dA, 1)
-    k, l = np.triu_indices(objective.dB, 1)
-    i, j = i[:, None], j[:, None]
-    minors = (m[..., i, k] * m[..., j, l] - m[..., i, l] * m[..., j, k]).reshape(*q.shape[:-2], -1)
+    minors = _two_by_two_minors(m).reshape(*q.shape[:-2], -1)
     return np.concatenate([minors.real, minors.imag], axis=-1)
 
 

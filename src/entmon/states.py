@@ -32,9 +32,9 @@ PURITY_TOL = 1e-10  # a state is pure when its largest eigenvalue is at least 1 
 _LABELS = "ABC"
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is an integer (Python or numpy, not bool) of at least 1."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    """Whether ``value`` is an integer (Python or numpy, not bool) of at least ``least``."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
 class DimensionMismatchError(ValueError):

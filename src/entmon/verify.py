@@ -10,8 +10,8 @@ trials.
 Every sweep goes from trials to reports through one path.  ``_trials``
 gives each trial its seed and a generator of its own, from which it draws
 its states and its channel's Ginibre matrices (``channels._draw_channel``
-and ``_draw_mixture``).  The trials of ``monotone`` (closed forms),
-``strict``, ``reduced-state`` and ``ree-dpi`` stream through
+and ``_draw_mixture``).  The trials of ``monotone`` and ``strict`` (one
+stream per dims), ``reduced-state`` and ``ree-dpi`` stream through
 ``_batch_reports``, which validates each batch of at most
 ``_BATCH_STATES`` input states once, builds its channels as stacks
 (``_build_channels``) and judges it with one kernel: ``_closed_gaps``
@@ -73,6 +73,7 @@ from .measures import (
     negativity_of_norms,
     pt_trace_norms,
     pure_measure_stack,
+    pure_pt_trace_norms,
     renyi,
     tsallis,
     wootters_eof,
@@ -97,6 +98,7 @@ from .states import (
     PureState,
     TOL_SUPPORT,
     _check_hermitian_unit_trace,
+    _is_count,
     bell_state,
     partial_trace,
     partial_transpose,
@@ -266,11 +268,17 @@ def check_monotone(
 
 
 def _monotone_reports(items, dims):
-    """``check_monotone`` reports of closed-form trials ``(measure_id,
-    mats, channel, seed, ...)``, each ``mats`` one state on ``dims``."""
-    return [_report("monotone", item[0], tag, lhs[0], rhs[0], MONOTONE_TOL["closed"], item[3],
-                    {"rule": "gap >= -tolerance", "n_outcomes": n_outcomes[0], "tier": "closed"})
-            for item, (tag, lhs, rhs, n_outcomes) in zip(items, _closed_gaps(items, dims))]
+    """``check_monotone`` reports of trials ``(measure_id, mats, channel,
+    seed[, rng])``, each ``mats`` one state on ``dims``: the closed forms'
+    from one ``_closed_gaps`` call, an optimizer tier's from one
+    ``check_monotone`` call with the trial's ``rng``."""
+    closed = [item for item in items if measure_tier(item[0]) == "closed"]
+    judged = iter([_report("monotone", it[0], tag, lhs[0], rhs[0], MONOTONE_TOL["closed"], it[3],
+                           {"rule": "gap >= -tolerance", "n_outcomes": n[0], "tier": "closed"})
+                   for it, (tag, lhs, rhs, n) in zip(closed, _closed_gaps(closed, dims))])
+    return [next(judged) if measure_tier(m) == "closed" else
+            check_monotone(m, DensityMatrix(mats[0], dims), channel, *rng, seed)
+            for m, mats, channel, seed, *rng in items]
 
 
 def _closed_gaps(items, dims):
@@ -352,8 +360,8 @@ def check_strict(
     """
     if measure_tier(measure_id) != "closed":
         raise MeasureError(f"check_strict takes closed-form measures, not {measure_id!r}")
-    if n_states < 1:
-        raise ValueError("n_states must be at least 1")
+    if not _is_count(n_states):
+        raise ValueError(f"n_states must be at least 1 and an integer, got {n_states!r}")
     states = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
     dims = _input_dims(channel, states, n_states)
     _check_inputs(states)
@@ -623,11 +631,12 @@ def check_logneg_nonconvexity(
     the control confirms plain negativity stays convex on the same triples.
     Each triple takes two generator calls (lambda, then the normals of
     rho1 and rho2); triples are built and evaluated in blocks, and one
-    trace-norm stack gives both measures of mix, rho1 and rho2.  A scan of
-    no triples is skipped; negative ``trials`` raise ``ValueError``.
+    trace-norm stack (``pure_pt_trace_norms`` for rho1 and rho2) gives both
+    measures of mix, rho1 and rho2.  A scan of no triples is skipped; a
+    ``trials`` that is not a nonnegative integer raises ``ValueError``.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    if not _is_count(trials, 0):
+        raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
     dims = Dims(2, 2)
     witness = None
     control_violations = 0
@@ -646,7 +655,8 @@ def check_logneg_nonconvexity(
         w = lam[:, None, None]
         mix = w * proj[:, 0] + (1.0 - w) * proj[:, 1]
         validate_density_stack(mix)
-        norms = pt_trace_norms(np.concatenate([mix[:, None], proj], axis=1), dims)
+        norms = np.concatenate([pt_trace_norms(mix, dims)[:, None],
+                                pure_pt_trace_norms(amps, dims)], axis=1)
         n_vals, en_vals = negativity_of_norms(norms), log_negativity_of_norms(norms)
         n_avg = lam * n_vals[:, 1] + (1.0 - lam) * n_vals[:, 2]
         en_avg = lam * en_vals[:, 1] + (1.0 - lam) * en_vals[:, 2]
@@ -664,7 +674,7 @@ def check_logneg_nonconvexity(
             }
     metadata = {
         "rule": "witness found and control clean",
-        "trials": trials,
+        "trials": int(trials),
         "control_violations": control_violations,
         "witness": witness,
     }
@@ -758,8 +768,9 @@ def _trials(config: SweepConfig, n: int, check_idx: int, *parts: int):
 
 
 # Input states per kernel call of the monotone and strict sweeps; bounds
-# their memory.
-_BATCH_STATES = 128
+# their memory.  Peak RSS of `entmon verify --seed 0` at 512 (128): 49.1-49.2
+# MB (48.5-48.6); with `--dims 3x3`, 53.3-53.7 MB (47.1-47.3).
+_BATCH_STATES = 512
 
 
 def _groups(keys) -> dict:
@@ -793,27 +804,18 @@ def _batch_reports(items, judge, *args):
 
 
 def _sweep_monotone(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    """Per (dims, measure), each trial draws its state and channel from its
-    own generator.  A closed form judges the trials in batches; an
-    optimizer tier takes one ``check_monotone`` call per trial, which goes
-    on with the trial's generator."""
+    """The trials of one dims, every measure's in turn, stream through one
+    ``_batch_reports``; each draws its state and channel from its own
+    generator, which an optimizer tier's solver calls go on with."""
     reports = []
     for di, dims_pair in enumerate(config.dims):
         dims = Dims(*dims_pair)
-        for mi, measure_id in enumerate(config.measures):
-            kind = measure_state_kind(measure_id, dims)
-            if kind is None:
-                continue
-            sample = _stack_sampler(kind, dims)
-            items = ((measure_id, sample(rng, 1),
-                      _draw_channel(dims_pair[1], _n_kraus(config, t), rng), seed, rng)
-                     for t, seed, rng in _trials(config, config.trials, check_idx, di, mi))
-            if measure_tier(measure_id) == "closed":
-                reports += [rep for _, rep in _batch_reports(items, _monotone_reports, dims)]
-            else:
-                reports += [check_monotone(measure_id, DensityMatrix(mats[0], dims),
-                                           _build_channels([draw])[0], rng, seed)
-                            for _, mats, draw, seed, rng in items]
+        items = ((measure_id, _stack_sampler(kind, dims)(rng, 1),
+                  _draw_channel(dims_pair[1], _n_kraus(config, t), rng), seed, rng)
+                 for mi, measure_id in enumerate(config.measures)
+                 if (kind := measure_state_kind(measure_id, dims)) is not None
+                 for t, seed, rng in _trials(config, config.trials, check_idx, di, mi))
+        reports += [rep for _, rep in _batch_reports(items, _monotone_reports, dims)]
     return reports
 
 

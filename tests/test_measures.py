@@ -24,6 +24,7 @@ from entmon.measures import (
     pt_trace_norms,
     pure_measure,
     pure_measure_stack,
+    pure_pt_trace_norms,
     renyi,
     tsallis,
     wootters_concurrence,
@@ -31,15 +32,18 @@ from entmon.measures import (
     wootters_eof,
     wootters_eof_stack,
 )
-from entmon.sampling import haar_unitary, random_mixed, random_pure
+from entmon.sampling import haar_unitary, random_mixed, random_product_pure, random_pure
 from entmon.states import (
     DensityMatrix,
     DimensionMismatchError,
     Dims,
+    PureState,
+    TOL_NORM,
     bell_state,
     max_entangled,
     partial_transpose,
     product_pure,
+    projector_stack,
     trace_norm,
     werner_state,
 )
@@ -307,6 +311,88 @@ class TestStackKernels:
             pt_trace_norms(psi.density().matrix, psi.dims)
         with pytest.raises(DimensionMismatchError):
             pure_measure(ENTROPY, psi)
+
+
+PURE_NORM_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
+
+
+def _schmidt_vectors(dims, n, small, rng):
+    """``n`` vectors U_A diag(sigma) U_B^T with Haar U_A, U_B and Schmidt
+    coefficients sigma ~ (1, small, below small, ...) before normalization;
+    Haar vectors where ``small`` is None."""
+    dA, dB = dims
+    if small is None:
+        return np.stack([random_pure(Dims(dA, dB), rng).amplitudes for _ in range(n)])
+    rows = []
+    for _ in range(n):
+        sigma = np.zeros(min(dA, dB))
+        sigma[0], sigma[1] = 1.0, small
+        sigma[2:] = small * rng.uniform(0.0, 1.0, len(sigma) - 2)
+        m = haar_unitary(dA, rng)[:, :len(sigma)] * (sigma / np.linalg.norm(sigma)) \
+            @ haar_unitary(dB, rng)[:, :len(sigma)].T
+        rows.append(m.reshape(-1))
+    return np.stack(rows)
+
+
+class TestPurePtTraceNorms:
+    """The pure-state kernel against the partial transpose of the projector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+           dims=st.sampled_from(PURE_NORM_DIMS),
+           small=st.one_of(st.none(), st.floats(1e-9, 0.5)),
+           scale=st.floats(-TOL_NORM, TOL_NORM))
+    def test_matches_the_partial_transpose(self, seed, n, dims, small, scale):
+        amps = (1.0 + scale) * _schmidt_vectors(dims, n, small, np.random.default_rng(seed))
+        norms = pure_pt_trace_norms(amps, Dims(*dims))
+        assert (norms >= 1.0).all()
+        assert np.abs(norms - pt_trace_norms(projector_stack(amps), Dims(*dims))).max() <= 1e-14
+
+    def test_bell_state_is_exact(self):
+        from entmon.registry import evaluate_measure
+
+        assert evaluate_measure("negativity", bell_state()).value == 0.5
+        assert evaluate_measure("log-negativity", bell_state()).value == 1.0
+
+    @pytest.mark.parametrize("dims", PURE_NORM_DIMS)
+    def test_products_read_zero(self, dims):
+        from entmon.registry import evaluate_measure
+
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            psi = random_product_pure(Dims(*dims), rng)
+            assert evaluate_measure("negativity", psi).value <= 1e-15
+            assert evaluate_measure("log-negativity", psi).value <= 1e-15
+
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 1)])
+    def test_a_factor_of_dimension_one_reads_exactly_zero(self, dims):
+        from entmon.registry import evaluate_measure
+
+        psi = random_pure(Dims(*dims), np.random.default_rng(8))
+        assert pure_pt_trace_norms(psi.amplitudes, psi.dims) == 1.0
+        assert evaluate_measure("negativity", psi).value == 0.0
+        assert evaluate_measure("log-negativity", psi).value == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from(PURE_NORM_DIMS),
+           small=st.one_of(st.none(), st.floats(1e-9, 0.5)),
+           measure_id=st.sampled_from(["negativity", "log-negativity"]))
+    def test_evaluate_measure_takes_no_full_spectrum(self, seed, dims, small, measure_id):
+        from entmon.registry import evaluate_measure
+
+        amps = _schmidt_vectors(dims, 1, small, np.random.default_rng(seed))[0]
+        psi = PureState(amps / np.linalg.norm(amps), Dims(*dims))
+        calls = []
+
+        def traced(fn):
+            return lambda a, *args, **kw: calls.append(a.shape[-1]) or fn(a, *args, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", traced(np.linalg.eigh))
+            mp.setattr(np.linalg, "eigvalsh", traced(np.linalg.eigvalsh))
+            value = evaluate_measure(measure_id, psi).value
+        assert psi.dims.total not in calls
+        assert abs(value - evaluate_measure(measure_id, psi.density()).value) <= 1e-14
 
 
 class TestStrictConcavity:

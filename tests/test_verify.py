@@ -641,7 +641,9 @@ def _reference_sweep_strict(config):
 
 
 def _reference_logneg(rng, trials, seed=0):
+    # The pure states go through the vector path, as the sweeps keep them.
     from entmon.measures import log_negativity, negativity
+    from entmon.registry import evaluate_measure
     from entmon.sampling import random_product_pure
     from entmon.verify import _report
 
@@ -654,10 +656,12 @@ def _reference_logneg(rng, trials, seed=0):
         psi2 = random_product_pure(dims, rng)
         r1, r2 = psi1.density(), psi2.density()
         mix = DensityMatrix(lam * r1.matrix + (1.0 - lam) * r2.matrix, dims)
+        en1, en2 = (evaluate_measure("log-negativity", psi).value for psi in (psi1, psi2))
+        n1, n2 = (evaluate_measure("negativity", psi).value for psi in (psi1, psi2))
         en_mix = log_negativity(mix).value
-        en_avg = lam * log_negativity(r1).value + (1.0 - lam) * log_negativity(r2).value
+        en_avg = lam * en1 + (1.0 - lam) * en2
         n_mix = negativity(mix).value
-        n_avg = lam * negativity(r1).value + (1.0 - lam) * negativity(r2).value
+        n_avg = lam * n1 + (1.0 - lam) * n2
         if n_mix > n_avg + 1e-6:
             control_violations += 1
         if witness is None and en_mix > en_avg + 1e-6:
@@ -1360,6 +1364,30 @@ class TestStrictBoundary:
             check_strict("negativity", _stack_sampler("mixed", Dims(2, 2)), channel, n_states,
                          rng)
 
+    @pytest.mark.parametrize("count", [True, False, 2.5, "3"])
+    @pytest.mark.parametrize("check", ["strict", "logneg-nonconvexity"])
+    def test_count_that_is_no_integer_is_refused_before_any_draw(self, check, count):
+        channel = random_channel(2, 2, np.random.default_rng(19))
+        rng = np.random.default_rng(20)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must be .*integer"):
+            if check == "strict":
+                check_strict("negativity", _stack_sampler("pure", Dims(2, 2)), channel, count,
+                             rng)
+            else:
+                check_logneg_nonconvexity(rng, trials=count)
+        assert rng.bit_generator.state == before
+
+    def test_numpy_integer_counts_are_counts(self):
+        channel = random_channel(2, 2, np.random.default_rng(19))
+        for count in (3, np.int64(3)):
+            assert check_strict("negativity", _stack_sampler("pure", Dims(2, 2)), channel,
+                                count, np.random.default_rng(21)) == \
+                check_strict("negativity", _stack_sampler("pure", Dims(2, 2)), channel, 3,
+                             np.random.default_rng(21))
+            assert check_logneg_nonconvexity(np.random.default_rng(21), trials=count) == \
+                check_logneg_nonconvexity(np.random.default_rng(21), trials=3)
+
 
 # ---------------------------------------------------------------------------
 # reduced-state judged across trials, in batches that mix dims.
@@ -1501,30 +1529,22 @@ class TestVectorInputs:
 
 def test_strict_existence_items_decompose_no_full_state_matrix(monkeypatch):
     # The existence direction evaluates the negativity on Haar pure inputs
-    # and their outcomes: the only dA dB x dA dB spectra it takes are the
-    # partial transposes of the negativity; no eigh of that size at all.
-    from entmon import measures, verify
+    # and their outcomes from their Schmidt coefficients: it takes no
+    # dA dB x dA dB spectrum at all, not even a partial transpose's.
+    from entmon import verify
 
     config = SweepConfig(checks=("strict",), dims=((2, 2), (2, 3), (3, 3)), trials=8, seed=4)
-    calls, inside = [], []
-    eigh, eigvalsh, pt_trace_norms = np.linalg.eigh, np.linalg.eigvalsh, measures.pt_trace_norms
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def traced(fn, name):
         def call(a, *args, **kwargs):
-            calls.append((name, a.shape[-1], bool(inside)))
+            calls.append((name, a.shape[-1]))
             return fn(a, *args, **kwargs)
         return call
 
-    def pt_norms(mats, dims):
-        inside.append(True)
-        try:
-            return pt_trace_norms(mats, dims)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(np.linalg, "eigh", traced(eigh, "eigh"))
     monkeypatch.setattr(np.linalg, "eigvalsh", traced(eigvalsh, "eigvalsh"))
-    monkeypatch.setattr(measures, "pt_trace_norms", pt_norms)
     n_reports = 0
     for di, dims_pair in enumerate(config.dims):
         n = dims_pair[0] * dims_pair[1]
@@ -1532,6 +1552,20 @@ def test_strict_existence_items_decompose_no_full_state_matrix(monkeypatch):
         calls.clear()
         n_reports += len(list(verify._batch_reports(items, verify._strict_reports,
                                                     Dims(*dims_pair))))
-        assert ("eigvalsh", n, True) in calls
-        assert [c for c in calls if c[1] == n and c != ("eigvalsh", n, True)] == []
+        assert [c for c in calls if c[1] == n] == []
     assert n_reports == 3 * 2
+
+
+def test_monotone_sweep_builds_the_channels_of_a_dims_at_once(monkeypatch):
+    # The closed forms of one dims stream through one batch driver: with
+    # every input of a dims in one batch, one ``_build_channels`` call each.
+    from entmon import verify
+
+    calls = []
+    build = verify._build_channels
+    monkeypatch.setattr(verify, "_build_channels",
+                        lambda draws: calls.append(len(draws)) or build(draws))
+    config = SweepConfig(checks=("monotone",), trials=10, seed=0)
+    reports = verify._sweep_monotone(config, verify.CHECK_IDS.index("monotone"))
+    assert len(reports) == len(config.dims) * len(config.measures) * config.trials
+    assert calls == [len(config.measures) * config.trials] * len(config.dims)
