@@ -1,31 +1,15 @@
-"""Relative entropy of entanglement via fully corrective Frank-Wolfe.
+"""Relative entropy of entanglement E_r(rho), min S(rho || sigma) over separable sigma.
 
-E_r(rho) minimizes S(rho || sigma) over separable sigma.  The feasible set
-is the convex hull of product projectors |a><a| x |b><b|, and the iterate
-is kept as an explicit weighted list of such atoms.  Each iteration
-linearizes the objective at the current sigma and searches product
-projectors for that linear function by an alternating least-eigenvector
-iteration (a bilinear, nonconvex subproblem solved from several random
-starts; failures only loosen the upper bound).  Every start ends in a local
-minimizer; each distinct one that lies below the linearization Tr[G sigma]
-joins the list at weight 0 (a multi-atom step), and one Newton step on the
-exact Hessian corrects all weights (Rehacek & Hradil, PRL 90, 127904 (2003);
-Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)), minimizing its quadratic
-model over v >= 0 by block principal pivoting with Murty's backup rule (Judice
-& Pires, Comput. Oper. Res. 21, 587 (1994); Kim & Park, SIAM J. Sci. Comput.
-33, 3261 (2011)); the step is inexact, as in blended conditional gradients
-(Braun, Pokutta, Tu & Wright, ICML 2019).  Atoms whose weight reaches zero are
-dropped, and a list longer than twice the Caratheodory bound n^2 is cut back to
-n^2 atoms with the same sigma.  A step is taken only if it lowers the objective.
-The run stops when the Frank-Wolfe duality gap falls below its tolerance,
-confirmed by a harder product search, after one last step with the candidates of
-both searches, run to KKT like the first.  The returned value is an upper bound
-on E_r.  Sigma is diagonalized once per new point, by ``_eigensystem``, with the
-solver's one EIG_FLOOR clip; sigma / s keeps that eigensystem as (mu / s, u).
-
-On 2x2 and 2x3 systems PPT equals separability, so feasibility of the
-reported closest separable state is exactly certifiable there; larger
-systems are flagged as upper-bound-only.
+On n = dA dB <= 6 (``PPT_SEPARABLE_TOTAL``) separable means PPT (Horodecki,
+Horodecki & Horodecki, PLA 223, 1 (1996)), and ``_barrier_minimize`` follows a
+log-barrier path: each strictly PPT iterate bounds E_r from above and a dual
+point from below, so the width is a certificate.  Beyond, ``_atom_minimize``
+runs fully corrective Frank-Wolfe over product projectors (Rehacek & Hradil,
+PRL 90, 127904 (2003); Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)),
+inexact Newton weight steps as in blended conditional gradients (Braun,
+Pokutta, Tu & Wright, ICML 2019) by block principal pivoting (Judice & Pires,
+Comput. Oper. Res. 21, 587 (1994); Kim & Park, SIAM J. Sci. Comput. 33, 3261
+(2011)): an upper bound, with a duality-gap estimate that is no certificate.
 """
 
 from __future__ import annotations
@@ -43,6 +27,7 @@ from .states import (
     DimensionMismatchError,
     TOL_SUPPORT,
     _is_count,
+    _partial_transpose_array,
     _rel_entropy_stack,
     von_neumann_entropy,
 )
@@ -59,11 +44,18 @@ FLOOR_RATIO = 0.1  # lowest eigenvalue of sigma a weight step keeps, relative to
 KKT_TOL = 1e-9  # projected-gradient norm that ends a weight re-optimization
 FINAL_STEPS = 20  # Newton steps of the first iteration and of a converged run's last
 DEDUPE_OVERLAP = 0.99  # |<p|q>|^2 at which a new atom repeats another
+BARRIER_GROWTH = 20.0  # t's factor from one centering stage of the barrier path to the next
+BARRIER_END = 1e-10  # the path ends once 2n / t, the central points' gap, is at most this
+QUADRATIC = 0.25  # squared Newton decrement below which barrier steps skip the Armijo test
+CENTERED = 1e-12  # squared Newton decrement that ends a centering stage
 
 
 @dataclass(frozen=True)
 class ReeResult:
-    """Upper bound on E_r with the separable iterate that achieves it."""
+    """Upper bound on E_r with the separable iterate that achieves it.  On n <= 6 ``iterations``
+    counts Newton steps, ``duality_gap_estimate`` is the certified width (value - lower bound),
+    ``converged`` means it is at most GAP_TOL and ``atoms`` is 0; beyond (``upper_bound_only``)
+    they are the atom solver's iterations, gap estimate, confirmed gap below GAP_TOL and atoms."""
 
     value: float
     closest_separable: DensityMatrix
@@ -71,7 +63,7 @@ class ReeResult:
     duality_gap_estimate: float
     converged: bool
     upper_bound_only: bool
-    atoms: int  # support size of the decomposition behind the iterate
+    atoms: int
 
 
 @dataclass(frozen=True)
@@ -318,33 +310,151 @@ def _nonnegative_qp(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+@functools.cache
+def _traceless_basis(dA: int, dB: int) -> np.ndarray:
+    """An orthonormal basis of the traceless Hermitian matrices on dA x dB over its
+    partial transposes on B, as a (2, n^2 - 1, n, n) stack."""
+    n = dA * dB
+    i, j = np.triu_indices(n, 1)
+    off = np.zeros((2, len(i), n, n), dtype=complex)
+    off[:, np.arange(len(i)), i, j] = np.array([[1.0], [-1j]]) * 2 ** -0.5
+    off += off.conj().swapaxes(2, 3)
+    diag = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+    basis = np.concatenate([diag.T[:, :, None] * np.eye(n), off.reshape(-1, n, n)])
+    return np.stack([basis, _partial_transpose_array(basis, dA, dB, "B")])
+
+
+def _barrier_point(sigma: np.ndarray, rho_m: np.ndarray, dA: int, dB: int) -> tuple | None:
+    """Stacked eigensystems of sigma and sigma^{T_B}, rho in sigma's eigenbasis,
+    -Tr[rho ln sigma] and ln det sigma sigma^{T_B}; None unless both are > 0."""
+    w, x = np.linalg.eigh(np.stack([sigma, _partial_transpose_array(sigma, dA, dB, "B")]))
+    if w[:, 0].min() <= 0.0:
+        return None
+    rho_t = x[0].conj().T @ rho_m @ x[0]
+    lw = np.log(w)
+    return w, x, rho_t, -float(np.real(np.diagonal(rho_t)) @ lw[0]), float(np.sum(lw))
+
+
+def _barrier_newton(point: tuple, basis: np.ndarray) -> tuple:
+    """Gradients and Hessians of f = -Tr[rho ln sigma] and of -ln det sigma
+    sigma^{T_B} in the coordinates of ``_traceless_basis``, and G = D f in
+    sigma's eigenbasis."""
+    w, x, rho_t, _, _ = point
+    k, n = basis.shape[1:3]
+    l1 = _log_kernel(w[0])
+    g = -(rho_t * l1)
+    # X -> U^dag X U of each flattened basis matrix, U = x[0] (x[1] for the transposes)
+    b = basis.reshape(2, k, -1) @ (x.conj()[:, :, None, :, None]
+                                   * x[:, None, :, None]).reshape(2, n * n, -1)
+    grad_b = -np.einsum("ski,si->k", b[:, :, ::n + 1].real, 1.0 / w)
+    c = b / np.sqrt(w[:, :, None] * w[:, None, :]).reshape(2, 1, -1)
+    c = c.transpose(1, 0, 2).reshape(k, -1).view(float)
+    # D^2 f[X, Y] = -2 Re sum_imj rho_t[j, i] ln[mu_i, mu_m, mu_j] X_im Y_mj
+    bt = b[0].reshape(k, n, n)
+    p = bt.transpose(2, 0, 1) @ (_log_kernel2(w[0], l1) * rho_t.T[:, None, :]).transpose(1, 0, 2)
+    h = p.transpose(1, 0, 2).reshape(k, -1).view(float) @ b[0].conj().view(float).T
+    return b[0].view(float) @ g.reshape(-1).view(float), -(h + h.T), grad_b, c @ c.T, g
+
+
+def _barrier_lower(point: tuple, g: np.ndarray, t: float, dA: int, dB: int) -> float:
+    """-Tr[rho ln sigma] + 1 + lambda_min(G - Q^{T_B}) at ``point``, Q = (sigma^{T_B})^{-1} / t,
+    at most -Tr[rho ln sigma'] for every PPT sigma' (convexity, Tr[G sigma] = -1, Q >= 0),
+    less G's divided-difference error (ln's rounding over the gaps ``_log_kernel`` divides
+    by, the term it drops elsewhere) weighted by rho and 8 n eps times the other terms."""
+    w, x, rho_t, f, _ = point
+    q = (x[1] / (t * w[1])) @ x[1].conj().T
+    lam = np.linalg.eigvalsh(g - x[0].conj().T @ _partial_transpose_array(q, dA, dB, "B")
+                             @ x[0])
+    eps, mu = np.finfo(float).eps, w[0]
+    lm = np.abs(np.log(mu))
+    den = np.abs(mu[:, None] - mu[None, :])
+    near = den < 1e-12 * np.maximum(mu[:, None], mu[None, :])
+    err = np.where(near, (den / mu[None, :] + 2 * eps) / mu[:, None],
+                   4 * eps * (1 + lm[:, None] + lm[None, :]) / np.where(near, 1.0, den))
+    scale = np.abs(lam).max() + np.linalg.norm(q) + lm.max() + 1.0
+    return float(f + 1.0 + lam[0] - np.linalg.norm(rho_t * err) - 8 * len(mu) * eps * scale)
+
+
+def _barrier_minimize(rho: DensityMatrix, dA: int, dB: int, max_iters: int) -> ReeResult:
+    """E_r bracketed on n <= 6 by the path of t S(rho || sigma) - ln det sigma
+    sigma^{T_B} over Tr sigma = 1 (Boyd & Vandenberghe, Convex Optimization,
+    ch. 11), from I/n at t = 1.  A Newton step is halved until sigma and
+    sigma^{T_B} stay positive definite and, at squared decrements of QUADRATIC
+    or more, the Armijo test passes; the accepted point's eigensystems serve
+    the next step.  A stage ends at a squared decrement of at most CENTERED, at
+    a full step that fails to halve it (roundoff rules there) or where no
+    halving passes; t grows BARRIER_GROWTH-fold until 2n/t <= BARRIER_END.  At each
+    stage's end and at the ``max_iters`` cap, ``_barrier_lower`` bounds E_r from below.
+    The lowest S(rho || sigma) met and the highest lower bound are kept."""
+    basis = _traceless_basis(dA, dB)
+    n, rho_m, s_rho = dA * dB, rho.matrix, von_neumann_entropy(rho)
+    sigma = np.eye(n, dtype=complex) / n
+    point = _barrier_point(sigma, rho_m, dA, dB)
+    t, steps, prev, lower, best, newton = 1.0, 0, math.inf, -math.inf, (point[3], sigma), None
+    while True:
+        grad_f, hess_f, grad_b, hess_b, g = newton = newton or _barrier_newton(point, basis)
+        grad = t * grad_f + grad_b
+        dz = np.linalg.solve(t * hess_f + hess_b, -grad)
+        dec = -float(grad @ dz)  # the squared Newton decrement
+        trial = None
+        if dec > CENTERED and not prev / 2 <= dec < QUADRATIC and steps < max_iters:
+            step, phi = np.tensordot(dz, basis[0], 1), t * point[3] - point[4]
+            for alpha in 0.5 ** np.arange(HALVINGS):
+                trial = _barrier_point(sigma + alpha * step, rho_m, dA, dB)
+                if trial is not None and (dec < QUADRATIC
+                                          or t * trial[3] - trial[4] <= phi - ARMIJO * alpha * dec):
+                    break
+                trial = None
+        if trial is None:  # centered, stuck or capped: certify, then raise t
+            lower = max(lower, _barrier_lower(point, g, t, dA, dB) - s_rho)
+            if steps >= max_iters or 2 * n / t <= BARRIER_END:
+                break
+            t, prev = t * BARRIER_GROWTH, math.inf
+            continue
+        steps, point, newton, prev, sigma = steps + 1, trial, None, dec, sigma + alpha * step
+        best = min(best, (point[3], sigma), key=lambda b: b[0])
+    value = max(0.0, best[0] - s_rho)
+    return ReeResult(value=value, closest_separable=DensityMatrix(best[1], rho.dims),
+                     iterations=steps, duality_gap_estimate=value - lower,
+                     converged=value - lower <= GAP_TOL, upper_bound_only=False, atoms=0)
+
+
 def ree_minimize(
     rho: DensityMatrix,
     max_iters: int = 2000,
     rng: np.random.Generator | None = None,
 ) -> ReeResult:
-    """Upper bound on the relative entropy of entanglement of ``rho``.
-
-    Starts from the maximally mixed state (interior, full support).  Each
-    iteration runs the product search from ``RESTARTS`` random starts plus a
-    warm start; every distinct local minimizer that lies below the
-    linearization Tr[G sigma] joins the atom list at weight 0, and one
-    Newton step corrects all weights (FINAL_STEPS in the first).  A list of
-    more than 2 n^2 atoms (n = dA dB) is cut back to n^2 atoms with the same
-    sigma, so ``atoms`` in the result is at most 2 n^2.  Stops when the
-    Frank-Wolfe duality-gap estimate drops below ``GAP_TOL`` (``converged``
-    is then True, and that iteration's step still runs, to FINAL_STEPS, so
-    the gap is that of the state before it), when a step no longer lowers
-    the objective, or after ``max_iters`` iterations; non-convergence is
-    reported through the ``converged`` flag, never as a failure.  A
-    ``max_iters`` that is not an integer of at least 1 raises ValueError.
-    """
+    """Upper bound on the relative entropy of entanglement of ``rho``: the barrier
+    path (``_barrier_minimize``, no draw from ``rng``) on n = dA dB at most
+    ``PPT_SEPARABLE_TOTAL``, the atom solver (``_atom_minimize``) beyond.
+    ``max_iters`` caps Newton steps or iterations; one that is not an integer
+    of at least 1 raises ValueError.  Non-convergence shows in ``converged``."""
     if not _is_count(max_iters):
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     dA, dB = rho.dims.bipartite("E_r")
     n = dA * dB
     if n > MAX_TOTAL_DIM:
         raise DimensionMismatchError(f"total dimension {n} exceeds the desk-scale cap {MAX_TOTAL_DIM}")
+    if n <= PPT_SEPARABLE_TOTAL:
+        return _barrier_minimize(rho, dA, dB, max_iters)
+    return _atom_minimize(rho, max_iters, rng)
+
+
+def _atom_minimize(rho: DensityMatrix, max_iters: int = 2000,
+                   rng: np.random.Generator | None = None) -> ReeResult:
+    """The atom solver's upper bound on E_r, on any dims within the cap.  Starts
+    from the maximally mixed state (interior, full support).  Each iteration runs
+    the product search from ``RESTARTS`` random starts plus a warm start; every
+    distinct local minimizer that lies below the linearization Tr[G sigma] joins the
+    atom list at weight 0, and one Newton step corrects all weights (FINAL_STEPS in
+    the first).  A list of more than 2 n^2 atoms (n = dA dB) is cut back to n^2
+    atoms with the same sigma, so ``atoms`` in the result is at most 2 n^2.  Stops
+    when the Frank-Wolfe duality-gap estimate drops below ``GAP_TOL`` (``converged``
+    is then True, and that iteration's step still runs, to FINAL_STEPS, so the gap
+    is that of the state before it), when a step no longer lowers the objective, or
+    after ``max_iters`` iterations."""
+    dA, dB = rho.dims.factors
+    n = dA * dB
     if rng is None:
         rng = np.random.default_rng(0)
     base_seed = int(rng.integers(2**62))

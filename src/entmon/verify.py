@@ -715,18 +715,18 @@ class SweepConfig:
         for m in self.measures:
             parse_measure_id(m)  # raises on unknown ids
         for d in self.dims:
-            if len(d) != 2 or any(not isinstance(x, int) or x < 2 for x in d):
+            if len(d) != 2 or not all(_is_count(x, 2) for x in d):
                 raise ValueError(f"dims entries must be pairs of integers >= 2, got {d!r}")
-        for name in ("trials", "n_kraus", "seed"):
+        # Numpy integers pass, stored as int so that the config stays JSON-serializable.
+        object.__setattr__(self, "dims", tuple(tuple(map(int, d)) for d in self.dims))
+        for name, least, rule in (("trials", 0, "nonnegative"), ("n_kraus", 1, "at least 1"),
+                                  ("seed", 0, "nonnegative")):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_count(value, -math.inf):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
-        if self.n_kraus < 1:
-            raise ValueError("n_kraus must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            if value < least:
+                raise ValueError(f"{name} must be {rule}")
+            object.__setattr__(self, name, int(value))
 
 
 def _cycled(options, index):

@@ -95,3 +95,7 @@ def test_no_claim_below_ten_pairs(change):
     assert summary["claim_holds"] is None
     assert summary["pairs"] == 4
     assert summary["change_wins"] == (4 if change[0] < 1.0 else 0)
+
+
+def test_setup_sample_reads_the_setup_only_line():
+    assert 0.0 < _bench_pairs()._setup_sample(ROOT, "ree-solve") < 60.0

@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import replace
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -374,6 +375,28 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(trials=-1)
 
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        cfg = SweepConfig(trials=np.int64(10), n_kraus=np.int32(3), seed=np.uint16(2),
+                          dims=((np.int64(2), np.int8(3)),))
+        assert (cfg.trials, cfg.n_kraus, cfg.seed, cfg.dims) == (10, 3, 2, ((2, 3),))
+        assert all(type(v) is int for v in (cfg.trials, cfg.n_kraus, cfg.seed, *cfg.dims[0]))
+        json.dumps(asdict(cfg))
+        assert run_sweep(SweepConfig(checks=("concavity",), trials=np.int64(2))) == \
+            run_sweep(SweepConfig(checks=("concavity",), trials=2))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"n_kraus": 2.0}, "n_kraus must be an integer, got 2.0"),
+        ({"seed": np.float64(1.0)}, "seed must be an integer, got "),
+        ({"dims": ((2, True),)}, "dims entries must be pairs of integers >= 2"),
+        ({"dims": ((2, 3.0),)}, "dims entries must be pairs of integers >= 2"),
+        ({"dims": ((2, np.int64(1)),)}, "dims entries must be pairs of integers >= 2"),
+        ({"n_kraus": np.int64(0)}, "n_kraus must be at least 1"),
+    ])
+    def test_bools_floats_and_small_counts_keep_their_errors(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig(**kwargs)
+
     def test_identical_configs_are_bit_identical(self, tmp_path):
         cfg = SweepConfig(checks=("monotone", "concavity"), trials=5, seed=3)
         a, b = run_sweep(cfg), run_sweep(cfg)
@@ -403,7 +426,7 @@ class TestSweep:
             assert rep.metadata["converged"] is True
             assert rep.metadata["duality_gap_estimate"] < GAP_TOL
             assert rep.metadata["iterations"] >= 1
-            assert 1 <= rep.metadata["atoms"] <= 2 * 4 * 4
+            assert rep.metadata["atoms"] == 0  # the barrier path builds no decomposition
 
     def test_summary_and_csv(self, tmp_path):
         cfg = SweepConfig(checks=("concavity",), trials=4, seed=0)

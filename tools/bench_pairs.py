@@ -1,7 +1,8 @@
 """Alternating parent/change pairs of the perfbench workloads, as one JSON file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
-        --pairs ree-solve:801:10 --pairs sweep-closed:821:6 --pairs roof-oracle:841:6
+        --pairs ree-solve:801:10 --pairs sweep-closed:821:6 --pairs roof-oracle:841:6 \
+        --setup ree-solve:20
 
 Each ``--pairs WORKLOAD:FIRST_SEED:N`` runs ``perfbench/run.py --workload
 WORKLOAD --seed S --seconds T`` in both source trees, with T the
@@ -23,6 +24,11 @@ least 9 in 10 of the pairs and its median is better than the parent's by
 more than the parent's interquartile range.  Below 10 pairs it is null:
 with 4 pairs, "9 in 10" means 4 of 4 and the parent's quartiles come from
 4 runs, so the machine's drift between runs can pass as a gain.
+
+Each ``--setup WORKLOAD:N`` adds N alternating ``perfbench/run.py
+--setup-only`` samples per tree (setup time alone, in a fresh interpreter,
+parent first on even indices), with each side's median and quartiles: a run's
+``setup_s`` is the median of only 3 samples, whose spread is about 20 %.
 """
 
 from __future__ import annotations
@@ -65,6 +71,14 @@ _COUNTS = re.compile(r"workload \S+ seed -?\d+: (?P<rounds>\d+) round\(s\), \d+ 
 _DIGESTS = re.compile(r"digest run [0-9a-f]+ first-round (?P<first>[0-9a-f]+)$")
 
 
+def _setup_sample(tree: Path, workload: str) -> float:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+           "--setup-only"]
+    done = subprocess.run(cmd, cwd=tree, env={**os.environ, **ENV}, capture_output=True,
+                          text=True, check=True)
+    return float(done.stdout.strip().splitlines()[-1])
+
+
 def _bytecode_caches(tree: Path) -> list[Path]:
     return sorted(p for sub in ("src", "perfbench") for p in (tree / sub).rglob("__pycache__"))
 
@@ -97,6 +111,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", action="append", required=True,
                         metavar="WORKLOAD:FIRST_SEED:N")
+    parser.add_argument("--setup", action="append", default=[], metavar="WORKLOAD:N")
     args = parser.parse_args()
     caches = _bytecode_caches(args.parent) + _bytecode_caches(args.change)
     if caches:
@@ -134,6 +149,16 @@ def main() -> int:
                 for p, c in zip(runs["parent"], runs["change"])),
             "summary": _summary(runs["parent"], runs["change"], declared), "runs": runs,
         }
+        args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for spec in args.setup:
+        workload, n = spec.split(":")
+        samples = {"parent": [], "change": []}
+        for i in range(int(n)):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                samples[side].append(_setup_sample(getattr(args, side), workload))
+        result.setdefault("setup_only", {})[workload] = {
+            "summary": {side: _quartiles(xs) for side, xs in samples.items()},
+            "samples": samples}
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
