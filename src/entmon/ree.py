@@ -6,6 +6,7 @@ log-barrier path: each strictly PPT iterate bounds E_r from above and a dual
 point from below, so the width is a certificate.  Beyond, ``_atom_minimize``
 runs fully corrective Frank-Wolfe over product projectors (Rehacek & Hradil,
 PRL 90, 127904 (2003); Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)),
+its product search resumed from the last one's best minimizers, with
 inexact Newton weight steps as in blended conditional gradients (Braun,
 Pokutta, Tu & Wright, ICML 2019) by block principal pivoting (Judice & Pires,
 Comput. Oper. Res. 21, 587 (1994); Kim & Park, SIAM J. Sci. Comput. 33, 3261
@@ -33,9 +34,10 @@ from .states import (
 )
 
 GAP_TOL = 1e-4
-RESTARTS = 8  # random starts of the product search per iteration
+RESTARTS = 8  # random starts of the product search per iteration, and rows it carries on
 EIG_FLOOR = 1e-14
-INNER_ROUNDS = 12
+INNER_ROUNDS = 3  # alternating rounds of a product search; its carried rows resume the last
+CONFIRM_ROUNDS = 12  # rounds of the confirmation search that decides convergence
 INNER_VAL_TOL = 1e-10
 MAX_TOTAL_DIM = 16
 ARMIJO = 1e-4  # sufficient-decrease fraction of a weight step
@@ -118,25 +120,27 @@ def _min_product_expectation(
     dB: int,
     restarts: int,
     rng: np.random.Generator,
-    warm_start: np.ndarray | None = None,
+    warm: np.ndarray,
+    rounds: int = INNER_ROUNDS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local minimizers over product vectors of <a b|G|a b>, one per start.
 
-    Alternates the minimal-eigenvector update of each factor; all starts
-    advance in one batched sweep.  A warm start (the previous atom's A
-    factor) rides along with the random starts when available.  Returns
-    the A factors, the B factors and the values, one row per start.
+    Alternates the minimal-eigenvector update of each factor for up to
+    ``rounds`` rounds; all starts advance in one batched sweep.  The ``(k,
+    dA)`` stack ``warm`` of A factors (the previous search's best) goes first,
+    then ``restarts`` random starts.  Each half-step is nonincreasing, so a
+    warm row ends at or below lambda_min(<a|G|a>) at its start.  Returns the
+    A factors, the B factors and the values, one row per start.
     """
     g4 = g.reshape(dA, dB, dA, dB)
     g4_b = np.ascontiguousarray(g4.transpose(1, 0, 3, 2))  # the factors swapped
     z = rng.standard_normal((2, restarts, dA))
     a = z[0] + 1j * z[1]
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    if warm_start is not None:
-        a = np.vstack([warm_start[None, :], a])
+    a = np.vstack([warm, a])
     vals = np.full(a.shape[0], np.inf)
     b = np.zeros((a.shape[0], dB), dtype=complex)
-    for _ in range(INNER_ROUNDS):
+    for _ in range(rounds):
         b = np.linalg.eigh(_partial_expectation(g4, a))[1][:, :, 0]
         wa, va = np.linalg.eigh(_partial_expectation(g4_b, b))
         a = va[:, :, 0]
@@ -444,7 +448,10 @@ def _atom_minimize(rho: DensityMatrix, max_iters: int = 2000,
                    rng: np.random.Generator | None = None) -> ReeResult:
     """The atom solver's upper bound on E_r, on any dims within the cap.  Starts
     from the maximally mixed state (interior, full support).  Each iteration runs
-    the product search from ``RESTARTS`` random starts plus a warm start; every
+    the product search from the A factors of the last search's ``RESTARTS``
+    lowest candidates plus ``RESTARTS`` random starts for ``INNER_ROUNDS``
+    rounds; a gap below ``GAP_TOL`` is confirmed by a search from the same
+    carried rows plus 8 ``RESTARTS`` fresh starts for ``CONFIRM_ROUNDS``.  Every
     distinct local minimizer that lies below the linearization Tr[G sigma] joins the
     atom list at weight 0, and one Newton step corrects all weights (FINAL_STEPS in
     the first).  A list of more than 2 n^2 atoms (n = dA dB) is cut back to n^2
@@ -472,25 +479,25 @@ def _atom_minimize(rho: DensityMatrix, max_iters: int = 2000,
     gap = math.inf
     iterations = 0
     converged = False
-    prev_a: np.ndarray | None = None
+    carried = np.zeros((0, dA), dtype=complex)  # A factors handed to the next search
     for t in range(max_iters):
         iterations = t + 1
         level = float(weights @ grad) - 1.0  # Tr[G sigma], as the weights sum to 1
         inner_rng = np.random.default_rng(base_seed + t)
-        a, b, vals = _min_product_expectation(g, dA, dB, RESTARTS, inner_rng, prev_a)
+        a, b, vals = _min_product_expectation(g, dA, dB, RESTARTS, inner_rng, carried)
         gap = level - float(np.min(vals))
         if gap < GAP_TOL:
             # The gap rests on an approximate inner solve; confirm with a
             # harder search before declaring convergence.
             a2, b2, vals2 = _min_product_expectation(
                 g, dA, dB, 8 * RESTARTS,
-                np.random.default_rng(base_seed + t + 7_777_777), prev_a,
+                np.random.default_rng(base_seed + t + 7_777_777), carried, CONFIRM_ROUNDS,
             )
             a, b, vals = np.vstack([a, a2]), np.vstack([b, b2]), np.concatenate([vals, vals2])
             gap = level - float(np.min(vals))
             # A confirmed gap still takes this step with the candidates found.
             converged = gap < GAP_TOL
-        prev_a = a[int(np.argmin(vals))]
+        carried = a[np.argsort(vals)[:RESTARTS]]
 
         # Fully corrective step: add the new atoms at weight 0 (sigma stays),
         # re-optimize all weights, drop the atoms that reach zero.

@@ -4,8 +4,10 @@ The pair file ties a ``peak_rss_mb`` move to the rounds each run fits into
 its seconds, so every run records its round and operation counts, parsed
 from perfbench's ``workload ...: N round(s)`` line, and its first-round
 behaviour digest, parsed from the ``digest run ... first-round ...`` line, so
-a pair file shows which workloads a change left unchanged.  One short run of
-the real benchmark checks both parses against the current output format.
+a pair file shows which workloads a change left unchanged; per case of the
+``item CASE SECONDS s -> RECORD`` lines it records the median item seconds and
+the distinct records, so a pair file shows which cases moved.  One short run
+of the real benchmark checks the parses against the current output format.
 """
 
 import importlib.util
@@ -40,6 +42,23 @@ def test_run_records_the_first_round_digest():
     # cannot tell apart.
     line = f"digest run {'a' * 64} first-round {'b' * 64}"
     assert bench_pairs._DIGESTS.match(line)["first"] == "b" * 64
+
+
+def test_run_records_each_cases_item_seconds_and_records():
+    bench_pairs = _bench_pairs()
+    lines = ["item mixed-3x3 0.25 s -> 0.0245 63 True", "item mixed-3x3 0.5 s -> 0.0245 63 True",
+             "item mixed-3x3 0.75 s -> 0.0246 57 True", "item_tail_s is the item at rank 5 of 6"]
+    assert bench_pairs._items(lines) == {
+        "mixed-3x3": {"median_s": 0.5, "records": ["0.0245 63 True", "0.0246 57 True"]}}
+    run = bench_pairs._run(ROOT, "ree-solve", 1, 0.01)
+    assert set(run["items"]) == {"bell", "pure", "separable", "bell-diagonal", "mixed-2x2",
+                                 "mixed-3x3"}
+    for item in run["items"].values():  # one round: one item, one record per case
+        assert item["median_s"] > 0.0 and len(item["records"]) == 1
+    summary = bench_pairs._item_summary([run], [run])
+    assert summary["mixed-3x3"] == {"median_s": {"parent": run["items"]["mixed-3x3"]["median_s"],
+                                                 "change": run["items"]["mixed-3x3"]["median_s"]},
+                                    "equal_record_pairs": 1}
 
 
 @pytest.mark.parametrize("cached", ["src/entmon/__pycache__", "perfbench/__pycache__"])

@@ -132,6 +132,22 @@ class TestReeMinimize:
         assert res.iterations < 381
         assert 1 <= res.atoms <= 2 * 9 * 9
 
+    def test_full_rank_3x3_carries_the_product_search(self, monkeypatch):
+        # Each search starts from the last one's RESTARTS best A factors, so
+        # INNER_ROUNDS rounds resume it: the call makes at most half the
+        # 1,848 partial expectations that 12 rounds from one warm row made.
+        calls, partial_expectation = [], ree._partial_expectation
+
+        def counted(g4, x):
+            calls.append(len(x))
+            return partial_expectation(g4, x)
+
+        monkeypatch.setattr(ree, "_partial_expectation", counted)
+        res = ree_minimize(random_mixed(Dims(3, 3), None, np.random.default_rng(3)))
+        assert res.converged is True
+        assert res.duality_gap_estimate < GAP_TOL
+        assert len(calls) <= 924
+
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
     def test_sigma_is_diagonalized_once_per_new_point(self, monkeypatch, dims):
         # Every n x n eigendecomposition of a run is of sigma, by
@@ -730,18 +746,25 @@ class TestProductSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
-           seed=st.integers(0, 2**32 - 1), warm=st.booleans())
-    def test_each_value_is_its_product_expectation(self, dims, seed, warm):
+           seed=st.integers(0, 2**32 - 1), k=st.integers(0, ree.RESTARTS))
+    def test_each_value_is_its_product_expectation(self, dims, seed, k):
+        # k carried rows go first.  Each alternating half-step is
+        # nonincreasing, so a carried row ends at or below the value its
+        # first half-step reaches, lambda_min(<a|G|a>) at its start: carrying
+        # the last search's rows can only resume it.
         rng = np.random.default_rng(seed)
         dA, dB = dims
         g = _random_hermitian(dA * dB, rng)
-        start = _random_rows(1, dA, rng)[0] if warm else None
-        a, b, vals = ree._min_product_expectation(g, dA, dB, ree.RESTARTS, rng, start)
-        assert len(vals) == ree.RESTARTS + warm
+        atol = 1e-12 * np.abs(g).max()
+        carried = _random_rows(k, dA, rng)
+        a, b, vals = ree._min_product_expectation(g, dA, dB, ree.RESTARTS, rng, carried)
+        assert len(vals) == ree.RESTARTS + k
         ab = (a[:, :, None] * b[:, None, :]).reshape(len(vals), -1)
         expect = np.einsum("ri,ij,rj->r", ab.conj(), g, ab)
-        np.testing.assert_allclose(vals, expect.real, rtol=0, atol=1e-12 * np.abs(g).max())
-        np.testing.assert_allclose(expect.imag, 0.0, atol=1e-12 * np.abs(g).max())
+        np.testing.assert_allclose(vals, expect.real, rtol=0, atol=atol)
+        np.testing.assert_allclose(expect.imag, 0.0, atol=atol)
+        start = np.einsum("ri,ijkl,rk->rjl", carried.conj(), g.reshape(dA, dB, dA, dB), carried)
+        assert np.all(vals[:k] <= np.linalg.eigvalsh(start)[:, 0] + atol)
 
     @settings(max_examples=60, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1),

@@ -14,16 +14,19 @@ script refuses to start while either tree holds a ``__pycache__`` under
 ``src/`` or ``perfbench/``: ``setup_s`` includes compiling, so a tree with a
 cache would read faster for the same code.  The file records every run's
 end-to-end metrics, round and operation counts, first-round behaviour
-digest and machine, each side's median round count (``peak_rss_mb`` grows
-with the rounds a run fits into its seconds), how many pairs have equal
-first-round digests on both sides (a workload the change leaves unchanged
-has all of them equal), and per metric each side's median and quartiles,
-how many pairs the change won (ties count for neither side) and whether a
-gain on it could be claimed: ``claim_holds`` is true when the change won at
-least 9 in 10 of the pairs and its median is better than the parent's by
-more than the parent's interquartile range.  Below 10 pairs it is null:
-with 4 pairs, "9 in 10" means 4 of 4 and the parent's quartiles come from
-4 runs, so the machine's drift between runs can pass as a gain.
+digest, machine and, per case of its printed items, the median item seconds
+and the distinct records; per workload, each side's median round count
+(``peak_rss_mb`` grows with the rounds a run fits into its seconds), how many
+pairs have equal first-round digests on both sides (a workload the change
+leaves unchanged has all of them equal), per case each side's median item
+seconds and how many pairs printed the same records on both sides, and per
+metric each side's median and quartiles, how many pairs the change won (ties
+count for neither side) and whether a gain on it could be claimed:
+``claim_holds`` is true when the change won at least 9 in 10 of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range.  Below 10 pairs it is null: with 4 pairs, "9 in 10"
+means 4 of 4 and the parent's quartiles come from 4 runs, so the machine's
+drift between runs can pass as a gain.
 
 Each ``--setup WORKLOAD:N`` adds N alternating ``perfbench/run.py
 --setup-only`` samples per tree (setup time alone, in a fresh interpreter,
@@ -63,12 +66,25 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     run["rounds"], run["operations"] = int(counts["rounds"]), int(counts["operations"])
     # ... and the digests on "digest run D first-round F".
     run["first_round_digest"] = next(m for m in map(_DIGESTS.match, lines) if m)["first"]
+    run["items"] = _items(lines)
     return run
+
+
+def _items(lines: list[str]) -> dict:
+    """Per case of the "item CASE SECONDS s -> RECORD" lines, the median
+    seconds and the distinct records, in order of first appearance."""
+    seconds, records = {}, {}
+    for m in filter(None, map(_ITEM.match, lines)):
+        seconds.setdefault(m["case"], []).append(float(m["seconds"]))
+        records.setdefault(m["case"], {})[m["record"]] = None
+    return {case: {"median_s": statistics.median(xs), "records": list(records[case])}
+            for case, xs in seconds.items()}
 
 
 _COUNTS = re.compile(r"workload \S+ seed -?\d+: (?P<rounds>\d+) round\(s\), \d+ items, "
                      r"(?P<operations>\d+) operations")
 _DIGESTS = re.compile(r"digest run [0-9a-f]+ first-round (?P<first>[0-9a-f]+)$")
+_ITEM = re.compile(r"item (?P<case>\S+) (?P<seconds>\S+) s -> (?P<record>.*)$")
 
 
 def _setup_sample(tree: Path, workload: str) -> float:
@@ -102,6 +118,17 @@ def _summary(parent: list[dict], change: list[dict], declared: list[dict]) -> di
                      "claim_holds": None if len(p) < CLAIM_PAIRS
                      else 10 * wins >= 9 * len(p) and gain > qp["q3"] - qp["q1"]}
     return out
+
+
+def _item_summary(parent: list[dict], change: list[dict]) -> dict:
+    """Per case, each side's median of its runs' median item seconds, and how
+    many pairs printed the same distinct records on both sides."""
+    return {case: {
+        "median_s": {side: statistics.median(r["items"][case]["median_s"] for r in runs)
+                     for side, runs in (("parent", parent), ("change", change))},
+        "equal_record_pairs": sum(p["items"][case]["records"] == c["items"][case]["records"]
+                                  for p, c in zip(parent, change)),
+    } for case in parent[0]["items"]}
 
 
 def main() -> int:
@@ -147,6 +174,7 @@ def main() -> int:
             "equal_first_round_digests": sum(
                 p["first_round_digest"] == c["first_round_digest"]
                 for p, c in zip(runs["parent"], runs["change"])),
+            "items": _item_summary(runs["parent"], runs["change"]),
             "summary": _summary(runs["parent"], runs["change"], declared), "runs": runs,
         }
         args.out.write_text(json.dumps(result, indent=1) + "\n")
