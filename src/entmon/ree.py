@@ -1,16 +1,16 @@
 """Relative entropy of entanglement E_r(rho), min S(rho || sigma) over separable sigma.
 
-On n = dA dB <= 6 (``PPT_SEPARABLE_TOTAL``) separable means PPT (Horodecki,
-Horodecki & Horodecki, PLA 223, 1 (1996)), and ``_barrier_minimize`` follows a
-log-barrier path: each strictly PPT iterate bounds E_r from above and a dual
-point from below, so the width is a certificate.  Beyond, ``_atom_minimize``
-runs fully corrective Frank-Wolfe over product projectors (Rehacek & Hradil,
-PRL 90, 127904 (2003); Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)),
-its product search resumed from the last one's best minimizers, with
-inexact Newton weight steps as in blended conditional gradients (Braun,
-Pokutta, Tu & Wright, ICML 2019) by block principal pivoting (Judice & Pires,
-Comput. Oper. Res. 21, 587 (1994); Kim & Park, SIAM J. Sci. Comput. 33, 3261
-(2011)): an upper bound, with a duality-gap estimate that is no certificate.
+On n = dA dB <= 6 (``PPT_SEPARABLE_TOTAL``) separable means PPT (Horodecki, Horodecki &
+Horodecki, PLA 223, 1 (1996)), and ``_barrier_minimize`` follows a log-barrier path: each
+strictly PPT iterate bounds E_r from above and a dual point from below, so the width is a
+certificate.  Beyond, ``_atom_minimize`` runs fully corrective Frank-Wolfe over product
+projectors (Rehacek & Hradil, PRL 90, 127904 (2003); Zinchenko, Friedland & Gour, PRA 82,
+052336 (2010)), its product search resumed from the last one's best minimizers, with inexact
+Newton weight steps as in blended conditional gradients (Braun, Pokutta, Tu & Wright, ICML
+2019) by block principal pivoting (Judice & Pires, Comput. Oper. Res. 21, 587 (1994); Kim &
+Park, SIAM J. Sci. Comput. 33, 3261 (2011)): an upper bound, with a duality-gap estimate that
+is no certificate.  Both solvers take the derivative of -Tr[rho ln sigma] from one divided
+difference kernel, ``_log_kernel``, and its Hessian from one contraction, ``_log_hessian``.
 """
 
 from __future__ import annotations
@@ -82,12 +82,13 @@ class DataProcessingReport:
 
 
 def _log_kernel(mu: np.ndarray) -> np.ndarray:
-    """First divided differences of ln at the eigenvalues ``mu``."""
-    lm = np.log(mu)
-    den = mu[:, None] - mu[None, :]
-    num = lm[:, None] - lm[None, :]
-    near = np.abs(den) < 1e-12 * np.maximum(mu[:, None], mu[None, :])
-    return np.where(near, 1.0 / mu[:, None], num / np.where(near, 1.0, den))
+    """First divided differences of ln at the positive ``mu``: log1p(gap / lo) / gap over each
+    pair's lower value lo and its gap, 1 / lo where they are equal.  No difference of logarithms
+    cancels, so at any gap each entry is within about eps of it, relative."""
+    lo = np.minimum.outer(mu, mu)
+    gap = np.abs(np.subtract.outer(mu, mu))
+    same = gap == 0.0
+    return np.where(same, 1.0 / lo, np.log1p(gap / lo) / np.where(same, 1.0, gap))
 
 
 @functools.cache
@@ -105,6 +106,18 @@ def _log_kernel2(mu: np.ndarray, l1: np.ndarray) -> np.ndarray:
     near = span < 1e-4 * mu[hi]
     return np.where(near, -4.5 / (mu[lo] + mu[mid] + mu[hi]) ** 2,
                     (l1[hi, mid] - l1[mid, lo]) / np.where(near, 1.0, span))
+
+
+def _log_hessian(x: np.ndarray, mu: np.ndarray, l1: np.ndarray, rho_t: np.ndarray) -> np.ndarray:
+    """Hessian of sigma -> -Tr[rho ln sigma] along the (k, n, n) stack ``x`` of Hermitian
+    directions in sigma's eigenbasis, where sigma has the ascending eigenvalues ``mu``, their
+    ``_log_kernel`` ``l1``, and rho reads ``rho_t``."""
+    k, n = x.shape[:2]
+    # D^2 f[X, Y] = -2 Re sum_imj rho_t[j, i] ln[mu_i, mu_m, mu_j] X_im Y_mj
+    p = x.transpose(2, 0, 1) @ (_log_kernel2(mu, l1) * rho_t.T[:, None, :]).transpose(1, 0, 2)
+    p = p.transpose(1, 0, 2).reshape(k, n * n)
+    h = p.view(float) @ x.conj().reshape(k, n * n).view(float).T
+    return -(h + h.T)
 
 
 def _partial_expectation(g4: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -228,9 +241,9 @@ def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray,
     the value is +inf once that eigenvalue is at most EIG_FLOOR.
 
     G is the Hermitized Frechet derivative of -Tr[rho ln sigma], the gradient
-    <a_k|G|a_k> + 1 and the Hessian -Tr[rho D^2 ln(sigma)[pi_k, pi_l]].  One
-    eigensystem of sigma, ``eig`` where the caller has it, serves all five, in
-    its eigenbasis with the eigenvalues clipped at EIG_FLOOR.
+    <a_k|G|a_k> + 1 and the Hessian ``_log_hessian`` along the atoms' projectors
+    u^dag pi_k u.  One eigensystem of sigma, ``eig`` where the caller has it, serves
+    all five, in its eigenbasis with the eigenvalues clipped at EIG_FLOOR.
     """
     mu, u = _eigensystem(v, atoms) if eig is None else eig
     lowest = float(mu[0])
@@ -241,14 +254,8 @@ def _weight_objective(v: np.ndarray, rho_m: np.ndarray, atoms: np.ndarray,
     grad = 1.0 + ((atoms.conj() @ g) * atoms).sum(1).real
     if not hessian:
         return f, grad, g
-    c = atoms @ u.conj()
-    # H_kl = -2 Re sum_ijm rho_t[m, i] ln[mu_i, mu_j, mu_m] c_ki c*_kj c_lj c*_lm
-    k, n = c.shape
-    m = c @ (_log_kernel2(mu, l1) * rho_t.T[:, None, :]).reshape(n, n * n)
-    p = (c.conj()[:, :, None] * m.reshape(k, n, n)).reshape(k, -1)
-    q = (c[:, :, None] * c.conj()[:, None, :]).reshape(k, -1)
-    h = p.conj().view(float) @ q.view(float).T
-    return f, grad, g, -(h + h.T), lowest
+    c = atoms @ u.conj()  # the rows u^dag a_k
+    return f, grad, g, _log_hessian(c[:, :, None] * c.conj()[:, None, :], mu, l1, rho_t), lowest
 
 
 def _reoptimize_weights(rho_m: np.ndarray, atoms: np.ndarray, weights: np.ndarray, eig: tuple,
@@ -348,35 +355,27 @@ def _barrier_newton(point: tuple, basis: np.ndarray) -> tuple:
     l1 = _log_kernel(w[0])
     g = -(rho_t * l1)
     # X -> U^dag X U of each flattened basis matrix, U = x[0] (x[1] for the transposes)
-    b = basis.reshape(2, k, -1) @ (x.conj()[:, :, None, :, None]
-                                   * x[:, None, :, None]).reshape(2, n * n, -1)
+    b = basis.reshape(2, k, n * n) @ (x.conj()[:, :, None, :, None]
+                                      * x[:, None, :, None]).reshape(2, n * n, n * n)
     grad_b = -np.einsum("ski,si->k", b[:, :, ::n + 1].real, 1.0 / w)
-    c = b / np.sqrt(w[:, :, None] * w[:, None, :]).reshape(2, 1, -1)
-    c = c.transpose(1, 0, 2).reshape(k, -1).view(float)
-    # D^2 f[X, Y] = -2 Re sum_imj rho_t[j, i] ln[mu_i, mu_m, mu_j] X_im Y_mj
-    bt = b[0].reshape(k, n, n)
-    p = bt.transpose(2, 0, 1) @ (_log_kernel2(w[0], l1) * rho_t.T[:, None, :]).transpose(1, 0, 2)
-    h = p.transpose(1, 0, 2).reshape(k, -1).view(float) @ b[0].conj().view(float).T
-    return b[0].view(float) @ g.reshape(-1).view(float), -(h + h.T), grad_b, c @ c.T, g
+    c = b / np.sqrt(w[:, :, None] * w[:, None, :]).reshape(2, 1, n * n)
+    c = c.transpose(1, 0, 2).reshape(k, 2 * n * n).view(float)
+    hess_f = _log_hessian(b[0].reshape(k, n, n), w[0], l1, rho_t)
+    return b[0].view(float) @ g.reshape(-1).view(float), hess_f, grad_b, c @ c.T, g
 
 
 def _barrier_lower(point: tuple, g: np.ndarray, t: float, dA: int, dB: int) -> float:
     """-Tr[rho ln sigma] + 1 + lambda_min(G - Q^{T_B}) at ``point``, Q = (sigma^{T_B})^{-1} / t,
     at most -Tr[rho ln sigma'] for every PPT sigma' (convexity, Tr[G sigma] = -1, Q >= 0),
-    less G's divided-difference error (ln's rounding over the gaps ``_log_kernel`` divides
-    by, the term it drops elsewhere) weighted by rho and 8 n eps times the other terms."""
+    less 4 eps ||G||_F for G's rounding (``_log_kernel`` holds each entry to about eps,
+    relative) and 8 n eps times the other terms."""
     w, x, rho_t, f, _ = point
     q = (x[1] / (t * w[1])) @ x[1].conj().T
     lam = np.linalg.eigvalsh(g - x[0].conj().T @ _partial_transpose_array(q, dA, dB, "B")
                              @ x[0])
-    eps, mu = np.finfo(float).eps, w[0]
-    lm = np.abs(np.log(mu))
-    den = np.abs(mu[:, None] - mu[None, :])
-    near = den < 1e-12 * np.maximum(mu[:, None], mu[None, :])
-    err = np.where(near, (den / mu[None, :] + 2 * eps) / mu[:, None],
-                   4 * eps * (1 + lm[:, None] + lm[None, :]) / np.where(near, 1.0, den))
-    scale = np.abs(lam).max() + np.linalg.norm(q) + lm.max() + 1.0
-    return float(f + 1.0 + lam[0] - np.linalg.norm(rho_t * err) - 8 * len(mu) * eps * scale)
+    eps = np.finfo(float).eps
+    scale = np.abs(lam).max() + np.linalg.norm(q) + np.abs(np.log(w[0])).max() + 1.0
+    return float(f + 1.0 + lam[0] - 4 * eps * np.linalg.norm(g) - 8 * len(w[0]) * eps * scale)
 
 
 def _barrier_minimize(rho: DensityMatrix, dA: int, dB: int, max_iters: int) -> ReeResult:

@@ -129,6 +129,13 @@ def test_ppt_state_below_unit_trace_measures_zero(tmp_path, capsys, measure_id, 
     assert float(capsys.readouterr().out) == 0.0
 
 
+def test_ree_of_a_one_by_one_state_prints_zero(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dims": [1, 1], "matrix": [[1.0, 0.0]]}))
+    assert main(["measure", str(path), "ree"]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
 def test_g_concurrence_with_a_factor_of_dimension_one_is_a_mismatch(tmp_path, capsys):
     path = tmp_path / "line.json"
     save_state(path, product_pure(np.array([1.0]), np.array([0.6, 0.8, 0.0])))

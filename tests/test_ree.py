@@ -1,5 +1,6 @@
 """Relative entropy of entanglement solver and data-processing check."""
 
+import decimal
 import math
 import os
 import subprocess
@@ -329,6 +330,12 @@ class TestBarrierPath:
             assert capped.value >= res.value - 1e-12
             assert capped.value - capped.duality_gap_estimate <= res.value
 
+    def test_one_by_one_state_has_zero_ree(self):
+        # n = 1: the traceless basis is empty, and the path certifies at once.
+        res = ree_minimize(DensityMatrix(np.ones((1, 1), dtype=complex), Dims(1, 1)))
+        assert res.value == 0.0 and res.converged is True and res.iterations == 0
+        assert 0.0 <= res.duality_gap_estimate <= GAP_TOL
+
     def test_max_iters_one_is_a_valid_upper_bound(self):
         res = ree_minimize(bell_state().density(), max_iters=1)
         assert res.iterations == 1 and res.converged is False
@@ -393,6 +400,30 @@ class TestBarrierPath:
             np.testing.assert_allclose(fd, [grad_f[k], grad_b[k]], rtol=1e-6, atol=1e-7)
             fd = (gradients(sigma + h * e) - gradients(sigma - h * e)) / (2 * h)
             np.testing.assert_allclose(fd, [hess_f[:, k], hess_b[:, k]], rtol=1e-6, atol=1e-6)
+
+
+def _log_divided_difference(a, b):
+    """(ln b - ln a) / (b - a), 1 / a where a = b, at 60 digits."""
+    a, b = decimal.Decimal(a), decimal.Decimal(b)
+    return 1 / a if a == b else (b.ln() - a.ln()) / (b - a)
+
+
+def test_log_kernel_matches_a_60_digit_reference_at_every_gap():
+    # Pairs mu and mu (1 + r) with r near the 1e-12 relative gap where a
+    # difference of logarithms loses every digit, and far from it.
+    rs = [0.0, *(10.0 ** e for e in range(-16, 4)), 1.5e-12, 2e-12, 5e-12, 3e-11]
+    worst = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for mu in (1e-14, 1e-10, 1e-6, 1e-3, 0.3, 1.0):
+            for r in [*rs, *(-r for r in rs if r < 1)]:
+                pair = np.array([mu, mu * (1 + r)])
+                kernel = ree._log_kernel(pair)
+                for i, j in np.ndindex(2, 2):
+                    exact = _log_divided_difference(pair[i], pair[j])
+                    err = abs(decimal.Decimal(kernel[i, j]) - exact)
+                    worst = max(worst, float(err) / np.spacing(float(exact)))
+    assert worst <= 2.0
 
 
 def _random_atoms(dims, k, rng):

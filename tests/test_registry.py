@@ -129,6 +129,11 @@ def test_optimizer_measures_carry_diagnostics():
     assert val.diagnostics["atoms"] == 0  # two qubits take the barrier path: no atoms
 
 
+def test_ree_of_a_one_by_one_state_is_zero():
+    val = evaluate_measure("ree", DensityMatrix(np.ones((1, 1), dtype=complex), Dims(1, 1)))
+    assert val.value == 0.0 and val.diagnostics["converged"] is True
+
+
 CLOSED_IDS = ("negativity", "log-negativity", "eof", "concurrence", "g-concurrence", "tangle",
               "renyi:0.5", "tsallis:2")
 

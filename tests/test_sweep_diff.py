@@ -2,8 +2,9 @@
 
 Two tiny synthetic JSONL files stand in for the default sweep: the tool
 must print both digests, count the changed reports and verdict changes
-per check, name the largest numeric change and its field, and exit 1 only
-on a verdict change or a change in a check's report count.
+per check, name the largest change of lhs, rhs and gap and, apart from it,
+the largest metadata change, each with its field, and exit 1 only on a
+verdict change or a change in a check's report count.
 """
 
 import hashlib
@@ -66,9 +67,24 @@ def test_numeric_changes_are_counted_and_located(tmp_path):
     strict, monogamy = _row(lines, "strict"), _row(lines, "monogamy")
     assert strict[1:4] == ["2", "1", "0"]
     assert float(strict[4]) == pytest.approx(3e-13, rel=1e-2) and strict[5] in ("rhs", "gap")
+    assert strict[6:] == ["0", "-"]
     assert monogamy[1:4] == ["1", "1", "0"]
-    assert float(monogamy[4]) == pytest.approx(9e-14 - 2e-16, rel=1e-2)  # printed to 3 digits
-    assert monogamy[5] == "metadata.diagnostics.deviations[1]"
+    assert monogamy[4:6] == ["0", "-"]
+    assert float(monogamy[6]) == pytest.approx(9e-14 - 2e-16, rel=1e-2)  # printed to 3 digits
+    assert monogamy[7] == "metadata.diagnostics.deviations[1]"
+
+
+def test_value_moves_are_reported_apart_from_larger_metadata_moves(tmp_path):
+    # A solver's iteration count moves by whole steps while its value moves
+    # by roundoff: the row must show both.
+    old = [_report("ree", 0.69, 0.7, iterations=40)]
+    new = [_report("ree", 0.69, 0.7 + 5e-11, iterations=45)]
+    code, lines = _run(_write(tmp_path / "old.jsonl", old), _write(tmp_path / "new.jsonl", new))
+    assert code == 0
+    row = _row(lines, "ree")
+    assert row[1:4] == ["1", "1", "0"]
+    assert float(row[4]) == pytest.approx(5e-11, rel=1e-2) and row[5] in ("rhs", "gap")
+    assert float(row[6]) == 5.0 and row[7] == "metadata.iterations"
 
 
 def test_verdict_change_fails(tmp_path):

@@ -4,11 +4,12 @@
 
 Prints the sha256 digest of each file and, per ``check_id`` in the order
 the old file first lists them, the report counts, the number of changed
-reports (lines that differ), the number of verdict changes, and the largest
-absolute change over ``lhs``, ``rhs``, ``gap`` and every numeric metadata
-field (nested ones too), with the field it occurred in.  Reports of one
-check are paired in file order.  Exits 1 when a verdict changes or a check's
-report count differs, 0 otherwise.
+reports (lines that differ), the number of verdict changes, the largest
+absolute change over ``lhs``, ``rhs`` and ``gap`` with the field it occurred
+in, and apart from it the largest over every numeric metadata field (nested
+ones too) with its field; ``-`` names no field where nothing moved.  Reports
+of one check are paired in file order.  Exits 1 when a verdict changes or a
+check's report count differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 NUMERIC_FIELDS = ("lhs", "rhs", "gap")
+GROUPS = ("values", "metadata")  # the numeric fields, and the metadata's numbers
 
 
 def _numbers(value, path: str):
@@ -67,7 +69,7 @@ def compare(old_lines: list[str], new_lines: list[str]) -> tuple[list[dict], boo
         pairs = list(zip(old.get(check_id, []), new.get(check_id, [])))
         row = {"check_id": check_id, "old": len(old.get(check_id, [])),
                "new": len(new.get(check_id, [])), "changed": 0, "verdicts": 0,
-               "max_delta": 0.0, "field": ""}
+               "max_delta": dict.fromkeys(GROUPS, 0.0), "field": dict.fromkeys(GROUPS, "-")}
         for (old_line, a), (new_line, b) in pairs:
             if old_line == new_line:
                 continue
@@ -76,8 +78,9 @@ def compare(old_lines: list[str], new_lines: list[str]) -> tuple[list[dict], boo
             olds, news = _compared(a), _compared(b)
             for path in olds.keys() & news.keys():
                 d = _delta(olds[path], news[path])
-                if d > row["max_delta"]:
-                    row["max_delta"], row["field"] = d, path
+                group = "metadata" if path.startswith("metadata") else "values"
+                if d > row["max_delta"][group]:
+                    row["max_delta"][group], row["field"][group] = d, path
         ok = ok and row["verdicts"] == 0 and row["old"] == row["new"]
         rows.append(row)
     return rows, ok
@@ -92,11 +95,14 @@ def main(argv: list[str]) -> int:
     for label, path, data in zip(("old", "new"), paths, raw):
         print(f"{label} sha256 {hashlib.sha256(data).hexdigest()} {path}")
     rows, ok = compare(*(data.decode().splitlines() for data in raw))
-    print(f"{'check_id':<22}{'reports':>13}{'changed':>9}{'verdicts':>10}{'max |delta|':>13}  field")
+    print(f"{'check_id':<22}{'reports':>13}{'changed':>9}{'verdicts':>10}"
+          f"{'value |delta|':>15}  field{'metadata |delta|':>18}  field")
     for row in rows:
         count = str(row["old"]) if row["old"] == row["new"] else f"{row['old']}->{row['new']}"
+        delta, field = row["max_delta"], row["field"]
         print(f"{row['check_id']:<22}{count:>13}{row['changed']:>9}{row['verdicts']:>10}"
-              f"{row['max_delta']:>13.3g}  {row['field']}")
+              f"{delta['values']:>15.3g}  {field['values']:<5}{delta['metadata']:>18.3g}"
+              f"  {field['metadata']}")
     return 0 if ok else 1
 
 
