@@ -30,8 +30,6 @@ from .states import (
     Dims,
     PureState,
     _partial_transpose_array,
-    projector_stack,
-    validate_density_stack,
 )
 
 H_KINDS = ("entropy", "concurrence", "g-concurrence", "tangle", "negativity", "renyi", "tsallis")
@@ -212,18 +210,21 @@ def h_eval(h: HFunction, rho_a: DensityMatrix) -> float:
 
 
 def pure_measure_stack(h: HFunction, amps: np.ndarray, dims: Dims) -> np.ndarray:
-    """``h`` on the reduced states of the smaller factor (A on a tie) of a
-    ``(..., n)`` stack of pure states.
+    """``h`` on the reduced states of the smaller factor of a ``(..., n)``
+    stack of pure states, whose spectra are the squared singular values
+    (Schmidt coefficients) of each ``(dA, dB)`` amplitude matrix.
 
-    Both marginals share their nonzero spectrum, but the larger one pads it
-    with zeros, which the G-concurrence's d prod mu^(1/d) would read as 0.
-    The reduced states are validated once, as a stack.
+    The smaller factor's spectrum has no padding zeros, which the
+    G-concurrence's d prod mu^(1/d) would read as 0.  A weight mu taken
+    from the eigenvalues of the reduced state carries an error of about
+    eps, one squared from a singular value about eps sqrt(mu).  So the
+    kinds that amplify small weights (G-concurrence, small Renyi orders)
+    give two vectors that agree to roundoff values that agree to roundoff.
     """
     dA, dB = dims.bipartite("pure_measure")
-    lead = amps.shape[:-1]
-    proj = projector_stack(amps).reshape(lead + (dA, dB, dA, dB))
-    reduced = np.trace(proj, axis1=-4, axis2=-2) if dA > dB else np.trace(proj, axis1=-3, axis2=-1)
-    return _floored(h_of_spectrum(h, validate_density_stack(reduced)))
+    m = amps.reshape(amps.shape[:-1] + (dA, dB))
+    sigma = np.linalg.svd(m, compute_uv=False)
+    return _floored(h_of_spectrum(h, sigma[..., ::-1] ** 2))  # ascending, as eigvalsh's
 
 
 def pure_measure(h: HFunction, psi: PureState) -> MeasureValue:
