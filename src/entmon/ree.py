@@ -1,16 +1,18 @@
 """Relative entropy of entanglement E_r(rho), min S(rho || sigma) over separable sigma.
 
-On n = dA dB <= 6 (``PPT_SEPARABLE_TOTAL``) separable means PPT (Horodecki, Horodecki &
-Horodecki, PLA 223, 1 (1996)), and ``_barrier_minimize`` follows a log-barrier path: each
-strictly PPT iterate bounds E_r from above and a dual point from below, so the width is a
-certificate.  Beyond, ``_atom_minimize`` runs fully corrective Frank-Wolfe over product
-projectors (Rehacek & Hradil, PRL 90, 127904 (2003); Zinchenko, Friedland & Gour, PRA 82,
-052336 (2010)), its product search resumed from the last one's best minimizers, with inexact
-Newton weight steps as in blended conditional gradients (Braun, Pokutta, Tu & Wright, ICML
-2019) by block principal pivoting (Judice & Pires, Comput. Oper. Res. 21, 587 (1994); Kim &
-Park, SIAM J. Sci. Comput. 33, 3261 (2011)): an upper bound, with a duality-gap estimate that
-is no certificate.  Both solvers take the derivative of -Tr[rho ln sigma] from one divided
-difference kernel, ``_log_kernel``, and its Hessian from one contraction, ``_log_hessian``.
+A factor of dimension 1 makes every state separable: E_r = 0, certified.  On n = dA dB <= 6
+(``PPT_SEPARABLE_TOTAL``) separable means PPT (Horodecki, Horodecki & Horodecki, PLA 223, 1
+(1996)), and ``_barrier_minimize`` follows a log-barrier path, each stage started at the center
+extrapolated from the last two: each strictly PPT iterate bounds E_r from above and a dual
+point from below, so the width is a certificate.  Beyond, ``_atom_minimize`` runs fully
+corrective Frank-Wolfe over product projectors (Rehacek & Hradil, PRL 90, 127904 (2003);
+Zinchenko, Friedland & Gour, PRA 82, 052336 (2010)), its product search resumed from the last
+one's best minimizers, with inexact Newton weight steps as in blended conditional gradients
+(Braun, Pokutta, Tu & Wright, ICML 2019) by block principal pivoting (Judice & Pires, Comput.
+Oper. Res. 21, 587 (1994); Kim & Park, SIAM J. Sci. Comput. 33, 3261 (2011)): an upper
+bound, with a duality-gap estimate that is no certificate.  Both solvers take the derivative of
+-Tr[rho ln sigma] from one divided difference kernel, ``_log_kernel``, and its Hessian from one
+contraction, ``_log_hessian``.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ CENTERED = 1e-12  # squared Newton decrement that ends a centering stage
 @dataclass(frozen=True)
 class ReeResult:
     """Upper bound on E_r with the separable iterate that achieves it.  On n <= 6 ``iterations``
-    counts Newton steps, ``duality_gap_estimate`` is the certified width (value - lower bound),
-    ``converged`` means it is at most GAP_TOL and ``atoms`` is 0; beyond (``upper_bound_only``)
-    they are the atom solver's iterations, gap estimate, confirmed gap below GAP_TOL and atoms."""
+    counts Newton steps, each stage's extrapolated start among them, ``duality_gap_estimate`` is
+    the certified width (value - lower bound), ``converged`` means it is at most GAP_TOL and
+    ``atoms`` is 0; beyond (``upper_bound_only``) they are the atom solver's iterations, gap
+    estimate, confirmed gap below GAP_TOL and atoms.  A factor of dimension 1 gives 0, certified."""
 
     value: float
     closest_separable: DensityMatrix
@@ -386,12 +389,14 @@ def _barrier_minimize(rho: DensityMatrix, dA: int, dB: int, max_iters: int) -> R
     or more, the Armijo test passes; the accepted point's eigensystems serve
     the next step.  A stage ends at a squared decrement of at most CENTERED, at
     a full step that fails to halve it (roundoff rules there) or where no
-    halving passes; t grows BARRIER_GROWTH-fold until 2n/t <= BARRIER_END.  At each
+    halving passes; t grows BARRIER_GROWTH-fold until 2n/t <= BARRIER_END.  As sigma(t) = sigma*
+    + a/t + O(1/t^2), each later stage starts with a step, counted as a Newton step, to sigma_k +
+    (sigma_k - sigma_{k-1}) / BARRIER_GROWTH from the last two centers, if strictly PPT.  At each
     stage's end and at the ``max_iters`` cap, ``_barrier_lower`` bounds E_r from below.
     The lowest S(rho || sigma) met and the highest lower bound are kept."""
     basis = _traceless_basis(dA, dB)
     n, rho_m, s_rho = dA * dB, rho.matrix, von_neumann_entropy(rho)
-    sigma = np.eye(n, dtype=complex) / n
+    sigma, center = np.eye(n, dtype=complex) / n, None
     point = _barrier_point(sigma, rho_m, dA, dB)
     t, steps, prev, lower, best, newton = 1.0, 0, math.inf, -math.inf, (point[3], sigma), None
     while True:
@@ -412,8 +417,13 @@ def _barrier_minimize(rho: DensityMatrix, dA: int, dB: int, max_iters: int) -> R
             lower = max(lower, _barrier_lower(point, g, t, dA, dB) - s_rho)
             if steps >= max_iters or 2 * n / t <= BARRIER_END:
                 break
-            t, prev = t * BARRIER_GROWTH, math.inf
-            continue
+            t, prev, dec = t * BARRIER_GROWTH, math.inf, math.inf
+            if center is not None:  # a step to the center extrapolated from the last two
+                step, alpha = sigma - center, 1.0 / BARRIER_GROWTH
+                trial = _barrier_point(sigma + alpha * step, rho_m, dA, dB)
+            center = sigma
+            if trial is None:
+                continue
         steps, point, newton, prev, sigma = steps + 1, trial, None, dec, sigma + alpha * step
         best = min(best, (point[3], sigma), key=lambda b: b[0])
     value = max(0.0, best[0] - s_rho)
@@ -429,7 +439,8 @@ def ree_minimize(
 ) -> ReeResult:
     """Upper bound on the relative entropy of entanglement of ``rho``: the barrier
     path (``_barrier_minimize``, no draw from ``rng``) on n = dA dB at most
-    ``PPT_SEPARABLE_TOTAL``, the atom solver (``_atom_minimize``) beyond.
+    ``PPT_SEPARABLE_TOTAL``, the atom solver (``_atom_minimize``) beyond, and a
+    certified 0 with no work where dA or dB is 1.
     ``max_iters`` caps Newton steps or iterations; one that is not an integer
     of at least 1 raises ValueError.  Non-convergence shows in ``converged``."""
     if not _is_count(max_iters):
@@ -438,6 +449,9 @@ def ree_minimize(
     n = dA * dB
     if n > MAX_TOTAL_DIM:
         raise DimensionMismatchError(f"total dimension {n} exceeds the desk-scale cap {MAX_TOTAL_DIM}")
+    if min(dA, dB) == 1:  # every state of a product system is separable: sigma = rho
+        return ReeResult(value=0.0, closest_separable=rho, iterations=0, duality_gap_estimate=0.0,
+                         converged=True, upper_bound_only=False, atoms=0)
     if n <= PPT_SEPARABLE_TOTAL:
         return _barrier_minimize(rho, dA, dB, max_iters)
     return _atom_minimize(rho, max_iters, rng)

@@ -233,6 +233,22 @@ class TestReeMinimize:
         with pytest.raises(DimensionMismatchError):
             ree_minimize(rho)
 
+    @pytest.mark.parametrize("dims", [(1, 7), (7, 1), (1, 16), (1, 6)])
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_product_system_has_exactly_zero_ree(self, dims, pure):
+        # A factor of dimension 1 makes every state separable, so sigma = rho
+        # is closest, with no solver run and no draw from rng.
+        make = np.random.default_rng(0)
+        rho = random_pure(Dims(*dims), make).density() if pure else \
+            random_mixed(Dims(*dims), None, make)
+        rng = np.random.default_rng(5)
+        res = ree_minimize(rho, rng=rng)
+        assert res.value == 0.0 and res.duality_gap_estimate == 0.0
+        assert res.closest_separable is rho
+        assert res.converged is True and res.upper_bound_only is False
+        assert res.iterations == 0 and res.atoms == 0
+        assert rng.random() == np.random.default_rng(5).random()
+
     def test_upper_bound_flag(self):
         res = _atom_minimize(random_mixed(Dims(3, 3), 2, np.random.default_rng(11)),
                              max_iters=50, rng=np.random.default_rng(0))
@@ -331,10 +347,43 @@ class TestBarrierPath:
             assert capped.value - capped.duality_gap_estimate <= res.value
 
     def test_one_by_one_state_has_zero_ree(self):
-        # n = 1: the traceless basis is empty, and the path certifies at once.
+        # n = 1: both factors have dimension 1, so no solver runs.
         res = ree_minimize(DensityMatrix(np.ones((1, 1), dtype=complex), Dims(1, 1)))
         assert res.value == 0.0 and res.converged is True and res.iterations == 0
         assert 0.0 <= res.duality_gap_estimate <= GAP_TOL
+
+    @pytest.mark.parametrize("rho,most", [
+        (bell_state().density(), 60),
+        (random_mixed(Dims(2, 2), 3, np.random.default_rng(6)), 70),
+    ], ids=["bell", "mixed-2x2"])
+    def test_each_stage_starts_at_the_extrapolated_center(self, monkeypatch, rho, most):
+        # From the second stage on, a step to the center extrapolated from the
+        # last two skips most of the trial points outside the PPT cone that a
+        # restart from the last center costs (121 and 120 points on these).
+        calls, point = [], ree._barrier_point
+        monkeypatch.setattr(ree, "_barrier_point", lambda *a: calls.append(1) or point(*a))
+        res = ree_minimize(rho)
+        assert res.converged is True and res.duality_gap_estimate <= 1e-7
+        assert len(calls) <= most
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([(2, 2), (2, 3), (3, 2), "bell-diagonal"]),
+           f=st.floats(0.5, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    def test_bracket_holds_the_closed_form_ree(self, kind, f, seed):
+        # Pure states: E_r = S(rho_A); Bell-diagonal states with largest weight
+        # F >= 1/2: E_r = ln 2 - H2(F) (Vedral & Plenio, PRA 57, 1619 (1998)).
+        rng = np.random.default_rng(seed)
+        if kind == "bell-diagonal":
+            weights = np.concatenate([[f], (1.0 - f) * rng.dirichlet(np.ones(3))])
+            rho, oracle = DensityMatrix((_BELL.T * weights) @ _BELL + 0j, Dims(2, 2)), \
+                _vedral_plenio(weights)
+        else:
+            rho = random_pure(Dims(*kind), rng).density()
+            oracle = von_neumann_entropy(partial_trace(rho, "A"))
+        res = ree_minimize(rho)
+        assert res.converged is True
+        assert res.value - res.duality_gap_estimate <= oracle + 1e-12
+        assert oracle <= res.value + 1e-12
 
     def test_max_iters_one_is_a_valid_upper_bound(self):
         res = ree_minimize(bell_state().density(), max_iters=1)
