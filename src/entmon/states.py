@@ -307,8 +307,13 @@ def partial_transpose(
     operation is a pure permutation of matrix elements.  Raw Hermitian
     arrays are accepted alongside ``DensityMatrix`` inputs when ``dims``
     is supplied, since a partial transpose is usually not a valid state.
+    A ``DensityMatrix`` is transposed across its own dims; any other
+    ``dims`` raises ``DimensionMismatchError``.
     """
     if isinstance(rho, DensityMatrix):
+        if dims is not None and dims != rho.dims:
+            raise DimensionMismatchError(
+                f"dims {dims.factors} differ from the state's dims {rho.dims.factors}")
         mat, dims = rho.matrix, rho.dims
     else:
         if dims is None:

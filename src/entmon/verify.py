@@ -3,26 +3,27 @@
 Each check turns one theorem-shaped claim into a falsifiable numeric
 comparison and emits a ``VerificationReport``.  ``run_sweep`` executes a
 configured batch of checks over seeded random instances; identical configs
-produce byte-identical reports.  ``_SWEEPS`` maps each check id to its
-sweep, and ``CHECK_IDS`` is its key order: a check's index there seeds its
-trials.
+produce byte-identical reports.  ``_SWEEPS`` holds one row per check and
+``CHECK_IDS`` is its key order: a check's index there seeds its trials, so
+a new row goes at the end.
 
-Every sweep goes from trials to reports through one path.  ``_trials``
-gives each trial its seed and a generator of its own, from which it draws
-its states and its channel's Ginibre matrices (``channels._draw_channel``
-and ``_draw_mixture``).  The trials of ``monotone`` and ``strict`` (one
-stream per dims), ``reduced-state`` and ``ree-dpi`` stream through
-``_batch_reports``, which validates each batch of at most
-``_BATCH_STATES`` input states once, builds its channels as stacks
-(``_build_channels``) and judges it with one kernel: ``_closed_gaps``
-(per measure, one ``_outcome_stack`` call, on pure inputs kept as
-vectors or on density matrices, and one ``evaluate_closed_stack`` call),
-``_reduced_state_reports`` or ``_ree_dpi_reports``.  No kernel
-classifies a channel: each reads ``classify(channel)``, the class that
-``channels._check_families`` gave the channel when it was built.
-``_concavity_reports`` judges all ``concavity`` trials with one
-``eigvalsh`` per (h, dimension).  The other checks, and the optimizer
-tiers of ``monotone``, judge one trial at a time.
+``_trials`` gives each trial its seed and a generator of its own, from
+which it draws its states and its channel's Ginibre matrices
+(``channels._draw_channel`` and ``_draw_mixture``).  A check that judges
+stacks of states (``monotone``, ``strict``, ``concavity``,
+``reduced-state``, ``ree-dpi``) is a row of an item generator and a
+kernel.  Every item is ``(key, states, channel, seed, dims, extra)``: the
+measure id or h, a stack of input states on ``dims``, the channel or its
+draw (None for ``concavity``), the report's seed, and the trial's
+generator, the ``mixture`` flag or lambda.  ``_batch_reports`` streams the
+items in batches of at most ``_BATCH_STATES`` input states, validates
+each batch once, builds its channels as stacks (``_build_channels``) and
+yields the kernel's reports; each kernel groups its batch by key and
+dims, and each public ``check_*`` of these checks is its kernel on one
+item.  No kernel classifies a channel: each reads ``classify(channel)``,
+the class that ``channels._check_families`` gave the channel when it was
+built.  The other checks, and the optimizer tiers of ``monotone``, judge
+one trial at a time.
 
 Every verdict comes from one table: ``RULES`` maps the rule name that
 each report stores in ``metadata["rule"]`` to a predicate over the
@@ -255,7 +256,7 @@ def check_monotone(
     """
     tier = measure_tier(measure_id)
     if tier == "closed":
-        return _monotone_reports([(measure_id, rho.matrix[None], channel, seed)], rho.dims)[0]
+        return _monotone_reports([(measure_id, rho.matrix[None], channel, seed, rho.dims, rng)])[0]
     rng = np.random.default_rng(seed) if rng is None else rng
     lhs = evaluate_measure(measure_id, rho, rng=rng)
     outs = [(p, evaluate_measure(measure_id, s, rng=rng))
@@ -267,34 +268,34 @@ def check_monotone(
                     "outcome_diagnostics": [v.diagnostics for _, v in outs]})
 
 
-def _monotone_reports(items, dims):
-    """``check_monotone`` reports of trials ``(measure_id, mats, channel,
-    seed[, rng])``, each ``mats`` one state on ``dims``: the closed forms'
-    from one ``_closed_gaps`` call, an optimizer tier's from one
-    ``check_monotone`` call with the trial's ``rng``."""
+def _monotone_reports(items):
+    """``check_monotone`` reports of items of one state each, ``extra`` the
+    trial's generator: the closed forms' from one ``_closed_gaps`` call, an
+    optimizer tier's from one ``check_monotone`` call with that generator."""
     closed = [item for item in items if measure_tier(item[0]) == "closed"]
     judged = iter([_report("monotone", it[0], tag, lhs[0], rhs[0], MONOTONE_TOL["closed"], it[3],
                            {"rule": "gap >= -tolerance", "n_outcomes": n[0], "tier": "closed"})
-                   for it, (tag, lhs, rhs, n) in zip(closed, _closed_gaps(closed, dims))])
+                   for it, (tag, lhs, rhs, n) in zip(closed, _closed_gaps(closed))])
     return [next(judged) if measure_tier(m) == "closed" else
-            check_monotone(m, DensityMatrix(mats[0], dims), channel, *rng, seed)
-            for m, mats, channel, seed, *rng in items]
+            check_monotone(m, DensityMatrix(states[0], dims), channel, rng, seed)
+            for m, states, channel, seed, dims, rng in items]
 
 
-def _closed_gaps(items, dims):
-    """Per item ``(measure_id, states, channel, ...)``, the channel's tag
-    and, per state, the measure of the state and its average over the
-    channel's outcomes, as ``(tag, lhs, rhs, n_outcomes)``.
+def _closed_gaps(items):
+    """Per item, the channel's tag and, per state, the measure of the state
+    and its average over the channel's outcomes, as ``(tag, lhs, rhs,
+    n_outcomes)``.
 
-    ``states``, valid states on ``dims``, are ``(n, N)`` amplitudes or
-    ``(n, N, N)`` density matrices; every channel acts on one side and every
-    measure is a closed form.  The items of one measure and ``ndim`` are one
-    ``_outcome_stack`` call and one ``evaluate_closed_stack`` call on their
-    inputs followed by the kept outcomes; a state's values do not depend on
-    the rest of the stack.
+    The ``states`` of an item, valid states on its dims, are ``(n, N)``
+    amplitudes or ``(n, N, N)`` density matrices; every channel acts on one
+    side and every measure is a closed form.  The items of one measure,
+    dims and ``ndim`` are one ``_outcome_stack`` call and one
+    ``evaluate_closed_stack`` call on their inputs followed by the kept
+    outcomes; a state's values do not depend on the rest of the stack.
     """
     gaps = [None] * len(items)
-    for (measure_id, ndim), group in _groups((item[0], item[1].ndim) for item in items).items():
+    for (measure_id, dims, _), group in _groups(
+            (item[0], item[4], item[1].ndim) for item in items).items():
         counts = [len(items[i][1]) for i in group]
         channels = [items[i][2] for i in group]
         states = np.concatenate([items[i][1] for i in group])
@@ -365,17 +366,16 @@ def check_strict(
     states = np.asarray(state_sampler(rng, n_states), dtype=np.complex128)
     dims = _input_dims(channel, states, n_states)
     _check_inputs(states)
-    return _strict_reports([(measure_id, states, channel, seed, False)], dims)[0]
+    return _strict_reports([(measure_id, states, channel, seed, dims, False)])[0]
 
 
-def _strict_reports(items, dims):
-    """``check_strict`` reports of ``items``, tuples ``(measure_id, states,
-    channel, seed, mixture)`` as ``_closed_gaps`` takes them.  An item
-    built as a unitary mixture (``mixture``) that ``classify`` calls
-    general fails with a note."""
+def _strict_reports(items):
+    """``check_strict`` reports of items, ``extra`` the ``mixture`` flag.
+    An item built as a unitary mixture that ``classify`` calls general
+    fails with a note."""
     return [_strict_report(measure_id, tag, lhs, rhs, seed, mixture)
-            for (measure_id, _, _, seed, mixture), (tag, lhs, rhs, _)
-            in zip(items, _closed_gaps(items, dims))]
+            for (measure_id, _, _, seed, _, mixture), (tag, lhs, rhs, _)
+            in zip(items, _closed_gaps(items))]
 
 
 def _strict_report(measure_id, tag, lhs_vals, rhs_vals, seed, mixture):
@@ -419,23 +419,24 @@ def check_strict_concavity(
         raise ValueError("lambda must lie strictly between 0 and 1")
     if rho1.dims.factors != rho2.dims.factors:
         raise DimensionMismatchError("states must share dims")
-    return _concavity_reports([(h, rho1.matrix, rho2.matrix, lam, seed)])[0]
+    return _concavity_reports([(h, np.stack([rho1.matrix, rho2.matrix]), None, seed, rho1.dims,
+                                lam)])[0]
 
 
 def _concavity_reports(items):
-    """``check_strict_concavity`` reports of items ``(h, rho1, rho2, lam,
-    seed)``, the states as matrices, in item order.  Per (h, dimension),
-    the stack of every rho1, rho2 and mixture is validated once, and its
-    one ``eigvalsh`` gives the spectra of every h value."""
+    """``check_strict_concavity`` reports of items whose ``states`` are the
+    matrices (rho1, rho2) and whose ``extra`` is lambda.  Per (h, dims), the
+    stack of every rho1, rho2 and mixture is validated once, and its one
+    ``eigvalsh`` gives the spectra of every h value."""
     reports = [None] * len(items)
-    for (h, _), group in _groups((item[0], len(item[1])) for item in items).items():
-        pairs = np.array([items[i][1:3] for i in group])
-        w = np.array([items[i][3] for i in group])[:, None, None]
+    for (h, _), group in _groups((item[0], item[4]) for item in items).items():
+        pairs = np.stack([items[i][1] for i in group])
+        w = np.array([items[i][5] for i in group])[:, None, None]
         mix = w * pairs[:, 0] + (1.0 - w) * pairs[:, 1]
         mu = validate_density_stack(np.concatenate([pairs, mix[:, None]], axis=1))
         for i, (v1, v2, lhs), lows in zip(group, h_of_spectrum(h, mu).tolist(),
                                           mu[:, :2, 0].tolist()):
-            _, rho1, rho2, lam, seed = items[i]
+            _, (rho1, rho2), _, seed, _, lam = items[i]
             rhs = lam * v1 + (1.0 - lam) * v2
             dist = float(np.linalg.norm(rho1 - rho2))
             metadata = {"distance": dist, "lambda": float(lam)}
@@ -473,17 +474,17 @@ def check_reduced_state_condition(
     ``_reduced_state_reports``, which the ``reduced-state`` sweep runs on
     its trials in batches.
     """
-    return _reduced_state_reports([(h, psi.amplitudes[None], channel, seed, psi.dims)])[0]
+    return _reduced_state_reports([(h, psi.amplitudes[None], channel, seed, psi.dims, None)])[0]
 
 
 def _reduced_state_reports(items):
-    """``check_reduced_state_condition`` reports of items ``(h, amps,
-    channel, seed, dims)``, ``amps`` the ``(1, N)`` amplitudes of a pure
-    state on ``dims``.  Per (dims, h), the outcomes of every trial are one
-    ``_outcome_stack`` call, and the A marginals of every input and
-    outcome are validated as one stack, whose one ``eigvalsh`` gives every
-    value; so a vector off the unit sphere raises."""
-    for _, _, channel, _, dims in items:
+    """``check_reduced_state_condition`` reports of items whose ``states``
+    are the ``(1, N)`` amplitudes of a pure state.  Per (dims, h), the
+    outcomes of every trial are one ``_outcome_stack`` call, and the A
+    marginals of every input and outcome are validated as one stack, whose
+    one ``eigvalsh`` gives every value; so a vector off the unit sphere
+    raises."""
+    for _, _, channel, _, dims, _ in items:
         dims.bipartite("the reduced-state condition")
         if channel.side != "B":
             raise ValueError("reduced-state condition is formulated for side-B channels")
@@ -502,7 +503,7 @@ def _reduced_state_reports(items):
             values[i] = (probs[j, keep[j]].tolist(), h_vals[j], h_vals[start:stop], marginals[j],
                          marginals[start:stop])
     reports = []
-    for (h, _, channel, seed, _), (p, lhs, vals, rho_a, out_a) in zip(items, values):
+    for (h, _, channel, seed, _, _), (p, lhs, vals, rho_a, out_a) in zip(items, values):
         rhs = functools.reduce(operator.add, (pk * v for pk, v in zip(p, vals)), 0.0)
         max_dev = max([0.0] + [float(np.linalg.norm(m - rho_a)) for m in out_a])
         metadata = {"max_reduced_dev": max_dev, "n_outcomes": len(p)}
@@ -719,7 +720,7 @@ class SweepConfig:
                 raise ValueError(f"dims entries must be pairs of integers >= 2, got {d!r}")
         # Numpy integers pass, stored as int so that the config stays JSON-serializable.
         object.__setattr__(self, "dims", tuple(tuple(map(int, d)) for d in self.dims))
-        for name, least, rule in (("trials", 0, "nonnegative"), ("n_kraus", 1, "at least 1"),
+        for name, least, rule in (("trials", 0, "nonnegative"), ("n_kraus", 2, "at least 2"),
                                   ("seed", 0, "nonnegative")):
             value = getattr(self, name)
             if not _is_count(value, -math.inf):
@@ -734,9 +735,8 @@ def _cycled(options, index):
 
 
 def _n_kraus(config: SweepConfig, t: int) -> int:
-    """Kraus count of trial ``t``'s general channel: 2, 3, ...,
-    max(2, ``n_kraus``), cycled."""
-    return _cycled(range(2, max(2, config.n_kraus) + 1), t)
+    """Kraus count of trial ``t``'s general channel: 2, 3, ..., ``n_kraus``, cycled."""
+    return _cycled(range(2, config.n_kraus + 1), t)
 
 
 def _trial_draw(config: SweepConfig, t: int, d: int, rng: np.random.Generator, every: int,
@@ -767,9 +767,10 @@ def _trials(config: SweepConfig, n: int, check_idx: int, *parts: int):
         yield t, seed, np.random.default_rng(seed)
 
 
-# Input states per kernel call of the monotone and strict sweeps; bounds
-# their memory.  Peak RSS of `entmon verify --seed 0` at 512 (128): 49.1-49.2
-# MB (48.5-48.6); with `--dims 3x3`, 53.3-53.7 MB (47.1-47.3).
+# Input states per kernel call of ``_batch_reports``; bounds the memory of
+# the sweeps that judge stacks of states.  Peak RSS of `entmon verify
+# --seed 0` at 512 (128): 49.1-49.2 MB (48.5-48.6); with `--dims 3x3`,
+# 53.3-53.7 MB (47.1-47.3).
 _BATCH_STATES = 512
 
 
@@ -781,14 +782,13 @@ def _groups(keys) -> dict:
     return out
 
 
-def _batch_reports(items, judge, *args):
-    """``(item, report)`` pairs of a stream of items, tuples whose second
-    member is a stack of input states and whose third is a channel or its
-    draw.  ``judge(batch, *args)`` returns the reports of consecutive lists
-    of items of at most ``_BATCH_STATES`` input states (or of one larger
-    item); each list is drawn when the one before is judged, its inputs are
-    validated once per trailing shape (``_check_inputs``), and its channels
-    are built (``_build_channels``)."""
+def _batch_reports(items, judge):
+    """The reports of a stream of items ``(key, states, channel, seed, dims,
+    extra)``.  ``judge`` returns the reports of consecutive lists of items
+    of at most ``_BATCH_STATES`` input states (or of one larger item); each
+    list is drawn when the one before is judged, its inputs are validated
+    once per trailing shape (``_check_inputs``), and its channels are built
+    (``_build_channels``)."""
     batch, n_states = [], 0
     for item in itertools.chain(items, [None]):
         if batch and (item is None or n_states + len(item[1]) > _BATCH_STATES):
@@ -796,96 +796,73 @@ def _batch_reports(items, judge, *args):
                 _check_inputs(np.concatenate([batch[i][1] for i in group]))
             channels = _build_channels([it[2] for it in batch])
             batch = [it[:2] + (channel,) + it[3:] for it, channel in zip(batch, channels)]
-            yield from zip(batch, judge(batch, *args))
+            yield from judge(batch)
             batch, n_states = [], 0
         if item is not None:
             batch.append(item)
             n_states += len(item[1])
 
 
-def _sweep_monotone(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    """The trials of one dims, every measure's in turn, stream through one
-    ``_batch_reports``; each draws its state and channel from its own
-    generator, which an optimizer tier's solver calls go on with."""
-    reports = []
-    for di, dims_pair in enumerate(config.dims):
-        dims = Dims(*dims_pair)
-        items = ((measure_id, _stack_sampler(kind, dims)(rng, 1),
-                  _draw_channel(dims_pair[1], _n_kraus(config, t), rng), seed, rng)
-                 for mi, measure_id in enumerate(config.measures)
-                 if (kind := measure_state_kind(measure_id, dims)) is not None
-                 for t, seed, rng in _trials(config, config.trials, check_idx, di, mi))
-        reports += [rep for _, rep in _batch_reports(items, _monotone_reports, dims)]
-    return reports
+def _monotone_items(config: SweepConfig, check_idx: int):
+    """Every dims' trials, every measure's in turn; each draws its state and
+    channel from its own generator, which an optimizer tier's solver calls
+    go on with."""
+    for di, dims in enumerate(Dims(*pair) for pair in config.dims):
+        for mi, measure_id in enumerate(config.measures):
+            if (kind := measure_state_kind(measure_id, dims)) is None:
+                continue
+            for t, seed, rng in _trials(config, config.trials, check_idx, di, mi):
+                yield (measure_id, _stack_sampler(kind, dims)(rng, 1),
+                       _draw_channel(dims.dB, _n_kraus(config, t), rng), seed, dims, rng)
 
 
-def _strict_items(config: SweepConfig, check_idx: int, di: int):
-    """The ``strict`` reports of ``config.dims[di]`` as ``_strict_reports``
-    items, existence direction first, each drawn from its report's own
-    generator."""
-    dims_pair = config.dims[di]
-    dims = Dims(*dims_pair)
+def _strict_items(config: SweepConfig, check_idx: int):
+    """The existence items of every dims, then the equality items, each
+    drawn from its report's own generator."""
+    all_dims = [Dims(*pair) for pair in config.dims]
     # Existence direction: general channels must strictly decrease
     # negativity somewhere among Haar-random pure states.
-    for c, seed, rng in _trials(config, max(1, config.trials // 4), check_idx, 0, di):
-        draw = _draw_channel(dims_pair[1], _n_kraus(config, c), rng)
-        yield "negativity", _stack_sampler("pure", dims)(rng, 100), draw, seed, False
+    for di, dims in enumerate(all_dims):
+        for c, seed, rng in _trials(config, max(1, config.trials // 4), check_idx, 0, di):
+            draw = _draw_channel(dims.dB, _n_kraus(config, c), rng)
+            yield "negativity", _stack_sampler("pure", dims)(rng, 100), draw, seed, dims, False
     # Equality direction: unitary mixtures must preserve every measure.
-    for t, seed, rng in _trials(config, config.trials, check_idx, 1, di):
-        draw = _draw_mixture(dims_pair[1], 1 + t % 3, rng)
-        for measure_id in config.measures:
-            kind = measure_state_kind(measure_id, dims)
-            if kind is None or measure_tier(measure_id) != "closed":
-                continue
-            yield measure_id, _stack_sampler(kind, dims)(rng, 3), draw, seed, True
+    for di, dims in enumerate(all_dims):
+        for t, seed, rng in _trials(config, config.trials, check_idx, 1, di):
+            draw = _draw_mixture(dims.dB, 1 + t % 3, rng)
+            for measure_id in config.measures:
+                kind = measure_state_kind(measure_id, dims)
+                if kind is not None and measure_tier(measure_id) == "closed":
+                    yield measure_id, _stack_sampler(kind, dims)(rng, 3), draw, seed, dims, True
 
 
-def _sweep_strict(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    """The reports of one dims, both directions, go to ``_strict_reports``
-    in batches."""
-    existence, equality = [], []
-    for di, dims_pair in enumerate(config.dims):
-        for item, rep in _batch_reports(_strict_items(config, check_idx, di), _strict_reports,
-                                        Dims(*dims_pair)):
-            (equality if item[4] else existence).append(rep)
-    return existence + equality
-
-
-def _sweep_concavity(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    items = []
+def _concavity_items(config: SweepConfig, check_idx: int):
     for hi, h in enumerate(DEFAULT_H_SET):
         for t, seed, rng in _trials(config, config.trials, check_idx, hi):
             d = 2 if t % 2 == 0 else 3
             dims = Dims(d)
             rank = d if h.kind == "g-concurrence" else (1 + t % d if t % 5 else d)
-            rho1, rho2 = random_mixed_stack(dims, rank, 2, rng)
-            while float(np.linalg.norm(rho1 - rho2)) <= CONCAVITY_DISTANCE:
-                rho2 = random_mixed_stack(dims, rank, 1, rng)[0]
-            items.append((h, rho1, rho2, 0.5, seed))
-    return _concavity_reports(items)
+            pair = random_mixed_stack(dims, rank, 2, rng)
+            while float(np.linalg.norm(pair[0] - pair[1])) <= CONCAVITY_DISTANCE:
+                pair[1] = random_mixed_stack(dims, rank, 1, rng)[0]
+            yield h, pair, None, seed, dims, 0.5
 
 
 def _projective_channel(d: int) -> LocalKrausChannel:
     return LocalKrausChannel("B", tuple(projector_stack(np.eye(d))))
 
 
-def _sweep_reduced_state(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    """The Bell state under the projective channel, then the trials, each
-    drawn from its own generator; ``_reduced_state_reports`` judges them in
-    batches."""
-    return [rep for _, rep in _batch_reports(_reduced_state_items(config, check_idx),
-                                             _reduced_state_reports)]
-
-
 def _reduced_state_items(config: SweepConfig, check_idx: int):
+    """The Bell state under the projective channel, then the trials, each
+    drawn from its own generator."""
     bell = bell_state()
     yield (ENTROPY, bell.amplitudes[None], _projective_channel(2),
-           derived_seed(config.seed, check_idx, 0), bell.dims)
+           derived_seed(config.seed, check_idx, 0), bell.dims, None)
     h_cycle = (ENTROPY, NEGATIVITY_H, TANGLE, CONCURRENCE)
     for t, seed, rng in _trials(config, config.trials, check_idx, 1):
         dims = Dims(*_cycled(config.dims, t))
         yield (_cycled(h_cycle, t), random_pure_stack(dims, 1, rng),
-               _trial_draw(config, t, dims.dB, rng, 3, 3), seed, dims)
+               _trial_draw(config, t, dims.dB, rng, 3, 3), seed, dims, None)
 
 
 def _sweep_roof_oracle(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
@@ -937,33 +914,25 @@ def _sweep_ree(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
     return reports
 
 
-def _sweep_ree_dpi(config: SweepConfig, check_idx: int) -> list[VerificationReport]:
-    """Each trial draws rho, sigma and its channel from its own generator;
-    ``_ree_dpi_reports`` judges the trials in batches."""
-    return [rep for _, rep in _batch_reports(_ree_dpi_items(config, check_idx),
-                                             _ree_dpi_reports)]
-
-
 def _ree_dpi_items(config: SweepConfig, check_idx: int):
+    """Each trial draws rho, sigma and its channel from its own generator."""
     for t, seed, rng in _trials(config, config.trials, check_idx):
-        dims_pair = _cycled(config.dims, t)
-        dims = Dims(*dims_pair)
-        yield (dims, random_mixed_stack(dims, None, 2, rng),
-               _trial_draw(config, t, dims_pair[1], rng, 4, 2), seed)
+        dims = Dims(*_cycled(config.dims, t))
+        yield ("ree", random_mixed_stack(dims, None, 2, rng),
+               _trial_draw(config, t, dims.dB, rng, 4, 2), seed, dims, None)
 
 
 def _ree_dpi_reports(items):
-    """``ree-dpi`` reports of items ``(dims, mats, channel, seed)``, ``mats``
-    the ``(2, N, N)`` stack [rho, sigma]: one ``_data_processing_stack``
-    call per dims."""
+    """``ree-dpi`` reports of items whose ``states`` are the ``(2, N, N)``
+    stack [rho, sigma]: one ``_data_processing_stack`` call per dims."""
     dpi = [None] * len(items)
-    for dims, group in _groups(item[0] for item in items).items():
+    for dims, group in _groups(item[4] for item in items).items():
         reps = _data_processing_stack(np.stack([items[i][1] for i in group]),
                                       [items[i][2] for i in group], dims)
         for i, rep in zip(group, reps):
             dpi[i] = rep
     reports = []
-    for (_, _, channel, seed), rep in zip(items, dpi):
+    for (_, _, channel, seed, _, _), rep in zip(items, dpi):
         if rep.skipped_reason is not None:
             lhs, rhs, metadata = 0.0, 0.0, {"reason": rep.skipped_reason}
         else:
@@ -1013,19 +982,22 @@ def _sweep_monogamy(config: SweepConfig, check_idx: int) -> list[VerificationRep
     return reports
 
 
+# One row per check: an item generator and the kernel that judges its items
+# (``_batch_reports``), or a sweep of reports and None.  A check's index
+# here seeds its trials, so a new row goes at the end.
 _SWEEPS = {
-    "monotone": _sweep_monotone,
-    "strict": _sweep_strict,
-    "concavity": _sweep_concavity,
-    "reduced-state": _sweep_reduced_state,
-    "roof-oracle": _sweep_roof_oracle,
-    "ree": _sweep_ree,
-    "ree-dpi": _sweep_ree_dpi,
-    "neg-decomposition": _sweep_neg_decomposition,
-    "logneg-nonconvexity": _sweep_logneg,
-    "monogamy": _sweep_monogamy,
+    "monotone": (_monotone_items, _monotone_reports),
+    "strict": (_strict_items, _strict_reports),
+    "concavity": (_concavity_items, _concavity_reports),
+    "reduced-state": (_reduced_state_items, _reduced_state_reports),
+    "roof-oracle": (_sweep_roof_oracle, None),
+    "ree": (_sweep_ree, None),
+    "ree-dpi": (_ree_dpi_items, _ree_dpi_reports),
+    "neg-decomposition": (_sweep_neg_decomposition, None),
+    "logneg-nonconvexity": (_sweep_logneg, None),
+    "monogamy": (_sweep_monogamy, None),
 }
-CHECK_IDS = tuple(_SWEEPS)  # a check's index here seeds its trials (run_sweep)
+CHECK_IDS = tuple(_SWEEPS)
 
 
 def run_sweep(config: SweepConfig, on_check=None) -> list[VerificationReport]:
@@ -1038,7 +1010,9 @@ def run_sweep(config: SweepConfig, on_check=None) -> list[VerificationReport]:
     for check_id in config.checks:
         check_idx = CHECK_IDS.index(check_id)
         start = time.perf_counter()
-        batch = _SWEEPS[check_id](config, check_idx)
+        sweep, judge = _SWEEPS[check_id]
+        batch = sweep(config, check_idx)
+        batch = batch if judge is None else list(_batch_reports(batch, judge))
         if on_check is not None:
             on_check(check_id, batch, time.perf_counter() - start)
         reports.extend(batch)

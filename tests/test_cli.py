@@ -245,6 +245,7 @@ class TestVerifyCommand:
         ("n_kraus", 2.5, "n_kraus must be an integer, got 2.5"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", -1, "seed must be nonnegative"),
+        ("n_kraus", 1, "n_kraus must be at least 2"),  # general channels take 2, ..., n_kraus
     ])
     def test_non_integer_or_negative_config_counts_rejected(self, tmp_path, capsys, key, value,
                                                             message):

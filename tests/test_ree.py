@@ -1157,9 +1157,9 @@ class TestReeDpiSweepMatchesPerTrialReference:
 
         if small:  # many batches, a dims of several trials in each
             monkeypatch.setattr(verify, "_BATCH_STATES", 9)
-        config = verify.SweepConfig(dims=((2, 2), (2, 3), (3, 2)), trials=trials,
-                                    n_kraus=2 + seed, seed=seed)
-        stacked = verify._sweep_ree_dpi(config, verify.CHECK_IDS.index("ree-dpi"))
+        config = verify.SweepConfig(checks=("ree-dpi",), dims=((2, 2), (2, 3), (3, 2)),
+                                    trials=trials, n_kraus=2 + seed, seed=seed)
+        stacked = verify.run_sweep(config)
         reference = _reference_sweep_ree_dpi(config)
         assert [verify.report_to_json(r) for r in stacked] == \
             [verify.report_to_json(r) for r in reference]

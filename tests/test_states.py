@@ -283,6 +283,16 @@ class TestPartialTranspose:
         with pytest.raises(DimensionMismatchError, match=r"shape \(3, 3\).*dims \(2, 2\)"):
             partial_transpose(np.eye(3), "A", Dims(2, 2))
 
+    def test_density_matrix_refuses_dims_other_than_its_own(self):
+        # A density matrix carries its dims: any other cut is refused, not
+        # ignored; its own dims are accepted.
+        rho = bell_state().density()
+        for dims in (Dims(4, 1), Dims(1, 4), Dims(4)):
+            with pytest.raises(DimensionMismatchError, match=r"dims \(2, 2\)"):
+                partial_transpose(rho, "A", dims=dims)
+        assert np.array_equal(partial_transpose(rho, "A", dims=Dims(2, 2)),
+                              partial_transpose(rho, "A"))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
     def test_trace_norm_at_least_one(self, seed):

@@ -47,6 +47,11 @@ from entmon.verify import (
 )
 
 
+def _sweep(check_id, config):
+    """The reports of one check's ``_SWEEPS`` row on ``config``."""
+    return run_sweep(replace(config, checks=(check_id,)))
+
+
 class TestCheckMonotone:
     def test_bell_projective_measurement(self):
         rep = check_monotone("negativity", bell_state().density(), _projective_channel(2))
@@ -225,7 +230,8 @@ class TestConcavity:
             rho2 = rho1 + CONCAVITY_DISTANCE * (1.0 + past) / np.linalg.norm(step) * step
         else:
             rho2 = sigma
-        reports = _concavity_reports([(h, rho1, rho2, lam, 0) for h in DEFAULT_H_SET])
+        reports = _concavity_reports([(h, np.stack([rho1, rho2]), None, 0, Dims(d), lam)
+                                      for h in DEFAULT_H_SET])
         assert [r.verdict for r in reports if r.verdict == "fail"] == []
         if pair == "equal":
             assert all(abs(r.gap) <= CONCAVITY_EQUAL_TOL for r in reports)
@@ -375,6 +381,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(trials=-1)
 
+    def test_check_ids_keep_their_order(self):
+        # A check's index here seeds its trials: a new check is appended, and
+        # no check moves.
+        from entmon.verify import CHECK_IDS
+
+        assert CHECK_IDS == ("monotone", "strict", "concavity", "reduced-state", "roof-oracle",
+                             "ree", "ree-dpi", "neg-decomposition", "logneg-nonconvexity",
+                             "monogamy")
+
     def test_numpy_integer_counts_are_stored_as_int(self):
         cfg = SweepConfig(trials=np.int64(10), n_kraus=np.int32(3), seed=np.uint16(2),
                           dims=((np.int64(2), np.int8(3)),))
@@ -391,7 +406,8 @@ class TestSweep:
         ({"dims": ((2, True),)}, "dims entries must be pairs of integers >= 2"),
         ({"dims": ((2, 3.0),)}, "dims entries must be pairs of integers >= 2"),
         ({"dims": ((2, np.int64(1)),)}, "dims entries must be pairs of integers >= 2"),
-        ({"n_kraus": np.int64(0)}, "n_kraus must be at least 1"),
+        ({"n_kraus": np.int64(0)}, "n_kraus must be at least 2"),
+        ({"n_kraus": 1}, "n_kraus must be at least 2"),
     ])
     def test_bools_floats_and_small_counts_keep_their_errors(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -474,8 +490,8 @@ class TestDecisionRules:
 
         rng = np.random.default_rng(0)
         mats = _stack_sampler("pure", Dims(2, 2))(rng, 4)
-        item = ("negativity", mats, random_channel(2, 3, rng), 0, True)
-        rep, = _strict_reports([item], Dims(2, 2))
+        item = ("negativity", mats, random_channel(2, 3, rng), 0, Dims(2, 2), True)
+        rep, = _strict_reports([item])
         assert rep.metadata["note"] == "misclassified unitary mixture"
         assert rep.verdict == recompute_verdict(rep) == "fail"
 
@@ -489,7 +505,7 @@ class TestDecisionRules:
                             or check_families(side, kraus, *live))
         monkeypatch.setattr(verify, "_BATCH_STATES", 4)  # a channel's items straddle batches
         config = SweepConfig(trials=10, seed=0)
-        reports = verify._sweep_strict(config, verify.CHECK_IDS.index("strict"))
+        reports = _sweep("strict", config)
         assert len(reports) == 84
         assert len(calls) == len(config.dims) * (config.trials // 4 + config.trials)
 
@@ -502,7 +518,7 @@ class TestDecisionRules:
             return [DataProcessingReport(0.25, 0.25, 0.0, p, q, 1e-3)] * len(channels)
 
         monkeypatch.setattr(verify, "_data_processing_stack", moved_probabilities)
-        rep, = verify._sweep_ree_dpi(SweepConfig(trials=1), verify.CHECK_IDS.index("ree-dpi"))
+        rep, = _sweep("ree-dpi", SweepConfig(trials=1))
         assert rep.gap == 0.0
         assert rep.metadata["equality_case"] is True
         assert rep.metadata["max_prob_deviation"] == 1e-3
@@ -816,9 +832,9 @@ class TestStackedMonotoneMatchesPerOutcomeLoop:
 
 
 # (seed, trials, n_kraus): every seed meets every trial count, and n_kraus
-# 1-5 each appear.
+# 2-5 each appear.
 BATCHED_SWEEP_CASES = [
-    (seed, trials, 1 + (3 * seed + i) % 5)
+    (seed, trials, max(2, 1 + (3 * seed + i) % 5))
     for seed in range(3)
     for i, trials in enumerate((0, 1, 7))
 ]
@@ -828,24 +844,21 @@ class TestBatchedSweepsMatchPerTrialReferences:
     @pytest.mark.parametrize("seed,trials,n_kraus", BATCHED_SWEEP_CASES)
     def test_closed_sweeps(self, seed, trials, n_kraus, monkeypatch):
         from entmon import verify
-        from entmon.verify import _sweep_monotone, _sweep_strict
 
         if seed == 1:  # many kernel calls per (dims, measure) and per dims
             monkeypatch.setattr(verify, "_BATCH_STATES", 4)
         config = SweepConfig(dims=((2, 2), (2, 3), (3, 3)), trials=trials, n_kraus=n_kraus,
                              seed=seed)
-        for sweep, reference, check_idx in ((_sweep_monotone, _reference_sweep_monotone, 0),
-                                            (_sweep_strict, _reference_sweep_strict, 1)):
-            batched, loop = sweep(config, check_idx), reference(config)
+        for check_id, reference in (("monotone", _reference_sweep_monotone),
+                                    ("strict", _reference_sweep_strict)):
+            batched, loop = _sweep(check_id, config), reference(config)
             assert len(batched) == len(loop)
             for a, b in zip(batched, loop):
                 assert a == b
 
     def test_optimizer_tier_keeps_its_per_trial_path(self):
-        from entmon.verify import _sweep_monotone
-
         config = SweepConfig(measures=("negativity-roof",), dims=((2, 2),), trials=1, seed=5)
-        batched = _sweep_monotone(config, 0)
+        batched = _sweep("monotone", config)
         assert batched == _reference_sweep_monotone(config)
 
 
@@ -878,9 +891,9 @@ class TestStrictInputStack:
         mats[2] = {"hermiticity": np.diag([0.5, 0.5, 0.0, 0.0]) + 1e-3 * np.eye(4, k=1),
                    "trace": np.diag([0.6, 0.5, 0.0, 0.0]),
                    "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0])}[fault]
-        items = [("negativity", mats, random_channel(2, 2, rng), 0, False)]
+        items = [("negativity", mats, random_channel(2, 2, rng), 0, Dims(2, 2), False)]
         with pytest.raises(StateValidationError, match=fault):
-            list(_batch_reports(items, _strict_reports, Dims(2, 2)))
+            list(_batch_reports(items, _strict_reports))
 
     def test_sampler_shape_must_fit_the_channel(self):
         from entmon.states import DimensionMismatchError
@@ -1086,8 +1099,14 @@ def _concavity_branch_items(rng):
             near = rho + 1e-4 / np.linalg.norm(sigma - rho) * (sigma - rho)
             for rho1, rho2 in ((rho, rho), (rho, near), (rho, sigma), (sigma, rho)):
                 for h in DEFAULT_H_SET:
-                    items.append((h, rho1, rho2, float(rng.uniform(0.05, 0.95)), len(items)))
+                    items.append((h, np.stack([rho1, rho2]), None, len(items), Dims(d),
+                                  float(rng.uniform(0.05, 0.95))))
     return items
+
+
+def _reference_concavity_items(items):
+    return [_reference_concavity(h, DensityMatrix(r1, dims), DensityMatrix(r2, dims), lam, s)
+            for h, (r1, r2), _, s, dims, lam in items]
 
 
 def _reduced_state_branch_inputs(rng):
@@ -1128,13 +1147,11 @@ KERNEL_SWEEP_CASES = [(seed, trials) for seed in range(4) for trials in (0, 1, 7
 class TestConcavityAndReducedStateMatchPerStateReferences:
     @pytest.mark.parametrize("seed,trials", KERNEL_SWEEP_CASES)
     def test_sweeps(self, seed, trials):
-        from entmon.verify import _sweep_concavity, _sweep_reduced_state
-
         config = SweepConfig(dims=((2, 2), (2, 3), (3, 3)), trials=trials, n_kraus=2 + seed,
                              seed=seed)
-        assert _json_lines(_sweep_concavity(config, 2)) == \
+        assert _json_lines(_sweep("concavity", config)) == \
             _json_lines(_reference_sweep_concavity(config))
-        assert _json_lines(_sweep_reduced_state(config, 3)) == \
+        assert _json_lines(_sweep("reduced-state", config)) == \
             _json_lines(_reference_sweep_reduced_state(config))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1142,17 +1159,29 @@ class TestConcavityAndReducedStateMatchPerStateReferences:
         from entmon.verify import _concavity_reports
 
         items = _concavity_branch_items(np.random.default_rng(seed))
-        reference = [_reference_concavity(h, DensityMatrix(r1, Dims(len(r1))),
-                                          DensityMatrix(r2, Dims(len(r2))), lam, s)
-                     for h, r1, r2, lam, s in items]
+        reference = _reference_concavity_items(items)
         assert _json_lines(_concavity_reports(items)) == _json_lines(reference)
-        one_item = [check_strict_concavity(h, DensityMatrix(r1, Dims(len(r1))),
-                                           DensityMatrix(r2, Dims(len(r2))), lam, s)
-                    for h, r1, r2, lam, s in items]
+        one_item = [check_strict_concavity(h, DensityMatrix(r1, dims), DensityMatrix(r2, dims),
+                                           lam, s)
+                    for h, (r1, r2), _, s, dims, lam in items]
         assert _json_lines(one_item) == _json_lines(reference)
         branches = {r.metadata.get("branch", r.metadata.get("reason")) for r in reference}
         assert branches == {"equal-states", "near-equal", "strict",
                             "g-concurrence strictness needs full-rank inputs"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_concavity_reports_do_not_depend_on_the_batch_size(self, seed, monkeypatch):
+        # The branch items of d = 2 and d = 3 through the batch driver: two
+        # items per kernel call, and all of them in one.
+        from entmon import verify
+
+        items = _concavity_branch_items(np.random.default_rng(seed))
+        assert {dims.dA for *_, dims, _ in items} == {2, 3}
+        reference = _json_lines(_reference_concavity_items(items))
+        for size in (4, 512):
+            monkeypatch.setattr(verify, "_BATCH_STATES", size)
+            assert _json_lines(verify._batch_reports(items, verify._concavity_reports)) == \
+                reference
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reduced_state_branches(self, seed):
@@ -1182,9 +1211,9 @@ class TestConcavityAndReducedStateKeepEveryInputCheck:
         from entmon.verify import DEFAULT_H_SET, _concavity_reports
 
         rng = np.random.default_rng(15)
-        items = [(h, *random_mixed_stack(Dims(2), None, 2, rng), 0.5, s)
+        items = [(h, random_mixed_stack(Dims(2), None, 2, rng), None, s, Dims(2), 0.5)
                  for s, h in enumerate(DEFAULT_H_SET)]
-        items[3] = items[3][:member] + (_FAULTS[fault],) + items[3][member + 1:]
+        items[3][1][member - 1] = _FAULTS[fault]
         with pytest.raises(StateValidationError, match=fault) as per_state:
             DensityMatrix(_FAULTS[fault], Dims(2))  # as the sampler validated each state
         with pytest.raises(StateValidationError) as stacked:
@@ -1430,14 +1459,14 @@ class TestReducedStateAcrossTrials:
             monkeypatch.setattr(verify, "_BATCH_STATES", 9)
         config = SweepConfig(dims=((2, 2), (2, 3), (3, 2)), trials=trials, n_kraus=2 + seed,
                              seed=seed)
-        assert _json_lines(verify._sweep_reduced_state(config, 3)) == \
+        assert _json_lines(_sweep("reduced-state", config)) == \
             _json_lines(_reference_sweep_reduced_state(config))
 
     def test_one_trial_cases_match_the_stack(self):
         from entmon.verify import _reduced_state_reports
 
         inputs = _reduced_state_branch_inputs(np.random.default_rng(40))
-        items = [(h, psi.amplitudes[None], channel, i, psi.dims)
+        items = [(h, psi.amplitudes[None], channel, i, psi.dims, None)
                  for i, (h, psi, channel) in enumerate(inputs)]
         one_by_one = [check_reduced_state_condition(h, psi, channel, seed=i)
                       for i, (h, psi, channel) in enumerate(inputs)]
@@ -1493,8 +1522,8 @@ def test_closed_gaps_of_vectors_match_their_projectors(dims_pair, mixture, k, se
     amps = random_pure_stack(dims, 3, rng)
     channel = _stack_drawn_channel(mixture, dims_pair[1], k, rng)
     ids = [m for m in CLOSED_MEASURES if measure_state_kind(m, dims) is not None]
-    vectors = _closed_gaps([(m, amps, channel) for m in ids], dims)
-    projectors = _closed_gaps([(m, projector_stack(amps), channel) for m in ids], dims)
+    vectors = _closed_gaps([(m, amps, channel, 0, dims, None) for m in ids])
+    projectors = _closed_gaps([(m, projector_stack(amps), channel, 0, dims, None) for m in ids])
     for (tag, lhs, rhs, n_outcomes), (tag_p, lhs_p, rhs_p, n_outcomes_p) in zip(vectors,
                                                                                 projectors):
         assert tag == tag_p and n_outcomes == n_outcomes_p
@@ -1535,9 +1564,10 @@ class TestVectorInputs:
         with pytest.raises(StateValidationError, match=message):
             check_strict("negativity", faulty, channel, 4, rng)
         items = [("negativity", random_pure_stack(Dims(2, 2), 3, rng), random_channel(2, 2, rng),
-                  0, False), ("negativity", faulty(rng, 4), random_channel(2, 2, rng), 1, False)]
+                  0, Dims(2, 2), False),
+                 ("negativity", faulty(rng, 4), random_channel(2, 2, rng), 1, Dims(2, 2), False)]
         with pytest.raises(StateValidationError, match=message):
-            list(_batch_reports(items, _strict_reports, Dims(2, 2)))
+            list(_batch_reports(items, _strict_reports))
 
     def test_vector_sampler_shape_must_fit_the_channel(self):
         from entmon.states import DimensionMismatchError
@@ -1568,20 +1598,19 @@ def test_strict_existence_items_decompose_no_full_state_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", traced(eigh, "eigh"))
     monkeypatch.setattr(np.linalg, "eigvalsh", traced(eigvalsh, "eigvalsh"))
+    existence = [item for item in verify._strict_items(config, 1) if not item[5]]
     n_reports = 0
-    for di, dims_pair in enumerate(config.dims):
-        n = dims_pair[0] * dims_pair[1]
-        items = [item for item in verify._strict_items(config, 1, di) if not item[4]]
+    for dims in (Dims(*dims_pair) for dims_pair in config.dims):
         calls.clear()
-        n_reports += len(list(verify._batch_reports(items, verify._strict_reports,
-                                                    Dims(*dims_pair))))
-        assert [c for c in calls if c[1] == n] == []
+        n_reports += len(list(verify._batch_reports([it for it in existence if it[4] == dims],
+                                                    verify._strict_reports)))
+        assert [c for c in calls if c[1] == dims.total] == []
     assert n_reports == 3 * 2
 
 
 def test_monotone_sweep_builds_the_channels_of_a_dims_at_once(monkeypatch):
-    # The closed forms of one dims stream through one batch driver: with
-    # every input of a dims in one batch, one ``_build_channels`` call each.
+    # The closed forms of every dims stream through one batch driver: with
+    # every input in one batch, one ``_build_channels`` call in all.
     from entmon import verify
 
     calls = []
@@ -1589,6 +1618,6 @@ def test_monotone_sweep_builds_the_channels_of_a_dims_at_once(monkeypatch):
     monkeypatch.setattr(verify, "_build_channels",
                         lambda draws: calls.append(len(draws)) or build(draws))
     config = SweepConfig(checks=("monotone",), trials=10, seed=0)
-    reports = verify._sweep_monotone(config, verify.CHECK_IDS.index("monotone"))
+    reports = run_sweep(config)
     assert len(reports) == len(config.dims) * len(config.measures) * config.trials
-    assert calls == [len(config.measures) * config.trials] * len(config.dims)
+    assert calls == [len(reports)]
